@@ -21,6 +21,7 @@ keys, no whitespace).
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -131,7 +132,11 @@ def _align_up(n: int) -> int:
 
 
 def write_bundle(bundle: TensorBundle, path) -> None:
-    """Write a bundle; byte-deterministic for identical bundle content."""
+    """Write a bundle; byte-deterministic for identical bundle content.
+
+    The write is atomic with respect to this process: ``path`` holds either
+    its previous content or the complete new bundle, never a partial one.
+    """
     records = []
     offset = 0
     payloads = []
@@ -155,15 +160,26 @@ def write_bundle(bundle: TensorBundle, path) -> None:
     for off, data in payloads:
         region[off : off + len(data)] = data
 
+    # Write a sibling temporary file and rename it over ``path``, so a
+    # failure at any point leaves a previous file at ``path`` untouched.
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
-        with open(path, "wb") as fh:
+        with open(tmp, "xb") as fh:
             fh.write(MAGIC)
             fh.write(struct.pack("<I", VERSION))
             fh.write(struct.pack("<Q", len(header_bytes)))
             fh.write(header_bytes)
             fh.write(region)
-    except OSError as exc:
-        raise IoFailure(f"cannot write bundle to {path}: {exc}") from exc
+        os.replace(tmp, path)
+    except BaseException as exc:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        if isinstance(exc, OSError):
+            raise IoFailure(f"cannot write bundle to {path}: {exc}") from exc
+        raise
 
 
 def read_bundle(path) -> TensorBundle:

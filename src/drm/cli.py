@@ -16,6 +16,7 @@ from .bundle import canonical_json, extract_deltas, read_bundle, write_bundle
 from .engine import MergeConfig, merge_bundle_with_stats
 from .errors import (
     BadMagic,
+    CastOverflow,
     ConvergenceFailure,
     CorruptHeader,
     ExtraTensor,
@@ -51,7 +52,7 @@ _IO_ERRORS = (
     ShapeMismatch,
     OSError,
 )
-_NUM_ERRORS = (ConvergenceFailure, SingularSystem)
+_NUM_ERRORS = (ConvergenceFailure, SingularSystem, CastOverflow)
 
 
 def _parse_lambdas(text: str | None):

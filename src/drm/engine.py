@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundle import DeltaSet, TensorBundle, canonical_json, extract_deltas
-from .errors import DrmError, ShapeMismatch
+from .errors import CastOverflow, DrmError, NonFiniteValue, ShapeMismatch
 from .linalg import hconcat, nonzero_sigma_mask, thin_svd
 
 METHODS = ("drm_h", "drm_v", "simple_avg", "task_arithmetic", "ties", "dare_ties")
@@ -236,12 +236,17 @@ def prune_topk(blocks: list[np.ndarray], retain: float, mode: str = "joint") -> 
 
     def pool_mask(flat_abs: np.ndarray) -> np.ndarray:
         keep = _keep_count(retain, flat_abs.size)
-        mask = np.zeros(flat_abs.size, dtype=bool)
-        if keep:
-            # Stable sort on -|v|: equal magnitudes stay in flattened
-            # (task, row, col) order, making the cutoff deterministic.
-            order = np.argsort(-flat_abs, kind="stable")
-            mask[order[:keep]] = True
+        if keep == 0:
+            return np.zeros(flat_abs.size, dtype=bool)
+        # Selection, not a sort: everything above the keep-th largest
+        # magnitude survives, and the remaining slots go to entries equal to
+        # it in flattened (task, row, col) order -- the same mask a stable
+        # sort on -|v| gives.
+        cut = flat_abs.size - keep
+        cutoff = np.partition(flat_abs, cut)[cut]
+        mask = flat_abs > cutoff
+        ties = np.flatnonzero(flat_abs == cutoff)
+        mask[ties[: keep - np.count_nonzero(mask)]] = True
         return mask
 
     if mode == "individual":
@@ -475,5 +480,10 @@ def merge_bundle_with_stats(
         else:
             merged = merged_biases[name]
             stats.append(LayerStats(name, arr.shape))
-        out.add(name, merged.astype(arr.dtype))
+        with np.errstate(over="ignore"):
+            cast = merged.astype(arr.dtype)
+        try:
+            out.add(name, cast)
+        except NonFiniteValue as exc:
+            raise CastOverflow(f"layer {name!r}: merged values overflow {arr.dtype}") from exc
     return out, stats

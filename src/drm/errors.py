@@ -59,6 +59,10 @@ class SingularSystem(DrmError):
     """A linear system has no unique solution."""
 
 
+class CastOverflow(DrmError):
+    """A merged tensor does not fit its output dtype (overflows to infinity)."""
+
+
 # --- analysis ---
 
 class NeedTwoTasks(DrmError):

@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 
 import numpy as np
@@ -18,6 +19,7 @@ from drm.errors import (
     BadMagic,
     CorruptHeader,
     ExtraTensor,
+    IoFailure,
     MissingTensor,
     NonFiniteValue,
     OffsetOutOfRange,
@@ -198,6 +200,31 @@ class TestWriteBundle:
         header = json.loads(path.read_bytes()[16 : 16 + header_len])
         offsets = {rec["name"]: rec["offset"] for rec in header["tensors"]}
         assert offsets == {"a": 0, "b": 16}
+
+    def test_overwrite_leaves_only_target(self, tmp_path):
+        path = tmp_path / "out.drmb"
+        path.write_bytes(b"stale")
+        bundle = TensorBundle({"w": np.eye(2)})
+        write_bundle(bundle, path)
+        assert read_bundle(path) == bundle
+        assert [p.name for p in tmp_path.iterdir()] == ["out.drmb"]
+
+    def test_interrupted_write_removes_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.drmb"
+        path.write_bytes(b"stale")
+
+        def interrupt(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            write_bundle(TensorBundle({"w": np.eye(2)}), path)
+        assert path.read_bytes() == b"stale"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.drmb"]
+
+    def test_unwritable_target_is_io_failure(self, tmp_path):
+        with pytest.raises(IoFailure):
+            write_bundle(TensorBundle({"w": np.eye(2)}), tmp_path / "missing" / "out.drmb")
 
 
 class TestBundleValidation:

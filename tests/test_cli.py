@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import drm.bundle
 from drm.bundle import TensorBundle, read_bundle, write_bundle
 from drm.cli import main
 
@@ -103,6 +105,60 @@ class TestMerge:
         run_merge(base, tasks, out1, "--method", "dare-ties", "--seed", "11")
         run_merge(base, tasks, out2, "--method", "dare-ties", "--seed", "11")
         assert (tmp / "d1.drmb").read_bytes() == (tmp / "d2.drmb").read_bytes()
+
+    def test_float32_cast_overflow_is_numeric_error(self, tmp_path, capsys):
+        # Two tasks at 3e38 sum past float32's largest finite value.
+        shape = (4, 3)
+        base = TensorBundle({"w": np.zeros(shape, dtype=np.float32)})
+        write_bundle(base, tmp_path / "base.drmb")
+        tasks = []
+        for t in range(2):
+            path = tmp_path / f"task{t}.drmb"
+            write_bundle(TensorBundle({"w": np.full(shape, 3e38, dtype=np.float32)}), path)
+            tasks.append(str(path))
+        out = tmp_path / "merged.drmb"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_merge(str(tmp_path / "base.drmb"), tasks, out,
+                             "--method", "ta", "--lambda", "1")
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "'w'" in err and "float32" in err
+        assert not out.exists()
+
+    def test_failed_write_keeps_previous_out(self, family, monkeypatch):
+        base, tasks, tmp = family
+        out = tmp / "merged.drmb"
+        out.write_bytes(b"previous contents")
+        real_open = open
+
+        class FailMidway:
+            """File wrapper whose third write fails as a full disk would."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+        def open_failing_writes(path, mode="r", *args, **kwargs):
+            fh = real_open(path, mode, *args, **kwargs)
+            return fh if "r" in mode else FailMidway(fh)
+
+        monkeypatch.setattr(drm.bundle, "open", open_failing_writes, raising=False)
+        before = sorted(p.name for p in tmp.iterdir())
+        assert run_merge(base, tasks, out, "--method", "avg") == 3
+        assert out.read_bytes() == b"previous contents"
+        assert sorted(p.name for p in tmp.iterdir()) == before
 
 
 class TestAnalyze:

@@ -261,6 +261,64 @@ class TestPruneTopk:
                     np.testing.assert_array_equal(g, e)
 
 
+def prune_topk_full_sort(blocks, retain, mode="joint"):
+    """The full stable-argsort prune that selection replaced; the reference
+    that the selection-based masks must match bit for bit."""
+    blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
+
+    def pool_mask(flat_abs):
+        keep = min(flat_abs.size, max(0, math.ceil(retain * flat_abs.size - 1e-9)))
+        mask = np.zeros(flat_abs.size, dtype=bool)
+        if keep:
+            order = np.argsort(-flat_abs, kind="stable")
+            mask[order[:keep]] = True
+        return mask
+
+    if mode == "individual":
+        return [pool_mask(np.abs(b).ravel()).reshape(b.shape) for b in blocks]
+    pooled = pool_mask(np.concatenate([np.abs(b).ravel() for b in blocks]))
+    out, start = [], 0
+    for b in blocks:
+        out.append(pooled[start : start + b.size].reshape(b.shape))
+        start += b.size
+    return out
+
+
+@st.composite
+def tie_heavy_prune_case(draw):
+    """Blocks drawn from a few magnitudes, mostly zeros, with whole zero
+    rows, plus a retain that often puts the cutoff inside a run of ties."""
+    values = st.sampled_from([0.0, 0.0, 0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
+    blocks = []
+    for _ in range(draw(st.integers(1, 5))):
+        rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+        flat = draw(st.lists(values, min_size=rows * cols, max_size=rows * cols))
+        block = np.array(flat).reshape(rows, cols)
+        block[np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))] = 0.0
+        blocks.append(block)
+    total = sum(b.size for b in blocks)
+    retain = draw(
+        st.one_of(
+            st.just(1.0),
+            st.floats(1e-3, 1.0),
+            st.integers(1, total).map(lambda k: k / total),
+        )
+    )
+    return blocks, retain
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_prune_case(), st.sampled_from(["joint", "individual"]))
+def test_prune_selection_matches_full_sort(case, mode):
+    blocks, retain = case
+    expected = prune_topk_full_sort(blocks, retain, mode)
+    got = prune_topk(blocks, retain, mode)
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g.dtype == bool and g.shape == e.shape
+        np.testing.assert_array_equal(g, e)
+
+
 class TestElectSigns:
     def test_magnitude_weighted_sum(self):
         blocks = [np.array([[2.0]]), np.array([[-1.0]]), np.array([[-3.0]])]

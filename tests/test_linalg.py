@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drm.bundle import materialize_low_rank
 from drm.errors import ShapeMismatch, SizeTooLarge
-from drm.linalg import hconcat, spectral_norm, svd_oracle, thin_svd, vconcat
+from drm.linalg import SIGMA_ZERO_REL, hconcat, spectral_norm, svd_oracle, thin_svd, vconcat
 
 
 def random_matrix(seed, m, n, scale=1.0):
@@ -152,3 +153,67 @@ class TestSpectralProperties:
     def test_spectral_norm_matches_sigma_max(self):
         A = random_matrix(78, 5, 7)
         assert spectral_norm(A) == pytest.approx(float(thin_svd(A).sigma[0]), rel=1e-12)
+
+
+@pytest.fixture()
+def gesdd_calls(monkeypatch):
+    """Count the calls thin_svd makes to LAPACK's SVD."""
+    calls = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+def gesdd_rank(A):
+    sigma = np.linalg.svd(A, compute_uv=False)
+    return int(np.count_nonzero(sigma > SIGMA_ZERO_REL * sigma.max(initial=0.0)))
+
+
+def rank_deficient_stack(name):
+    """A stack whose rank is below its smaller side, and that rank."""
+    rng = np.random.default_rng(6)
+    if name == "low_rank_adapters":  # three rank-2 adapters on a 16x10 layer
+        adapters = [(rng.standard_normal((2, 10)), rng.standard_normal((16, 2))) for _ in range(3)]
+        return hconcat([materialize_low_rank(down, up, 0.5) for down, up in adapters]), 6
+    if name == "identical_tasks":
+        return hconcat([random_matrix(7, 12, 8)] * 3), 8
+    return np.zeros((4, 9)), 0
+
+
+class TestDecompositionRoutes:
+    @pytest.mark.parametrize("n_tasks,m,n,stack", [
+        (4, 12, 9, hconcat),   # wide 12x36: Gram side is the 12 rows
+        (4, 7, 12, vconcat),   # tall 28x12: Gram side is the 12 columns
+    ])
+    def test_well_conditioned_stack_takes_gram_route(self, gesdd_calls, n_tasks, m, n, stack):
+        rng = np.random.default_rng(5)
+        A = stack([rng.standard_normal((m, n)) for _ in range(n_tasks)])
+        svd = thin_svd(A)
+        assert gesdd_calls == []
+        U_ref, s_ref, Vt_ref = np.linalg.svd(A, full_matrices=False)
+        check_thin_svd_invariants(A, svd)
+        np.testing.assert_allclose(svd.sigma, s_ref, rtol=1e-9)
+        np.testing.assert_allclose(np.abs(svd.U), np.abs(U_ref), atol=1e-8)
+        np.testing.assert_allclose(np.abs(svd.Vt), np.abs(Vt_ref), atol=1e-8)
+        assert svd.rank == min(A.shape)
+
+    @pytest.mark.parametrize("name", ["low_rank_adapters", "identical_tasks", "zero"])
+    def test_rank_deficient_stack_falls_back(self, gesdd_calls, name):
+        A, rank = rank_deficient_stack(name)
+        svd = thin_svd(A)
+        assert gesdd_calls == [A.shape]
+        check_thin_svd_invariants(A, svd)
+        assert svd.rank == gesdd_rank(A) == rank
+
+    def test_negated_input_flips_only_vt(self, gesdd_calls):
+        A = hconcat([random_matrix(s, 5, 6) for s in range(3)])
+        svd = thin_svd(A)
+        flipped = thin_svd(-A)
+        assert gesdd_calls == []
+        np.testing.assert_allclose(flipped.U, svd.U, atol=1e-12)
+        np.testing.assert_allclose(flipped.Vt, -svd.Vt, atol=1e-12)
