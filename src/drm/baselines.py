@@ -7,7 +7,7 @@ import hashlib
 import numpy as np
 
 from .bundle import DeltaSet
-from .engine import MergeConfig, disjoint_average, elect_signs, prune_topk
+from .engine import MergeConfig, disjoint_average, elect_signs, kept_counts, prune_topk
 from .errors import ShapeMismatch
 
 
@@ -42,18 +42,17 @@ def ties_merge(ds: DeltaSet, cfg: MergeConfig) -> np.ndarray:
 
 
 def ties_merge_with_stats(ds: DeltaSet, cfg: MergeConfig) -> tuple[np.ndarray, dict]:
-    if cfg.enable_prune:
-        masks = prune_topk(ds.deltas, cfg.retain, "individual")
-    else:
-        masks = [np.ones(d.shape, dtype=bool) for d in ds.deltas]
-    pruned = [np.where(m, d, 0.0) for m, d in zip(masks, ds.deltas)]
-    signs = elect_signs(pruned) if cfg.enable_sign_elect else None
+    masks = prune_topk(ds.deltas, cfg.retain, "individual") if cfg.enable_prune else None
+    signs = None
+    if cfg.enable_sign_elect:
+        pruned = ds.deltas
+        if masks is not None:
+            pruned = [np.where(m, d, 0.0) for m, d in zip(masks, ds.deltas)]
+        signs = elect_signs(pruned)
     merged = disjoint_average(
         ds.deltas, masks, signs, cfg.task_lambdas(ds.n_tasks), cfg.enable_disjoint
     )
-    stats = {"kept": int(sum(m.sum() for m in masks)),
-             "total": int(sum(m.size for m in masks))}
-    return merged, stats
+    return merged, kept_counts(masks, ds.deltas)
 
 
 def _dare_generator(seed: int, layer_name: str, task_index: int) -> np.random.Generator:
@@ -84,8 +83,7 @@ def dare_ties_merge(
         gen = rng if rng is not None else _dare_generator(cfg.seed, ds.layer_name, t)
         keep = gen.random(delta.shape) >= p
         dropped.append(np.where(keep, delta * scale, 0.0))
-    masks = [np.ones(d.shape, dtype=bool) for d in dropped]
     signs = elect_signs(dropped) if cfg.enable_sign_elect else None
     return disjoint_average(
-        dropped, masks, signs, cfg.task_lambdas(ds.n_tasks), cfg.enable_disjoint
+        dropped, None, signs, cfg.task_lambdas(ds.n_tasks), cfg.enable_disjoint
     )

@@ -134,31 +134,29 @@ def _align_up(n: int) -> int:
 def write_bundle(bundle: TensorBundle, path) -> None:
     """Write a bundle; byte-deterministic for identical bundle content.
 
-    The write is atomic with respect to this process: ``path`` holds either
-    its previous content or the complete new bundle, never a partial one.
+    Each tensor's buffer goes straight to the file, so writing allocates no
+    copy of the data on a little-endian host. The write is atomic with
+    respect to this process: ``path`` holds either its previous content or
+    the complete new bundle, never a partial one.
     """
     records = []
+    arrays = []
     offset = 0
-    payloads = []
     for name, arr in bundle.items():
-        data = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes()
+        data = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
         records.append(
             {
                 "name": name,
                 "dtype": dtype_name(arr.dtype),
                 "shape": [int(s) for s in arr.shape],
                 "offset": offset,
-                "nbytes": len(data),
+                "nbytes": data.nbytes,
             }
         )
-        payloads.append((offset, data))
-        offset = _align_up(offset + len(data))
+        arrays.append(data)
+        offset = _align_up(offset + data.nbytes)
     header = {"tensors": records, "metadata": dict(sorted(bundle.metadata.items()))}
     header_bytes = canonical_json(header).encode("utf-8")
-
-    region = bytearray(offset if not payloads else max(o + len(d) for o, d in payloads))
-    for off, data in payloads:
-        region[off : off + len(data)] = data
 
     # Write a sibling temporary file and rename it over ``path``, so a
     # failure at any point leaves a previous file at ``path`` untouched.
@@ -170,7 +168,11 @@ def write_bundle(bundle: TensorBundle, path) -> None:
             fh.write(struct.pack("<I", VERSION))
             fh.write(struct.pack("<Q", len(header_bytes)))
             fh.write(header_bytes)
-            fh.write(region)
+            written = 0
+            for rec, data in zip(records, arrays):
+                fh.write(bytes(rec["offset"] - written))  # zero padding
+                fh.write(data)
+                written = rec["offset"] + data.nbytes
         os.replace(tmp, path)
     except BaseException as exc:
         try:
@@ -183,25 +185,37 @@ def write_bundle(bundle: TensorBundle, path) -> None:
 
 
 def read_bundle(path) -> TensorBundle:
-    """Read and validate a bundle file written by :func:`write_bundle`."""
+    """Read and validate a bundle file written by :func:`write_bundle`.
+
+    The data region is read once into one fresh, aligned buffer and every
+    tensor is a view into it (no copy on a little-endian host), so a bundle
+    holds its file size in memory. Declared spans must not overlap: two
+    tensors never share memory.
+    """
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            fixed = fh.read(16)
+            if len(fixed) < 4 or fixed[:4] != MAGIC:
+                raise BadMagic(f"{path}: not a bundle file (bad magic)")
+            if len(fixed) < 16:
+                raise CorruptHeader(f"{path}: truncated fixed header")
+            (version,) = struct.unpack_from("<I", fixed, 4)
+            if version != VERSION:
+                raise UnsupportedVersion(f"{path}: format version {version} (expected {VERSION})")
+            (header_len,) = struct.unpack_from("<Q", fixed, 8)
+            size = os.fstat(fh.fileno()).st_size
+            if 16 + header_len > size:
+                raise CorruptHeader(f"{path}: header length {header_len} exceeds file size")
+            header_bytes = fh.read(header_len)
+            # A buffer of its own keeps the 8-byte-aligned offsets aligned in
+            # memory, wherever the header ends.
+            region = np.empty(size - 16 - header_len, dtype=np.uint8)
+            region = region[: fh.readinto(region)]
     except OSError as exc:
         raise IoFailure(f"cannot read bundle from {path}: {exc}") from exc
 
-    if len(blob) < 4 or blob[:4] != MAGIC:
-        raise BadMagic(f"{path}: not a bundle file (bad magic)")
-    if len(blob) < 16:
-        raise CorruptHeader(f"{path}: truncated fixed header")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != VERSION:
-        raise UnsupportedVersion(f"{path}: format version {version} (expected {VERSION})")
-    (header_len,) = struct.unpack_from("<Q", blob, 8)
-    if 16 + header_len > len(blob):
-        raise CorruptHeader(f"{path}: header length {header_len} exceeds file size")
     try:
-        header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
+        header = json.loads(header_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptHeader(f"{path}: header is not valid JSON ({exc})") from exc
 
@@ -213,15 +227,15 @@ def read_bundle(path) -> TensorBundle:
     ):
         raise CorruptHeader(f"{path}: metadata must map strings to strings")
 
-    region = blob[16 + header_len :]
-    bundle = TensorBundle(metadata=metadata)
+    views = {}
+    spans = []
     for rec in header["tensors"]:
         if not isinstance(rec, dict):
             raise CorruptHeader(f"{path}: tensor record is not an object")
         name = rec.get("name")
         if not isinstance(name, str) or not name:
             raise CorruptHeader(f"{path}: tensor record with missing or empty name")
-        if name in bundle:
+        if name in views:
             raise CorruptHeader(f"{path}: duplicate tensor name {name!r}")
         if rec.get("dtype") not in _DTYPE_FROM_NAME:
             raise CorruptHeader(f"{path}: tensor {name!r} has unknown dtype {rec.get('dtype')!r}")
@@ -247,11 +261,21 @@ def read_bundle(path) -> TensorBundle:
                 f"{path}: tensor {name!r} spans [{offset}, {offset + nbytes}) "
                 f"outside the {len(region)}-byte data region"
             )
-        arr = np.frombuffer(region, dtype=dtype, count=int(np.prod(shape)), offset=offset)
-        arr = arr.reshape(shape).astype(dtype.newbyteorder("="), copy=True)
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteValue(f"{path}: tensor {name!r} contains NaN or infinity")
-        bundle.add(name, arr)
+        view = region[offset : offset + nbytes].view(dtype).reshape(shape)
+        views[name] = view.astype(dtype.newbyteorder("="), copy=False)
+        spans.append((offset, offset + nbytes, name))
+
+    spans.sort()
+    for (_, end, first), (start, _, second) in zip(spans, spans[1:]):
+        if start < end:
+            raise CorruptHeader(f"{path}: tensors {first!r} and {second!r} overlap")
+
+    bundle = TensorBundle(metadata=metadata)
+    for name, view in views.items():
+        try:
+            bundle.add(name, view)  # the one finiteness scan
+        except NonFiniteValue as exc:
+            raise NonFiniteValue(f"{path}: {exc}") from None
     return bundle
 
 
@@ -316,16 +340,11 @@ class BiasGroup:
         return len(self.entries)
 
 
-def extract_deltas(
+def check_aligned(
     base: TensorBundle, tasks: list[TensorBundle], task_names: list[str] | None = None
-) -> tuple[list[DeltaSet], BiasGroup]:
-    """Split aligned bundles into per-layer delta stacks and a bias group.
-
-    Every rank-2 tensor becomes one :class:`DeltaSet` holding task - base in
-    float64; rank-1 tensors go to the :class:`BiasGroup` for weighted
-    averaging. Task bundles must carry exactly the base bundle's tensor
-    names and shapes.
-    """
+) -> list[str]:
+    """Check that every task bundle carries exactly the base bundle's tensor
+    names and shapes; return the task names (``task0``, ... by default)."""
     if not tasks:
         raise ValueError("need at least one task bundle")
     if task_names is None:
@@ -345,18 +364,43 @@ def extract_deltas(
                     f"tensor {name!r}: task {tname!r} shape {task[name].shape} "
                     f"!= base shape {arr.shape}"
                 )
+    return list(task_names)
 
+
+def layer_delta_set(
+    name: str, base: TensorBundle, tasks: list[TensorBundle], task_names: list[str]
+) -> DeltaSet:
+    """One rank-2 tensor's task - base deltas in float64, for bundles that
+    passed :func:`check_aligned`. Only this layer is converted, so a caller
+    going layer by layer holds one layer's float64 data at a time."""
+    base64 = base[name].astype(np.float64)
+    deltas = []
+    for task in tasks:
+        delta = task[name].astype(np.float64)
+        delta -= base64
+        deltas.append(delta)
+    return DeltaSet(name, base64.shape, deltas, list(task_names))
+
+
+def extract_deltas(
+    base: TensorBundle, tasks: list[TensorBundle], task_names: list[str] | None = None
+) -> tuple[list[DeltaSet], BiasGroup]:
+    """Split aligned bundles into per-layer delta stacks and a bias group.
+
+    Every rank-2 tensor becomes one :class:`DeltaSet` holding task - base in
+    float64; rank-1 tensors go to the :class:`BiasGroup` for weighted
+    averaging. Task bundles must carry exactly the base bundle's tensor
+    names and shapes.
+    """
+    task_names = check_aligned(base, tasks, task_names)
     delta_sets: list[DeltaSet] = []
     biases = BiasGroup()
     for name, arr in base.items():
-        base64 = arr.astype(np.float64)
-        task64 = [task[name].astype(np.float64) for task in tasks]
         if arr.ndim == 2:
-            delta_sets.append(
-                DeltaSet(name, arr.shape, [t - base64 for t in task64], list(task_names))
-            )
+            delta_sets.append(layer_delta_set(name, base, tasks, task_names))
         else:
-            biases.entries.append(BiasEntry(name, base64, task64))
+            task64 = [task[name].astype(np.float64) for task in tasks]
+            biases.entries.append(BiasEntry(name, arr.astype(np.float64), task64))
     return delta_sets, biases
 
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import DeltaSet, TensorBundle, canonical_json, extract_deltas
+from .bundle import DeltaSet, TensorBundle, canonical_json, check_aligned, layer_delta_set
+from .bundle import extract_deltas  # noqa: F401 -- drmbench wraps drm.engine.extract_deltas
 from .errors import CastOverflow, DrmError, NonFiniteValue, ShapeMismatch
 from .linalg import hconcat, nonzero_sigma_mask, thin_svd
 
@@ -262,6 +263,13 @@ def prune_topk(blocks: list[np.ndarray], retain: float, mode: str = "joint") -> 
     return out
 
 
+def kept_counts(masks: list[np.ndarray] | None, blocks: list[np.ndarray]) -> dict:
+    """``kept``/``total`` entry counts of a prune; ``masks=None`` keeps all."""
+    total = int(sum(b.size for b in blocks))
+    kept = total if masks is None else int(sum(np.count_nonzero(m) for m in masks))
+    return {"kept": kept, "total": total}
+
+
 def elect_signs(scaled_blocks: list[np.ndarray]) -> np.ndarray:
     """Dominant sign per position of the element-wise sum; zero sums elect +1."""
     total = np.zeros_like(np.asarray(scaled_blocks[0], dtype=np.float64))
@@ -272,7 +280,7 @@ def elect_signs(scaled_blocks: list[np.ndarray]) -> np.ndarray:
 
 def disjoint_average(
     scaled_blocks: list[np.ndarray],
-    masks: list[np.ndarray],
+    masks: list[np.ndarray] | None,
     signs: np.ndarray | None,
     lambdas,
     disjoint: bool = True,
@@ -283,7 +291,8 @@ def disjoint_average(
     zeroed per task. The result is the coefficient-weighted sum scaled per
     position by the reciprocal survivor count (positions nobody survives
     stay zero). With ``disjoint=False`` the reciprocal count is replaced by
-    the constant 1/N. ``signs=None`` skips the sign filter.
+    the constant 1/N. ``masks=None`` skips the mask filter and
+    ``signs=None`` the sign filter.
     """
     n_tasks = len(scaled_blocks)
     lams = np.asarray(lambdas, dtype=np.float64).reshape(-1)
@@ -295,11 +304,11 @@ def disjoint_average(
     shape = np.asarray(scaled_blocks[0]).shape
     weighted = np.zeros(shape)
     counts = np.zeros(shape)
-    for block, mask, lam in zip(scaled_blocks, masks, lams):
+    for t, (block, lam) in enumerate(zip(scaled_blocks, lams)):
         block = np.asarray(block, dtype=np.float64)
-        if block.shape != shape or np.shape(mask) != shape:
+        if block.shape != shape or (masks is not None and np.shape(masks[t]) != shape):
             raise ShapeMismatch("blocks and masks must share one shape")
-        kept = np.where(mask, block, 0.0)
+        kept = block if masks is None else np.where(masks[t], block, 0.0)
         if signs is not None:
             kept = np.where(kept * signs > 0.0, kept, 0.0)
         weighted += lam * kept
@@ -331,16 +340,12 @@ def merge_drm_with_stats(ds: DeltaSet, cfg: MergeConfig) -> tuple[np.ndarray, di
     jd = decompose_joint(ds, "horizontal")
     jd = truncate_rank(jd, cfg.rank_drop)
     scaled = jd.scaled_blocks()
-    if cfg.enable_prune:
-        masks = prune_topk(jd.renorm_blocks, cfg.retain, cfg.prune_mode)
-    else:
-        masks = [np.ones(b.shape, dtype=bool) for b in jd.renorm_blocks]
+    masks = prune_topk(jd.renorm_blocks, cfg.retain, cfg.prune_mode) if cfg.enable_prune else None
     signs = elect_signs(scaled) if cfg.enable_sign_elect else None
     merged_block = disjoint_average(
         scaled, masks, signs, cfg.task_lambdas(ds.n_tasks), cfg.enable_disjoint
     )
-    stats = {"rank": jd.rank, "kept": int(sum(m.sum() for m in masks)),
-             "total": int(sum(m.size for m in masks))}
+    stats = {"rank": jd.rank, **kept_counts(masks, jd.renorm_blocks)}
     return jd.U @ merged_block, stats
 
 
@@ -427,33 +432,40 @@ def merge_bundle_with_stats(
     via weighted averaging. Output dtypes follow the base bundle per tensor
     and the metadata records the configuration. Layers are independent and
     may be processed in parallel (capped by DRM_THREADS; 0 = auto).
+
+    Each layer goes from float64 deltas to its output dtype inside one
+    worker call, so float64 copies exist only for the layers in flight.
     """
-    delta_sets, bias_group = extract_deltas(base, tasks, task_names)
+    names = check_aligned(base, tasks, task_names)
     n_tasks = len(tasks)
     bias_lams = (
         np.ones(n_tasks) if cfg.method == "simple_avg" else cfg.task_lambdas(n_tasks)
     )
 
-    def one_layer(ds: DeltaSet) -> tuple[np.ndarray, dict]:
-        try:
-            return _merge_delta_set_with_stats(ds, cfg)
-        except (DrmError, ValueError) as exc:
-            raise type(exc)(f"layer {ds.layer_name!r}: {exc}") from exc
+    def one_layer(name: str) -> tuple[np.ndarray, dict]:
+        arr = base[name]
+        if arr.ndim == 2:
+            ds = layer_delta_set(name, base, tasks, names)
+            try:
+                delta, info = _merge_delta_set_with_stats(ds, cfg)
+            except (DrmError, ValueError) as exc:
+                raise type(exc)(f"layer {name!r}: {exc}") from exc
+            del ds
+            merged = arr.astype(np.float64)
+            merged += delta
+        else:
+            merged = merge_biases(arr, [task[name] for task in tasks], bias_lams)
+            info = {}
+        with np.errstate(over="ignore"):
+            return merged.astype(arr.dtype, copy=False), info
 
-    merged_deltas: dict[str, tuple[np.ndarray, dict]] = {}
-    workers = _thread_count(len(delta_sets))
-    if workers > 1 and len(delta_sets) > 1:
+    layer_names = base.names()
+    workers = _thread_count(sum(base[name].ndim == 2 for name in layer_names))
+    if workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            for ds, result in zip(delta_sets, pool.map(one_layer, delta_sets)):
-                merged_deltas[ds.layer_name] = result
+            results = list(pool.map(one_layer, layer_names))
     else:
-        for ds in delta_sets:
-            merged_deltas[ds.layer_name] = one_layer(ds)
-
-    merged_biases = {
-        entry.name: merge_biases(entry.base, entry.task_values, bias_lams)
-        for entry in bias_group
-    }
+        results = [one_layer(name) for name in layer_names]
 
     meta = dict(base.metadata)
     meta["merge.method"] = cfg.method
@@ -464,26 +476,18 @@ def merge_bundle_with_stats(
     )
     out = TensorBundle(metadata=meta)
     stats: list[LayerStats] = []
-    for name, arr in base.items():
-        if arr.ndim == 2:
-            delta, info = merged_deltas[name]
-            merged = arr.astype(np.float64) + delta
-            stats.append(
-                LayerStats(
-                    name,
-                    arr.shape,
-                    rank=info.get("rank"),
-                    kept=info.get("kept"),
-                    total=info.get("total"),
-                )
+    for name, (cast, info) in zip(layer_names, results):
+        stats.append(
+            LayerStats(
+                name,
+                cast.shape,
+                rank=info.get("rank"),
+                kept=info.get("kept"),
+                total=info.get("total"),
             )
-        else:
-            merged = merged_biases[name]
-            stats.append(LayerStats(name, arr.shape))
-        with np.errstate(over="ignore"):
-            cast = merged.astype(arr.dtype)
+        )
         try:
             out.add(name, cast)
         except NonFiniteValue as exc:
-            raise CastOverflow(f"layer {name!r}: merged values overflow {arr.dtype}") from exc
+            raise CastOverflow(f"layer {name!r}: merged values overflow {cast.dtype}") from exc
     return out, stats

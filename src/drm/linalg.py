@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, ShapeMismatch, SizeTooLarge
+from .errors import ConvergenceFailure, NonFiniteValue, ShapeMismatch, SizeTooLarge
 
 # Singular values below this fraction of sigma_max count as zero for rank
 # purposes; floating-point rank is ill-posed without a cutoff.
@@ -85,8 +85,8 @@ def thin_svd(A: np.ndarray) -> ThinSVD:
 
     Well-conditioned inputs (see GRAM_MIN_EIG_RATIO) are factored through
     ``eigh`` of the smaller Gram matrix plus one GEMM for the other factor;
-    everything else, including zero, rank-deficient and non-finite inputs,
-    goes to LAPACK's ``gesdd``. Both routes meet one contract: U and Vt
+    everything else, including zero and rank-deficient inputs, goes to
+    LAPACK's ``gesdd``. Both routes meet one contract: U and Vt
     orthonormal to 1e-10 and ||U diag(sigma) Vt - A|| <= 1e-9 * max(1, ||A||).
     ``gesdd`` gets sigma to an absolute error of order eps * sigma_max; the
     Gram route to a relative error of order eps * kappa**2, where the gate
@@ -94,11 +94,14 @@ def thin_svd(A: np.ndarray) -> ThinSVD:
     ``gesdd``, and within a (nearly) repeated singular value the two may
     pick different bases of the same subspace.
 
-    Raises ConvergenceFailure if the backend does not converge.
+    Raises NonFiniteValue on NaN or infinity in ``A``, before any LAPACK
+    call, and ConvergenceFailure if the backend does not converge.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise ShapeMismatch(f"expected a matrix, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise NonFiniteValue(f"cannot factor a {A.shape} matrix holding NaN or infinity")
     factors = _gram_svd(A)
     if factors is None:
         try:

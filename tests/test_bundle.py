@@ -139,6 +139,42 @@ class TestReadBundle:
         with pytest.raises(NonFiniteValue, match="layer0.weight"):
             read_bundle(path)
 
+    @pytest.mark.parametrize("second_offset", [0, 8])
+    def test_overlapping_spans_rejected(self, tmp_path, second_offset):
+        header = json.dumps(
+            {
+                "tensors": [
+                    {"name": "a", "dtype": "f64", "shape": [2], "offset": 0, "nbytes": 16},
+                    {"name": "b", "dtype": "f64", "shape": [2], "offset": second_offset,
+                     "nbytes": 16},
+                ],
+                "metadata": {},
+            }
+        )
+        path = tmp_path / "overlap.drmb"
+        path.write_bytes(assemble(header, GOLDEN_DATA))
+        with pytest.raises(CorruptHeader, match="'a' and 'b' overlap"):
+            read_bundle(path)
+
+    def test_adjacent_spans_are_separate_views(self, tmp_path):
+        header = json.dumps(
+            {
+                "tensors": [
+                    {"name": "b", "dtype": "f64", "shape": [2], "offset": 16, "nbytes": 16},
+                    {"name": "a", "dtype": "f64", "shape": [2], "offset": 0, "nbytes": 16},
+                ],
+                "metadata": {},
+            }
+        )
+        path = tmp_path / "adjacent.drmb"
+        path.write_bytes(assemble(header, GOLDEN_DATA))
+        bundle = read_bundle(path)
+        np.testing.assert_array_equal(bundle["a"], [1.0, 2.0])
+        np.testing.assert_array_equal(bundle["b"], [3.0, 4.0])
+        assert not np.shares_memory(bundle["a"], bundle["b"])
+        bundle["a"][0] = 9.0  # tensors are writable and do not alias each other
+        np.testing.assert_array_equal(bundle["b"], [3.0, 4.0])
+
     def test_rank3_rejected(self, tmp_path):
         header = json.dumps(
             {

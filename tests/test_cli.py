@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 import warnings
@@ -76,6 +77,17 @@ class TestMerge:
         _, tasks, tmp = family
         assert run_merge(str(tmp / "nope.drmb"), tasks, tmp / "x.drmb",
                          "--method", "avg") == 3
+
+    def test_overlapping_tensor_spans_is_io_error(self, family, capsys):
+        _, tasks, tmp = family
+        header = json.dumps({"tensors": [
+            {"name": "a.w", "dtype": "f64", "shape": [2, 2], "offset": 0, "nbytes": 32},
+            {"name": "b.w", "dtype": "f64", "shape": [2, 2], "offset": 0, "nbytes": 32},
+        ]}).encode("utf-8")
+        base = tmp / "overlap.drmb"
+        base.write_bytes(b"DRMB" + struct.pack("<IQ", 1, len(header)) + header + bytes(32))
+        assert run_merge(str(base), tasks, tmp / "out.drmb", "--method", "avg") == 3
+        assert "overlap" in capsys.readouterr().err
 
     def test_bad_retain_is_argument_error(self, family):
         base, tasks, tmp = family

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from drm.bundle import DeltaSet, TensorBundle, extract_deltas
 from drm.engine import (
+    METHODS,
     MergeConfig,
     decompose_joint,
     disjoint_average,
@@ -389,6 +391,17 @@ class TestDisjointAverage:
         out = disjoint_average(blocks, masks, None, [1.0, 1.0])
         np.testing.assert_allclose(out, [[-1.0, 0.5]])
 
+    def test_mask_filter_skipped_when_none(self):
+        rng = np.random.default_rng(17)
+        blocks = [rng.standard_normal((3, 5)) for _ in range(3)]
+        blocks[1][0, 0] = -0.0
+        all_true = [np.ones((3, 5), dtype=bool)] * 3
+        for signs in (None, elect_signs(blocks)):
+            for disjoint in (True, False):
+                got = disjoint_average(blocks, None, signs, [0.5, 1.0, 2.0], disjoint)
+                want = disjoint_average(blocks, all_true, signs, [0.5, 1.0, 2.0], disjoint)
+                assert got.tobytes() == want.tobytes()
+
     def test_lambda_count_mismatch(self):
         with pytest.raises(ShapeMismatch):
             disjoint_average([np.ones((1, 1))], [np.ones((1, 1), dtype=bool)], None, [1.0, 2.0])
@@ -592,6 +605,38 @@ class TestMergeBundle:
         monkeypatch.setenv("DRM_THREADS", "1")
         with pytest.raises(ConvergenceFailure, match="layer 'enc.w'"):
             merge_bundle(base, tasks, MergeConfig(method="drm_h"))
+
+
+def deep_family(n_layers, n_tasks, shape, seed=83):
+    """float32 bundles of ``n_layers`` rank-2 layers, tasks near the base."""
+    rng = np.random.default_rng(seed)
+    base, tasks = TensorBundle(), [TensorBundle() for _ in range(n_tasks)]
+    for i in range(n_layers):
+        w = rng.standard_normal(shape).astype(np.float32)
+        base.add(f"l{i}.w", w)
+        for task in tasks:
+            task.add(f"l{i}.w", (w + 0.1 * rng.standard_normal(shape)).astype(np.float32))
+    return base, tasks
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_merge_memory_bounded_by_layers_in_flight(method, monkeypatch):
+    # Float64 data exists only for the layers the pool is working on, so
+    # the traced peak, less the float32 output itself, stays within a fixed
+    # multiple of one layer's N float64 deltas whatever the layer count.
+    # Building every layer's deltas up front would alone cost n_layers units.
+    n_layers, n_tasks, shape, workers = 16, 4, (128, 96), 2
+    base, tasks = deep_family(n_layers, n_tasks, shape)
+    unit = n_tasks * shape[0] * shape[1] * 8
+    monkeypatch.setenv("DRM_THREADS", str(workers))
+    tracemalloc.start()
+    try:
+        merged = merge_bundle(base, tasks, MergeConfig(method=method))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    output = sum(arr.nbytes for _, arr in merged.items())
+    assert peak - output < workers * 8 * unit
 
 
 class TestMergeConfig:

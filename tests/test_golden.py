@@ -4,10 +4,10 @@ A small fixed family (float32 and float64 tensors, biases, four matrix
 layers so the layer pool runs) is merged with every method, and with TIES
 and drm-h with pruning switched off. The SHA-256 of each output bundle is
 compared with a recorded value; refactors and speed-ups must leave these
-hashes unchanged, and a serial run must write the same bytes as a pooled one. The drm-h and drm-v hashes
-depend on the LAPACK/BLAS build; after an intended output change, or on a
-platform whose BLAS rounds differently, print the current values with
-``PYTHONPATH=src python tests/test_golden.py``.
+hashes unchanged, and a serial run must write the same bytes as a pooled
+one. The drm-h and drm-v hashes depend on the LAPACK/BLAS build; after an
+intended output change, or on a platform whose BLAS rounds differently,
+print the current values with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import hashlib

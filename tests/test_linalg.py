@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drm.bundle import materialize_low_rank
-from drm.errors import ShapeMismatch, SizeTooLarge
+from drm.errors import NonFiniteValue, ShapeMismatch, SizeTooLarge
 from drm.linalg import SIGMA_ZERO_REL, hconcat, spectral_norm, svd_oracle, thin_svd, vconcat
 
 
@@ -209,6 +209,18 @@ class TestDecompositionRoutes:
         assert gesdd_calls == [A.shape]
         check_thin_svd_invariants(A, svd)
         assert svd.rank == gesdd_rank(A) == rank
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_input_rejected_before_lapack(self, monkeypatch, bad):
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called on non-finite input")
+
+        monkeypatch.setattr(np.linalg, "svd", no_lapack)
+        monkeypatch.setattr(np.linalg, "eigh", no_lapack)
+        A = random_matrix(8, 4, 6)
+        A[2, 3] = bad
+        with pytest.raises(NonFiniteValue, match=r"\(4, 6\)"):
+            thin_svd(A)
 
     def test_negated_input_flips_only_vt(self, gesdd_calls):
         A = hconcat([random_matrix(s, 5, 6) for s in range(3)])
