@@ -436,7 +436,7 @@ def merge_bundle_with_stats(
     Each layer goes from float64 deltas to its output dtype inside one
     worker call, so float64 copies exist only for the layers in flight.
     """
-    names = check_aligned(base, tasks, task_names)
+    task_names = check_aligned(base, tasks, task_names)
     n_tasks = len(tasks)
     bias_lams = (
         np.ones(n_tasks) if cfg.method == "simple_avg" else cfg.task_lambdas(n_tasks)
@@ -445,7 +445,7 @@ def merge_bundle_with_stats(
     def one_layer(name: str) -> tuple[np.ndarray, dict]:
         arr = base[name]
         if arr.ndim == 2:
-            ds = layer_delta_set(name, base, tasks, names)
+            ds = layer_delta_set(name, base, tasks, task_names)
             try:
                 delta, info = _merge_delta_set_with_stats(ds, cfg)
             except (DrmError, ValueError) as exc:
@@ -471,9 +471,7 @@ def merge_bundle_with_stats(
     meta["merge.method"] = cfg.method
     meta["merge.config"] = canonical_json(cfg.as_dict())
     meta["merge.lambdas"] = canonical_json([float(l) for l in bias_lams])
-    meta["merge.tasks"] = canonical_json(
-        task_names if task_names is not None else [f"task{i}" for i in range(n_tasks)]
-    )
+    meta["merge.tasks"] = canonical_json(task_names)
     out = TensorBundle(metadata=meta)
     stats: list[LayerStats] = []
     for name, (cast, info) in zip(layer_names, results):
