@@ -40,6 +40,7 @@ from .engine import (
     merge_biases,
     merge_bundle,
     merge_delta_set,
+    merge_delta_set_grid,
     merge_drm,
     prune_topk,
     renormalize_row,
@@ -88,6 +89,7 @@ __all__ = [
     "merge_biases",
     "merge_bundle",
     "merge_delta_set",
+    "merge_delta_set_grid",
     "merge_drm",
     "prune_topk",
     "pruning_density",

@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 argument errors, 3 I/O or bundle-content errors,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -64,13 +65,19 @@ def _parse_lambdas(text: str | None):
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Parse "a:b:step" (inclusive endpoints) or a single float."""
-    if ":" not in text:
-        return [float(text)]
+    """Parse "a:b:step" (inclusive endpoints) or a single float; every
+    number must be finite."""
     try:
-        lo, hi, step = (float(p) for p in text.split(":"))
+        parts = [float(p) for p in text.split(":")]
     except ValueError as exc:
         raise ValueError(f"bad grid spec {text!r}; expected a:b:step") from exc
+    if not all(math.isfinite(p) for p in parts):
+        raise ValueError(f"bad grid spec {text!r}; values must be finite")
+    if len(parts) == 1:
+        return parts
+    if len(parts) != 3:
+        raise ValueError(f"bad grid spec {text!r}; expected a:b:step")
+    lo, hi, step = parts
     if step <= 0 or hi < lo:
         raise ValueError(f"bad grid spec {text!r}; need step > 0 and b >= a")
     values = []

@@ -143,12 +143,14 @@ def renormalize_row(v: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def decompose_joint(ds: DeltaSet, orientation: str = "horizontal") -> JointDecomposition:
-    """Decompose the stacked deltas and renormalize the per-task blocks."""
+    """Decompose the stacked deltas and renormalize the per-task blocks.
+
+    The vertical orientation decomposes the transposed deltas.
+    """
     if orientation not in ORIENTATIONS:
         raise ValueError(f"orientation must be one of {ORIENTATIONS}")
     if orientation == "vertical":
-        jd = decompose_joint(ds.transposed(), "horizontal")
-        return dataclasses.replace(jd, orientation="vertical")
+        ds = ds.transposed()
 
     n_tasks = ds.n_tasks
     n_cols = ds.base_shape[1]
@@ -168,7 +170,7 @@ def decompose_joint(ds: DeltaSet, orientation: str = "horizontal") -> JointDecom
     row_norms[row_norms <= ZERO_ROW_NORM] = 0.0
     task_sigmas = svd.sigma[None, :] * row_norms
     return JointDecomposition(
-        orientation="horizontal",
+        orientation=orientation,
         U=svd.U,
         sigma=svd.sigma.copy(),
         blocks=blocks,
@@ -327,26 +329,44 @@ def merge_drm(ds: DeltaSet, cfg: MergeConfig) -> np.ndarray:
 
 
 def merge_drm_with_stats(ds: DeltaSet, cfg: MergeConfig) -> tuple[np.ndarray, dict]:
+    """The merged delta and its ``rank``/``kept``/``total`` stats: the 1x1
+    case of :func:`_drm_grid`."""
     if cfg.method not in ("drm_h", "drm_v"):
         raise ValueError(f"merge_drm handles drm_h/drm_v, not {cfg.method!r}")
-    if cfg.method == "drm_v":
-        # Exact transpose duality: the vertical variant is the horizontal
-        # pipeline on transposed deltas, transposed back.
-        merged, stats = merge_drm_with_stats(
-            ds.transposed(), dataclasses.replace(cfg, method="drm_h")
-        )
-        return merged.T, stats
+    return next(_drm_grid(ds, cfg, [[cfg]]))
 
-    jd = decompose_joint(ds, "horizontal")
-    jd = truncate_rank(jd, cfg.rank_drop)
+
+def _drm_grid(ds: DeltaSet, cfg: MergeConfig, points: list[list[MergeConfig]]):
+    """Yield ``(merged delta, stats)`` for each point config, row by row.
+
+    Point configs differ from ``cfg`` only in ``retain`` and ``lambdas``,
+    and the configs of one row share ``retain``. The decomposition, rank
+    truncation, scaled blocks and sign election depend on none of those, so
+    they run once; the prune runs once per row and the average and
+    projection once per point. The vertical variant is the horizontal
+    pipeline on transposed deltas, transposed back (exact duality).
+    """
+    orientation = "vertical" if cfg.method == "drm_v" else "horizontal"
+    jd = truncate_rank(decompose_joint(ds, orientation), cfg.rank_drop)
     scaled = jd.scaled_blocks()
-    masks = prune_topk(jd.renorm_blocks, cfg.retain, cfg.prune_mode) if cfg.enable_prune else None
-    signs = elect_signs(scaled) if cfg.enable_sign_elect else None
-    merged_block = disjoint_average(
-        scaled, masks, signs, cfg.task_lambdas(ds.n_tasks), cfg.enable_disjoint
-    )
-    stats = {"rank": jd.rank, **kept_counts(masks, jd.renorm_blocks)}
-    return jd.U @ merged_block, stats
+    signs = None
+    for row in points:
+        masks = (
+            prune_topk(jd.renorm_blocks, row[0].retain, cfg.prune_mode)
+            if cfg.enable_prune
+            else None
+        )
+        if signs is None and cfg.enable_sign_elect:
+            # Elected after the first prune, not before it, so that a single
+            # merge never holds the signs next to the prune's temporaries.
+            signs = elect_signs(scaled)
+        stats = {"rank": jd.rank, **kept_counts(masks, jd.renorm_blocks)}
+        for point in row:
+            merged_block = disjoint_average(
+                scaled, masks, signs, point.task_lambdas(ds.n_tasks), cfg.enable_disjoint
+            )
+            merged = jd.U @ merged_block
+            yield (merged.T if orientation == "vertical" else merged), dict(stats)
 
 
 def merge_biases(base: np.ndarray, task_values: list[np.ndarray], lambdas) -> np.ndarray:
@@ -387,6 +407,29 @@ def _merge_delta_set_with_stats(ds: DeltaSet, cfg: MergeConfig) -> tuple[np.ndar
     if cfg.method == "dare_ties":
         return baselines.dare_ties_merge(ds, cfg), {}
     raise ValueError(f"unknown method {cfg.method!r}")
+
+
+def merge_delta_set_grid(ds: DeltaSet, cfg: MergeConfig, retain_grid, lambda_grid):
+    """Merge one layer at every (retain, lambdas) point of a grid.
+
+    Yields ``(merged delta, stats)`` with ``retain`` in the outer loop and
+    ``lambdas`` in the inner one. Each point equals
+    ``_merge_delta_set_with_stats(ds, cfg)`` with that ``retain`` and
+    ``lambdas`` swapped in, byte for byte. drm-h and drm-v share their
+    grid-independent stages across the grid (see :func:`_drm_grid`); every
+    other method merges each point from scratch. Every point config is
+    validated before the first merge.
+    """
+    points = [
+        [dataclasses.replace(cfg, retain=retain, lambdas=lam) for lam in lambda_grid]
+        for retain in retain_grid
+    ]
+    if cfg.method in ("drm_h", "drm_v"):
+        yield from _drm_grid(ds, cfg, points)
+        return
+    for row in points:
+        for point in row:
+            yield _merge_delta_set_with_stats(ds, point)
 
 
 @dataclass

@@ -7,12 +7,13 @@ the whole comparison stays deterministic in its seeds.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bundle import DeltaSet, TensorBundle
-from .engine import MergeConfig, merge_delta_set
+from .engine import MergeConfig, merge_delta_set, merge_delta_set_grid
 from .errors import ShapeMismatch, SingularSystem
 
 BENCH_METHODS = ("simple_avg", "task_arithmetic", "ties", "dare_ties", "drm_h", "drm_v")
@@ -163,7 +164,11 @@ def grid_tune(
     val_split_seed: int = 0,
 ) -> TuneResult:
     """Finetune on 90% splits, merge at every grid point, pick the best
-    mean validation score."""
+    mean validation score.
+
+    The merges come from :func:`merge_delta_set_grid`, so drm-h and drm-v
+    decompose once per tune and prune once per retain value.
+    """
     if retain_grid is None or lambda_grid is None:
         default_retain, default_lambda = default_grids(method)
         retain_grid = default_retain if retain_grid is None else retain_grid
@@ -183,20 +188,22 @@ def grid_tune(
 
     result = TuneResult(method=method, task_names=[t.name for t in tasks])
     best_per_task: list[float] = []
-    for retain in retain_grid:
-        for lam in lambda_grid:
-            cfg = MergeConfig(method=method, retain=retain, lambdas=lam, seed=val_split_seed)
-            merged = base + merge_delta_set(ds, cfg)
-            per_task = [_neg_mse(merged, xv, yv) for _, xv, yv in splits]
-            score = float(np.mean(per_task))
-            result.grid.append((retain, lam, score))
-            first = not np.isfinite(result.best_score)
-            tie_band = 0.0 if first else 1e-12 * max(1.0, abs(result.best_score))
-            if first or score > result.best_score + tie_band:
-                result.best_score = score
-                result.best_retain = retain
-                result.best_lambda = lam
-                best_per_task = per_task
+    merges = merge_delta_set_grid(
+        ds, MergeConfig(method=method, seed=val_split_seed), retain_grid, lambda_grid
+    )
+    points = itertools.product(retain_grid, lambda_grid)
+    for (retain, lam), (delta, _) in zip(points, merges, strict=True):
+        merged = base + delta
+        per_task = [_neg_mse(merged, xv, yv) for _, xv, yv in splits]
+        score = float(np.mean(per_task))
+        result.grid.append((retain, lam, score))
+        first = not np.isfinite(result.best_score)
+        tie_band = 0.0 if first else 1e-12 * max(1.0, abs(result.best_score))
+        if first or score > result.best_score + tie_band:
+            result.best_score = score
+            result.best_retain = retain
+            result.best_lambda = lam
+            best_per_task = per_task
     result.per_task_scores = best_per_task
     return result
 

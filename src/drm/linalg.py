@@ -138,10 +138,16 @@ def _gram_svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None
 
 
 def spectral_norm(A: np.ndarray) -> float:
-    """Largest singular value (exact, via SVD)."""
+    """Largest singular value (exact, via SVD).
+
+    Raises NonFiniteValue on NaN or infinity in ``A``, before any LAPACK
+    call, and ConvergenceFailure if the backend does not converge.
+    """
     A = np.asarray(A, dtype=np.float64)
     if A.size == 0:
         return 0.0
+    if not np.isfinite(A).all():
+        raise NonFiniteValue(f"cannot factor a {A.shape} matrix holding NaN or infinity")
     try:
         return float(np.linalg.svd(A, compute_uv=False)[0])
     except np.linalg.LinAlgError as exc:

@@ -1,4 +1,6 @@
 import json
+import os
+import resource
 import struct
 import subprocess
 import sys
@@ -264,6 +266,26 @@ class TestBenchTune:
 
     def test_bad_grid_exit_2(self):
         assert main(["tune", "--method", "ties", "--grid-retain", "0.5:0.1:0.1"]) == 2
+
+    @pytest.mark.parametrize("flag,spec", [
+        ("--grid-retain", "0.1:inf:0.1"),
+        ("--grid-retain", "0.1:0.5:nan"),
+        ("--grid-lambda", "-inf:1:0.1"),
+        ("--grid-lambda", "nan"),
+    ])
+    def test_non_finite_grid_exit_2(self, flag, spec):
+        # A child with a deadline and a capped address space, so an unbounded
+        # grid loop fails the test instead of hanging it or filling memory.
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "drm", "tune", "--method", "ties", f"{flag}={spec}"],
+            capture_output=True, text=True, timeout=10, preexec_fn=cap_address_space,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "finite" in proc.stderr
 
 
 def test_module_entrypoint_smoke(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import drm.engine
 from drm.bundle import DeltaSet, TensorBundle, extract_deltas
 from drm.engine import (
     METHODS,
@@ -17,6 +18,7 @@ from drm.engine import (
     merge_biases,
     merge_bundle,
     merge_bundle_with_stats,
+    merge_delta_set_grid,
     merge_drm,
     prune_topk,
     renormalize_row,
@@ -484,6 +486,43 @@ class TestMergeDrm:
     def test_wrong_method_rejected(self):
         with pytest.raises(ValueError):
             merge_drm(random_delta_set(1), MergeConfig(method="ties"))
+
+
+class TestMergeGrid:
+    RETAINS = [0.3, 0.7, 1.0]
+    LAMBDAS = [0.5, 1.0, 1.3]
+
+    @pytest.mark.parametrize("cfg", [
+        MergeConfig(method="drm_h"),
+        MergeConfig(method="drm_v", seed=4),
+        MergeConfig(method="drm_h", rank_drop=0.4, prune_mode="individual"),
+        MergeConfig(method="drm_v", enable_prune=False, enable_disjoint=False),
+        MergeConfig(method="drm_h", enable_sign_elect=False),
+        MergeConfig(method="ties"),
+        MergeConfig(method="dare_ties", seed=3),
+        MergeConfig(method="task_arithmetic"),
+        MergeConfig(method="simple_avg"),
+    ], ids=repr)
+    def test_every_point_matches_a_single_merge(self, cfg):
+        ds = random_delta_set(37, n_tasks=3, m=7, n=5)
+        grid = list(merge_delta_set_grid(ds, cfg, self.RETAINS, self.LAMBDAS))
+        assert len(grid) == len(self.RETAINS) * len(self.LAMBDAS)
+        points = [(r, l) for r in self.RETAINS for l in self.LAMBDAS]
+        for (retain, lam), (merged, stats) in zip(points, grid):
+            point = dataclasses.replace(cfg, retain=retain, lambdas=lam)
+            want, want_stats = drm.engine._merge_delta_set_with_stats(ds, point)
+            assert merged.shape == want.shape
+            assert merged.tobytes() == want.tobytes()
+            assert stats == want_stats
+
+    def test_bad_point_rejected_before_any_decomposition(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("decomposed before validating the grid")
+
+        monkeypatch.setattr(drm.engine, "thin_svd", no_svd)
+        merges = merge_delta_set_grid(random_delta_set(38), MergeConfig(), [0.5, 1.5], [1.0])
+        with pytest.raises(ValueError, match="retain"):
+            next(merges)
 
 
 class TestMergeBiases:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import drm.engine
 from drm.bundle import TensorBundle
 from drm.errors import ShapeMismatch, SingularSystem
 from drm.harness import (
@@ -155,6 +156,23 @@ class TestGridTune:
         b = grid_tune(base, tasks, "dare_ties", retain_grid=[0.5], lambda_grid=[1.0],
                       val_split_seed=3)
         assert a.grid == b.grid
+
+    @pytest.mark.parametrize("method", ["drm_h", "drm_v"])
+    def test_drm_decomposes_once_and_prunes_once_per_retain(self, method, monkeypatch):
+        calls = {"thin_svd": 0, "prune_topk": 0}
+        for name in calls:
+            real = getattr(drm.engine, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(drm.engine, name, counting)
+        base, tasks = synth_suite(19, 3, 6, 5, samples=50)
+        retain_grid, lambda_grid = [0.2, 0.5, 0.9], [0.8, 1.0, 1.2, 1.4]
+        res = grid_tune(base, tasks, method, retain_grid, lambda_grid)
+        assert len(res.grid) == 12
+        assert calls == {"thin_svd": 1, "prune_topk": len(retain_grid)}
 
     def test_empty_grid_rejected(self):
         base, tasks = synth_suite(14, 2, 5, 4, samples=40)

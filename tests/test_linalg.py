@@ -154,6 +154,17 @@ class TestSpectralProperties:
         A = random_matrix(78, 5, 7)
         assert spectral_norm(A) == pytest.approx(float(thin_svd(A).sigma[0]), rel=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_spectral_norm_rejects_non_finite_before_lapack(self, monkeypatch, bad):
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called on non-finite input")
+
+        monkeypatch.setattr(np.linalg, "svd", no_lapack)
+        A = random_matrix(79, 4, 6)
+        A[1, 5] = bad
+        with pytest.raises(NonFiniteValue, match=r"\(4, 6\)"):
+            spectral_norm(A)
+
 
 @pytest.fixture()
 def gesdd_calls(monkeypatch):
