@@ -91,6 +91,40 @@ class TestMerge:
         assert run_merge(str(base), tasks, tmp / "out.drmb", "--method", "avg") == 3
         assert "overlap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_non_finite_task_tensor_is_io_error(self, tmp_path, capsys, monkeypatch, threads):
+        # The NaN sits in the last matrix layer of the second task, so the
+        # merge must reject it however far it has got.
+        monkeypatch.setenv("DRM_THREADS", threads)
+        rng = np.random.default_rng(17)
+        shapes = {"L0.w": (5, 4), "L0.b": (5,), "L1.w": (4, 5), "L2.w": (3, 4)}
+        base = TensorBundle({name: rng.standard_normal(s) for name, s in shapes.items()})
+        write_bundle(base, tmp_path / "base.drmb")
+        task = TensorBundle({name: arr + 0.1 for name, arr in base.items()})
+        write_bundle(task, tmp_path / "good.drmb")
+
+        # Assembled by hand: TensorBundle refuses to hold a NaN.
+        records, data = [], b""
+        for name, arr in task.items():
+            values = arr.copy()
+            if name == "L2.w":
+                values[-1, -1] = np.nan
+            records.append({"name": name, "dtype": "f64", "shape": list(values.shape),
+                            "offset": len(data), "nbytes": values.nbytes})
+            data += values.astype("<f8").tobytes()
+        header = json.dumps({"tensors": records, "metadata": {}}).encode("utf-8")
+        bad = tmp_path / "bad.drmb"
+        bad.write_bytes(b"DRMB" + struct.pack("<IQ", 1, len(header)) + header + data)
+
+        before = sorted(p.name for p in tmp_path.iterdir())
+        out = tmp_path / "merged.drmb"
+        code = run_merge(str(tmp_path / "base.drmb"), [str(tmp_path / "good.drmb"), str(bad)],
+                         out, "--method", "ties")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and "'L2.w'" in err and "NaN" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
     def test_bad_retain_is_argument_error(self, family):
         base, tasks, tmp = family
         assert run_merge(base, tasks, tmp / "x.drmb", "--method", "ties",
