@@ -24,10 +24,12 @@ from .baselines import dare_ties_merge, simple_average, task_arithmetic, ties_me
 from .bundle import (
     BiasEntry,
     BiasGroup,
+    BundleFile,
     DeltaSet,
     TensorBundle,
     extract_deltas,
     materialize_low_rank,
+    open_bundle,
     read_bundle,
     write_bundle,
 )
@@ -65,6 +67,7 @@ __all__ = [
     "BiasEntry",
     "BiasGroup",
     "BoundReport",
+    "BundleFile",
     "DeltaSet",
     "DensityReport",
     "DrmError",
@@ -91,6 +94,7 @@ __all__ = [
     "merge_delta_set",
     "merge_delta_set_grid",
     "merge_drm",
+    "open_bundle",
     "prune_topk",
     "pruning_density",
     "read_bundle",

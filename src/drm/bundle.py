@@ -61,6 +61,11 @@ def dtype_name(dtype) -> str:
     return _NAME_FROM_KIND[key]
 
 
+def _require_finite(name: str, arr: np.ndarray) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteValue(f"tensor {name!r} contains NaN or infinity")
+
+
 class TensorBundle:
     """Ordered, validated collection of named float tensors plus string metadata.
 
@@ -94,12 +99,19 @@ class TensorBundle:
             raise ValueError(f"tensor {name!r} has rank {arr.ndim}; only rank 1 or 2 is supported")
         if any(extent <= 0 for extent in arr.shape):
             raise ValueError(f"tensor {name!r} has a non-positive extent in shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteValue(f"tensor {name!r} contains NaN or infinity")
+        _require_finite(name, arr)
         self._entries[name] = arr
 
     def names(self) -> list[str]:
         return list(self._entries)
+
+    def shape(self, name: str) -> tuple[int, ...]:
+        return self._entries[name].shape
+
+    def read(self, name: str) -> np.ndarray:
+        """The tensor itself; :meth:`BundleFile.read` reads it from disk
+        instead, so merging code takes either kind of bundle."""
+        return self._entries[name]
 
     def items(self):
         return self._entries.items()
@@ -184,33 +196,108 @@ def write_bundle(bundle: TensorBundle, path) -> None:
         raise
 
 
-def read_bundle(path) -> TensorBundle:
-    """Read and validate a bundle file written by :func:`write_bundle`.
+def _read_at(fd: int, buf, offset: int) -> int:
+    """Fill ``buf`` from file offset ``offset`` and return the bytes read,
+    fewer only at end of file. Positioned reads keep no seek state, so
+    threads may share ``fd``."""
+    done = 0
+    with memoryview(buf) as view:
+        while done < len(view):
+            got = os.preadv(fd, [view[done:]], offset + done)
+            if got == 0:
+                break
+            done += got
+    return done
 
-    The data region is read once into one fresh, aligned buffer and every
-    tensor is a view into it (no copy on a little-endian host), so a bundle
-    holds its file size in memory. Declared spans must not overlap: two
-    tensors never share memory.
+
+class BundleFile:
+    """An input bundle opened by its validated header (see
+    :func:`open_bundle`); each tensor is read from disk only when asked for.
+
+    :meth:`read` uses positioned reads on one shared file descriptor, so pool
+    threads may read concurrently. Close the bundle, or use it as a context
+    manager, once every read is done.
+    """
+
+    def __init__(self, path, fd: int, records: dict, metadata: dict[str, str]):
+        self.path = path
+        self.metadata = metadata
+        self._fd = fd
+        self._records = records  # name -> (dtype, shape, file offset, nbytes)
+
+    def names(self) -> list[str]:
+        return list(self._records)
+
+    def shape(self, name: str) -> tuple[int, ...]:
+        return self._records[name][1]
+
+    def read(self, name: str) -> np.ndarray:
+        """Read one tensor into a fresh array of its own and check that every
+        entry is finite."""
+        dtype, shape, start, nbytes = self._records[name]
+        arr = np.empty(shape, dtype=dtype)
+        try:
+            got = _read_at(self._fd, arr.reshape(-1).view(np.uint8), start)
+        except OSError as exc:
+            raise IoFailure(f"cannot read bundle from {self.path}: {exc}") from exc
+        if got != nbytes:
+            raise IoFailure(f"{self.path}: tensor {name!r} ends past the end of the file")
+        try:
+            _require_finite(name, arr)
+        except NonFiniteValue as exc:
+            raise NonFiniteValue(f"{self.path}: {exc}") from None
+        return arr.astype(dtype.newbyteorder("="), copy=False)
+
+    def close(self) -> None:
+        if self._fd >= 0:
+            os.close(self._fd)
+            self._fd = -1
+
+    def __enter__(self) -> "BundleFile":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def __repr__(self) -> str:
+        return f"BundleFile({self.path!r}, {len(self._records)} tensors)"
+
+
+def open_bundle(path) -> BundleFile:
+    """Open a bundle file written by :func:`write_bundle` and validate its
+    header: magic, version, header length, JSON, and each tensor's name,
+    dtype, shape, byte count, alignment and range, with no two spans
+    overlapping. No tensor data is read; :meth:`BundleFile.read` reads it.
     """
     try:
-        with open(path, "rb") as fh:
-            fixed = fh.read(16)
-            if len(fixed) < 4 or fixed[:4] != MAGIC:
-                raise BadMagic(f"{path}: not a bundle file (bad magic)")
-            if len(fixed) < 16:
-                raise CorruptHeader(f"{path}: truncated fixed header")
-            (version,) = struct.unpack_from("<I", fixed, 4)
-            if version != VERSION:
-                raise UnsupportedVersion(f"{path}: format version {version} (expected {VERSION})")
-            (header_len,) = struct.unpack_from("<Q", fixed, 8)
-            size = os.fstat(fh.fileno()).st_size
-            if 16 + header_len > size:
-                raise CorruptHeader(f"{path}: header length {header_len} exceeds file size")
-            header_bytes = fh.read(header_len)
-            # A buffer of its own keeps the 8-byte-aligned offsets aligned in
-            # memory, wherever the header ends.
-            region = np.empty(size - 16 - header_len, dtype=np.uint8)
-            region = region[: fh.readinto(region)]
+        fd = os.open(path, os.O_RDONLY)
+    except OSError as exc:
+        raise IoFailure(f"cannot read bundle from {path}: {exc}") from exc
+    try:
+        records, metadata = _read_header(path, fd)
+    except BaseException:
+        os.close(fd)
+        raise
+    return BundleFile(path, fd, records, metadata)
+
+
+def _read_header(path, fd: int) -> tuple[dict, dict[str, str]]:
+    try:
+        fixed = bytearray(16)
+        got = _read_at(fd, fixed, 0)
+        if got < 4 or fixed[:4] != MAGIC:
+            raise BadMagic(f"{path}: not a bundle file (bad magic)")
+        if got < 16:
+            raise CorruptHeader(f"{path}: truncated fixed header")
+        (version,) = struct.unpack_from("<I", fixed, 4)
+        if version != VERSION:
+            raise UnsupportedVersion(f"{path}: format version {version} (expected {VERSION})")
+        (header_len,) = struct.unpack_from("<Q", fixed, 8)
+        size = os.fstat(fd).st_size
+        if 16 + header_len > size:
+            raise CorruptHeader(f"{path}: header length {header_len} exceeds file size")
+        header_bytes = bytearray(header_len)
+        _read_at(fd, header_bytes, 16)
     except OSError as exc:
         raise IoFailure(f"cannot read bundle from {path}: {exc}") from exc
 
@@ -227,7 +314,9 @@ def read_bundle(path) -> TensorBundle:
     ):
         raise CorruptHeader(f"{path}: metadata must map strings to strings")
 
-    views = {}
+    data_start = 16 + header_len
+    region_len = size - data_start
+    records = {}
     spans = []
     for rec in header["tensors"]:
         if not isinstance(rec, dict):
@@ -235,7 +324,7 @@ def read_bundle(path) -> TensorBundle:
         name = rec.get("name")
         if not isinstance(name, str) or not name:
             raise CorruptHeader(f"{path}: tensor record with missing or empty name")
-        if name in views:
+        if name in records:
             raise CorruptHeader(f"{path}: duplicate tensor name {name!r}")
         if rec.get("dtype") not in _DTYPE_FROM_NAME:
             raise CorruptHeader(f"{path}: tensor {name!r} has unknown dtype {rec.get('dtype')!r}")
@@ -256,26 +345,33 @@ def read_bundle(path) -> TensorBundle:
             raise CorruptHeader(
                 f"{path}: tensor {name!r} declares {nbytes} bytes, shape implies {expected}"
             )
-        if offset < 0 or offset + nbytes > len(region):
+        if offset < 0 or offset + nbytes > region_len:
             raise OffsetOutOfRange(
                 f"{path}: tensor {name!r} spans [{offset}, {offset + nbytes}) "
-                f"outside the {len(region)}-byte data region"
+                f"outside the {region_len}-byte data region"
             )
-        view = region[offset : offset + nbytes].view(dtype).reshape(shape)
-        views[name] = view.astype(dtype.newbyteorder("="), copy=False)
+        records[name] = (dtype, tuple(shape), data_start + offset, nbytes)
         spans.append((offset, offset + nbytes, name))
 
     spans.sort()
     for (_, end, first), (start, _, second) in zip(spans, spans[1:]):
         if start < end:
             raise CorruptHeader(f"{path}: tensors {first!r} and {second!r} overlap")
+    return records, metadata
 
-    bundle = TensorBundle(metadata=metadata)
-    for name, view in views.items():
-        try:
-            bundle.add(name, view)  # the one finiteness scan
-        except NonFiniteValue as exc:
-            raise NonFiniteValue(f"{path}: {exc}") from None
+
+def read_bundle(path) -> TensorBundle:
+    """Read and validate a whole bundle file: :func:`open_bundle`, then
+    :meth:`BundleFile.read` of every tensor.
+
+    Each tensor gets a fresh, aligned array of its own, so a bundle holds
+    its file size in memory and no two tensors share memory.
+    """
+    with open_bundle(path) as source:
+        bundle = TensorBundle(metadata=source.metadata)
+        for name in source.names():
+            # read() has made every check that add() would repeat.
+            bundle._entries[name] = source.read(name)
     return bundle
 
 
@@ -341,10 +437,13 @@ class BiasGroup:
 
 
 def check_aligned(
-    base: TensorBundle, tasks: list[TensorBundle], task_names: list[str] | None = None
+    base: TensorBundle | BundleFile,
+    tasks: list[TensorBundle | BundleFile],
+    task_names: list[str] | None = None,
 ) -> list[str]:
     """Check that every task bundle carries exactly the base bundle's tensor
-    names and shapes; return the task names (``task0``, ... by default)."""
+    names and shapes, without reading any tensor data; return the task
+    names (``task0``, ... by default)."""
     if not tasks:
         raise ValueError("need at least one task bundle")
     if task_names is None:
@@ -358,32 +457,38 @@ def check_aligned(
             raise MissingTensor(f"task {tname!r} is missing tensor {missing!r}")
         for extra in set(task.names()) - base_names:
             raise ExtraTensor(f"task {tname!r} has unexpected tensor {extra!r}")
-        for name, arr in base.items():
-            if task[name].shape != arr.shape:
+        for name in base.names():
+            if task.shape(name) != base.shape(name):
                 raise ShapeMismatch(
-                    f"tensor {name!r}: task {tname!r} shape {task[name].shape} "
-                    f"!= base shape {arr.shape}"
+                    f"tensor {name!r}: task {tname!r} shape {task.shape(name)} "
+                    f"!= base shape {base.shape(name)}"
                 )
     return list(task_names)
 
 
 def layer_delta_set(
-    name: str, base: TensorBundle, tasks: list[TensorBundle], task_names: list[str]
+    name: str,
+    base: np.ndarray,
+    tasks: list[TensorBundle | BundleFile],
+    task_names: list[str],
 ) -> DeltaSet:
-    """One rank-2 tensor's task - base deltas in float64, for bundles that
-    passed :func:`check_aligned`. Only this layer is converted, so a caller
-    going layer by layer holds one layer's float64 data at a time."""
-    base64 = base[name].astype(np.float64)
+    """One rank-2 tensor's task - base deltas in float64, given the base
+    bundle's tensor ``name``, for bundles that passed :func:`check_aligned`.
+    Each task tensor is read here and dropped once its delta is built, so a
+    caller going layer by layer holds one layer's float64 data at a time."""
+    base64 = base.astype(np.float64)
     deltas = []
     for task in tasks:
-        delta = task[name].astype(np.float64)
+        delta = task.read(name).astype(np.float64)
         delta -= base64
         deltas.append(delta)
     return DeltaSet(name, base64.shape, deltas, list(task_names))
 
 
 def extract_deltas(
-    base: TensorBundle, tasks: list[TensorBundle], task_names: list[str] | None = None
+    base: TensorBundle | BundleFile,
+    tasks: list[TensorBundle | BundleFile],
+    task_names: list[str] | None = None,
 ) -> tuple[list[DeltaSet], BiasGroup]:
     """Split aligned bundles into per-layer delta stacks and a bias group.
 
@@ -395,11 +500,12 @@ def extract_deltas(
     task_names = check_aligned(base, tasks, task_names)
     delta_sets: list[DeltaSet] = []
     biases = BiasGroup()
-    for name, arr in base.items():
+    for name in base.names():
+        arr = base.read(name)
         if arr.ndim == 2:
-            delta_sets.append(layer_delta_set(name, base, tasks, task_names))
+            delta_sets.append(layer_delta_set(name, arr, tasks, task_names))
         else:
-            task64 = [task[name].astype(np.float64) for task in tasks]
+            task64 = [task.read(name).astype(np.float64) for task in tasks]
             biases.entries.append(BiasEntry(name, arr.astype(np.float64), task64))
     return delta_sets, biases
 

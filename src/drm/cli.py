@@ -8,12 +8,13 @@ Exit codes: 0 success, 2 argument errors, 3 I/O or bundle-content errors,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from pathlib import Path
 
 from . import analysis, harness
-from .bundle import canonical_json, extract_deltas, read_bundle, write_bundle
+from .bundle import canonical_json, extract_deltas, open_bundle, read_bundle, write_bundle
 from .engine import MergeConfig, merge_bundle_with_stats
 from .errors import (
     BadMagic,
@@ -55,6 +56,10 @@ _IO_ERRORS = (
 )
 _NUM_ERRORS = (ConvergenceFailure, SingularSystem, CastOverflow)
 
+# Most points one --grid-* axis may have; the default grids have 10 and 8.
+MAX_GRID_POINTS = 1000
+_GRID_SLACK = 1e-9  # an endpoint this close past b still counts
+
 
 def _parse_lambdas(text: str | None):
     if text is None:
@@ -66,7 +71,7 @@ def _parse_lambdas(text: str | None):
 
 def _parse_grid(text: str) -> list[float]:
     """Parse "a:b:step" (inclusive endpoints) or a single float; every
-    number must be finite."""
+    number must be finite and the grid at most MAX_GRID_POINTS long."""
     try:
         parts = [float(p) for p in text.split(":")]
     except ValueError as exc:
@@ -80,9 +85,12 @@ def _parse_grid(text: str) -> list[float]:
     lo, hi, step = parts
     if step <= 0 or hi < lo:
         raise ValueError(f"bad grid spec {text!r}; need step > 0 and b >= a")
+    # floor(span / step) + 1 points; the quotient may overflow to inf.
+    if (hi + _GRID_SLACK - lo) / step >= MAX_GRID_POINTS:
+        raise ValueError(f"bad grid spec {text!r}; more than {MAX_GRID_POINTS} points")
     values = []
     x = lo
-    while x <= hi + 1e-9:
+    while x <= hi + _GRID_SLACK:
         values.append(round(x, 10))
         x += step
     return values
@@ -125,11 +133,12 @@ def _config_from_args(args, n_tasks: int) -> MergeConfig:
 
 
 def cmd_merge(args) -> int:
-    base = read_bundle(args.base)
-    tasks = [read_bundle(p) for p in args.task]
-    names = _task_names(args.task)
-    cfg = _config_from_args(args, len(tasks))
-    merged, stats = merge_bundle_with_stats(base, tasks, cfg, names)
+    # Inputs are opened by their headers; the layer workers read each tensor.
+    with contextlib.ExitStack() as inputs:
+        base = inputs.enter_context(open_bundle(args.base))
+        tasks = [inputs.enter_context(open_bundle(p)) for p in args.task]
+        cfg = _config_from_args(args, len(tasks))
+        merged, stats = merge_bundle_with_stats(base, tasks, cfg, _task_names(args.task))
     write_bundle(merged, args.out)
     for st in stats:
         shape = "x".join(str(s) for s in st.shape)

@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import DeltaSet, TensorBundle, canonical_json, check_aligned, layer_delta_set
+from .bundle import (
+    BundleFile,
+    DeltaSet,
+    TensorBundle,
+    canonical_json,
+    check_aligned,
+    layer_delta_set,
+)
 from .bundle import extract_deltas  # noqa: F401 -- drmbench wraps drm.engine.extract_deltas
 from .errors import CastOverflow, DrmError, NonFiniteValue, ShapeMismatch
 from .linalg import hconcat, nonzero_sigma_mask, thin_svd
@@ -455,8 +462,8 @@ def _thread_count(n_items: int) -> int:
 
 
 def merge_bundle(
-    base: TensorBundle,
-    tasks: list[TensorBundle],
+    base: TensorBundle | BundleFile,
+    tasks: list[TensorBundle | BundleFile],
     cfg: MergeConfig,
     task_names: list[str] | None = None,
 ) -> TensorBundle:
@@ -466,8 +473,8 @@ def merge_bundle(
 
 
 def merge_bundle_with_stats(
-    base: TensorBundle,
-    tasks: list[TensorBundle],
+    base: TensorBundle | BundleFile,
+    tasks: list[TensorBundle | BundleFile],
     cfg: MergeConfig,
     task_names: list[str] | None = None,
 ) -> tuple[TensorBundle, list[LayerStats]]:
@@ -476,8 +483,10 @@ def merge_bundle_with_stats(
     and the metadata records the configuration. Layers are independent and
     may be processed in parallel (capped by DRM_THREADS; 0 = auto).
 
-    Each layer goes from float64 deltas to its output dtype inside one
-    worker call, so float64 copies exist only for the layers in flight.
+    Names and shapes are checked up front. Each layer worker then reads
+    that layer's input tensors (from disk, for a :class:`BundleFile`), and
+    takes them from float64 deltas to the output dtype, so input tensors and
+    float64 copies exist only for the layers in flight.
     """
     task_names = check_aligned(base, tasks, task_names)
     n_tasks = len(tasks)
@@ -486,9 +495,9 @@ def merge_bundle_with_stats(
     )
 
     def one_layer(name: str) -> tuple[np.ndarray, dict]:
-        arr = base[name]
+        arr = base.read(name)
         if arr.ndim == 2:
-            ds = layer_delta_set(name, base, tasks, task_names)
+            ds = layer_delta_set(name, arr, tasks, task_names)
             try:
                 delta, info = _merge_delta_set_with_stats(ds, cfg)
             except (DrmError, ValueError) as exc:
@@ -497,13 +506,13 @@ def merge_bundle_with_stats(
             merged = arr.astype(np.float64)
             merged += delta
         else:
-            merged = merge_biases(arr, [task[name] for task in tasks], bias_lams)
+            merged = merge_biases(arr, [task.read(name) for task in tasks], bias_lams)
             info = {}
         with np.errstate(over="ignore"):
             return merged.astype(arr.dtype, copy=False), info
 
     layer_names = base.names()
-    workers = _thread_count(sum(base[name].ndim == 2 for name in layer_names))
+    workers = _thread_count(sum(len(base.shape(name)) == 2 for name in layer_names))
     if workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one_layer, layer_names))

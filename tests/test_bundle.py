@@ -1,6 +1,8 @@
 import json
 import os
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from drm.bundle import (
     TensorBundle,
     extract_deltas,
     materialize_low_rank,
+    open_bundle,
     read_bundle,
     write_bundle,
 )
@@ -46,6 +49,20 @@ GOLDEN_HEADER = json.dumps(
 GOLDEN_DATA = struct.pack("<4d", 1.0, 2.0, 3.0, 4.0)
 
 
+def read_lazily(path) -> dict:
+    with open_bundle(path) as source:
+        return {name: source.read(name) for name in source.names()}
+
+
+def assert_readers_raise(path, error, match=None):
+    """``read_bundle`` and ``open_bundle`` followed by a read of every
+    tensor must both fail with exactly ``error``."""
+    for load in (read_bundle, read_lazily):
+        with pytest.raises(error, match=match) as info:
+            load(path)
+        assert info.type is error, load.__name__
+
+
 class TestReadBundle:
     def test_golden_file(self, tmp_path):
         # Assembled byte-by-byte from the format definition, independent of
@@ -62,33 +79,28 @@ class TestReadBundle:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.drmb"
         path.write_bytes(assemble(GOLDEN_HEADER, GOLDEN_DATA, magic=b"XXXX"))
-        with pytest.raises(BadMagic):
-            read_bundle(path)
+        assert_readers_raise(path, BadMagic)
 
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "v9.drmb"
         path.write_bytes(assemble(GOLDEN_HEADER, GOLDEN_DATA, version=9))
-        with pytest.raises(UnsupportedVersion):
-            read_bundle(path)
+        assert_readers_raise(path, UnsupportedVersion)
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "trunc.drmb"
         path.write_bytes(MAGIC + struct.pack("<I", 1) + b"\x01\x02")
-        with pytest.raises(CorruptHeader):
-            read_bundle(path)
+        assert_readers_raise(path, CorruptHeader)
 
     def test_header_not_json(self, tmp_path):
         path = tmp_path / "notjson.drmb"
         path.write_bytes(assemble("{nope", GOLDEN_DATA))
-        with pytest.raises(CorruptHeader):
-            read_bundle(path)
+        assert_readers_raise(path, CorruptHeader)
 
     def test_header_length_past_eof(self, tmp_path):
         path = tmp_path / "longhdr.drmb"
         blob = MAGIC + struct.pack("<I", 1) + struct.pack("<Q", 10_000) + b"{}"
         path.write_bytes(blob)
-        with pytest.raises(CorruptHeader):
-            read_bundle(path)
+        assert_readers_raise(path, CorruptHeader)
 
     def test_offset_out_of_range(self, tmp_path):
         header = json.dumps(
@@ -101,8 +113,7 @@ class TestReadBundle:
         )
         path = tmp_path / "oob.drmb"
         path.write_bytes(assemble(header, GOLDEN_DATA))  # region is 32 bytes, span ends at 40
-        with pytest.raises(OffsetOutOfRange, match="'w'"):
-            read_bundle(path)
+        assert_readers_raise(path, OffsetOutOfRange, match="'w'")
 
     def test_misaligned_offset(self, tmp_path):
         header = json.dumps(
@@ -115,8 +126,7 @@ class TestReadBundle:
         )
         path = tmp_path / "mis.drmb"
         path.write_bytes(assemble(header, bytes(16)))
-        with pytest.raises(CorruptHeader):
-            read_bundle(path)
+        assert_readers_raise(path, CorruptHeader)
 
     def test_nbytes_shape_disagreement(self, tmp_path):
         header = json.dumps(
@@ -129,15 +139,13 @@ class TestReadBundle:
         )
         path = tmp_path / "nbytes.drmb"
         path.write_bytes(assemble(header, GOLDEN_DATA))
-        with pytest.raises(CorruptHeader, match="'w'"):
-            read_bundle(path)
+        assert_readers_raise(path, CorruptHeader, match="'w'")
 
     def test_non_finite_payload(self, tmp_path):
         data = struct.pack("<4d", 1.0, float("nan"), 3.0, 4.0)
         path = tmp_path / "nan.drmb"
         path.write_bytes(assemble(GOLDEN_HEADER, data))
-        with pytest.raises(NonFiniteValue, match="layer0.weight"):
-            read_bundle(path)
+        assert_readers_raise(path, NonFiniteValue, match="layer0.weight")
 
     @pytest.mark.parametrize("second_offset", [0, 8])
     def test_overlapping_spans_rejected(self, tmp_path, second_offset):
@@ -153,8 +161,7 @@ class TestReadBundle:
         )
         path = tmp_path / "overlap.drmb"
         path.write_bytes(assemble(header, GOLDEN_DATA))
-        with pytest.raises(CorruptHeader, match="'a' and 'b' overlap"):
-            read_bundle(path)
+        assert_readers_raise(path, CorruptHeader, match="'a' and 'b' overlap")
 
     def test_adjacent_spans_are_separate_views(self, tmp_path):
         header = json.dumps(
@@ -186,8 +193,68 @@ class TestReadBundle:
         )
         path = tmp_path / "rank3.drmb"
         path.write_bytes(assemble(header, bytes(32)))
-        with pytest.raises(CorruptHeader):
-            read_bundle(path)
+        assert_readers_raise(path, CorruptHeader)
+
+
+class TestOpenBundle:
+    def test_open_checks_header_but_reads_no_data(self, tmp_path):
+        data = struct.pack("<4d", 1.0, float("nan"), 3.0, 4.0)
+        path = tmp_path / "nan.drmb"
+        path.write_bytes(assemble(GOLDEN_HEADER, data))
+        with open_bundle(path) as source:
+            assert source.names() == ["layer0.weight"]
+            assert source.shape("layer0.weight") == (2, 2)
+            assert source.metadata == {"source": "golden"}
+            with pytest.raises(NonFiniteValue, match="nan.drmb.*'layer0.weight'"):
+                source.read("layer0.weight")
+
+    def test_each_read_is_a_fresh_array(self, tmp_path):
+        path = tmp_path / "golden.drmb"
+        path.write_bytes(assemble(GOLDEN_HEADER, GOLDEN_DATA))
+        with open_bundle(path) as source:
+            first, second = source.read("layer0.weight"), source.read("layer0.weight")
+        assert first.flags.writeable and first.flags.c_contiguous
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_missing_file_is_io_failure(self, tmp_path):
+        with pytest.raises(IoFailure):
+            open_bundle(tmp_path / "absent.drmb")
+
+    def test_file_cut_short_after_open(self, tmp_path):
+        path = tmp_path / "golden.drmb"
+        path.write_bytes(assemble(GOLDEN_HEADER, GOLDEN_DATA))
+        with open_bundle(path) as source:
+            os.truncate(path, path.stat().st_size - 8)
+            with pytest.raises(IoFailure, match="'layer0.weight'"):
+                source.read("layer0.weight")
+
+    def test_threads_share_one_open_file(self, tmp_path):
+        # More threads than cores, switching often: reads that moved a
+        # shared file position would hand some thread another tensor's bytes.
+        rng = np.random.default_rng(4)
+        bundle = TensorBundle({f"w{i}": rng.standard_normal((16, 8)) for i in range(8)})
+        path = tmp_path / "many.drmb"
+        write_bundle(bundle, path)
+        mismatches = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with open_bundle(path) as source:
+                def reader(name):
+                    for _ in range(200):
+                        if not np.array_equal(source.read(name), bundle[name]):
+                            mismatches.append(name)
+
+                threads = [threading.Thread(target=reader, args=(n,)) for n in bundle.names()]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert mismatches == []
 
 
 class TestWriteBundle:

@@ -4,6 +4,7 @@ import resource
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import drm.bundle
 from drm.bundle import TensorBundle, read_bundle, write_bundle
-from drm.cli import main
+from drm.cli import MAX_GRID_POINTS, _parse_grid, main
 
 
 @pytest.fixture()
@@ -209,6 +210,51 @@ class TestMerge:
         assert sorted(p.name for p in tmp.iterdir()) == before
 
 
+class TestMergeInputs:
+    def test_out_may_name_the_base(self, family):
+        # The open inputs keep reading the old file when --out replaces it.
+        base, tasks, tmp = family
+        fresh = tmp / "fresh.drmb"
+        assert run_merge(base, tasks, fresh, "--method", "drm-h") == 0
+        assert run_merge(base, tasks, base, "--method", "drm-h") == 0
+        assert (tmp / "base.drmb").read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("method", ["drm-h", "ties", "dare-ties"])
+    def test_inputs_are_read_per_layer(self, tmp_path, monkeypatch, capsys, method):
+        # The 5 input files hold 40 units (one layer's float64 deltas) and a
+        # merge that loaded them peaked at about 48; the layers in flight
+        # take up to about 7.5 units per drm-h worker.
+        n_layers, n_tasks, shape, workers = 64, 4, (64, 48), 2
+        rng = np.random.default_rng(23)
+        base = TensorBundle({
+            f"L{i}.w": rng.standard_normal(shape).astype(np.float32) for i in range(n_layers)
+        })
+        write_bundle(base, tmp_path / "base.drmb")
+        task_paths = []
+        for t in range(n_tasks):
+            task = TensorBundle({
+                name: arr + 0.01 * rng.standard_normal(shape).astype(np.float32)
+                for name, arr in base.items()
+            })
+            task_paths.append(str(tmp_path / f"task{t}.drmb"))
+            write_bundle(task, task_paths[-1])
+        del base, task
+
+        unit = n_tasks * shape[0] * shape[1] * 8  # one layer's float64 deltas
+        monkeypatch.setenv("DRM_THREADS", str(workers))
+        out = tmp_path / "merged.drmb"
+        tracemalloc.start()
+        try:
+            code = run_merge(str(tmp_path / "base.drmb"), task_paths, out, "--method", method)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        capsys.readouterr()
+        output = sum(arr.nbytes for _, arr in read_bundle(out).items())
+        assert peak - output < workers * 12 * unit
+
+
 class TestAnalyze:
     def test_sign_agreement_one_task_exit_2(self, family, capsys):
         base, tasks, tmp = family
@@ -308,18 +354,38 @@ class TestBenchTune:
         ("--grid-lambda", "nan"),
     ])
     def test_non_finite_grid_exit_2(self, flag, spec):
-        # A child with a deadline and a capped address space, so an unbounded
-        # grid loop fails the test instead of hanging it or filling memory.
-        def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "drm", "tune", "--method", "ties", f"{flag}={spec}"],
-            capture_output=True, text=True, timeout=10, preexec_fn=cap_address_space,
-            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
-        )
+        proc = run_capped_tune(flag, spec)
         assert proc.returncode == 2, proc.stderr
         assert "finite" in proc.stderr
+
+    @pytest.mark.parametrize("flag,spec", [
+        ("--grid-retain", "0.1:1:1e-9"),
+        ("--grid-lambda", "0:1:1e-300"),
+        ("--grid-lambda", "-1e308:1e308:1"),
+    ])
+    def test_oversized_grid_exit_2(self, flag, spec):
+        proc = run_capped_tune(flag, spec)
+        assert proc.returncode == 2, proc.stderr
+        assert f"more than {MAX_GRID_POINTS} points" in proc.stderr
+
+    def test_grid_point_cap_is_inclusive(self):
+        assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+        with pytest.raises(ValueError, match="points"):
+            _parse_grid(f"0:{MAX_GRID_POINTS}:1")
+
+
+def run_capped_tune(flag, spec):
+    """Run ``drm tune`` with one grid spec in a child with a deadline and a
+    capped address space, so an unbounded grid loop fails the test instead
+    of hanging it or filling memory."""
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "drm", "tune", "--method", "ties", f"{flag}={spec}"],
+        capture_output=True, text=True, timeout=10, preexec_fn=cap_address_space,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
 
 
 def test_module_entrypoint_smoke(tmp_path):
