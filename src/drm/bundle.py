@@ -259,9 +259,6 @@ class BundleFile:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def __repr__(self) -> str:
-        return f"BundleFile({self.path!r}, {len(self._records)} tensors)"
-
 
 def open_bundle(path) -> BundleFile:
     """Open a bundle file written by :func:`write_bundle` and validate its
