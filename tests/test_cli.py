@@ -212,7 +212,7 @@ class TestMerge:
 
 class TestMergeInputs:
     def test_out_may_name_the_base(self, family):
-        # The open inputs keep reading the old file when --out replaces it.
+        # --out replaces the base file only after every input was read.
         base, tasks, tmp = family
         fresh = tmp / "fresh.drmb"
         assert run_merge(base, tasks, fresh, "--method", "drm-h") == 0
@@ -221,9 +221,9 @@ class TestMergeInputs:
 
     @pytest.mark.parametrize("method", ["drm-h", "ties", "dare-ties"])
     def test_inputs_are_read_per_layer(self, tmp_path, monkeypatch, capsys, method):
-        # The 5 input files hold 40 units (one layer's float64 deltas) and a
-        # merge that loaded them peaked at about 48; the layers in flight
-        # take up to about 7.5 units per drm-h worker.
+        # Holding the 5 input files would alone cost 40 units (one layer's
+        # float64 deltas), whatever the worker count; a drm-h layer in
+        # flight takes up to about 7.5.
         n_layers, n_tasks, shape, workers = 64, 4, (64, 48), 2
         rng = np.random.default_rng(23)
         base = TensorBundle({
