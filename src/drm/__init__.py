@@ -36,6 +36,7 @@ from .bundle import (
 from .engine import (
     JointDecomposition,
     MergeConfig,
+    agreeing_entries,
     decompose_joint,
     disjoint_average,
     elect_signs,
@@ -46,9 +47,10 @@ from .engine import (
     merge_drm,
     prune_topk,
     renormalize_row,
+    survivor_filter,
     truncate_rank,
 )
-from .errors import DrmError
+from .errors import ArgumentError, DrmError, InputOutputError, NumericError
 from .harness import (
     SynthTask,
     TuneResult,
@@ -64,6 +66,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgreementHistogram",
+    "ArgumentError",
     "BiasEntry",
     "BiasGroup",
     "BoundReport",
@@ -71,13 +74,16 @@ __all__ = [
     "DeltaSet",
     "DensityReport",
     "DrmError",
+    "InputOutputError",
     "JointDecomposition",
     "MergeConfig",
+    "NumericError",
     "SpectrumReport",
     "SynthTask",
     "TensorBundle",
     "ThinSVD",
     "TuneResult",
+    "agreeing_entries",
     "check_perturbation_bound",
     "closed_form_finetune",
     "dare_ties_merge",
@@ -103,6 +109,7 @@ __all__ = [
     "sign_agreement",
     "simple_average",
     "spectrum_report",
+    "survivor_filter",
     "svd_oracle",
     "synth_hetero_deltas",
     "synth_suite",

@@ -233,20 +233,17 @@ def _orientation_for(cfg: MergeConfig) -> str:
     return "vertical" if cfg.method == "drm_v" else "horizontal"
 
 
-def row_drop_fractions(
-    blocks: list[np.ndarray], retain: float, mode: str = "joint"
-) -> np.ndarray:
+def row_drop_fractions(stack: np.ndarray, retain: float, mode: str = "joint") -> np.ndarray:
     """Fraction of each block row zeroed by top-``retain`` magnitude pruning."""
-    masks = prune_topk(blocks, retain, mode)
-    return np.stack([1.0 - m.mean(axis=1) for m in masks])
+    return 1.0 - prune_topk(stack, retain, mode).mean(axis=2)
 
 
 def pruning_density(ds: DeltaSet, cfg: MergeConfig, with_renorm: bool = True) -> DensityReport:
     """Per-row drop fractions after pruning the (renormalized or raw) blocks."""
     orientation = _orientation_for(cfg)
     jd = decompose_joint(ds, orientation)
-    blocks = jd.renorm_blocks if with_renorm else jd.blocks
-    fractions = row_drop_fractions(blocks, cfg.retain, cfg.prune_mode)
+    stack = jd.renorm_blocks if with_renorm else jd.renorm_blocks * jd.row_norms[..., None]
+    fractions = row_drop_fractions(stack, cfg.retain, cfg.prune_mode)
     return DensityReport(
         layer_name=ds.layer_name,
         retain=cfg.retain,
@@ -290,14 +287,10 @@ def sign_agreement(ds: DeltaSet, cfg: MergeConfig, space: str = "original") -> A
         orientation = "vertical" if space.endswith("-v") else "horizontal"
         jd = decompose_joint(ds, orientation)
         masks = prune_topk(jd.renorm_blocks, cfg.retain, cfg.prune_mode)
-        pruned = [np.where(m, b, 0.0) for m, b in zip(masks, jd.renorm_blocks)]
-        if space.startswith("decomposed"):
-            stacks = pruned
-        else:
-            stacks = [
-                jd.U @ (jd.task_sigmas[t][:, None] * pruned[t])
-                for t in range(ds.n_tasks)
-            ]
+        stacks = np.where(masks, jd.renorm_blocks, 0.0)
+        if not space.startswith("decomposed"):
+            stacks *= jd.task_sigmas[:, :, None]
+            stacks = [jd.U @ block for block in stacks]
     return AgreementHistogram.from_values(ds.layer_name, space, agreement_values(stacks))
 
 

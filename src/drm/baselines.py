@@ -7,7 +7,15 @@ import hashlib
 import numpy as np
 
 from .bundle import DeltaSet
-from .engine import MergeConfig, disjoint_average, elect_signs, kept_counts, prune_topk
+from .engine import (
+    MergeConfig,
+    agreeing_entries,
+    disjoint_average,
+    elect_signs,
+    kept_counts,
+    prune_topk,
+    survivor_filter,
+)
 from .errors import ShapeMismatch
 
 
@@ -42,17 +50,20 @@ def ties_merge(ds: DeltaSet, cfg: MergeConfig) -> np.ndarray:
 
 
 def ties_merge_with_stats(ds: DeltaSet, cfg: MergeConfig) -> tuple[np.ndarray, dict]:
-    masks = prune_topk(ds.deltas, cfg.retain, "individual") if cfg.enable_prune else None
-    signs = None
-    if cfg.enable_sign_elect:
-        pruned = ds.deltas
-        if masks is not None:
-            pruned = [np.where(m, d, 0.0) for m, d in zip(masks, ds.deltas)]
-        signs = elect_signs(pruned)
-    merged = disjoint_average(
-        ds.deltas, masks, signs, cfg.task_lambdas(ds.n_tasks), cfg.enable_disjoint
-    )
-    return merged, kept_counts(masks, ds.deltas)
+    stack = np.array(ds.deltas)  # one N x m x n copy, pruned in place
+    masks = prune_topk(stack, cfg.retain, "individual") if cfg.enable_prune else None
+    if masks is not None:
+        stack[~masks] = 0.0
+    merged = _elect_and_average(stack, cfg, ds.n_tasks)
+    return merged, kept_counts(masks, stack)
+
+
+def _elect_and_average(stack: np.ndarray, cfg: MergeConfig, n_tasks: int) -> np.ndarray:
+    """The TIES tail shared with DARE-TIES: sign election over the already
+    pruned (or dropped) stack, then the disjoint average."""
+    signs = elect_signs(stack) if cfg.enable_sign_elect else None
+    survivors, gamma = survivor_filter(agreeing_entries(stack, signs), None, cfg.enable_disjoint)
+    return disjoint_average(stack, survivors, gamma, cfg.task_lambdas(n_tasks))
 
 
 def _dare_generator(seed: int, layer_name: str, task_index: int) -> np.random.Generator:
@@ -78,12 +89,9 @@ def dare_ties_merge(
     """
     p = cfg.dare_drop
     scale = 1.0 / (1.0 - p)
-    dropped = []
+    dropped = np.empty((ds.n_tasks, *ds.base_shape))
     for t, delta in enumerate(ds.deltas):
         gen = rng if rng is not None else _dare_generator(cfg.seed, ds.layer_name, t)
-        keep = gen.random(delta.shape) >= p
-        dropped.append(np.where(keep, delta * scale, 0.0))
-    signs = elect_signs(dropped) if cfg.enable_sign_elect else None
-    return disjoint_average(
-        dropped, None, signs, cfg.task_lambdas(ds.n_tasks), cfg.enable_disjoint
-    )
+        np.multiply(delta, scale, out=dropped[t])
+        dropped[t][gen.random(delta.shape) < p] = 0.0
+    return _elect_and_average(dropped, cfg, ds.n_tasks)

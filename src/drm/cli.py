@@ -16,21 +16,7 @@ from pathlib import Path
 from . import analysis, harness
 from .bundle import canonical_json, extract_deltas, open_bundle, read_bundle, write_bundle
 from .engine import MergeConfig, merge_bundle_with_stats
-from .errors import (
-    BadMagic,
-    CastOverflow,
-    ConvergenceFailure,
-    CorruptHeader,
-    ExtraTensor,
-    IoFailure,
-    MissingTensor,
-    NeedTwoTasks,
-    NonFiniteValue,
-    OffsetOutOfRange,
-    ShapeMismatch,
-    SingularSystem,
-    UnsupportedVersion,
-)
+from .errors import ArgumentError, InputOutputError, NumericError
 
 _CLI_METHODS = {
     "drm-h": "drm_h",
@@ -40,21 +26,6 @@ _CLI_METHODS = {
     "ties": "ties",
     "dare-ties": "dare_ties",
 }
-
-_ARG_ERRORS = (NeedTwoTasks, ValueError)
-_IO_ERRORS = (
-    IoFailure,
-    BadMagic,
-    UnsupportedVersion,
-    CorruptHeader,
-    OffsetOutOfRange,
-    NonFiniteValue,
-    MissingTensor,
-    ExtraTensor,
-    ShapeMismatch,
-    OSError,
-)
-_NUM_ERRORS = (ConvergenceFailure, SingularSystem, CastOverflow)
 
 # Most points one --grid-* axis may have; the default grids have 10 and 8.
 MAX_GRID_POINTS = 1000
@@ -314,13 +285,13 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except _ARG_ERRORS as exc:
+    except (ArgumentError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _NUM_ERRORS as exc:
+    except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except _IO_ERRORS as exc:
+    except (InputOutputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -104,28 +104,32 @@ class MergeConfig:
 class JointDecomposition:
     """Shared basis and per-task blocks of one stacked-delta SVD.
 
-    For the horizontal orientation, ``U @ diag(sigma) @ blocks[t]``
-    reconstructs task t's delta; vertically the same product reconstructs
-    the transposed delta (blocks are stored transposed so both orientations
-    expose r x dim blocks). ``row_norms[t, i]`` is the 2-norm of row i of
-    block t; the squared norms of any active row sum to one across tasks
-    (the unit budget of a partitioned orthonormal factor).
-    ``renorm_blocks`` hold the unit-length rows and
-    ``task_sigmas[t, i] = sigma[i] * row_norms[t, i]`` carries the
-    displaced magnitude.
+    ``renorm_blocks`` is one N x r x dim array: block t holds the rows of
+    task t's slice of the non-shared factor, each scaled to unit length.
+    ``row_norms[t, i]`` is the 2-norm that row i of task t had before; the
+    squared norms of any active row sum to one across tasks (the unit budget
+    of a partitioned orthonormal factor). For the horizontal orientation
+    ``U @ diag(task_sigmas[t]) @ renorm_blocks[t]`` reconstructs task t's
+    delta; vertically the same product reconstructs the transposed delta
+    (blocks are stored transposed so both orientations expose r x dim
+    blocks).
     """
 
     orientation: str
     U: np.ndarray
     sigma: np.ndarray
-    blocks: list[np.ndarray]
     row_norms: np.ndarray
-    renorm_blocks: list[np.ndarray]
-    task_sigmas: np.ndarray
+    renorm_blocks: np.ndarray
 
     @property
     def n_tasks(self) -> int:
-        return len(self.blocks)
+        return self.renorm_blocks.shape[0]
+
+    @property
+    def task_sigmas(self) -> np.ndarray:
+        """``task_sigmas[t, i] = sigma[i] * row_norms[t, i]``, the magnitude
+        the renormalization moved out of each block row."""
+        return self.sigma[None, :] * self.row_norms
 
     @property
     def rank(self) -> int:
@@ -134,10 +138,6 @@ class JointDecomposition:
     def active_mask(self) -> np.ndarray:
         """Components whose shared singular value counts as nonzero."""
         return nonzero_sigma_mask(self.sigma)
-
-    def scaled_blocks(self) -> list[np.ndarray]:
-        """Per-task products diag(task_sigmas[t]) @ renorm_blocks[t]."""
-        return [self.task_sigmas[t][:, None] * self.renorm_blocks[t] for t in range(self.n_tasks)]
 
 
 def renormalize_row(v: np.ndarray) -> tuple[np.ndarray, float]:
@@ -162,28 +162,23 @@ def decompose_joint(ds: DeltaSet, orientation: str = "horizontal") -> JointDecom
     n_tasks = ds.n_tasks
     n_cols = ds.base_shape[1]
     svd = thin_svd(hconcat(ds.deltas))
-    blocks = [svd.Vt[:, t * n_cols : (t + 1) * n_cols] for t in range(n_tasks)]
-
     r = svd.sigma.size
     row_norms = np.empty((n_tasks, r))
-    renorm_blocks = []
-    for t, block in enumerate(blocks):
+    renorm_blocks = np.empty((n_tasks, r, n_cols))
+    for t in range(n_tasks):
+        block = svd.Vt[:, t * n_cols : (t + 1) * n_cols]
         norms = np.linalg.norm(block, axis=1)
         row_norms[t] = norms
         safe = np.where(norms > ZERO_ROW_NORM, norms, 1.0)
-        renorm = block / safe[:, None]
-        renorm[norms <= ZERO_ROW_NORM] = 0.0
-        renorm_blocks.append(renorm)
+        np.divide(block, safe[:, None], out=renorm_blocks[t])
+        renorm_blocks[t, norms <= ZERO_ROW_NORM] = 0.0
     row_norms[row_norms <= ZERO_ROW_NORM] = 0.0
-    task_sigmas = svd.sigma[None, :] * row_norms
     return JointDecomposition(
         orientation=orientation,
         U=svd.U,
         sigma=svd.sigma.copy(),
-        blocks=blocks,
         row_norms=row_norms,
         renorm_blocks=renorm_blocks,
-        task_sigmas=task_sigmas,
     )
 
 
@@ -205,33 +200,45 @@ def truncate_rank(jd: JointDecomposition, rank_drop: float) -> JointDecompositio
     if rank_drop == 0.0:
         return jd
     keep = _keep_count(1.0 - rank_drop, jd.rank)
-    r = jd.sigma.size
-    dead = np.arange(r) >= keep  # sigma is sorted, so the tail goes
-    sigma = np.where(dead, 0.0, jd.sigma)
+    dead = np.arange(jd.sigma.size) >= keep  # sigma is sorted, so the tail goes
     U = jd.U.copy()
     U[:, dead] = 0.0
-    blocks = [b.copy() for b in jd.blocks]
-    renorm = [b.copy() for b in jd.renorm_blocks]
-    for t in range(jd.n_tasks):
-        blocks[t][dead] = 0.0
-        renorm[t][dead] = 0.0
     row_norms = jd.row_norms.copy()
     row_norms[:, dead] = 0.0
-    task_sigmas = jd.task_sigmas.copy()
-    task_sigmas[:, dead] = 0.0
+    renorm = jd.renorm_blocks.copy()
+    renorm[:, dead] = 0.0
     return JointDecomposition(
         orientation=jd.orientation,
         U=U,
-        sigma=sigma,
-        blocks=blocks,
+        sigma=np.where(dead, 0.0, jd.sigma),
         row_norms=row_norms,
         renorm_blocks=renorm,
-        task_sigmas=task_sigmas,
     )
 
 
-def prune_topk(blocks: list[np.ndarray], retain: float, mode: str = "joint") -> list[np.ndarray]:
-    """Boolean keep-masks for the top-``retain`` fraction by magnitude.
+def _topk_mask(x: np.ndarray, keep: int) -> np.ndarray:
+    """Bool mask of the ``keep`` largest |x|, ties at the cutoff going to
+    the smaller flattened index."""
+    if keep == 0:
+        return np.zeros(x.shape, dtype=bool)
+    # Selection, not a sort: everything above the keep-th largest magnitude
+    # survives, and the remaining slots go to entries equal to it in
+    # flattened order -- the same mask a stable sort on -|x| gives.
+    mags = np.abs(x).reshape(-1)
+    cut = mags.size - keep
+    mags.partition(cut)
+    cutoff = mags[cut]
+    del mags
+    mask = x > cutoff
+    mask |= x < -cutoff
+    ties = np.flatnonzero((x == cutoff) | (x == -cutoff))
+    mask.reshape(-1)[ties[: keep - np.count_nonzero(mask)]] = True
+    return mask
+
+
+def prune_topk(stack: np.ndarray, retain: float, mode: str = "joint") -> np.ndarray:
+    """Boolean keep-mask, shaped like ``stack``, for the top-``retain``
+    fraction by magnitude of an N x rows x cols stack of blocks.
 
     Joint mode pools every entry of every block before ranking; individual
     mode ranks inside each block. Exactly ceil(retain * pool_size) entries
@@ -242,91 +249,87 @@ def prune_topk(blocks: list[np.ndarray], retain: float, mode: str = "joint") -> 
         raise ValueError(f"retain must lie in (0, 1], got {retain}")
     if mode not in PRUNE_MODES:
         raise ValueError(f"mode must be one of {PRUNE_MODES}")
-    blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
-
-    def pool_mask(flat_abs: np.ndarray) -> np.ndarray:
-        keep = _keep_count(retain, flat_abs.size)
-        if keep == 0:
-            return np.zeros(flat_abs.size, dtype=bool)
-        # Selection, not a sort: everything above the keep-th largest
-        # magnitude survives, and the remaining slots go to entries equal to
-        # it in flattened (task, row, col) order -- the same mask a stable
-        # sort on -|v| gives.
-        cut = flat_abs.size - keep
-        cutoff = np.partition(flat_abs, cut)[cut]
-        mask = flat_abs > cutoff
-        ties = np.flatnonzero(flat_abs == cutoff)
-        mask[ties[: keep - np.count_nonzero(mask)]] = True
-        return mask
-
-    if mode == "individual":
-        return [pool_mask(np.abs(b).ravel()).reshape(b.shape) for b in blocks]
-
-    sizes = [b.size for b in blocks]
-    pooled = pool_mask(np.concatenate([np.abs(b).ravel() for b in blocks]))
-    out = []
-    start = 0
-    for b, size in zip(blocks, sizes):
-        out.append(pooled[start : start + size].reshape(b.shape))
-        start += size
-    return out
+    stack = np.asarray(stack, dtype=np.float64)
+    if mode == "joint":
+        return _topk_mask(stack, _keep_count(retain, stack.size))
+    mask = np.empty(stack.shape, dtype=bool)
+    for t, block in enumerate(stack):
+        mask[t] = _topk_mask(block, _keep_count(retain, block.size))
+    return mask
 
 
-def kept_counts(masks: list[np.ndarray] | None, blocks: list[np.ndarray]) -> dict:
-    """``kept``/``total`` entry counts of a prune; ``masks=None`` keeps all."""
-    total = int(sum(b.size for b in blocks))
-    kept = total if masks is None else int(sum(np.count_nonzero(m) for m in masks))
+def kept_counts(mask: np.ndarray | None, stack: np.ndarray) -> dict:
+    """``kept``/``total`` entry counts of a prune; ``mask=None`` keeps all."""
+    total = int(np.size(stack))
+    kept = total if mask is None else int(np.count_nonzero(mask))
     return {"kept": kept, "total": total}
 
 
-def elect_signs(scaled_blocks: list[np.ndarray]) -> np.ndarray:
-    """Dominant sign per position of the element-wise sum; zero sums elect +1."""
-    total = np.zeros_like(np.asarray(scaled_blocks[0], dtype=np.float64))
-    for b in scaled_blocks:
-        total = total + np.asarray(b, dtype=np.float64)
+def elect_signs(stack: np.ndarray) -> np.ndarray:
+    """Dominant sign per position of the sum over the stack's first axis;
+    zero sums elect +1."""
+    stack = np.asarray(stack, dtype=np.float64)
+    total = stack[0].copy()
+    for block in stack[1:]:
+        total += block
     return np.where(total < 0.0, -1.0, 1.0)
 
 
-def disjoint_average(
-    scaled_blocks: list[np.ndarray],
-    masks: list[np.ndarray] | None,
-    signs: np.ndarray | None,
-    lambdas,
-    disjoint: bool = True,
-) -> np.ndarray:
-    """Combine per-task blocks, averaging each position over its survivors.
+def agreeing_entries(stack: np.ndarray, signs: np.ndarray | None) -> np.ndarray:
+    """Bool mask of the stack's nonzero entries whose sign is the elected
+    one; ``signs=None`` skips the sign test."""
+    stack = np.asarray(stack, dtype=np.float64)
+    agree = stack != 0.0
+    if signs is not None:
+        agree &= (stack < 0.0) == (signs < 0.0)
+    return agree
 
-    Entries failing their mask, or disagreeing with the elected sign, are
-    zeroed per task. The result is the coefficient-weighted sum scaled per
-    position by the reciprocal survivor count (positions nobody survives
-    stay zero). With ``disjoint=False`` the reciprocal count is replaced by
-    the constant 1/N. ``masks=None`` skips the mask filter and
-    ``signs=None`` the sign filter.
+
+def survivor_filter(
+    agree: np.ndarray, mask: np.ndarray | None, disjoint: bool = True
+) -> tuple[np.ndarray, np.ndarray | float]:
+    """The entries that enter the average and the per-position scale gamma.
+
+    Survivors are the ``agree`` entries (see :func:`agreeing_entries`) that
+    also pass ``mask`` (``None`` passes all). gamma is the reciprocal
+    survivor count per position (zero where nobody survives), or the
+    constant 1/N with ``disjoint=False``.
     """
-    n_tasks = len(scaled_blocks)
+    survivors = agree if mask is None else agree & mask
+    if not disjoint:
+        return survivors, 1.0 / survivors.shape[0]
+    # The narrowest integer type that holds N makes the count a fast add.
+    counts = survivors.sum(axis=0, dtype=np.min_scalar_type(survivors.shape[0]))
+    with np.errstate(divide="ignore"):
+        gamma = 1.0 / counts
+    gamma[counts == 0] = 0.0
+    return survivors, gamma
+
+
+def disjoint_average(
+    stack: np.ndarray, survivors: np.ndarray, gamma: np.ndarray | float, lambdas
+) -> np.ndarray:
+    """gamma times the coefficient-weighted sum over tasks of the surviving
+    entries; see :func:`survivor_filter`."""
+    stack = np.asarray(stack, dtype=np.float64)
+    n_tasks = stack.shape[0]
     lams = np.asarray(lambdas, dtype=np.float64).reshape(-1)
     if lams.size == 1:
         lams = np.full(n_tasks, lams[0])
     if lams.size != n_tasks:
         raise ShapeMismatch(f"got {lams.size} lambdas for {n_tasks} blocks")
-
-    shape = np.asarray(scaled_blocks[0]).shape
-    weighted = np.zeros(shape)
-    counts = np.zeros(shape)
-    for t, (block, lam) in enumerate(zip(scaled_blocks, lams)):
-        block = np.asarray(block, dtype=np.float64)
-        if block.shape != shape or (masks is not None and np.shape(masks[t]) != shape):
-            raise ShapeMismatch("blocks and masks must share one shape")
-        kept = block if masks is None else np.where(masks[t], block, 0.0)
-        if signs is not None:
-            kept = np.where(kept * signs > 0.0, kept, 0.0)
-        weighted += lam * kept
-        counts += kept != 0.0
-    if disjoint:
-        gamma = np.divide(1.0, counts, out=np.zeros(shape), where=counts > 0)
-    else:
-        gamma = np.full(shape, 1.0 / n_tasks)
-    return gamma * weighted
+    if survivors.shape != stack.shape:
+        raise ShapeMismatch("the stack and its survivor mask must share one shape")
+    weighted = np.zeros(stack.shape[1:])
+    term = np.empty_like(weighted)
+    for block, keep, lam in zip(stack, survivors, lams):
+        # block * keep is the block or a signed zero; a zero term leaves
+        # the sum's bytes as they are.
+        np.multiply(block, keep, out=term)
+        term *= lam
+        weighted += term
+    weighted *= gamma
+    return weighted
 
 
 def merge_drm(ds: DeltaSet, cfg: MergeConfig) -> np.ndarray:
@@ -347,30 +350,31 @@ def _drm_grid(ds: DeltaSet, cfg: MergeConfig, points: list[list[MergeConfig]]):
     """Yield ``(merged delta, stats)`` for each point config, row by row.
 
     Point configs differ from ``cfg`` only in ``retain`` and ``lambdas``,
-    and the configs of one row share ``retain``. The decomposition, rank
-    truncation, scaled blocks and sign election depend on none of those, so
-    they run once; the prune runs once per row and the average and
-    projection once per point. The vertical variant is the horizontal
-    pipeline on transposed deltas, transposed back (exact duality).
+    and the configs of one row share ``retain``. The layer lives in one
+    N x r x dim float64 stack, rewritten in place: the renormalized blocks
+    are pruned once per row, then scaled by ``task_sigmas`` into the blocks
+    that elect signs and are averaged. The decomposition, election and sign
+    agreement run once, the survivor filter once per row, and only the
+    weighted sum and projection once per point. The vertical variant is the
+    horizontal pipeline on transposed deltas, transposed back (exact
+    duality).
     """
     orientation = "vertical" if cfg.method == "drm_v" else "horizontal"
     jd = truncate_rank(decompose_joint(ds, orientation), cfg.rank_drop)
-    scaled = jd.scaled_blocks()
-    signs = None
-    for row in points:
-        masks = (
-            prune_topk(jd.renorm_blocks, row[0].retain, cfg.prune_mode)
-            if cfg.enable_prune
-            else None
-        )
-        if signs is None and cfg.enable_sign_elect:
-            # Elected after the first prune, not before it, so that a single
-            # merge never holds the signs next to the prune's temporaries.
-            signs = elect_signs(scaled)
-        stats = {"rank": jd.rank, **kept_counts(masks, jd.renorm_blocks)}
+    stack = jd.renorm_blocks
+    masks = [
+        prune_topk(stack, row[0].retain, cfg.prune_mode) if cfg.enable_prune else None
+        for row in points
+    ]
+    stack *= jd.task_sigmas[:, :, None]  # jd.renorm_blocks is not used again
+    signs = elect_signs(stack) if cfg.enable_sign_elect else None
+    agree = agreeing_entries(stack, signs)
+    for row, mask in zip(points, masks):
+        stats = {"rank": jd.rank, **kept_counts(mask, stack)}
+        survivors, gamma = survivor_filter(agree, mask, cfg.enable_disjoint)
         for point in row:
             merged_block = disjoint_average(
-                scaled, masks, signs, point.task_lambdas(ds.n_tasks), cfg.enable_disjoint
+                stack, survivors, gamma, point.task_lambdas(ds.n_tasks)
             )
             merged = jd.U @ merged_block
             yield (merged.T if orientation == "vertical" else merged), dict(stats)

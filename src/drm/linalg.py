@@ -110,9 +110,10 @@ def thin_svd(A: np.ndarray) -> ThinSVD:
             raise ConvergenceFailure(f"SVD did not converge on a {A.shape} matrix") from exc
     U, sigma, Vt = factors
     # Pin the sign ambiguity: largest-|entry| of each U column made positive.
+    # Both factors are fresh arrays (or views of one), so negate in place.
     flip = U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])] < 0
-    U = np.where(flip[None, :], -U, U)
-    Vt = np.where(flip[:, None], -Vt, Vt)
+    np.negative(U, out=U, where=flip[None, :])
+    np.negative(Vt, out=Vt, where=flip[:, None])
     return ThinSVD(U, sigma, Vt)
 
 
@@ -128,13 +129,18 @@ def _gram_svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None
         lam, W = np.linalg.eigh(gram)
     except np.linalg.LinAlgError:
         return None
+    del gram
     lam, W = lam[::-1], W[:, ::-1]
     if not (lam[0] > 0.0 and lam[-1] >= GRAM_MIN_EIG_RATIO * lam[0]):
         return None  # also rejects NaN spectra
     sigma = np.sqrt(lam)
     if wide:
-        return W, sigma, (W.T @ A) / sigma[:, None]
-    return (A @ W) / sigma[None, :], sigma, W.T
+        Vt = W.T @ A
+        Vt /= sigma[:, None]
+        return W, sigma, Vt
+    U = A @ W
+    U /= sigma[None, :]
+    return U, sigma, W.T
 
 
 def spectral_norm(A: np.ndarray) -> float:

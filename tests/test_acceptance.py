@@ -15,7 +15,15 @@ import numpy as np
 from drm.analysis import check_perturbation_bound, pruning_density, sign_agreement, synth_hetero_deltas
 from drm.baselines import dare_ties_merge, task_arithmetic, ties_merge
 from drm.bundle import DeltaSet, TensorBundle, read_bundle, write_bundle
-from drm.engine import MergeConfig, decompose_joint, disjoint_average, elect_signs, merge_drm
+from drm.engine import (
+    MergeConfig,
+    agreeing_entries,
+    decompose_joint,
+    disjoint_average,
+    elect_signs,
+    merge_drm,
+    survivor_filter,
+)
 from drm.harness import BENCH_METHODS, grid_tune, run_bench, synth_suite
 from drm.linalg import hconcat, thin_svd
 
@@ -69,10 +77,10 @@ def test_criterion_01_reconstruction():
     for ds in random_instances():
         for orientation in ("horizontal", "vertical"):
             jd = decompose_joint(ds, orientation)
-            core = jd.U * jd.sigma[None, :]
             targets = ds.deltas if orientation == "horizontal" else [d.T for d in ds.deltas]
             for t, delta in enumerate(targets):
-                err = np.linalg.norm(core @ jd.blocks[t] - delta)
+                recon = jd.U @ (jd.task_sigmas[t][:, None] * jd.renorm_blocks[t])
+                err = np.linalg.norm(recon - delta)
                 assert err <= 1e-8 * max(1.0, np.linalg.norm(delta))
 
 
@@ -205,7 +213,8 @@ def test_criterion_11_positionwise_oracles():
 
         masks = [rng.random((4, 4)) < 0.7 for _ in range(n_tasks)]
         signs = elect_signs([np.where(m, d, 0.0) for m, d in zip(masks, deltas)])
-        got = disjoint_average(deltas, masks, signs, lams)
+        survivors, gamma = survivor_filter(agreeing_entries(np.array(deltas), signs), masks)
+        got = disjoint_average(np.array(deltas), survivors, gamma, lams)
         want = disjoint_oracle(deltas, masks, signs, lams)
         assert np.abs(got - want).max() <= 1e-12
 

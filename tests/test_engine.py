@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drm.engine
+import drm.linalg
 from drm.bundle import DeltaSet, TensorBundle, extract_deltas
 from drm.engine import (
     METHODS,
     MergeConfig,
+    agreeing_entries,
     decompose_joint,
     disjoint_average,
     elect_signs,
@@ -20,8 +22,10 @@ from drm.engine import (
     merge_bundle_with_stats,
     merge_delta_set_grid,
     merge_drm,
+    merge_drm_with_stats,
     prune_topk,
     renormalize_row,
+    survivor_filter,
     truncate_rank,
 )
 from drm.errors import ShapeMismatch
@@ -68,7 +72,7 @@ def check_decomposition_invariants(ds, jd):
     # reconstruction per task
     deltas = ds.deltas if jd.orientation == "horizontal" else [d.T for d in ds.deltas]
     for t, delta in enumerate(deltas):
-        recon = jd.U @ np.diag(jd.sigma) @ jd.blocks[t]
+        recon = jd.U @ np.diag(jd.task_sigmas[t]) @ jd.renorm_blocks[t]
         assert np.linalg.norm(recon - delta) <= 1e-9 * max(1.0, np.linalg.norm(delta))
     # unit budget across tasks for active components
     budget = (jd.row_norms**2).sum(axis=0)
@@ -86,7 +90,6 @@ class TestDecomposeJoint:
         ds = random_delta_set(0, n_tasks=1)
         jd = decompose_joint(ds)
         svd = thin_svd(ds.deltas[0])
-        np.testing.assert_allclose(jd.blocks[0], svd.Vt, atol=1e-12)
         np.testing.assert_allclose(jd.row_norms[0], np.ones_like(jd.sigma), atol=1e-12)
         np.testing.assert_allclose(jd.renorm_blocks[0], svd.Vt, atol=1e-12)
         check_decomposition_invariants(ds, jd)
@@ -143,9 +146,11 @@ def test_norm_budget_property(seed, n_tasks, m, n):
 def test_scale_compensation_rowwise_exact():
     ds = random_delta_set(21)
     jd = decompose_joint(ds)
+    vt = thin_svd(hconcat(ds.deltas)).Vt  # the raw blocks, side by side
+    n = ds.base_shape[1]
     for t in range(ds.n_tasks):
         lhs = jd.task_sigmas[t][:, None] * jd.renorm_blocks[t]
-        rhs = jd.sigma[:, None] * jd.blocks[t]
+        rhs = jd.sigma[:, None] * vt[:, t * n : (t + 1) * n]
         # magnitudes moved between factors, products agree to rounding
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
@@ -171,7 +176,8 @@ class TestTruncateRank:
         cut = truncate_rank(jd, 0.5)
         keep = cut.rank
         stack = hconcat(ds.deltas)
-        recon = cut.U @ np.diag(cut.sigma) @ np.concatenate(cut.blocks, axis=1)
+        scaled = cut.task_sigmas[:, :, None] * cut.renorm_blocks
+        recon = cut.U @ np.concatenate(scaled, axis=1)
         tail_energy = math.sqrt(float((jd.sigma[keep:] ** 2).sum()))
         assert np.linalg.norm(recon - stack) == pytest.approx(tail_energy, abs=1e-8)
 
@@ -290,12 +296,13 @@ def prune_topk_full_sort(blocks, retain, mode="joint"):
 
 @st.composite
 def tie_heavy_prune_case(draw):
-    """Blocks drawn from a few magnitudes, mostly zeros, with whole zero
-    rows, plus a retain that often puts the cutoff inside a run of ties."""
+    """A stack of blocks drawn from a few magnitudes, mostly zeros, with
+    whole zero rows, plus a retain that often puts the cutoff inside a run
+    of ties."""
     values = st.sampled_from([0.0, 0.0, 0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
     blocks = []
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
     for _ in range(draw(st.integers(1, 5))):
-        rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
         flat = draw(st.lists(values, min_size=rows * cols, max_size=rows * cols))
         block = np.array(flat).reshape(rows, cols)
         block[np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))] = 0.0
@@ -360,19 +367,28 @@ def disjoint_oracle(blocks, masks, signs, lambdas, disjoint=True):
     return out
 
 
+def filtered_average(blocks, masks, signs, lambdas, disjoint=True):
+    """Survivor filter, then the weighted sum, as the merge paths run them."""
+    stack = np.array(blocks, dtype=np.float64)
+    survivors, gamma = survivor_filter(
+        agreeing_entries(stack, signs), None if masks is None else np.array(masks), disjoint
+    )
+    return disjoint_average(stack, survivors, gamma, lambdas)
+
+
 class TestDisjointAverage:
     def test_counts_only_nonzero(self):
         blocks = [np.array([[1.0]]), np.array([[0.0]]), np.array([[2.0]])]
         masks = [np.ones((1, 1), dtype=bool)] * 3
         signs = np.ones((1, 1))
-        out = disjoint_average(blocks, masks, signs, [1.0, 1.0, 1.0])
+        out = filtered_average(blocks, masks, signs, [1.0, 1.0, 1.0])
         assert out[0, 0] == pytest.approx(1.5)
 
     def test_identical_values_pass_through(self):
         v = 0.37
         blocks = [np.full((2, 3), v) for _ in range(4)]
         masks = [np.ones((2, 3), dtype=bool)] * 4
-        out = disjoint_average(blocks, masks, elect_signs(blocks), np.ones(4))
+        out = filtered_average(blocks, masks, elect_signs(blocks), np.ones(4))
         np.testing.assert_allclose(out, v, atol=1e-15)
 
     def test_matches_positionwise_oracle(self):
@@ -383,14 +399,14 @@ class TestDisjointAverage:
             signs = elect_signs([np.where(m, b, 0.0) for m, b in zip(masks, blocks)])
             lams = rng.uniform(0.5, 1.5, 3)
             for disjoint in (True, False):
-                got = disjoint_average(blocks, masks, signs, lams, disjoint)
+                got = filtered_average(blocks, masks, signs, lams, disjoint)
                 want = disjoint_oracle(blocks, masks, signs, lams, disjoint)
                 np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_sign_filter_skipped_when_none(self):
         blocks = [np.array([[1.0, -1.0]]), np.array([[-3.0, 2.0]])]
         masks = [np.ones((1, 2), dtype=bool)] * 2
-        out = disjoint_average(blocks, masks, None, [1.0, 1.0])
+        out = filtered_average(blocks, masks, None, [1.0, 1.0])
         np.testing.assert_allclose(out, [[-1.0, 0.5]])
 
     def test_mask_filter_skipped_when_none(self):
@@ -400,13 +416,13 @@ class TestDisjointAverage:
         all_true = [np.ones((3, 5), dtype=bool)] * 3
         for signs in (None, elect_signs(blocks)):
             for disjoint in (True, False):
-                got = disjoint_average(blocks, None, signs, [0.5, 1.0, 2.0], disjoint)
-                want = disjoint_average(blocks, all_true, signs, [0.5, 1.0, 2.0], disjoint)
+                got = filtered_average(blocks, None, signs, [0.5, 1.0, 2.0], disjoint)
+                want = filtered_average(blocks, all_true, signs, [0.5, 1.0, 2.0], disjoint)
                 assert got.tobytes() == want.tobytes()
 
     def test_lambda_count_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            disjoint_average([np.ones((1, 1))], [np.ones((1, 1), dtype=bool)], None, [1.0, 2.0])
+            filtered_average([np.ones((1, 1))], [np.ones((1, 1), dtype=bool)], None, [1.0, 2.0])
 
 
 class TestMergeDrm:
@@ -702,3 +718,152 @@ class TestMergeConfig:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             MergeConfig(method="fisher")
+
+
+@pytest.mark.parametrize("method,shape", [("drm_h", (128, 512)), ("drm_v", (512, 128))])
+def test_layer_merge_memory_bounded_by_its_stack(method, shape):
+    # A drm layer lives in one N x r x n float64 stack rewritten in place,
+    # plus bool masks and r x n temporaries. The peak is the SVD input next
+    # to the right factor, or the stack next to the one magnitude copy the
+    # prune partitions: about 2.4 stacks. Copying the stack at every stage
+    # cost about 5.1. Both shapes stack to a wide matrix, so U is small.
+    n_tasks = 4
+    ds = random_delta_set(0, n_tasks, *shape)
+    unit = n_tasks * shape[0] * shape[1] * 8
+    tracemalloc.start()
+    try:
+        merge_drm_with_stats(ds, MergeConfig(method=method))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / unit < 3.5
+
+
+# --- byte reference: the list-of-blocks pipeline the stack replaced ---
+
+
+def reference_thin_svd(A):
+    """thin_svd as written with copies: (U, sigma, Vt, route)."""
+    wide = A.shape[0] <= A.shape[1]
+    lam, W = np.linalg.eigh(A @ A.T if wide else A.T @ A)
+    lam, W = lam[::-1], W[:, ::-1]
+    if lam[0] > 0.0 and lam[-1] >= drm.linalg.GRAM_MIN_EIG_RATIO * lam[0]:
+        sigma = np.sqrt(lam)
+        if wide:
+            U, Vt = W, (W.T @ A) / sigma[:, None]
+        else:
+            U, Vt = (A @ W) / sigma[None, :], W.T
+        route = "gram"
+    else:
+        U, sigma, Vt = np.linalg.svd(A, full_matrices=False)
+        route = "gesdd"
+    flip = U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])] < 0
+    U = np.where(flip[None, :], -U, U)
+    Vt = np.where(flip[:, None], -Vt, Vt)
+    return U, sigma, Vt, route
+
+
+def reference_prune(blocks, retain, mode):
+    """Per-pool concatenate, partition a copy, mark ties in flat order."""
+
+    def pool_mask(flat_abs):
+        keep = min(flat_abs.size, max(0, math.ceil(retain * flat_abs.size - 1e-9)))
+        if keep == 0:
+            return np.zeros(flat_abs.size, dtype=bool)
+        cut = flat_abs.size - keep
+        cutoff = np.partition(flat_abs, cut)[cut]
+        mask = flat_abs > cutoff
+        ties = np.flatnonzero(flat_abs == cutoff)
+        mask[ties[: keep - np.count_nonzero(mask)]] = True
+        return mask
+
+    if mode == "individual":
+        return [pool_mask(np.abs(b).ravel()).reshape(b.shape) for b in blocks]
+    pooled = pool_mask(np.concatenate([np.abs(b).ravel() for b in blocks]))
+    size = blocks[0].size
+    return [pooled[t * size : (t + 1) * size].reshape(b.shape) for t, b in enumerate(blocks)]
+
+
+def reference_merge_drm(ds, cfg):
+    """(merged delta, stats, SVD route) with one array per task and stage."""
+    if cfg.method == "drm_v":
+        ds = ds.transposed()
+    n_tasks, n = ds.n_tasks, ds.base_shape[1]
+    U, sigma, Vt, route = reference_thin_svd(hconcat(ds.deltas))
+    blocks = [Vt[:, t * n : (t + 1) * n] for t in range(n_tasks)]
+    row_norms = np.empty((n_tasks, sigma.size))
+    renorm_blocks = []
+    for t, block in enumerate(blocks):
+        norms = np.linalg.norm(block, axis=1)
+        row_norms[t] = norms
+        safe = np.where(norms > drm.engine.ZERO_ROW_NORM, norms, 1.0)
+        renorm = block / safe[:, None]
+        renorm[norms <= drm.engine.ZERO_ROW_NORM] = 0.0
+        renorm_blocks.append(renorm)
+    row_norms[row_norms <= drm.engine.ZERO_ROW_NORM] = 0.0
+    task_sigmas = sigma[None, :] * row_norms
+    scaled = [task_sigmas[t][:, None] * renorm_blocks[t] for t in range(n_tasks)]
+    masks = reference_prune(renorm_blocks, cfg.retain, cfg.prune_mode)
+    total = np.zeros_like(scaled[0])
+    for b in scaled:
+        total = total + b
+    signs = np.where(total < 0.0, -1.0, 1.0)
+    weighted = np.zeros(scaled[0].shape)
+    counts = np.zeros(scaled[0].shape)
+    for mask, block, lam in zip(masks, scaled, cfg.task_lambdas(n_tasks)):
+        kept = np.where(mask, block, 0.0)
+        kept = np.where(kept * signs > 0.0, kept, 0.0)
+        weighted += lam * kept
+        counts += kept != 0.0
+    gamma = np.divide(1.0, counts, out=np.zeros(counts.shape), where=counts > 0)
+    merged = U @ (gamma * weighted)
+    rank = int(np.count_nonzero(drm.linalg.nonzero_sigma_mask(sigma)))
+    stats = {"rank": rank, "kept": int(sum(m.sum() for m in masks)), "total": sum(b.size for b in renorm_blocks)}
+    return (merged.T if cfg.method == "drm_v" else merged), stats, route
+
+
+def realistic_delta_set(conditioning, seed=0, n_tasks=4, m=96, n=160):
+    """Dense deltas (a well-conditioned stack) or rank-8 deltas (rank 32)."""
+    rng = np.random.default_rng(seed)
+    if conditioning == "dense":
+        deltas = [rng.standard_normal((m, n)) for _ in range(n_tasks)]
+    else:
+        deltas = [rng.standard_normal((m, 8)) @ rng.standard_normal((8, n)) for _ in range(n_tasks)]
+    return DeltaSet("l", (m, n), deltas, [f"t{i}" for i in range(n_tasks)])
+
+
+@pytest.mark.parametrize("method", ["drm_h", "drm_v"])
+@pytest.mark.parametrize("conditioning,route", [("dense", "gram"), ("rank_deficient", "gesdd")])
+@pytest.mark.parametrize("knobs", [
+    {},
+    {"retain": 0.35, "prune_mode": "individual", "lambdas": (0.5, 1.0, -0.3, 1.2)},
+])
+def test_stack_pipeline_matches_reference_bytes(method, conditioning, route, knobs):
+    # 96x160 blocks reach numpy's blocked (pairwise) reductions, which the
+    # 12x8 golden fixture does not.
+    ds = realistic_delta_set(conditioning)
+    cfg = MergeConfig(method=method, **knobs)
+    want, want_stats, want_route = reference_merge_drm(ds, cfg)
+    assert want_route == route
+    got, stats = merge_drm_with_stats(ds, cfg)
+    assert got.tobytes() == want.tobytes()
+    assert stats == want_stats
+
+
+@pytest.mark.parametrize("mode", ["joint", "individual"])
+@pytest.mark.parametrize("case", ["ties_at_cutoff", "zero_cutoff"])
+def test_prune_stack_matches_list_and_reference(mode, case):
+    rng = np.random.default_rng(41)
+    stack = rng.integers(-3, 4, (4, 24, 40)).astype(np.float64)  # many ties
+    retain = 0.3
+    if case == "zero_cutoff":
+        stack[:, 4:] = 0.0  # structural zero rows: keep exceeds the nonzeros
+    for block in stack if mode == "individual" else [stack]:
+        keep = math.ceil(retain * block.size)
+        cutoff = np.sort(np.abs(block).ravel())[::-1][keep - 1]
+        assert np.count_nonzero(np.abs(block) == cutoff) > 1
+        assert (cutoff == 0.0) == (case == "zero_cutoff")
+    got = prune_topk(stack, retain, mode)
+    assert got.dtype == bool and got.shape == stack.shape
+    assert got.tobytes() == prune_topk(list(stack), retain, mode).tobytes()
+    assert got.tobytes() == np.array(reference_prune(list(stack), retain, mode)).tobytes()

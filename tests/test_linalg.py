@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from drm.bundle import materialize_low_rank
 from drm.errors import NonFiniteValue, ShapeMismatch, SizeTooLarge
+from drm import linalg
 from drm.linalg import SIGMA_ZERO_REL, hconcat, spectral_norm, svd_oracle, thin_svd, vconcat
 
 
@@ -240,3 +241,22 @@ class TestDecompositionRoutes:
         assert gesdd_calls == []
         np.testing.assert_allclose(flipped.U, svd.U, atol=1e-12)
         np.testing.assert_allclose(flipped.Vt, -svd.Vt, atol=1e-12)
+
+    @pytest.mark.parametrize("route", ["wide_gram", "tall_gram", "gesdd"])
+    def test_in_place_sign_fix_matches_where_formula(self, route):
+        # thin_svd negates the flipped U columns and Vt rows in place; the
+        # bytes must be those of the copying np.where formula it replaced.
+        if route == "gesdd":
+            A, _ = rank_deficient_stack("low_rank_adapters")
+            U, sigma, Vt = np.linalg.svd(A, full_matrices=False)
+        else:
+            rng = np.random.default_rng(31)
+            blocks = [rng.standard_normal((40, 24)) for _ in range(4)]
+            A = hconcat(blocks) if route == "wide_gram" else vconcat(blocks)
+            U, sigma, Vt = linalg._gram_svd(A)
+        flip = U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])] < 0
+        assert flip.any() and not flip.all()
+        svd = thin_svd(A)
+        assert svd.U.tobytes() == np.where(flip[None, :], -U, U).tobytes()
+        assert svd.Vt.tobytes() == np.where(flip[:, None], -Vt, Vt).tobytes()
+        assert svd.sigma.tobytes() == sigma.tobytes()
