@@ -3,15 +3,17 @@ writing the same bytes.
 
 A small fixed family (float32 and float64 tensors, biases, four matrix
 layers so the layer pool runs) is merged with every method, and with TIES
-and drm-h with pruning switched off. The SHA-256 of each output bundle is
+and drm-h with pruning switched off. A second family, one 96x160 float32
+layer and one bias with four tasks, is merged with every method at a size
+that reaches numpy's blocked loops. The SHA-256 of each output bundle is
 compared with a recorded value; refactors and speed-ups must leave these
 hashes unchanged, and a serial run must write the same bytes as a pooled
-one. The same family is analyzed with every report kind, and a small
-synthetic suite is tuned over the default grids with six methods; their
-JSON outputs are pinned the same way. The drm-h and drm-v hashes depend on
-the LAPACK/BLAS build; after an intended output change, or on a platform
-whose BLAS rounds differently, print the current values with
-``PYTHONPATH=src python tests/test_golden.py``.
+one. The small family is analyzed with every report kind, and its sign
+agreement in every tally space, and a small synthetic suite is tuned over
+the default grids with six methods; their JSON outputs are pinned the same
+way. The drm-h and drm-v hashes depend on the LAPACK/BLAS build; after an
+intended output change, or on a platform whose BLAS rounds differently,
+print the current values with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import hashlib
@@ -54,6 +56,21 @@ GOLDEN = {
     "drm-h-no-prune": "419111cfe7fe73ea17208d82bca655abd3ff597ba29f20dc3ce430208ce965d4",
 }
 
+WIDE_SHAPES = {
+    "blk.w": ((96, 160), np.float32),
+    "blk.b": ((96,), np.float32),
+}
+WIDE_TASKS = 4
+WIDE_METHODS = ("drm-h", "drm-v", "avg", "ta", "ties", "dare-ties")
+WIDE_GOLDEN = {
+    "drm-h": "4dc7b26aa99e4f8914c541a1c0afaa486a878ebad53ad765b40077b956fc1b29",
+    "drm-v": "aebb7fd5228048402920f4597f3386179a07b8910fb5f9edec9e86ea12e6f2b2",
+    "avg": "8cbda1693a238b3767f2c6f892877dcce65715d9768268366cdb67b6170fd970",
+    "ta": "4b6793733289964acda09a8d8c0dc902deb898df21d4288d0dfd52f44b08c3d9",
+    "ties": "a64a5a8fba29352f5577daa79b281193d15c1e46110a073974fa3d529e0ffcf8",
+    "dare-ties": "8b9f6ea7b4d5b8b045f537392db4c9840b64506b905db49495f5b5e3e45a4b60",
+}
+
 TUNE_METHODS = ("drm-h", "drm-v", "ties", "dare-ties", "ta", "avg")
 TUNE_GOLDEN = {
     "drm-h": "f1934087abc586679acebb2ddbff73992bc97e6bcfdad4e0e2cda127e9439130",
@@ -72,18 +89,29 @@ ANALYSIS_GOLDEN = {
     "spectrum": "d9d4cae8a2f2d66b2f0f947130d779683955bfe0c7025b93952f40c8c60572f2",
 }
 
+SPACES = ("original", "decomposed-h", "decomposed-v", "backprojected-h", "backprojected-v")
+SPACE_GOLDEN = {
+    "original": "0fd8af63765410fbd241a9450baea48f164543a425ede4532f42f9fc4f68e146",
+    "decomposed-h": "adec3b66896178366a483c146db70f4003efa85349cd0cd3c53aa9902e068fce",
+    "decomposed-v": "987fbff8eae4de62b91c583989742c7bb4f58b08e345028424bc306fd63fd6be",
+    "backprojected-h": "4ef3d974cd51754ab0241b626bfa89ae6148985a60d212ce9379ddc98b6681d3",
+    "backprojected-v": "bd7c745f8a4398f41f1ec7b8e0ca562a6da7b75ff81711c92aa6a69a39e86fdb",
+}
 
-def write_family(directory: Path) -> tuple[str, list[str]]:
+
+def write_family(
+    directory: Path, shapes: dict = SHAPES, n_tasks: int = N_TASKS
+) -> tuple[str, list[str]]:
     rng = np.random.default_rng(20260)
     base = TensorBundle(metadata={"family": "golden"})
-    for name, (shape, dtype) in SHAPES.items():
+    for name, (shape, dtype) in shapes.items():
         base.add(name, rng.standard_normal(shape).astype(dtype))
     base_path = directory / "base.drmb"
     write_bundle(base, base_path)
     task_paths = []
-    for t in range(N_TASKS):
+    for t in range(n_tasks):
         task = TensorBundle()
-        for name, (shape, dtype) in SHAPES.items():
+        for name, (shape, dtype) in shapes.items():
             task.add(name, (base[name] + 0.1 * rng.standard_normal(shape)).astype(dtype))
         path = directory / f"t{t}.drmb"
         write_bundle(task, path)
@@ -91,14 +119,24 @@ def write_family(directory: Path) -> tuple[str, list[str]]:
     return str(base_path), task_paths
 
 
-def merged_sha256(directory: Path, case: str) -> str:
-    base, tasks = write_family(directory)
+def merged_sha256(
+    directory: Path, case: str, shapes: dict = SHAPES, n_tasks: int = N_TASKS
+) -> str:
+    base, tasks = write_family(directory, shapes, n_tasks)
     out = directory / f"{case}.drmb"
     argv = ["merge", "--base", base, "--out", str(out), *CASES[case]]
     for task in tasks:
         argv += ["--task", task]
     assert main(argv) == 0
     return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def wide_sha256(directory: Path, method: str) -> str:
+    return merged_sha256(directory, method, WIDE_SHAPES, WIDE_TASKS)
+
+
+def space_sha256(directory: Path, space: str) -> str:
+    return analysis_sha256(directory, "sign-agreement", "--space", space)
 
 
 def tune_sha256(directory: Path, method: str) -> str:
@@ -108,10 +146,10 @@ def tune_sha256(directory: Path, method: str) -> str:
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
-def analysis_sha256(directory: Path, kind: str) -> str:
+def analysis_sha256(directory: Path, kind: str, *extra: str) -> str:
     base, tasks = write_family(directory)
     out = directory / f"{kind}.json"
-    argv = ["analyze", kind, "--base", base, "--out", str(out)]
+    argv = ["analyze", kind, "--base", base, "--out", str(out), *extra]
     for task in tasks:
         argv += ["--task", task]
     assert main(argv) == 0
@@ -132,6 +170,12 @@ def test_serial_matches_pooled(case, tmp_path, monkeypatch):
     assert merged_sha256(tmp_path, case) == pooled
 
 
+@pytest.mark.parametrize("method", WIDE_METHODS)
+def test_wide_output_hash_unchanged(method, tmp_path, monkeypatch):
+    monkeypatch.delenv("DRM_THREADS", raising=False)
+    assert wide_sha256(tmp_path, method) == WIDE_GOLDEN[method]
+
+
 @pytest.mark.parametrize("method", TUNE_METHODS)
 def test_tune_hash_unchanged(method, tmp_path):
     assert tune_sha256(tmp_path, method) == TUNE_GOLDEN[method]
@@ -142,6 +186,11 @@ def test_analysis_hash_unchanged(kind, tmp_path):
     assert analysis_sha256(tmp_path, kind) == ANALYSIS_GOLDEN[kind]
 
 
+@pytest.mark.parametrize("space", SPACES)
+def test_sign_agreement_space_hash_unchanged(space, tmp_path):
+    assert space_sha256(tmp_path, space) == SPACE_GOLDEN[space]
+
+
 if __name__ == "__main__":
     import contextlib
     import io
@@ -150,8 +199,10 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for title, hasher, keys in (
             ("GOLDEN", merged_sha256, CASES),
+            ("WIDE_GOLDEN", wide_sha256, WIDE_METHODS),
             ("TUNE_GOLDEN", tune_sha256, TUNE_METHODS),
             ("ANALYSIS_GOLDEN", analysis_sha256, ANALYSIS_KINDS),
+            ("SPACE_GOLDEN", space_sha256, SPACES),
         ):
             print(f"{title} = {{")
             for key in keys:
