@@ -22,8 +22,6 @@ from .analysis import (
 )
 from .baselines import dare_ties_merge, simple_average, task_arithmetic, ties_merge
 from .bundle import (
-    BiasEntry,
-    BiasGroup,
     BundleFile,
     DeltaSet,
     TensorBundle,
@@ -60,15 +58,13 @@ from .harness import (
     run_bench,
     synth_suite,
 )
-from .linalg import ThinSVD, hconcat, svd_oracle, thin_svd, vconcat
+from .linalg import ThinSVD, svd_oracle, thin_svd
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AgreementHistogram",
     "ArgumentError",
-    "BiasEntry",
-    "BiasGroup",
     "BoundReport",
     "BundleFile",
     "DeltaSet",
@@ -93,7 +89,6 @@ __all__ = [
     "evaluate",
     "extract_deltas",
     "grid_tune",
-    "hconcat",
     "materialize_low_rank",
     "merge_biases",
     "merge_bundle",
@@ -117,6 +112,5 @@ __all__ = [
     "thin_svd",
     "ties_merge",
     "truncate_rank",
-    "vconcat",
     "write_bundle",
 ]

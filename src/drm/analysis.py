@@ -17,7 +17,7 @@ import numpy as np
 from .bundle import DeltaSet, canonical_json
 from .engine import MergeConfig, decompose_joint, prune_topk
 from .errors import NeedTwoTasks
-from .linalg import hconcat, spectral_norm, thin_svd
+from .linalg import spectral_norm, thin_svd
 
 SPACES = (
     "original",
@@ -255,16 +255,15 @@ def pruning_density(ds: DeltaSet, cfg: MergeConfig, with_renorm: bool = True) ->
     )
 
 
-def agreement_values(stacks: list[np.ndarray]) -> np.ndarray:
-    """Per-position agreement across tasks, skipping all-zero positions."""
-    pos = np.zeros(stacks[0].shape)
-    neg = np.zeros(stacks[0].shape)
-    for s in stacks:
-        pos += s > 0.0
-        neg += s < 0.0
+def agreement_values(stack: np.ndarray) -> np.ndarray:
+    """Per-position agreement across the stack's first axis, skipping
+    all-zero positions."""
+    stack = np.asarray(stack)
+    pos = np.count_nonzero(stack > 0.0, axis=0)
+    neg = np.count_nonzero(stack < 0.0, axis=0)
     total = pos + neg
     tallied = total > 0
-    return (np.maximum(pos, neg)[tallied] / total[tallied]).ravel()
+    return np.maximum(pos, neg)[tallied] / total[tallied]
 
 
 def sign_agreement(ds: DeltaSet, cfg: MergeConfig, space: str = "original") -> AgreementHistogram:
@@ -281,17 +280,18 @@ def sign_agreement(ds: DeltaSet, cfg: MergeConfig, space: str = "original") -> A
         raise NeedTwoTasks("sign agreement needs at least two tasks")
 
     if space == "original":
-        masks = prune_topk(ds.deltas, cfg.retain, "individual")
-        stacks = [np.where(m, d, 0.0) for m, d in zip(masks, ds.deltas)]
+        stack = ds.deltas
+        masks = prune_topk(stack, cfg.retain, "individual")
     else:
         orientation = "vertical" if space.endswith("-v") else "horizontal"
         jd = decompose_joint(ds, orientation)
-        masks = prune_topk(jd.renorm_blocks, cfg.retain, cfg.prune_mode)
-        stacks = np.where(masks, jd.renorm_blocks, 0.0)
-        if not space.startswith("decomposed"):
-            stacks *= jd.task_sigmas[:, :, None]
-            stacks = [jd.U @ block for block in stacks]
-    return AgreementHistogram.from_values(ds.layer_name, space, agreement_values(stacks))
+        stack = jd.renorm_blocks
+        masks = prune_topk(stack, cfg.retain, cfg.prune_mode)
+    pruned = np.where(masks, stack, 0.0)
+    if space.startswith("backprojected"):
+        pruned *= jd.task_sigmas[:, :, None]
+        pruned = jd.U @ pruned
+    return AgreementHistogram.from_values(ds.layer_name, space, agreement_values(pruned))
 
 
 def check_perturbation_bound(ds: DeltaSet, t: int) -> BoundReport:
@@ -304,7 +304,7 @@ def check_perturbation_bound(ds: DeltaSet, t: int) -> BoundReport:
     k = ds.n_tasks
     delta_t = ds.deltas[t]
     sv_task = thin_svd(delta_t).sigma
-    sv_stack = thin_svd(hconcat(ds.deltas)).sigma
+    sv_stack = thin_svd(np.concatenate(ds.deltas, axis=1)).sigma
     norm_t = spectral_norm(delta_t)
     budget = 0.0
     for j in range(k):

@@ -50,7 +50,7 @@ def ties_merge(ds: DeltaSet, cfg: MergeConfig) -> np.ndarray:
 
 
 def ties_merge_with_stats(ds: DeltaSet, cfg: MergeConfig) -> tuple[np.ndarray, dict]:
-    stack = np.array(ds.deltas)  # one N x m x n copy, pruned in place
+    stack = ds.deltas.copy()  # pruned in place
     masks = prune_topk(stack, cfg.retain, "individual") if cfg.enable_prune else None
     if masks is not None:
         stack[~masks] = 0.0
@@ -88,10 +88,8 @@ def dare_ties_merge(
     deterministic per-(seed, layer, task) streams.
     """
     p = cfg.dare_drop
-    scale = 1.0 / (1.0 - p)
-    dropped = np.empty((ds.n_tasks, *ds.base_shape))
-    for t, delta in enumerate(ds.deltas):
+    dropped = ds.deltas * (1.0 / (1.0 - p))
+    for t in range(ds.n_tasks):
         gen = rng if rng is not None else _dare_generator(cfg.seed, ds.layer_name, t)
-        np.multiply(delta, scale, out=dropped[t])
-        dropped[t][gen.random(delta.shape) < p] = 0.0
+        dropped[t][gen.random(ds.base_shape) < p] = 0.0
     return _elect_and_average(dropped, cfg, ds.n_tasks)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -374,15 +374,17 @@ def read_bundle(path) -> TensorBundle:
 
 @dataclass
 class DeltaSet:
-    """Per-layer stack of N task weight deltas sharing one shape.
+    """One layer's N task weight deltas, held as one N x m x n float64 stack.
 
-    Deltas are held as float64 regardless of the stored checkpoint dtype;
-    all merging arithmetic happens in float64.
+    ``deltas`` may be given as a list of m x n matrices, which is stacked
+    once, or as an N x m x n float64 array, which is taken as it is. All
+    merging arithmetic happens in float64, whatever the stored checkpoint
+    dtype.
     """
 
     layer_name: str
     base_shape: tuple[int, int]
-    deltas: list[np.ndarray]
+    deltas: np.ndarray
     task_names: list[str]
 
     def __post_init__(self):
@@ -393,44 +395,25 @@ class DeltaSet:
         if len(set(self.task_names)) != len(self.task_names):
             raise ValueError("task names must be unique")
         self.base_shape = (int(self.base_shape[0]), int(self.base_shape[1]))
-        self.deltas = [np.asarray(d, dtype=np.float64) for d in self.deltas]
-        for name, d in zip(self.task_names, self.deltas):
-            if d.shape != self.base_shape:
-                raise ShapeMismatch(
-                    f"layer {self.layer_name!r}: delta for task {name!r} has shape "
-                    f"{d.shape}, expected {self.base_shape}"
-                )
+        expected = (len(self.task_names), *self.base_shape)
+        self.deltas = np.asarray(self.deltas, dtype=np.float64)
+        if self.deltas.shape != expected:
+            raise ShapeMismatch(
+                f"layer {self.layer_name!r}: deltas stack to shape {self.deltas.shape}, "
+                f"expected {expected}"
+            )
 
     @property
     def n_tasks(self) -> int:
-        return len(self.deltas)
+        return self.deltas.shape[0]
 
     def transposed(self) -> "DeltaSet":
-        """Same layer with every delta transposed (rows and columns swapped)."""
+        """Same layer with every delta transposed (rows and columns swapped);
+        the stack is a view of this one's."""
         m, n = self.base_shape
-        return DeltaSet(self.layer_name, (n, m), [d.T for d in self.deltas], list(self.task_names))
-
-
-@dataclass
-class BiasEntry:
-    """One rank-1 tensor routed around the decomposition path."""
-
-    name: str
-    base: np.ndarray
-    task_values: list[np.ndarray]
-
-
-@dataclass
-class BiasGroup:
-    """All rank-1 tensors of an aligned bundle family, in base-bundle order."""
-
-    entries: list[BiasEntry] = field(default_factory=list)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
+        return DeltaSet(
+            self.layer_name, (n, m), self.deltas.transpose(0, 2, 1), list(self.task_names)
+        )
 
 
 def check_aligned(
@@ -469,42 +452,34 @@ def layer_delta_set(
     tasks: list[TensorBundle | BundleFile],
     task_names: list[str],
 ) -> DeltaSet:
-    """One rank-2 tensor's task - base deltas in float64, given the base
-    bundle's tensor ``name``, for bundles that passed :func:`check_aligned`.
-    Each task tensor is read here and dropped once its delta is built, so a
-    caller going layer by layer holds one layer's float64 data at a time."""
+    """One rank-2 tensor's task - base deltas as one float64 stack, given the
+    base bundle's tensor ``name``, for bundles that passed
+    :func:`check_aligned`. Each task tensor is read here and dropped once
+    its slice of the stack is filled, so a caller going layer by layer
+    holds one layer's float64 data at a time."""
     base64 = base.astype(np.float64)
-    deltas = []
-    for task in tasks:
-        delta = task.read(name).astype(np.float64)
-        delta -= base64
-        deltas.append(delta)
-    return DeltaSet(name, base64.shape, deltas, list(task_names))
+    stack = np.empty((len(tasks), *base64.shape))
+    for t, task in enumerate(tasks):
+        np.subtract(task.read(name), base64, out=stack[t])
+    return DeltaSet(name, base64.shape, stack, list(task_names))
 
 
 def extract_deltas(
     base: TensorBundle | BundleFile,
     tasks: list[TensorBundle | BundleFile],
     task_names: list[str] | None = None,
-) -> tuple[list[DeltaSet], BiasGroup]:
-    """Split aligned bundles into per-layer delta stacks and a bias group.
-
-    Every rank-2 tensor becomes one :class:`DeltaSet` holding task - base in
-    float64; rank-1 tensors go to the :class:`BiasGroup` for weighted
-    averaging. Task bundles must carry exactly the base bundle's tensor
-    names and shapes.
+) -> list[DeltaSet]:
+    """One :class:`DeltaSet` of task - base deltas per rank-2 tensor of
+    aligned bundles, in base-bundle order. Rank-1 tensors are not read;
+    :func:`drm.engine.merge_bundle` averages them itself. Task bundles must
+    carry exactly the base bundle's tensor names and shapes.
     """
     task_names = check_aligned(base, tasks, task_names)
-    delta_sets: list[DeltaSet] = []
-    biases = BiasGroup()
-    for name in base.names():
-        arr = base.read(name)
-        if arr.ndim == 2:
-            delta_sets.append(layer_delta_set(name, arr, tasks, task_names))
-        else:
-            task64 = [task.read(name).astype(np.float64) for task in tasks]
-            biases.entries.append(BiasEntry(name, arr.astype(np.float64), task64))
-    return delta_sets, biases
+    return [
+        layer_delta_set(name, base.read(name), tasks, task_names)
+        for name in base.names()
+        if len(base.shape(name)) == 2
+    ]
 
 
 def materialize_low_rank(down: np.ndarray, up: np.ndarray, scale: float) -> np.ndarray:

@@ -123,7 +123,7 @@ def cmd_merge(args) -> int:
 def _analysis_delta_sets(args):
     base = read_bundle(args.base)
     tasks = [read_bundle(p) for p in args.task]
-    delta_sets, _ = extract_deltas(base, tasks, _task_names(args.task))
+    delta_sets = extract_deltas(base, tasks, _task_names(args.task))
     if not delta_sets:
         raise ValueError("no rank-2 tensors to analyze")
     return delta_sets

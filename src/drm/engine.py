@@ -27,8 +27,8 @@ from .bundle import (
     layer_delta_set,
 )
 from .bundle import extract_deltas  # noqa: F401 -- drmbench wraps drm.engine.extract_deltas
-from .errors import CastOverflow, DrmError, NonFiniteValue, ShapeMismatch
-from .linalg import hconcat, nonzero_sigma_mask, thin_svd
+from .errors import ArgumentError, CastOverflow, DrmError, NonFiniteValue, ShapeMismatch
+from .linalg import nonzero_sigma_mask, thin_svd
 
 METHODS = ("drm_h", "drm_v", "simple_avg", "task_arithmetic", "ties", "dare_ties")
 ORIENTATIONS = ("horizontal", "vertical")
@@ -161,7 +161,7 @@ def decompose_joint(ds: DeltaSet, orientation: str = "horizontal") -> JointDecom
 
     n_tasks = ds.n_tasks
     n_cols = ds.base_shape[1]
-    svd = thin_svd(hconcat(ds.deltas))
+    svd = thin_svd(np.concatenate(ds.deltas, axis=1))
     r = svd.sigma.size
     row_norms = np.empty((n_tasks, r))
     renorm_blocks = np.empty((n_tasks, r, n_cols))
@@ -455,13 +455,13 @@ class LayerStats:
 
 
 def _thread_count(n_items: int) -> int:
-    raw = os.environ.get("DRM_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        cap = os.cpu_count() or 1
+    """Layer workers: the ``DRM_THREADS`` cap (unset, empty or 0 for one per
+    core), at most one per layer. Anything but a non-negative integer is an
+    :class:`ArgumentError`."""
+    raw = os.environ.get("DRM_THREADS") or "0"
+    if not raw.isdecimal():
+        raise ArgumentError(f"DRM_THREADS must be a non-negative integer, got {raw!r}")
+    cap = int(raw) or os.cpu_count() or 1
     return max(1, min(cap, n_items))
 
 

@@ -1,5 +1,5 @@
-"""Dense kernels with explicit contracts: concatenation, thin SVD, and an
-independent brute-force singular-value oracle for cross-checking tests."""
+"""Dense kernels with explicit contracts: thin SVD and an independent
+brute-force singular-value oracle for cross-checking tests."""
 
 from __future__ import annotations
 
@@ -54,30 +54,6 @@ def nonzero_sigma_mask(sigma: np.ndarray) -> np.ndarray:
     if sigma.size == 0:
         return np.zeros(0, dtype=bool)
     return sigma > SIGMA_ZERO_REL * float(sigma.max(initial=0.0))
-
-
-def hconcat(mats: list[np.ndarray]) -> np.ndarray:
-    """Concatenate matrices side by side; column blocks keep input order."""
-    mats = [np.asarray(m, dtype=np.float64) for m in mats]
-    if not mats:
-        raise ValueError("nothing to concatenate")
-    rows = mats[0].shape[0]
-    for i, m in enumerate(mats):
-        if m.ndim != 2 or m.shape[0] != rows:
-            raise ShapeMismatch(f"block {i} has shape {m.shape}, expected {rows} rows")
-    return np.concatenate(mats, axis=1)
-
-
-def vconcat(mats: list[np.ndarray]) -> np.ndarray:
-    """Stack matrices top to bottom; transpose-dual of :func:`hconcat`."""
-    mats = [np.asarray(m, dtype=np.float64) for m in mats]
-    if not mats:
-        raise ValueError("nothing to concatenate")
-    cols = mats[0].shape[1]
-    for i, m in enumerate(mats):
-        if m.ndim != 2 or m.shape[1] != cols:
-            raise ShapeMismatch(f"block {i} has shape {m.shape}, expected {cols} columns")
-    return np.concatenate(mats, axis=0)
 
 
 def thin_svd(A: np.ndarray) -> ThinSVD:

@@ -13,6 +13,7 @@ from drm.bundle import (
     DeltaSet,
     TensorBundle,
     extract_deltas,
+    layer_delta_set,
     materialize_low_rank,
     open_bundle,
     read_bundle,
@@ -399,12 +400,11 @@ class TestExtractDeltas:
 
     def test_direct_subtraction(self):
         base, task = self.base_and_tasks()
-        delta_sets, biases = extract_deltas(base, [task])
-        assert len(delta_sets) == 1 and len(biases) == 1
+        delta_sets = extract_deltas(base, [task])
+        assert len(delta_sets) == 1
         ds = delta_sets[0]
         assert ds.layer_name == "L0.w"
         np.testing.assert_array_equal(ds.deltas[0], [[1.0, 0.0], [0.0, -1.0]])
-        np.testing.assert_array_equal(biases.entries[0].task_values[0], [1.0, -1.0])
 
     def test_missing_tensor(self):
         base, _ = self.base_and_tasks()
@@ -429,7 +429,7 @@ class TestExtractDeltas:
 
     def test_identical_tasks_give_zero_deltas(self):
         base, _ = self.base_and_tasks()
-        delta_sets, _ = extract_deltas(base, [base, base])
+        delta_sets = extract_deltas(base, [base, base])
         for ds in delta_sets:
             for d in ds.deltas:
                 np.testing.assert_array_equal(d, np.zeros_like(d))
@@ -444,15 +444,13 @@ class TestExtractDeltas:
             base.add(name, rng.uniform(-4, 4, shape).astype(np.float32).astype(np.float64))
             for task in tasks:
                 task.add(name, rng.uniform(-4, 4, shape).astype(np.float32).astype(np.float64))
-        delta_sets, biases = extract_deltas(base, tasks)
+        delta_sets = extract_deltas(base, tasks)
+        assert [ds.layer_name for ds in delta_sets] == ["w1", "w2"]
         for ds in delta_sets:
             for t, delta in enumerate(ds.deltas):
                 np.testing.assert_array_equal(
                     base[ds.layer_name].astype(np.float64) + delta, tasks[t][ds.layer_name]
                 )
-        for entry in biases:
-            for t, vec in enumerate(entry.task_values):
-                np.testing.assert_array_equal(vec, tasks[t][entry.name])
 
 
 class TestMaterializeLowRank:
@@ -488,3 +486,28 @@ def test_delta_set_transposed_round_trip():
     assert dt.base_shape == (3, 2)
     np.testing.assert_array_equal(dt.deltas[0], ds.deltas[0].T)
     np.testing.assert_array_equal(dt.transposed().deltas[0], ds.deltas[0])
+
+
+def test_delta_set_holds_one_float64_stack():
+    rng = np.random.default_rng(5)
+    listed = [rng.standard_normal((2, 3)).astype(np.float32) for _ in range(3)]
+    ds = DeltaSet("l", (2, 3), listed, ["a", "b", "c"])
+    assert isinstance(ds.deltas, np.ndarray)
+    assert ds.deltas.shape == (3, 2, 3) and ds.deltas.dtype == np.float64
+    np.testing.assert_array_equal(ds.deltas[1], listed[1])
+    stack = np.array(ds.deltas)
+    assert DeltaSet("l", (2, 3), stack, ["a", "b", "c"]).deltas is stack
+    assert np.shares_memory(ds.transposed().deltas, ds.deltas)
+
+
+def test_delta_set_rejects_a_stack_of_the_wrong_shape():
+    with pytest.raises(ShapeMismatch, match="'l'"):
+        DeltaSet("l", (2, 3), np.zeros((2, 3, 2)), ["a", "b"])
+
+
+def test_layer_delta_set_fills_one_stack():
+    base = TensorBundle({"w": np.ones((2, 2), dtype=np.float32)})
+    tasks = [TensorBundle({"w": np.full((2, 2), v, dtype=np.float32)}) for v in (3.0, -1.0)]
+    ds = layer_delta_set("w", base["w"], tasks, ["a", "b"])
+    assert isinstance(ds.deltas, np.ndarray) and ds.deltas.dtype == np.float64
+    np.testing.assert_array_equal(ds.deltas, [np.full((2, 2), 2.0), np.full((2, 2), -2.0)])

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import json
 import os
 import resource
@@ -6,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,6 +150,26 @@ class TestMerge:
         base, tasks, tmp = family
         assert run_merge(base, tasks, tmp / "x.drmb", "--method", "ta",
                          "--lambda", "0.1,0.2") == 2
+
+    @pytest.mark.parametrize("threads", ["abc", "-1", "1.5"])
+    def test_malformed_drm_threads_is_argument_error(self, family, capsys, monkeypatch,
+                                                     threads):
+        monkeypatch.setenv("DRM_THREADS", threads)
+        base, tasks, tmp = family
+        out = tmp / "x.drmb"
+        assert run_merge(base, tasks, out, "--method", "ties") == 2
+        assert f"DRM_THREADS must be a non-negative integer, got {threads!r}" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_zero_drm_threads_merges_on_every_core(self, family, monkeypatch):
+        base, tasks, tmp = family
+        monkeypatch.setenv("DRM_THREADS", "1")
+        assert run_merge(base, tasks, tmp / "serial.drmb", "--method", "ties") == 0
+        monkeypatch.setenv("DRM_THREADS", "0")
+        assert run_merge(base, tasks, tmp / "auto.drmb", "--method", "ties") == 0
+        assert (tmp / "auto.drmb").read_bytes() == (tmp / "serial.drmb").read_bytes()
 
     def test_dare_seeded_reproducible(self, family):
         base, tasks, tmp = family
@@ -404,3 +427,20 @@ def test_module_entrypoint_smoke(tmp_path):
 
 def test_missing_subcommand_exit_2():
     assert main([]) == 2
+
+
+def test_traced_names_resolve():
+    # The benchmark's tracer replaces these attributes by name, and a
+    # missing one blanks its per-layer metrics without an error. Its module
+    # uses only the standard library, so it is loaded from its file.
+    path = Path(__file__).resolve().parents[1] / "drmbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("drmbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, _ in tracing.TARGETS
+        if getattr(importlib.import_module(module), attr, None) is None
+    ]
+    assert missing == []

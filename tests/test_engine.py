@@ -1,12 +1,16 @@
 import dataclasses
 import math
+import os
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import drm
 import drm.engine
 import drm.linalg
 from drm.bundle import DeltaSet, TensorBundle, extract_deltas
@@ -29,7 +33,7 @@ from drm.engine import (
     truncate_rank,
 )
 from drm.errors import ShapeMismatch
-from drm.linalg import hconcat, thin_svd
+from drm.linalg import thin_svd
 
 
 def random_delta_set(seed, n_tasks=3, m=6, n=4, name="layer"):
@@ -146,7 +150,7 @@ def test_norm_budget_property(seed, n_tasks, m, n):
 def test_scale_compensation_rowwise_exact():
     ds = random_delta_set(21)
     jd = decompose_joint(ds)
-    vt = thin_svd(hconcat(ds.deltas)).Vt  # the raw blocks, side by side
+    vt = thin_svd(np.concatenate(ds.deltas, axis=1)).Vt  # the raw blocks, side by side
     n = ds.base_shape[1]
     for t in range(ds.n_tasks):
         lhs = jd.task_sigmas[t][:, None] * jd.renorm_blocks[t]
@@ -175,7 +179,7 @@ class TestTruncateRank:
         jd = decompose_joint(ds)
         cut = truncate_rank(jd, 0.5)
         keep = cut.rank
-        stack = hconcat(ds.deltas)
+        stack = np.concatenate(ds.deltas, axis=1)
         scaled = cut.task_sigmas[:, :, None] * cut.renorm_blocks
         recon = cut.U @ np.concatenate(scaled, axis=1)
         tail_energy = math.sqrt(float((jd.sigma[keep:] ** 2).sum()))
@@ -600,14 +604,14 @@ class TestMergeBundle:
         cfg = MergeConfig(method="drm_h", retain=0.4, lambdas=1.0)
         merged = merge_bundle(base, tasks, cfg)
 
-        delta_sets, bias_group = extract_deltas(base, tasks)
+        delta_sets = extract_deltas(base, tasks)
         by_layer = {ds.layer_name: ds for ds in delta_sets}
         for name, arr in base.items():
             if arr.ndim == 2:
                 expected = arr.astype(np.float64) + merge_drm(by_layer[name], cfg)
             else:
-                entry = next(e for e in bias_group if e.name == name)
-                expected = merge_biases(entry.base, entry.task_values, cfg.task_lambdas(3))
+                task_values = [task[name] for task in tasks]
+                expected = merge_biases(arr, task_values, cfg.task_lambdas(3))
             np.testing.assert_array_equal(merged[name], expected)
 
     def test_output_dtype_follows_base(self):
@@ -789,7 +793,7 @@ def reference_merge_drm(ds, cfg):
     if cfg.method == "drm_v":
         ds = ds.transposed()
     n_tasks, n = ds.n_tasks, ds.base_shape[1]
-    U, sigma, Vt, route = reference_thin_svd(hconcat(ds.deltas))
+    U, sigma, Vt, route = reference_thin_svd(np.concatenate(ds.deltas, axis=1))
     blocks = [Vt[:, t * n : (t + 1) * n] for t in range(n_tasks)]
     row_norms = np.empty((n_tasks, sigma.size))
     renorm_blocks = []
@@ -867,3 +871,26 @@ def test_prune_stack_matches_list_and_reference(mode, case):
     assert got.dtype == bool and got.shape == stack.shape
     assert got.tobytes() == prune_topk(list(stack), retain, mode).tobytes()
     assert got.tobytes() == np.array(reference_prune(list(stack), retain, mode)).tobytes()
+
+
+@pytest.mark.parametrize("raw", [None, "", "0"])
+def test_thread_count_auto(monkeypatch, raw):
+    if raw is None:
+        monkeypatch.delenv("DRM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("DRM_THREADS", raw)
+    assert drm.engine._thread_count(1000) == min(1000, os.cpu_count() or 1)
+    assert drm.engine._thread_count(1) == 1
+
+
+def test_readme_python_quick_start(capsys):
+    # The README's Python quick start runs as written, and every name it
+    # points to is exported by the package.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start (Python)", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out
+    named = set(re.findall(r"`([a-z_]+)`", section))
+    assert named and named <= set(drm.__all__)

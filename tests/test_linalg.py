@@ -6,49 +6,11 @@ from hypothesis import strategies as st
 from drm.bundle import materialize_low_rank
 from drm.errors import NonFiniteValue, ShapeMismatch, SizeTooLarge
 from drm import linalg
-from drm.linalg import SIGMA_ZERO_REL, hconcat, spectral_norm, svd_oracle, thin_svd, vconcat
+from drm.linalg import SIGMA_ZERO_REL, spectral_norm, svd_oracle, thin_svd
 
 
 def random_matrix(seed, m, n, scale=1.0):
     return scale * np.random.default_rng(seed).standard_normal((m, n))
-
-
-class TestConcat:
-    def test_hconcat_example(self):
-        out = hconcat([np.array([[1.0], [2.0]]), np.array([[3.0], [4.0]])])
-        np.testing.assert_array_equal(out, [[1.0, 3.0], [2.0, 4.0]])
-
-    def test_hconcat_single(self):
-        a = random_matrix(0, 3, 2)
-        np.testing.assert_array_equal(hconcat([a]), a)
-
-    def test_hconcat_slice_back(self):
-        blocks = [random_matrix(s, 2, 2) for s in range(3)]
-        stacked = hconcat(blocks)
-        for t, block in enumerate(blocks):
-            np.testing.assert_array_equal(stacked[:, 2 * t : 2 * t + 2], block)
-
-    def test_hconcat_row_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            hconcat([np.zeros((2, 2)), np.zeros((3, 2))])
-
-    def test_vconcat_duality(self):
-        a, b = random_matrix(1, 2, 3), random_matrix(2, 4, 3)
-        np.testing.assert_array_equal(vconcat([a, b]), hconcat([a.T, b.T]).T)
-
-    def test_vconcat_single(self):
-        a = random_matrix(3, 3, 2)
-        np.testing.assert_array_equal(vconcat([a]), a)
-
-    def test_vconcat_slice_back(self):
-        blocks = [random_matrix(s + 10, 2, 3) for s in range(3)]
-        stacked = vconcat(blocks)
-        for t, block in enumerate(blocks):
-            np.testing.assert_array_equal(stacked[2 * t : 2 * t + 2, :], block)
-
-    def test_vconcat_col_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            vconcat([np.zeros((2, 2)), np.zeros((2, 3))])
 
 
 def check_thin_svd_invariants(A, svd):
@@ -140,15 +102,15 @@ class TestSvdOracle:
 class TestSpectralProperties:
     def test_gram_invariance_under_block_order(self):
         blocks = [random_matrix(s + 40, 4, 3) for s in range(3)]
-        ref = thin_svd(hconcat(blocks)).sigma
-        perm = thin_svd(hconcat([blocks[2], blocks[0], blocks[1]])).sigma
+        ref = thin_svd(np.concatenate(blocks, axis=1)).sigma
+        perm = thin_svd(np.concatenate([blocks[2], blocks[0], blocks[1]], axis=1)).sigma
         np.testing.assert_allclose(perm, ref, rtol=1e-9)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_sqrt_k_copies_law(self, k):
         A = random_matrix(77, 6, 4)
         single = thin_svd(A).sigma
-        stacked = thin_svd(hconcat([A] * k)).sigma
+        stacked = thin_svd(np.concatenate([A] * k, axis=1)).sigma
         np.testing.assert_allclose(stacked[: single.size], np.sqrt(k) * single, rtol=1e-9)
 
     def test_spectral_norm_matches_sigma_max(self):
@@ -191,20 +153,21 @@ def rank_deficient_stack(name):
     rng = np.random.default_rng(6)
     if name == "low_rank_adapters":  # three rank-2 adapters on a 16x10 layer
         adapters = [(rng.standard_normal((2, 10)), rng.standard_normal((16, 2))) for _ in range(3)]
-        return hconcat([materialize_low_rank(down, up, 0.5) for down, up in adapters]), 6
+        deltas = [materialize_low_rank(down, up, 0.5) for down, up in adapters]
+        return np.concatenate(deltas, axis=1), 6
     if name == "identical_tasks":
-        return hconcat([random_matrix(7, 12, 8)] * 3), 8
+        return np.concatenate([random_matrix(7, 12, 8)] * 3, axis=1), 8
     return np.zeros((4, 9)), 0
 
 
 class TestDecompositionRoutes:
-    @pytest.mark.parametrize("n_tasks,m,n,stack", [
-        (4, 12, 9, hconcat),   # wide 12x36: Gram side is the 12 rows
-        (4, 7, 12, vconcat),   # tall 28x12: Gram side is the 12 columns
+    @pytest.mark.parametrize("n_tasks,m,n,axis", [
+        pytest.param(4, 12, 9, 1, id="4-12-9-hconcat"),  # wide 12x36: Gram side is the 12 rows
+        pytest.param(4, 7, 12, 0, id="4-7-12-vconcat"),  # tall 28x12: Gram side is the 12 columns
     ])
-    def test_well_conditioned_stack_takes_gram_route(self, gesdd_calls, n_tasks, m, n, stack):
+    def test_well_conditioned_stack_takes_gram_route(self, gesdd_calls, n_tasks, m, n, axis):
         rng = np.random.default_rng(5)
-        A = stack([rng.standard_normal((m, n)) for _ in range(n_tasks)])
+        A = np.concatenate([rng.standard_normal((m, n)) for _ in range(n_tasks)], axis=axis)
         svd = thin_svd(A)
         assert gesdd_calls == []
         U_ref, s_ref, Vt_ref = np.linalg.svd(A, full_matrices=False)
@@ -235,7 +198,7 @@ class TestDecompositionRoutes:
             thin_svd(A)
 
     def test_negated_input_flips_only_vt(self, gesdd_calls):
-        A = hconcat([random_matrix(s, 5, 6) for s in range(3)])
+        A = np.concatenate([random_matrix(s, 5, 6) for s in range(3)], axis=1)
         svd = thin_svd(A)
         flipped = thin_svd(-A)
         assert gesdd_calls == []
@@ -252,7 +215,7 @@ class TestDecompositionRoutes:
         else:
             rng = np.random.default_rng(31)
             blocks = [rng.standard_normal((40, 24)) for _ in range(4)]
-            A = hconcat(blocks) if route == "wide_gram" else vconcat(blocks)
+            A = np.concatenate(blocks, axis=1 if route == "wide_gram" else 0)
             U, sigma, Vt = linalg._gram_svd(A)
         flip = U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])] < 0
         assert flip.any() and not flip.all()
