@@ -13,7 +13,6 @@ from drm.bundle import (
     DeltaSet,
     TensorBundle,
     extract_deltas,
-    layer_delta_set,
     materialize_low_rank,
     open_bundle,
     read_bundle,
@@ -404,6 +403,7 @@ class TestExtractDeltas:
         assert len(delta_sets) == 1
         ds = delta_sets[0]
         assert ds.layer_name == "L0.w"
+        assert isinstance(ds.deltas, np.ndarray) and ds.deltas.shape == (1, 2, 2)
         np.testing.assert_array_equal(ds.deltas[0], [[1.0, 0.0], [0.0, -1.0]])
 
     def test_missing_tensor(self):
@@ -503,11 +503,3 @@ def test_delta_set_holds_one_float64_stack():
 def test_delta_set_rejects_a_stack_of_the_wrong_shape():
     with pytest.raises(ShapeMismatch, match="'l'"):
         DeltaSet("l", (2, 3), np.zeros((2, 3, 2)), ["a", "b"])
-
-
-def test_layer_delta_set_fills_one_stack():
-    base = TensorBundle({"w": np.ones((2, 2), dtype=np.float32)})
-    tasks = [TensorBundle({"w": np.full((2, 2), v, dtype=np.float32)}) for v in (3.0, -1.0)]
-    ds = layer_delta_set("w", base["w"], tasks, ["a", "b"])
-    assert isinstance(ds.deltas, np.ndarray) and ds.deltas.dtype == np.float64
-    np.testing.assert_array_equal(ds.deltas, [np.full((2, 2), 2.0), np.full((2, 2), -2.0)])
