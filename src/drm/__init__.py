@@ -14,7 +14,7 @@ from .analysis import (
     BoundReport,
     DensityReport,
     SpectrumReport,
-    check_perturbation_bound,
+    check_perturbation_bounds,
     pruning_density,
     sign_agreement,
     spectrum_report,
@@ -80,7 +80,7 @@ __all__ = [
     "ThinSVD",
     "TuneResult",
     "agreeing_entries",
-    "check_perturbation_bound",
+    "check_perturbation_bounds",
     "closed_form_finetune",
     "dare_ties_merge",
     "decompose_joint",

@@ -294,38 +294,47 @@ def sign_agreement(ds: DeltaSet, cfg: MergeConfig, space: str = "original") -> A
     return AgreementHistogram.from_values(ds.layer_name, space, agreement_values(pruned))
 
 
-def check_perturbation_bound(ds: DeltaSet, t: int) -> BoundReport:
-    """Evaluate the stacked-spectrum perturbation bound against task ``t``.
+def check_perturbation_bounds(ds: DeltaSet) -> list[BoundReport]:
+    """Evaluate the stacked-spectrum perturbation bound against each task.
 
-    Compares each singular value of the actual stack with sqrt(k) times the
-    task's own singular value; the admissible gap is the summed spectral
-    budget of the other tasks' deviations from task t.
+    For task t, compares each singular value of the actual stack with
+    sqrt(k) times the task's own singular value; the admissible gap is the
+    summed spectral budget of the other tasks' deviations from task t. The
+    stack is factored once, and each task's norm and each distinct pair's
+    difference norm are taken once for all k reports.
     """
     k = ds.n_tasks
-    delta_t = ds.deltas[t]
-    sv_task = thin_svd(delta_t).sigma
     sv_stack = thin_svd(np.concatenate(ds.deltas, axis=1)).sigma
-    norm_t = spectral_norm(delta_t)
-    budget = 0.0
-    for j in range(k):
-        e_norm = spectral_norm(ds.deltas[j] - delta_t)
-        budget += 2.0 * norm_t * e_norm + e_norm * e_norm
-
-    report = BoundReport(ds.layer_name, ds.task_names[t], k)
-    cutoff = 1e-12 * float(sv_task.max(initial=0.0))
     # Zero-perturbation instances have rhs == 0 exactly while the computed
     # lhs carries backend rounding noise; grant that much absolute slack.
     noise = 1e-10 * float(sv_stack.max(initial=0.0))
+    norms = [spectral_norm(delta) for delta in ds.deltas]
+    # ||deltas[j] - deltas[t]|| is symmetric: the two differences are exact
+    # negations of each other, with the same singular values.
+    e_norms = [[0.0] * k for _ in range(k)]
+    for t in range(k):
+        for j in range(t + 1, k):
+            e_norms[t][j] = e_norms[j][t] = spectral_norm(ds.deltas[j] - ds.deltas[t])
+
     sqrt_k = math.sqrt(k)
-    for i, sigma in enumerate(sv_task):
-        if sigma <= cutoff:
-            continue
-        lhs = abs(float(sv_stack[i]) - sqrt_k * float(sigma))
-        rhs = budget / (sqrt_k * float(sigma))
-        report.entries.append(
-            BoundEntry(i, float(sigma), lhs, rhs, holds=lhs <= rhs * (1.0 + 1e-9) + noise)
-        )
-    return report
+    reports = []
+    for t, norm_t in enumerate(norms):
+        budget = 0.0
+        for e_norm in e_norms[t]:
+            budget += 2.0 * norm_t * e_norm + e_norm * e_norm
+        sv_task = thin_svd(ds.deltas[t]).sigma
+        cutoff = 1e-12 * float(sv_task.max(initial=0.0))
+        report = BoundReport(ds.layer_name, ds.task_names[t], k)
+        for i, sigma in enumerate(sv_task):
+            if sigma <= cutoff:
+                continue
+            lhs = abs(float(sv_stack[i]) - sqrt_k * float(sigma))
+            rhs = budget / (sqrt_k * float(sigma))
+            report.entries.append(
+                BoundEntry(i, float(sigma), lhs, rhs, holds=lhs <= rhs * (1.0 + 1e-9) + noise)
+            )
+        reports.append(report)
+    return reports
 
 
 def spectrum_report(ds: DeltaSet, orientation: str = "horizontal") -> SpectrumReport:

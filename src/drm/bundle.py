@@ -20,6 +20,7 @@ keys, no whitespace).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -170,21 +171,32 @@ def write_bundle(bundle: TensorBundle, path) -> None:
     header = {"tensors": records, "metadata": dict(sorted(bundle.metadata.items()))}
     header_bytes = canonical_json(header).encode("utf-8")
 
-    # Write a sibling temporary file and rename it over ``path``, so a
-    # failure at any point leaves a previous file at ``path`` untouched.
+    with atomic_output(path) as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", VERSION))
+        fh.write(struct.pack("<Q", len(header_bytes)))
+        fh.write(header_bytes)
+        written = 0
+        for rec, data in zip(records, arrays):
+            fh.write(bytes(rec["offset"] - written))  # zero padding
+            fh.write(data)
+            written = rec["offset"] + data.nbytes
+
+
+@contextlib.contextmanager
+def atomic_output(path):
+    """A new binary file that takes the place of ``path`` only when complete.
+
+    Writes go to a sibling temporary file, renamed over ``path`` when the
+    block exits cleanly. A failure at any point, interrupts included, removes
+    the temporary file and leaves a previous file at ``path`` untouched; an
+    ``OSError`` is raised as :class:`IoFailure`.
+    """
     directory, name = os.path.split(os.fspath(path))
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", VERSION))
-            fh.write(struct.pack("<Q", len(header_bytes)))
-            fh.write(header_bytes)
-            written = 0
-            for rec, data in zip(records, arrays):
-                fh.write(bytes(rec["offset"] - written))  # zero padding
-                fh.write(data)
-                written = rec["offset"] + data.nbytes
+            yield fh
         os.replace(tmp, path)
     except BaseException as exc:
         try:
@@ -192,7 +204,7 @@ def write_bundle(bundle: TensorBundle, path) -> None:
         except OSError:
             pass
         if isinstance(exc, OSError):
-            raise IoFailure(f"cannot write bundle to {path}: {exc}") from exc
+            raise IoFailure(f"cannot write {path}: {exc}") from exc
         raise
 
 

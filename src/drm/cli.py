@@ -14,7 +14,14 @@ import sys
 from pathlib import Path
 
 from . import analysis, harness
-from .bundle import canonical_json, extract_deltas, open_bundle, read_bundle, write_bundle
+from .bundle import (
+    atomic_output,
+    canonical_json,
+    extract_deltas,
+    open_bundle,
+    read_bundle,
+    write_bundle,
+)
 from .engine import MergeConfig, merge_bundle_with_stats
 from .errors import ArgumentError, InputOutputError, NumericError
 
@@ -103,6 +110,12 @@ def _config_from_args(args, n_tasks: int) -> MergeConfig:
     )
 
 
+def _write_json(path, obj) -> None:
+    """Write ``obj`` as canonical JSON plus a newline, atomically."""
+    with atomic_output(path) as fh:
+        fh.write((canonical_json(obj) + "\n").encode("utf-8"))
+
+
 def cmd_merge(args) -> int:
     # Inputs are opened by their headers; the layer workers read each tensor.
     with contextlib.ExitStack() as inputs:
@@ -143,13 +156,12 @@ def cmd_analyze(args) -> int:
         reports = [analysis.sign_agreement(ds, cfg, args.space) for ds in delta_sets]
     elif args.kind == "svd-bound":
         for ds in delta_sets:
-            reports.extend(analysis.check_perturbation_bound(ds, t) for t in range(ds.n_tasks))
+            reports.extend(analysis.check_perturbation_bounds(ds))
     elif args.kind == "spectrum":
         orientation = "vertical" if args.space.endswith("-v") else "horizontal"
         reports = [analysis.spectrum_report(ds, orientation) for ds in delta_sets]
 
-    payload = canonical_json([r.to_json_obj() for r in reports])
-    Path(args.out).write_text(payload + "\n", encoding="utf-8")
+    _write_json(args.out, [r.to_json_obj() for r in reports])
     for r in reports:
         print(r.to_table(), end="")
     print(f"wrote {args.out}")
@@ -183,7 +195,8 @@ def cmd_tune(args) -> int:
         rows = [
             {"retain": r, "lambda": l, "score": s} for r, l, s in result.grid
         ]
-        payload = canonical_json(
+        _write_json(
+            args.out,
             {
                 "method": result.method,
                 "grid": rows,
@@ -196,7 +209,6 @@ def cmd_tune(args) -> int:
                 "task_names": result.task_names,
             }
         )
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
         print(f"wrote {args.out}")
     return 0
 

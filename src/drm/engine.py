@@ -454,14 +454,18 @@ class LayerStats:
     total: int | None = None
 
 
-def _thread_count(n_items: int) -> int:
-    """Layer workers: the ``DRM_THREADS`` cap (unset, empty or 0 for one per
-    core), at most one per layer. Anything but a non-negative integer is an
+def _thread_count(n_items: int, method: str) -> int:
+    """Layer workers, at most one per layer. An explicit ``DRM_THREADS``
+    caps every method. Unset, empty or 0 means one layer at a time for
+    drm-h/drm-v, whose stacked SVD BLAS already spreads over every core (a
+    layer pool on top only oversubscribes the cores), and one worker per
+    core for the other methods, whose single-threaded kernels and reads the
+    pool overlaps. Anything but a non-negative integer is an
     :class:`ArgumentError`."""
     raw = os.environ.get("DRM_THREADS") or "0"
     if not raw.isdecimal():
         raise ArgumentError(f"DRM_THREADS must be a non-negative integer, got {raw!r}")
-    cap = int(raw) or os.cpu_count() or 1
+    cap = int(raw) or (1 if method in ("drm_h", "drm_v") else os.cpu_count() or 1)
     return max(1, min(cap, n_items))
 
 
@@ -484,8 +488,11 @@ def merge_bundle_with_stats(
 ) -> tuple[TensorBundle, list[LayerStats]]:
     """Merge whole checkpoints: matrices via the configured method, biases
     via weighted averaging. Output dtypes follow the base bundle per tensor
-    and the metadata records the configuration. Layers are independent and
-    may be processed in parallel (capped by DRM_THREADS; 0 = auto).
+    and the metadata records the configuration. Layers are independent, so
+    other methods merge them in a pool of one worker per core, while
+    drm-h/drm-v merge one layer at a time and leave the cores to BLAS. An
+    explicit ``DRM_THREADS`` caps the pool for every method (unset, empty or
+    0 chooses as above); merged bytes do not depend on it.
 
     Names and shapes are checked up front. Each layer worker then reads
     that layer's input tensors (from disk, for a :class:`BundleFile`), and
@@ -516,7 +523,9 @@ def merge_bundle_with_stats(
             return merged.astype(arr.dtype, copy=False), info
 
     layer_names = base.names()
-    workers = _thread_count(sum(len(base.shape(name)) == 2 for name in layer_names))
+    workers = _thread_count(
+        sum(len(base.shape(name)) == 2 for name in layer_names), cfg.method
+    )
     if workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one_layer, layer_names))

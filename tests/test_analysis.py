@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import drm.analysis
 from drm.analysis import (
     AgreementHistogram,
     agreement_values,
-    check_perturbation_bound,
+    check_perturbation_bounds,
     pruning_density,
     row_drop_fractions,
     sign_agreement,
@@ -158,14 +159,14 @@ class TestPerturbationBound:
     def test_identical_tasks_zero_gap(self):
         delta = np.random.default_rng(17).standard_normal((4, 4))
         ds = make_ds([delta, delta.copy(), delta.copy()])
-        report = check_perturbation_bound(ds, 0)
+        report = check_perturbation_bounds(ds)[0]
         assert report.all_hold
         assert max(e.lhs for e in report.entries) <= 1e-10
         assert max(e.rhs for e in report.entries) == 0.0
 
     def test_single_task_stack_is_exact(self):
         ds = make_ds([np.random.default_rng(19).standard_normal((5, 3))])
-        report = check_perturbation_bound(ds, 0)
+        report = check_perturbation_bounds(ds)[0]
         assert report.all_hold
         assert max(e.lhs for e in report.entries) <= 1e-10
 
@@ -173,12 +174,36 @@ class TestPerturbationBound:
         rng = np.random.default_rng(23)
         for _ in range(25):
             ds = make_ds([rng.standard_normal((6, 5)) for _ in range(3)])
-            for t in range(3):
-                assert check_perturbation_bound(ds, t).all_hold
+            reports = check_perturbation_bounds(ds)
+            assert [r.task_name for r in reports] == ds.task_names
+            assert all(r.all_hold for r in reports)
+
+    def test_shared_work_once_per_layer(self, monkeypatch):
+        # One stack SVD serves all N reports, and each task norm and each
+        # distinct pair's difference norm is taken once.
+        n_tasks, m, n = 4, 6, 5
+        rng = np.random.default_rng(29)
+        ds = make_ds([rng.standard_normal((m, n)) for _ in range(n_tasks)])
+        calls = {"stack": 0, "task": 0, "norm": 0}
+        real_svd, real_norm = drm.analysis.thin_svd, drm.analysis.spectral_norm
+
+        def counting_svd(A):
+            calls["stack" if A.shape == (m, n_tasks * n) else "task"] += 1
+            return real_svd(A)
+
+        def counting_norm(A):
+            calls["norm"] += 1
+            return real_norm(A)
+
+        monkeypatch.setattr(drm.analysis, "thin_svd", counting_svd)
+        monkeypatch.setattr(drm.analysis, "spectral_norm", counting_norm)
+        assert len(check_perturbation_bounds(ds)) == n_tasks
+        pairs = n_tasks * (n_tasks - 1) // 2
+        assert calls == {"stack": 1, "task": n_tasks, "norm": n_tasks + pairs}
 
     def test_report_serialization(self):
         ds = make_ds([np.eye(3), 2 * np.eye(3)])
-        report = check_perturbation_bound(ds, 1)
+        report = check_perturbation_bounds(ds)[1]
         parsed = json.loads(report.to_json())
         assert parsed["k"] == 2
         assert all(set(e) == {"i", "sigma", "lhs", "rhs", "holds"} for e in parsed["entries"])

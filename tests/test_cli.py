@@ -202,35 +202,64 @@ class TestMerge:
         base, tasks, tmp = family
         out = tmp / "merged.drmb"
         out.write_bytes(b"previous contents")
-        real_open = open
-
-        class FailMidway:
-            """File wrapper whose third write fails as a full disk would."""
-
-            def __init__(self, fh):
-                self.fh, self.writes = fh, 0
-
-            def write(self, data):
-                self.writes += 1
-                if self.writes == 3:
-                    raise OSError(28, "No space left on device")
-                return self.fh.write(data)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return self.fh.__exit__(*exc)
-
-        def open_failing_writes(path, mode="r", *args, **kwargs):
-            fh = real_open(path, mode, *args, **kwargs)
-            return fh if "r" in mode else FailMidway(fh)
-
-        monkeypatch.setattr(drm.bundle, "open", open_failing_writes, raising=False)
+        fail_nth_write(monkeypatch, 3)
         before = sorted(p.name for p in tmp.iterdir())
         assert run_merge(base, tasks, out, "--method", "avg") == 3
         assert out.read_bytes() == b"previous contents"
         assert sorted(p.name for p in tmp.iterdir()) == before
+
+
+def fail_nth_write(monkeypatch, n):
+    """Make the ``n``-th write to a file that ``drm.bundle`` opens for
+    writing put down half its bytes and then fail as a full disk would."""
+    real_open = open
+
+    class FailMidway:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == n:
+                data = bytes(data)
+                self.fh.write(data[: len(data) // 2])
+                raise OSError(28, "No space left on device")
+            return self.fh.write(data)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+    def open_failing_writes(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        return fh if "r" in mode else FailMidway(fh)
+
+    monkeypatch.setattr(drm.bundle, "open", open_failing_writes, raising=False)
+
+
+@pytest.mark.parametrize("command", ["analyze", "tune"])
+def test_failed_json_write_keeps_previous_out(family, monkeypatch, capsys, command):
+    # --out is replaced only by a complete report: a write that fails
+    # midway exits 3 and leaves the previous file and no temporary behind.
+    base, tasks, tmp = family
+    if command == "analyze":
+        argv = ["analyze", "svd-bound", "--base", base]
+        for task in tasks:
+            argv += ["--task", task]
+    else:
+        argv = ["tune", "--method", "ties", "--grid-retain", "0.5", "--grid-lambda", "1.0",
+                "--tasks", "2", "--dim", "5,4", "--samples", "40"]
+    out = tmp / "report.json"
+    previous = b'{"previous":true}\n'
+    out.write_bytes(previous)
+    fail_nth_write(monkeypatch, 1)
+    before = sorted(p.name for p in tmp.iterdir())
+    assert main(argv + ["--out", str(out)]) == 3
+    assert "No space left on device" in capsys.readouterr().err
+    assert out.read_bytes() == previous
+    assert sorted(p.name for p in tmp.iterdir()) == before
 
 
 class TestMergeInputs:

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import re
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -879,8 +880,48 @@ def test_thread_count_auto(monkeypatch, raw):
         monkeypatch.delenv("DRM_THREADS", raising=False)
     else:
         monkeypatch.setenv("DRM_THREADS", raw)
-    assert drm.engine._thread_count(1000) == min(1000, os.cpu_count() or 1)
-    assert drm.engine._thread_count(1) == 1
+    for method in METHODS:
+        # drm-h/drm-v leave the cores to BLAS; the rest pool one per core.
+        auto = 1 if method in ("drm_h", "drm_v") else min(1000, os.cpu_count() or 1)
+        assert drm.engine._thread_count(1000, method) == auto
+        assert drm.engine._thread_count(1, method) == 1
+
+
+@pytest.mark.parametrize(
+    "method, threads, peak",
+    [("drm_h", None, 1), ("drm_v", None, 1), ("drm_h", "2", 2), ("ties", None, 2)],
+)
+def test_layers_in_flight(monkeypatch, method, threads, peak):
+    # The most layer merges running at once in a three-layer merge_bundle
+    # with DRM_THREADS set to ``threads`` (None unsets it).
+    if threads is None:
+        if (os.cpu_count() or 1) < peak:
+            pytest.skip(f"needs {peak} cores for {peak} default workers")
+        monkeypatch.delenv("DRM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("DRM_THREADS", threads)
+    merge = drm.engine._merge_delta_set_with_stats
+    cond = threading.Condition()
+    state = {"now": 0, "peak": 0}
+
+    def tracked(ds, cfg):
+        with cond:
+            state["now"] += 1
+            state["peak"] = max(state["peak"], state["now"])
+            cond.notify_all()
+            # Hold the layer briefly so that a second worker, if there is
+            # one, starts its layer meanwhile.
+            cond.wait_for(lambda: state["now"] > 1, timeout=0.25)
+        try:
+            return merge(ds, cfg)
+        finally:
+            with cond:
+                state["now"] -= 1
+
+    monkeypatch.setattr(drm.engine, "_merge_delta_set_with_stats", tracked)
+    base, tasks = deep_family(3, 3, (8, 6))
+    merge_bundle(base, tasks, MergeConfig(method=method))
+    assert state["peak"] == peak
 
 
 def test_readme_python_quick_start(capsys):
