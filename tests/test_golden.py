@@ -8,7 +8,10 @@ layer and one bias with four tasks, is merged with every method at a size
 that reaches numpy's blocked loops. The SHA-256 of each output bundle is
 compared with a recorded value; refactors and speed-ups must leave these
 hashes unchanged, and a serial run must write the same bytes as a pooled
-one. The small family is analyzed with every report kind, and its sign
+one. A third family, one 48x32 float64 layer of rank-2 adapter deltas and
+one bias with four tasks, is merged with drm-h and drm-v; its stacks are
+rank-deficient, so it pins the ``gesdd`` route of the stacked SVD, which
+the dense families never take. The small family is analyzed with every report kind, and its sign
 agreement in every tally space, and a small synthetic suite is tuned over
 the default grids with six methods; their JSON outputs are pinned the same
 way. The drm-h and drm-v hashes depend on the LAPACK/BLAS build; after an
@@ -22,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drm.bundle import TensorBundle, write_bundle
+from drm.bundle import TensorBundle, materialize_low_rank, read_bundle, write_bundle
 from drm.cli import main
 
 SHAPES = {
@@ -69,6 +72,15 @@ WIDE_GOLDEN = {
     "ta": "4b6793733289964acda09a8d8c0dc902deb898df21d4288d0dfd52f44b08c3d9",
     "ties": "a64a5a8fba29352f5577daa79b281193d15c1e46110a073974fa3d529e0ffcf8",
     "dare-ties": "8b9f6ea7b4d5b8b045f537392db4c9840b64506b905db49495f5b5e3e45a4b60",
+}
+
+LOW_RANK_SHAPE = (48, 32)
+LOW_RANK_TASKS = 4
+LOW_RANK = 2
+LOW_RANK_METHODS = ("drm-h", "drm-v")
+LOW_RANK_GOLDEN = {
+    "drm-h": "9017bb78377839968003b90f102a41e1bfefbb5011adc68a992cf4fda76679e9",
+    "drm-v": "81622a8c35708f716f68064699a3c3e1dce44eacdd675a3a3e4029e4778dcb60",
 }
 
 TUNE_METHODS = ("drm-h", "drm-v", "ties", "dare-ties", "ta", "avg")
@@ -119,10 +131,30 @@ def write_family(
     return str(base_path), task_paths
 
 
-def merged_sha256(
-    directory: Path, case: str, shapes: dict = SHAPES, n_tasks: int = N_TASKS
-) -> str:
-    base, tasks = write_family(directory, shapes, n_tasks)
+def write_low_rank_family(directory: Path) -> tuple[str, list[str]]:
+    """A float64 layer whose task deltas are rank-2 adapters, plus a bias."""
+    rng = np.random.default_rng(20261)
+    m, n = LOW_RANK_SHAPE
+    base = TensorBundle(metadata={"family": "golden-low-rank"})
+    base.add("lr.w", rng.standard_normal((m, n)))
+    base.add("lr.b", rng.standard_normal(m))
+    base_path = directory / "lr-base.drmb"
+    write_bundle(base, base_path)
+    task_paths = []
+    for t in range(LOW_RANK_TASKS):
+        adapter = materialize_low_rank(
+            rng.standard_normal((LOW_RANK, n)), rng.standard_normal((m, LOW_RANK)), 0.5
+        )
+        task = TensorBundle()
+        task.add("lr.w", base["lr.w"] + adapter)
+        task.add("lr.b", base["lr.b"] + 0.1 * rng.standard_normal(m))
+        path = directory / f"lr-t{t}.drmb"
+        write_bundle(task, path)
+        task_paths.append(str(path))
+    return str(base_path), task_paths
+
+
+def run_merge(directory: Path, case: str, base: str, tasks: list[str]) -> str:
     out = directory / f"{case}.drmb"
     argv = ["merge", "--base", base, "--out", str(out), *CASES[case]]
     for task in tasks:
@@ -131,8 +163,18 @@ def merged_sha256(
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
+def merged_sha256(
+    directory: Path, case: str, shapes: dict = SHAPES, n_tasks: int = N_TASKS
+) -> str:
+    return run_merge(directory, case, *write_family(directory, shapes, n_tasks))
+
+
 def wide_sha256(directory: Path, method: str) -> str:
     return merged_sha256(directory, method, WIDE_SHAPES, WIDE_TASKS)
+
+
+def low_rank_sha256(directory: Path, method: str) -> str:
+    return run_merge(directory, method, *write_low_rank_family(directory))
 
 
 def space_sha256(directory: Path, space: str) -> str:
@@ -177,6 +219,32 @@ def test_wide_output_hash_unchanged(method, tmp_path, monkeypatch):
     assert wide_sha256(tmp_path, method) == WIDE_GOLDEN[method]
 
 
+@pytest.mark.parametrize("method", LOW_RANK_METHODS)
+def test_low_rank_output_hash_unchanged(method, tmp_path, monkeypatch):
+    monkeypatch.delenv("DRM_THREADS", raising=False)
+    base, tasks = write_low_rank_family(tmp_path)
+    base_w = read_bundle(base)["lr.w"]
+    deltas = [read_bundle(task)["lr.w"] - base_w for task in tasks]
+    if method == "drm-v":
+        deltas = [delta.T for delta in deltas]
+    stack = np.concatenate(deltas, axis=1)
+    assert np.linalg.matrix_rank(stack) == LOW_RANK_TASKS * LOW_RANK < min(stack.shape)
+
+    # A rank-deficient stack fails the Gram route's gate, so the stacked SVD
+    # is LAPACK's gesdd.
+    gesdd_shapes = []
+    real_svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        gesdd_shapes.append(a.shape)
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    digest = run_merge(tmp_path, method, base, tasks)
+    assert gesdd_shapes == [stack.shape]
+    assert digest == LOW_RANK_GOLDEN[method]
+
+
 @pytest.mark.parametrize("method", TUNE_METHODS)
 def test_tune_hash_unchanged(method, tmp_path):
     assert tune_sha256(tmp_path, method) == TUNE_GOLDEN[method]
@@ -201,6 +269,7 @@ if __name__ == "__main__":
         for title, hasher, keys in (
             ("GOLDEN", merged_sha256, CASES),
             ("WIDE_GOLDEN", wide_sha256, WIDE_METHODS),
+            ("LOW_RANK_GOLDEN", low_rank_sha256, LOW_RANK_METHODS),
             ("TUNE_GOLDEN", tune_sha256, TUNE_METHODS),
             ("ANALYSIS_GOLDEN", analysis_sha256, ANALYSIS_KINDS),
             ("SPACE_GOLDEN", space_sha256, SPACES),
