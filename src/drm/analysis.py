@@ -304,7 +304,7 @@ def check_perturbation_bounds(ds: DeltaSet) -> list[BoundReport]:
     difference norm are taken once for all k reports.
     """
     k = ds.n_tasks
-    sv_stack = thin_svd(np.concatenate(ds.deltas, axis=1)).sigma
+    sv_stack = thin_svd(ds.side_by_side()).sigma
     # Zero-perturbation instances have rhs == 0 exactly while the computed
     # lhs carries backend rounding noise; grant that much absolute slack.
     noise = 1e-10 * float(sv_stack.max(initial=0.0))

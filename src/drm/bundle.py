@@ -419,6 +419,13 @@ class DeltaSet:
     def n_tasks(self) -> int:
         return self.deltas.shape[0]
 
+    def side_by_side(self) -> np.ndarray:
+        """The m x N*n matrix ``[delta_0 ... delta_{N-1}]`` that the joint
+        SVD factors. On a :meth:`transposed` view of a task-major stack it
+        is a view, F-ordered like the concatenation of the transposed
+        deltas; on a task-major stack it is a C-ordered copy."""
+        return self.deltas.transpose(1, 0, 2).reshape(self.base_shape[0], -1)
+
     def transposed(self) -> "DeltaSet":
         """Same layer with every delta transposed (rows and columns swapped);
         the stack is a view of this one's."""

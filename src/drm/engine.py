@@ -152,7 +152,9 @@ def renormalize_row(v: np.ndarray) -> tuple[np.ndarray, float]:
 def decompose_joint(ds: DeltaSet, orientation: str = "horizontal") -> JointDecomposition:
     """Decompose the stacked deltas and renormalize the per-task blocks.
 
-    The vertical orientation decomposes the transposed deltas.
+    The vertical orientation decomposes the transposed deltas. The SVD
+    reads :meth:`DeltaSet.side_by_side`: for a task-major stack that is a
+    copy horizontally and a view of the stack vertically.
     """
     if orientation not in ORIENTATIONS:
         raise ValueError(f"orientation must be one of {ORIENTATIONS}")
@@ -161,7 +163,7 @@ def decompose_joint(ds: DeltaSet, orientation: str = "horizontal") -> JointDecom
 
     n_tasks = ds.n_tasks
     n_cols = ds.base_shape[1]
-    svd = thin_svd(np.concatenate(ds.deltas, axis=1))
+    svd = thin_svd(ds.side_by_side())
     r = svd.sigma.size
     row_norms = np.empty((n_tasks, r))
     renorm_blocks = np.empty((n_tasks, r, n_cols))
@@ -367,8 +369,7 @@ def _drm_grid(ds: DeltaSet, cfg: MergeConfig, points: list[list[MergeConfig]]):
         for row in points
     ]
     stack *= jd.task_sigmas[:, :, None]  # jd.renorm_blocks is not used again
-    signs = elect_signs(stack) if cfg.enable_sign_elect else None
-    agree = agreeing_entries(stack, signs)
+    agree = agreeing_entries(stack, elect_signs(stack) if cfg.enable_sign_elect else None)
     for row, mask in zip(points, masks):
         stats = {"rank": jd.rank, **kept_counts(mask, stack)}
         survivors, gamma = survivor_filter(agree, mask, cfg.enable_disjoint)

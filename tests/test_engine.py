@@ -728,10 +728,11 @@ class TestMergeConfig:
 @pytest.mark.parametrize("method,shape", [("drm_h", (128, 512)), ("drm_v", (512, 128))])
 def test_layer_merge_memory_bounded_by_its_stack(method, shape):
     # A drm layer lives in one N x r x n float64 stack rewritten in place,
-    # plus bool masks and r x n temporaries. The peak is the SVD input next
-    # to the right factor, or the stack next to the one magnitude copy the
-    # prune partitions: about 2.4 stacks. Copying the stack at every stage
-    # cost about 5.1. Both shapes stack to a wide matrix, so U is small.
+    # plus bool masks and r x n temporaries. The peak is the right factor
+    # next to the renormalized blocks (and drm-h's side-by-side copy), or
+    # the stack next to the one magnitude copy the prune partitions: about
+    # 2.4 stacks. Copying the stack at every stage cost about 5.1. Both
+    # shapes stack to a wide matrix, so U is small.
     n_tasks = 4
     ds = random_delta_set(0, n_tasks, *shape)
     unit = n_tasks * shape[0] * shape[1] * 8
@@ -742,6 +743,61 @@ def test_layer_merge_memory_bounded_by_its_stack(method, shape):
     finally:
         tracemalloc.stop()
     assert peak / unit < 3.5
+
+
+@pytest.mark.parametrize("orientation", drm.engine.ORIENTATIONS)
+def test_stacked_svd_input(orientation, monkeypatch):
+    # drm-v factors a view of the task-major stack, laid out as the
+    # concatenation of the transposed deltas would be; drm-h factors the
+    # C-ordered side-by-side copy. Either way thin_svd sees the same bytes.
+    seen = []
+
+    def recording_thin_svd(A):
+        seen.append(A)
+        return thin_svd(A)
+
+    monkeypatch.setattr(drm.engine, "thin_svd", recording_thin_svd)
+    ds = random_delta_set(0, 4, 12, 8)
+    decompose_joint(ds, orientation)
+    [A] = seen
+    if orientation == "vertical":
+        want = np.concatenate(ds.transposed().deltas, axis=1)
+        assert np.shares_memory(A, ds.deltas)
+        assert A.strides == want.strides
+    else:
+        want = np.concatenate(ds.deltas, axis=1)
+        assert A.flags.c_contiguous
+    np.testing.assert_array_equal(A, want)
+
+
+def test_vertical_svd_holds_one_stack(monkeypatch):
+    # Tracing starts once the deltas exist, so the peak is what the SVD of
+    # the drm-v stack adds: its right factor (one stack) and small arrays,
+    # with no second copy of the stack to factor. Eight rank-2 adapters
+    # stack to a rank-deficient 64 x 2048 matrix, which takes gesdd as
+    # drm-v on adapter stacks does.
+    n_tasks, m, n = 8, 256, 64
+    rng = np.random.default_rng(3)
+    deltas = [
+        drm.materialize_low_rank(rng.standard_normal((2, n)), rng.standard_normal((m, 2)), 1.0)
+        for _ in range(n_tasks)
+    ]
+    ds = DeltaSet("l", (m, n), deltas, [f"t{i}" for i in range(n_tasks)])
+    peaks = []
+
+    def peak_thin_svd(A):
+        tracemalloc.reset_peak()
+        svd = thin_svd(A)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return svd
+
+    monkeypatch.setattr(drm.engine, "thin_svd", peak_thin_svd)
+    tracemalloc.start()
+    try:
+        decompose_joint(ds, "vertical")
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] / ds.deltas.nbytes < 1.5
 
 
 # --- byte reference: the list-of-blocks pipeline the stack replaced ---

@@ -11,12 +11,13 @@ hashes unchanged, and a serial run must write the same bytes as a pooled
 one. A third family, one 48x32 float64 layer of rank-2 adapter deltas and
 one bias with four tasks, is merged with drm-h and drm-v; its stacks are
 rank-deficient, so it pins the ``gesdd`` route of the stacked SVD, which
-the dense families never take. The small family is analyzed with every report kind, and its sign
-agreement in every tally space, and a small synthetic suite is tuned over
-the default grids with six methods; their JSON outputs are pinned the same
-way. The drm-h and drm-v hashes depend on the LAPACK/BLAS build; after an
-intended output change, or on a platform whose BLAS rounds differently,
-print the current values with ``PYTHONPATH=src python tests/test_golden.py``.
+the dense families never take. The small family is analyzed with every
+report kind, and its sign agreement in every tally space, and a small
+synthetic suite is tuned over the default grids with six methods; their
+JSON outputs are pinned the same way. The drm-h and drm-v hashes depend
+on the LAPACK/BLAS build; after an intended output change, or on a
+platform whose BLAS rounds differently, print the current values with
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import hashlib
