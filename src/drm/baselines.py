@@ -50,7 +50,7 @@ def ties_merge(ds: DeltaSet, cfg: MergeConfig) -> np.ndarray:
 
 
 def ties_merge_with_stats(ds: DeltaSet, cfg: MergeConfig) -> tuple[np.ndarray, dict]:
-    stack = ds.deltas.copy()  # pruned in place
+    stack = ds.deltas if ds._owned else ds.deltas.copy()  # pruned in place
     masks = prune_topk(stack, cfg.retain, "individual") if cfg.enable_prune else None
     if masks is not None:
         stack[~masks] = 0.0
@@ -76,20 +76,22 @@ def _dare_generator(seed: int, layer_name: str, task_index: int) -> np.random.Ge
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def dare_ties_merge(
-    ds: DeltaSet, cfg: MergeConfig, rng: np.random.Generator | None = None
-) -> np.ndarray:
+def dare_ties_merge(ds: DeltaSet, cfg: MergeConfig) -> np.ndarray:
     """Random drop-and-rescale in place of magnitude pruning, then the TIES
     election and disjoint averaging.
 
     Each entry is zeroed independently with probability ``cfg.dare_drop``
     and survivors are scaled by 1/(1 - p), which keeps the per-entry
-    expectation at the original delta. Pass ``rng`` to override the
-    deterministic per-(seed, layer, task) streams.
+    expectation at the original delta. Task t's drops come from a
+    deterministic stream keyed on (``cfg.seed``, layer name, t).
     """
-    p = cfg.dare_drop
-    dropped = ds.deltas * (1.0 / (1.0 - p))
+    scale = 1.0 / (1.0 - cfg.dare_drop)
+    if ds._owned:
+        dropped = ds.deltas  # scaled and dropped in place
+        dropped *= scale
+    else:
+        dropped = ds.deltas * scale
     for t in range(ds.n_tasks):
-        gen = rng if rng is not None else _dare_generator(cfg.seed, ds.layer_name, t)
-        dropped[t][gen.random(ds.base_shape) < p] = 0.0
+        gen = _dare_generator(cfg.seed, ds.layer_name, t)
+        dropped[t][gen.random(ds.base_shape) < cfg.dare_drop] = 0.0
     return _elect_and_average(dropped, cfg, ds.n_tasks)

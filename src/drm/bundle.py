@@ -392,12 +392,20 @@ class DeltaSet:
     once, or as an N x m x n float64 array, which is taken as it is. All
     merging arithmetic happens in float64, whatever the stored checkpoint
     dtype.
+
+    A merge never changes a caller's stack. The one exception is a stack
+    marked ``_owned`` by the code that built it for a single merge
+    (:func:`drm.engine.merge_bundle_with_stats`), which the merge consumes:
+    TIES and DARE-TIES overwrite it in place, and drm-h/drm-v drop it
+    (``deltas`` becomes None) once the SVD input exists.
     """
 
     layer_name: str
     base_shape: tuple[int, int]
     deltas: np.ndarray
     task_names: list[str]
+
+    _owned = False  # a class attribute, not a field: the constructor stays as it is
 
     def __post_init__(self):
         if len(self.deltas) < 1:

@@ -154,16 +154,23 @@ def decompose_joint(ds: DeltaSet, orientation: str = "horizontal") -> JointDecom
 
     The vertical orientation decomposes the transposed deltas. The SVD
     reads :meth:`DeltaSet.side_by_side`: for a task-major stack that is a
-    copy horizontally and a view of the stack vertically.
+    copy horizontally and a view of the stack vertically. An owned stack
+    is released once that matrix exists, so drm-h's stack is freed before
+    the SVD and drm-v's, which the view keeps alive, when the SVD returns.
     """
     if orientation not in ORIENTATIONS:
         raise ValueError(f"orientation must be one of {ORIENTATIONS}")
-    if orientation == "vertical":
-        ds = ds.transposed()
-
     n_tasks = ds.n_tasks
-    n_cols = ds.base_shape[1]
-    svd = thin_svd(ds.side_by_side())
+    if orientation == "vertical":
+        n_cols = ds.base_shape[0]
+        stacked = ds.transposed().side_by_side()
+    else:
+        n_cols = ds.base_shape[1]
+        stacked = ds.side_by_side()
+    if ds._owned:
+        ds.deltas = None
+    svd = thin_svd(stacked)
+    del stacked
     r = svd.sigma.size
     row_norms = np.empty((n_tasks, r))
     renorm_blocks = np.empty((n_tasks, r, n_cols))
@@ -362,6 +369,7 @@ def _drm_grid(ds: DeltaSet, cfg: MergeConfig, points: list[list[MergeConfig]]):
     duality).
     """
     orientation = "vertical" if cfg.method == "drm_v" else "horizontal"
+    n_tasks = ds.n_tasks
     jd = truncate_rank(decompose_joint(ds, orientation), cfg.rank_drop)
     stack = jd.renorm_blocks
     masks = [
@@ -375,7 +383,7 @@ def _drm_grid(ds: DeltaSet, cfg: MergeConfig, points: list[list[MergeConfig]]):
         survivors, gamma = survivor_filter(agree, mask, cfg.enable_disjoint)
         for point in row:
             merged_block = disjoint_average(
-                stack, survivors, gamma, point.task_lambdas(ds.n_tasks)
+                stack, survivors, gamma, point.task_lambdas(n_tasks)
             )
             merged = jd.U @ merged_block
             yield (merged.T if orientation == "vertical" else merged), dict(stats)
@@ -510,6 +518,7 @@ def merge_bundle_with_stats(
         arr = base.read(name)
         if arr.ndim == 2:
             ds = layer_delta_set(name, arr, tasks, task_names)
+            ds._owned = True  # built here for this merge alone, which consumes it
             try:
                 delta, info = _merge_delta_set_with_stats(ds, cfg)
             except (DrmError, ValueError) as exc:

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import drm
 import drm.engine
 import drm.linalg
-from drm.bundle import DeltaSet, TensorBundle, extract_deltas
+from drm.baselines import dare_ties_merge, ties_merge
+from drm.bundle import DeltaSet, TensorBundle, extract_deltas, layer_delta_set
 from drm.engine import (
     METHODS,
     MergeConfig,
@@ -25,6 +26,7 @@ from drm.engine import (
     merge_biases,
     merge_bundle,
     merge_bundle_with_stats,
+    merge_delta_set,
     merge_delta_set_grid,
     merge_drm,
     merge_drm_with_stats,
@@ -743,6 +745,92 @@ def test_layer_merge_memory_bounded_by_its_stack(method, shape):
     finally:
         tracemalloc.stop()
     assert peak / unit < 3.5
+
+
+# Every public entry point that takes a DeltaSet, each called on a borrowed
+# one. Grids have two or more points, so a second point would see what the
+# first left behind.
+BORROWING_CALLS = {
+    **{
+        f"merge_delta_set-{method}": (
+            lambda ds, method=method: merge_delta_set(ds, MergeConfig(method=method))
+        )
+        for method in METHODS
+    },
+    **{
+        f"merge_drm_with_stats-{method}": (
+            lambda ds, method=method: merge_drm_with_stats(ds, MergeConfig(method=method))
+        )
+        for method in ("drm_h", "drm_v")
+    },
+    **{
+        f"decompose_joint-{orientation}": (
+            lambda ds, orientation=orientation: decompose_joint(ds, orientation)
+        )
+        for orientation in drm.engine.ORIENTATIONS
+    },
+    "ties_merge": lambda ds: ties_merge(ds, MergeConfig(method="ties")),
+    "dare_ties_merge": lambda ds: dare_ties_merge(ds, MergeConfig(method="dare_ties")),
+    **{
+        f"merge_delta_set_grid-{method}": (
+            lambda ds, method=method: list(
+                merge_delta_set_grid(ds, MergeConfig(method=method), [0.2, 0.5], [0.5, 1.0])
+            )
+        )
+        for method in ("ties", "dare_ties")
+    },
+}
+
+
+@pytest.mark.parametrize("call", BORROWING_CALLS.values(), ids=BORROWING_CALLS.keys())
+def test_public_entry_points_leave_the_stack_alone(call):
+    # Only merge_bundle, which builds each layer's stack itself, lets the
+    # merge overwrite and drop it; a caller's DeltaSet keeps its array and
+    # its bytes.
+    ds = random_delta_set(5, n_tasks=3, m=10, n=7)
+    stack = ds.deltas
+    before = stack.tobytes()
+    call(ds)
+    assert ds.deltas is stack
+    assert stack.tobytes() == before
+
+
+@pytest.mark.parametrize("method,shape", [
+    ("drm_h", (128, 512)), ("drm_v", (512, 128)), ("ties", (128, 512)), ("dare_ties", (128, 512)),
+])
+def test_bundle_layer_peak_below_two_and_a_half_stacks(method, shape, monkeypatch):
+    # The bundle path builds the layer's stack and hands it to the merge:
+    # TIES prunes it and DARE-TIES drops it in place, drm-h frees it once
+    # its side-by-side copy exists and drm-v once the SVD of its view
+    # returns. Holding it to the end of the layer cost about 3.2-3.4 stacks.
+    # The peak counts the stack itself.
+    n_tasks = 4
+    base, tasks = deep_family(1, n_tasks, shape)
+    unit = n_tasks * shape[0] * shape[1] * 8
+    monkeypatch.setenv("DRM_THREADS", "1")
+    tracemalloc.start()
+    try:
+        merge_bundle(base, tasks, MergeConfig(method=method))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / unit < 2.5
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("method", METHODS)
+def test_bundle_merge_equals_borrowed_merge(method, threads, monkeypatch):
+    # The owned stacks of the bundle path give the bytes a merge of a
+    # borrowed DeltaSet of the same layer gives.
+    base, tasks = deep_family(3, 3, (24, 16))
+    names = [f"task{t}" for t in range(len(tasks))]
+    cfg = MergeConfig(method=method, seed=4)
+    monkeypatch.setenv("DRM_THREADS", threads)
+    merged = merge_bundle(base, tasks, cfg)
+    for name, arr in base.items():
+        ds = layer_delta_set(name, arr, tasks, names)
+        want = (arr.astype(np.float64) + merge_delta_set(ds, cfg)).astype(arr.dtype)
+        assert merged[name].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("orientation", drm.engine.ORIENTATIONS)
