@@ -156,7 +156,9 @@ def decompose_joint(ds: DeltaSet, orientation: str = "horizontal") -> JointDecom
     reads :meth:`DeltaSet.side_by_side`: for a task-major stack that is a
     copy horizontally and a view of the stack vertically. An owned stack
     is released once that matrix exists, so drm-h's stack is freed before
-    the SVD and drm-v's, which the view keeps alive, when the SVD returns.
+    the SVD, and the SVD may overwrite that matrix: drm-v's stack, which
+    the view keeps alive, is factored where it lies and then holds the
+    right factor.
     """
     if orientation not in ORIENTATIONS:
         raise ValueError(f"orientation must be one of {ORIENTATIONS}")
@@ -167,9 +169,10 @@ def decompose_joint(ds: DeltaSet, orientation: str = "horizontal") -> JointDecom
     else:
         n_cols = ds.base_shape[1]
         stacked = ds.side_by_side()
-    if ds._owned:
+    owned = ds._owned
+    if owned:
         ds.deltas = None
-    svd = thin_svd(stacked)
+    svd = thin_svd(stacked, overwrite_a=owned)
     del stacked
     r = svd.sigma.size
     row_norms = np.empty((n_tasks, r))

@@ -3,8 +3,11 @@ brute-force singular-value oracle for cross-checking tests."""
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -56,7 +59,7 @@ def nonzero_sigma_mask(sigma: np.ndarray) -> np.ndarray:
     return sigma > SIGMA_ZERO_REL * float(sigma.max(initial=0.0))
 
 
-def thin_svd(A: np.ndarray) -> ThinSVD:
+def thin_svd(A: np.ndarray, overwrite_a: bool = False) -> ThinSVD:
     """Economy SVD with deterministic column signs.
 
     Well-conditioned inputs (see GRAM_MIN_EIG_RATIO) are factored through
@@ -68,7 +71,15 @@ def thin_svd(A: np.ndarray) -> ThinSVD:
     Gram route to a relative error of order eps * kappa**2, where the gate
     keeps kappa <= 100. The Gram route is therefore not bit-identical to
     ``gesdd``, and within a (nearly) repeated singular value the two may
-    pick different bases of the same subspace.
+    pick different bases of the same subspace. The ``gesdd`` route gives
+    the bytes of ``np.linalg.svd(A, full_matrices=False)``.
+
+    With ``overwrite_a`` the caller gives up ``A``: if it is a float64,
+    Fortran-ordered, writeable matrix, the ``gesdd`` route factors it where
+    it lies, its bytes are destroyed and its memory then holds the
+    C-ordered larger factor (``Vt`` when m <= n, ``U`` otherwise). Without
+    it, or for any other layout, ``A`` is never written. The Gram route
+    never writes ``A``.
 
     Raises NonFiniteValue on NaN or infinity in ``A``, before any LAPACK
     call, and ConvergenceFailure if the backend does not converge.
@@ -80,10 +91,7 @@ def thin_svd(A: np.ndarray) -> ThinSVD:
         raise NonFiniteValue(f"cannot factor a {A.shape} matrix holding NaN or infinity")
     factors = _gram_svd(A)
     if factors is None:
-        try:
-            factors = np.linalg.svd(A, full_matrices=False)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(f"SVD did not converge on a {A.shape} matrix") from exc
+        factors = _lapack_svd(A, overwrite_a)
     U, sigma, Vt = factors
     # Pin the sign ambiguity: largest-|entry| of each U column made positive.
     # Both factors are fresh arrays (or views of one), so negate in place.
@@ -91,6 +99,90 @@ def thin_svd(A: np.ndarray) -> ThinSVD:
     np.negative(U, out=U, where=flip[None, :])
     np.negative(Vt, out=Vt, where=flip[:, None])
     return ThinSVD(U, sigma, Vt)
+
+
+# dgesdd(jobz, m, n, a, lda, s, u, ldu, vt, ldvt, work, lwork, iwork, info,
+# len(jobz)) with 64-bit integers, as numpy's scipy-openblas exports it.
+_I64P = ctypes.POINTER(ctypes.c_int64)
+_DGESDD = ctypes.CFUNCTYPE(
+    None, ctypes.c_char_p, _I64P, _I64P, ctypes.c_void_p, _I64P, ctypes.c_void_p,
+    ctypes.c_void_p, _I64P, ctypes.c_void_p, _I64P, ctypes.c_void_p, _I64P,
+    ctypes.c_void_p, _I64P, ctypes.c_size_t,
+)
+
+
+@functools.cache
+def _openblas() -> ctypes.CDLL | None:
+    """The scipy-openblas ILP64 library numpy's wheel bundles and has
+    already loaded, or None for any other build (MKL, a system BLAS)."""
+    package = Path(np.__file__).parent
+    for folder in (package.parent / "numpy.libs", package / ".dylibs"):  # Linux/Windows, macOS
+        for path in sorted(folder.glob("libscipy_openblas64_*")):
+            try:
+                return ctypes.CDLL(str(path))
+            except OSError:
+                continue
+    return None
+
+
+def _openblas_function(name: str, prototype):
+    """``name`` from numpy's bundled OpenBLAS with ``prototype``, or None."""
+    lib = _openblas()
+    if lib is None:
+        return None
+    try:
+        return prototype((name, lib))
+    except AttributeError:
+        return None
+
+
+@functools.cache
+def _dgesdd():
+    return _openblas_function("scipy_dgesdd_64_", _DGESDD)
+
+
+def _lapack_svd(A: np.ndarray, overwrite_a: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U, sigma, Vt) from LAPACK's ``gesdd``, called as numpy's ``svd_s``
+    calls it, so the bytes are those of ``np.linalg.svd``; only the buffers
+    differ. The larger factor is written into the work matrix ``a``, which
+    ``gesdd`` has destroyed and which has its element count."""
+    gesdd = _dgesdd()
+    if gesdd is None or A.size == 0:
+        try:
+            return np.linalg.svd(A, full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(f"SVD did not converge on a {A.shape} matrix") from exc
+    m, n = A.shape
+    k = min(m, n)
+    in_place = overwrite_a and A.flags.f_contiguous and A.flags.writeable and A.flags.aligned
+    a = A if in_place else np.array(A, order="F")
+    s = np.empty(k)
+    u = np.empty((k, m))  # u.T is U, m x k in Fortran order (ldu = m)
+    vt = np.empty((n, k))  # vt.T is Vt, k x n in Fortran order (ldvt = k)
+    iwork = np.empty(8 * k, dtype=np.int64)
+    pm, pn, pk = (ctypes.byref(ctypes.c_int64(v)) for v in (m, n, k))
+    lwork, info = ctypes.c_int64(-1), ctypes.c_int64(0)
+    work = np.empty(1)
+    for query in (True, False):  # a workspace query, then the factorization
+        gesdd(b"S", pm, pn, a.ctypes.data, pm, s.ctypes.data, u.ctypes.data, pm,
+              vt.ctypes.data, pk, work.ctypes.data, ctypes.byref(lwork),
+              iwork.ctypes.data, ctypes.byref(info), 1)
+        if info.value < 0:
+            raise RuntimeError(f"dgesdd rejected argument {-info.value} for a {A.shape} matrix")
+        if info.value > 0:
+            raise ConvergenceFailure(f"SVD did not converge on a {A.shape} matrix")
+        if query:
+            lwork.value = max(1, int(work[0]))
+            work = np.empty(lwork.value)
+    del work, iwork
+    larger = a.reshape(-1, order="F").reshape((k, n) if m <= n else (m, k))
+    if m <= n:
+        np.copyto(larger, vt.T)
+        del vt
+        return np.ascontiguousarray(u.T), s, larger
+    np.copyto(larger, u.T)
+    del u
+    return larger, s, np.ascontiguousarray(vt.T)
 
 
 def _gram_svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:

@@ -6,6 +6,7 @@ import resource
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -458,14 +459,20 @@ def test_missing_subcommand_exit_2():
     assert main([]) == 2
 
 
-def test_traced_names_resolve():
-    # The benchmark's tracer replaces these attributes by name, and a
-    # missing one blanks its per-layer metrics without an error. Its module
-    # uses only the standard library, so it is loaded from its file.
+def load_tracing():
+    """The benchmark's tracer module. It uses only the standard library, so
+    it is loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "drmbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("drmbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_names_resolve():
+    # The benchmark's tracer replaces these attributes by name, and a
+    # missing one blanks its per-layer metrics without an error.
+    tracing = load_tracing()
     assert tracing.TARGETS
     missing = [
         f"{module}.{attr}"
@@ -473,3 +480,43 @@ def test_traced_names_resolve():
         if getattr(importlib.import_module(module), attr, None) is None
     ]
     assert missing == []
+
+
+def test_traced_gesdd_merge_reports_its_input(tmp_path, monkeypatch, gesdd_calls):
+    # drm-v factors a merge's own rank-deficient stack in place. The tracer
+    # reads the SVD input's shape once the call returns, which must still
+    # be the input's, and tracing must leave the merged bytes alone.
+    tracing = load_tracing()
+    monkeypatch.delenv("DRM_THREADS", raising=False)
+    rng = np.random.default_rng(7)
+    n_tasks, rank, (m, n) = 3, 2, (40, 24)
+    base = TensorBundle({"lr.w": rng.standard_normal((m, n))})
+    write_bundle(base, tmp_path / "base.drmb")
+    tasks = []
+    for t in range(n_tasks):
+        delta = drm.bundle.materialize_low_rank(
+            rng.standard_normal((rank, n)), rng.standard_normal((m, rank)), 0.5
+        )
+        write_bundle(TensorBundle({"lr.w": base["lr.w"] + delta}), tmp_path / f"task{t}.drmb")
+        tasks.append(str(tmp_path / f"task{t}.drmb"))
+    base_path = str(tmp_path / "base.drmb")
+    assert run_merge(base_path, tasks, tmp_path / "untraced.drmb", "--method", "drm-v") == 0
+
+    for module_name, attr, _ in tracing.TARGETS:  # undo the tracer's wrappers afterwards
+        module = importlib.import_module(module_name)
+        if hasattr(module, attr):
+            monkeypatch.setattr(module, attr, getattr(module, attr))
+    tracer = tracing.Tracer()
+    tracer.install()
+    start = time.perf_counter()
+    try:
+        code = run_merge(base_path, tasks, tmp_path / "traced.drmb", "--method", "drm-v")
+    finally:
+        tracer.finish(start, time.perf_counter(), tmp_path / "spans.jsonl")
+    assert code == 0
+    spans, missing = tracing.read_spans(tmp_path / "spans.jsonl")
+    assert missing == []
+    [svd] = [span for span in spans if span["name"] == "linalg.thin_svd"]
+    assert (svd["m"], svd["n"], svd["rank"]) == (n, n_tasks * m, n_tasks * rank)
+    assert gesdd_calls == [(n, n_tasks * m)] * 2
+    assert (tmp_path / "traced.drmb").read_bytes() == (tmp_path / "untraced.drmb").read_bytes()

@@ -795,17 +795,36 @@ def test_public_entry_points_leave_the_stack_alone(call):
     assert stack.tobytes() == before
 
 
-@pytest.mark.parametrize("method,shape", [
-    ("drm_h", (128, 512)), ("drm_v", (512, 128)), ("ties", (128, 512)), ("dare_ties", (128, 512)),
+def adapter_family(n_layers, n_tasks, shape, seed=89):
+    """float32 bundles whose task deltas are rank-2 adapters, up to the
+    float32 rounding of the task weights."""
+    rng = np.random.default_rng(seed)
+    base, tasks = TensorBundle(), [TensorBundle() for _ in range(n_tasks)]
+    for i in range(n_layers):
+        w = rng.standard_normal(shape).astype(np.float32)
+        base.add(f"l{i}.w", w)
+        for task in tasks:
+            down, up = rng.standard_normal((2, shape[1])), rng.standard_normal((shape[0], 2))
+            task.add(f"l{i}.w", (w + drm.materialize_low_rank(down, up, 0.1)).astype(np.float32))
+    return base, tasks
+
+
+@pytest.mark.parametrize("method,shape,family", [
+    pytest.param("drm_h", (128, 512), deep_family, id="drm_h-shape0"),
+    pytest.param("drm_v", (512, 128), deep_family, id="drm_v-shape1"),
+    pytest.param("ties", (128, 512), deep_family, id="ties-shape2"),
+    pytest.param("dare_ties", (128, 512), deep_family, id="dare_ties-shape3"),
+    pytest.param("drm_v", (512, 128), adapter_family, id="drm_v-rank2_adapters"),
 ])
-def test_bundle_layer_peak_below_two_and_a_half_stacks(method, shape, monkeypatch):
+def test_bundle_layer_peak_below_two_and_a_half_stacks(method, shape, family, monkeypatch, gesdd_calls):
     # The bundle path builds the layer's stack and hands it to the merge:
     # TIES prunes it and DARE-TIES drops it in place, drm-h frees it once
     # its side-by-side copy exists and drm-v once the SVD of its view
     # returns. Holding it to the end of the layer cost about 3.2-3.4 stacks.
+    # Rank-2 adapters take gesdd, which factors drm-v's stack where it lies.
     # The peak counts the stack itself.
     n_tasks = 4
-    base, tasks = deep_family(1, n_tasks, shape)
+    base, tasks = family(1, n_tasks, shape)
     unit = n_tasks * shape[0] * shape[1] * 8
     monkeypatch.setenv("DRM_THREADS", "1")
     tracemalloc.start()
@@ -815,6 +834,7 @@ def test_bundle_layer_peak_below_two_and_a_half_stacks(method, shape, monkeypatc
     finally:
         tracemalloc.stop()
     assert peak / unit < 2.5
+    assert len(gesdd_calls) == (family is adapter_family)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -840,9 +860,9 @@ def test_stacked_svd_input(orientation, monkeypatch):
     # C-ordered side-by-side copy. Either way thin_svd sees the same bytes.
     seen = []
 
-    def recording_thin_svd(A):
+    def recording_thin_svd(A, overwrite_a=False):
         seen.append(A)
-        return thin_svd(A)
+        return thin_svd(A, overwrite_a=overwrite_a)
 
     monkeypatch.setattr(drm.engine, "thin_svd", recording_thin_svd)
     ds = random_delta_set(0, 4, 12, 8)
@@ -858,24 +878,29 @@ def test_stacked_svd_input(orientation, monkeypatch):
     np.testing.assert_array_equal(A, want)
 
 
-def test_vertical_svd_holds_one_stack(monkeypatch):
-    # Tracing starts once the deltas exist, so the peak is what the SVD of
-    # the drm-v stack adds: its right factor (one stack) and small arrays,
-    # with no second copy of the stack to factor. Eight rank-2 adapters
-    # stack to a rank-deficient 64 x 2048 matrix, which takes gesdd as
-    # drm-v on adapter stacks does.
+def adapter_delta_set():
+    """Eight rank-2 adapters on a 256 x 64 layer. Their drm-v stack is a
+    rank-deficient 64 x 2048 matrix, which takes gesdd as drm-v on adapter
+    stacks does."""
     n_tasks, m, n = 8, 256, 64
     rng = np.random.default_rng(3)
     deltas = [
         drm.materialize_low_rank(rng.standard_normal((2, n)), rng.standard_normal((m, 2)), 1.0)
         for _ in range(n_tasks)
     ]
-    ds = DeltaSet("l", (m, n), deltas, [f"t{i}" for i in range(n_tasks)])
+    return DeltaSet("l", (m, n), deltas, [f"t{i}" for i in range(n_tasks)])
+
+
+def vertical_svd_peak(ds, monkeypatch):
+    """tracemalloc peak of the stacked SVD in ``decompose_joint(ds,
+    "vertical")``, in stacks. Tracing starts once the deltas exist, so the
+    peak is what the SVD adds."""
+    stack_bytes = ds.deltas.nbytes
     peaks = []
 
-    def peak_thin_svd(A):
+    def peak_thin_svd(A, overwrite_a=False):
         tracemalloc.reset_peak()
-        svd = thin_svd(A)
+        svd = thin_svd(A, overwrite_a=overwrite_a)
         peaks.append(tracemalloc.get_traced_memory()[1])
         return svd
 
@@ -885,7 +910,28 @@ def test_vertical_svd_holds_one_stack(monkeypatch):
         decompose_joint(ds, "vertical")
     finally:
         tracemalloc.stop()
-    assert peaks[0] / ds.deltas.nbytes < 1.5
+    [peak] = peaks
+    return peak / stack_bytes
+
+
+def test_vertical_svd_holds_one_stack(monkeypatch, gesdd_calls):
+    # An owned stack is factored where it lies and then holds the right
+    # factor, so the SVD adds one stack: gesdd's own Fortran right factor,
+    # copied into the stack's memory once gesdd returns.
+    ds = adapter_delta_set()
+    ds._owned = True
+    assert vertical_svd_peak(ds, monkeypatch) < 1.5
+    assert gesdd_calls == [(64, 2048)]
+
+
+def test_vertical_svd_of_a_borrowed_stack_holds_two(monkeypatch, gesdd_calls):
+    # A caller's stack keeps its bytes: gesdd factors a Fortran copy, whose
+    # memory then receives the right factor.
+    ds = adapter_delta_set()
+    before = ds.deltas.tobytes()
+    assert vertical_svd_peak(ds, monkeypatch) < 2.5
+    assert gesdd_calls == [(64, 2048)]
+    assert ds.deltas.tobytes() == before
 
 
 # --- byte reference: the list-of-blocks pipeline the stack replaced ---

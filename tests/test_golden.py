@@ -221,7 +221,7 @@ def test_wide_output_hash_unchanged(method, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("method", LOW_RANK_METHODS)
-def test_low_rank_output_hash_unchanged(method, tmp_path, monkeypatch):
+def test_low_rank_output_hash_unchanged(method, tmp_path, monkeypatch, gesdd_calls):
     monkeypatch.delenv("DRM_THREADS", raising=False)
     base, tasks = write_low_rank_family(tmp_path)
     base_w = read_bundle(base)["lr.w"]
@@ -233,16 +233,8 @@ def test_low_rank_output_hash_unchanged(method, tmp_path, monkeypatch):
 
     # A rank-deficient stack fails the Gram route's gate, so the stacked SVD
     # is LAPACK's gesdd.
-    gesdd_shapes = []
-    real_svd = np.linalg.svd
-
-    def recording_svd(a, *args, **kwargs):
-        gesdd_shapes.append(a.shape)
-        return real_svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
     digest = run_merge(tmp_path, method, base, tasks)
-    assert gesdd_shapes == [stack.shape]
+    assert gesdd_calls == [stack.shape]
     assert digest == LOW_RANK_GOLDEN[method]
 
 

@@ -1,10 +1,12 @@
+import ctypes
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drm.bundle import materialize_low_rank
-from drm.errors import NonFiniteValue, ShapeMismatch, SizeTooLarge
+from drm.errors import ConvergenceFailure, NonFiniteValue, ShapeMismatch, SizeTooLarge
 from drm import linalg
 from drm.linalg import SIGMA_ZERO_REL, spectral_norm, svd_oracle, thin_svd
 
@@ -129,20 +131,6 @@ class TestSpectralProperties:
             spectral_norm(A)
 
 
-@pytest.fixture()
-def gesdd_calls(monkeypatch):
-    """Count the calls thin_svd makes to LAPACK's SVD."""
-    calls = []
-    real_svd = np.linalg.svd
-
-    def counting_svd(*args, **kwargs):
-        calls.append(np.shape(args[0]))
-        return real_svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    return calls
-
-
 def gesdd_rank(A):
     sigma = np.linalg.svd(A, compute_uv=False)
     return int(np.count_nonzero(sigma > SIGMA_ZERO_REL * sigma.max(initial=0.0)))
@@ -192,6 +180,7 @@ class TestDecompositionRoutes:
 
         monkeypatch.setattr(np.linalg, "svd", no_lapack)
         monkeypatch.setattr(np.linalg, "eigh", no_lapack)
+        monkeypatch.setattr(linalg, "_dgesdd", no_lapack)
         A = random_matrix(8, 4, 6)
         A[2, 3] = bad
         with pytest.raises(NonFiniteValue, match=r"\(4, 6\)"):
@@ -223,3 +212,109 @@ class TestDecompositionRoutes:
         assert svd.U.tobytes() == np.where(flip[None, :], -U, U).tobytes()
         assert svd.Vt.tobytes() == np.where(flip[:, None], -Vt, Vt).tobytes()
         assert svd.sigma.tobytes() == sigma.tobytes()
+
+
+def gesdd_input(shape, kind, order, seed=12):
+    """A dense matrix, or a stack of rank-2 adapters (side by side when
+    wide, one above the other when tall) whose rank is below min(shape)."""
+    rng = np.random.default_rng(seed)
+    m, n = shape
+    if kind == "full":
+        return np.array(rng.standard_normal(shape), order=order)
+    n_tasks = 4
+    if m <= n:
+        blocks = [materialize_low_rank(rng.standard_normal((2, n // n_tasks)),
+                                       rng.standard_normal((m, 2)), 0.5) for _ in range(n_tasks)]
+        A = np.concatenate(blocks, axis=1)
+    else:
+        blocks = [materialize_low_rank(rng.standard_normal((2, n)),
+                                       rng.standard_normal((m // n_tasks, 2)), 0.5) for _ in range(n_tasks)]
+        A = np.concatenate(blocks, axis=0)
+    assert np.linalg.matrix_rank(A) == 2 * n_tasks < min(shape)
+    return np.array(A, order=order)
+
+
+needs_direct_gesdd = pytest.mark.skipif(
+    linalg._dgesdd() is None, reason="numpy's LAPACK dgesdd is not reachable here"
+)
+
+
+class TestDirectGesdd:
+    """The gesdd route calls the dgesdd numpy links, with the arguments of
+    numpy's own svd, so it can factor a matrix its caller gives up."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("kind", ["full", "rank2_adapters"])
+    @pytest.mark.parametrize("shape", [(64, 512), (512, 64), (160, 160)], ids=["wide", "tall", "square"])
+    def test_bytes_equal_numpy_svd(self, shape, kind, order):
+        A = gesdd_input(shape, kind, order)
+        want = np.linalg.svd(A, full_matrices=False)
+        for overwrite_a in (False, True):
+            got = linalg._lapack_svd(A.copy(order="K"), overwrite_a)
+            for g, w in zip(got, want):
+                assert g.flags.c_contiguous
+                assert g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("shape", [(24, 96), (96, 24)], ids=["wide", "tall"])
+    def test_fallback_gives_the_same_bytes(self, monkeypatch, gesdd_calls, shape):
+        A = gesdd_input(shape, "rank2_adapters", "C")
+        direct = thin_svd(A)
+        monkeypatch.setattr(linalg, "_dgesdd", lambda: None)
+        fallback = thin_svd(A)
+        assert gesdd_calls == [shape, shape]
+        for name in ("U", "sigma", "Vt"):
+            assert getattr(fallback, name).tobytes() == getattr(direct, name).tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("overwrite_a", [False, True])
+    def test_input_kept_unless_given_up_in_fortran_order(self, order, overwrite_a):
+        A = gesdd_input((24, 96), "rank2_adapters", order)
+        before = A.tobytes()
+        svd = thin_svd(A, overwrite_a=overwrite_a)
+        if overwrite_a and order == "F" and linalg._dgesdd() is not None:
+            assert np.shares_memory(svd.Vt, A)
+        else:
+            assert A.tobytes() == before
+            assert not np.shares_memory(svd.Vt, A)
+
+    @needs_direct_gesdd
+    @pytest.mark.parametrize("shape", [(24, 96), (96, 24), (40, 40)], ids=["wide", "tall", "square"])
+    def test_owned_fortran_input_holds_the_larger_factor(self, shape):
+        A = gesdd_input(shape, "rank2_adapters", "F")
+        want = thin_svd(A)
+        got = thin_svd(A, overwrite_a=True)
+        larger = got.Vt if shape[0] <= shape[1] else got.U
+        assert np.shares_memory(larger, A) and larger.size == A.size
+        for name in ("U", "sigma", "Vt"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    @pytest.mark.parametrize("info,error", [(3, ConvergenceFailure), (-5, RuntimeError)])
+    def test_lapack_failure_raises_naming_the_shape(self, monkeypatch, info, error):
+        # info > 0: no convergence; info < 0: an illegal argument, a bug.
+        @linalg._DGESDD
+        def failing_dgesdd(jobz, m, n, a, lda, s, u, ldu, vt, ldvt, work, lwork, iwork, info_p, _):
+            if lwork[0] == -1:
+                ctypes.c_double.from_address(work).value = 1.0
+            else:
+                info_p[0] = info
+
+        monkeypatch.setattr(linalg, "_dgesdd", lambda: failing_dgesdd)
+        A = gesdd_input((24, 96), "rank2_adapters", "C")
+        with pytest.raises(error, match=r"\(24, 96\)"):
+            thin_svd(A)
+
+    def test_loader_finds_dgesdd_in_numpys_openblas(self):
+        # The direct call needs numpy's bundled ILP64 scipy-openblas. Where
+        # numpy says it was built on it, the loader must find dgesdd, so a
+        # renamed library cannot silently fall back to np.linalg.svd.
+        try:
+            config = np.show_config(mode="dicts")
+        except TypeError:
+            pytest.skip("this numpy cannot report its build configuration")
+        lapack = config.get("Build Dependencies", {}).get("lapack", {})
+        if lapack.get("name") != "scipy-openblas" or "USE64BITINT" not in lapack.get(
+            "openblas configuration", ""
+        ):
+            pytest.skip("numpy is not built on the ILP64 scipy-openblas")
+        assert linalg._dgesdd() is not None
