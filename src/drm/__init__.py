@@ -18,9 +18,8 @@ from .analysis import (
     pruning_density,
     sign_agreement,
     spectrum_report,
-    synth_hetero_deltas,
 )
-from .baselines import dare_ties_merge, simple_average, task_arithmetic, ties_merge
+from .baselines import dare_ties_merge, task_arithmetic, ties_merge
 from .bundle import (
     BundleFile,
     DeltaSet,
@@ -44,7 +43,6 @@ from .engine import (
     merge_delta_set_grid,
     merge_drm,
     prune_topk,
-    renormalize_row,
     survivor_filter,
     truncate_rank,
 )
@@ -58,7 +56,7 @@ from .harness import (
     run_bench,
     synth_suite,
 )
-from .linalg import ThinSVD, svd_oracle, thin_svd
+from .linalg import ThinSVD, thin_svd
 
 __version__ = "0.1.0"
 
@@ -99,14 +97,10 @@ __all__ = [
     "prune_topk",
     "pruning_density",
     "read_bundle",
-    "renormalize_row",
     "run_bench",
     "sign_agreement",
-    "simple_average",
     "spectrum_report",
     "survivor_filter",
-    "svd_oracle",
-    "synth_hetero_deltas",
     "synth_suite",
     "task_arithmetic",
     "thin_svd",

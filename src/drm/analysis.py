@@ -1,10 +1,10 @@
 """Diagnostics over delta stacks: pruning densities, sign agreement,
-singular-value perturbation audits, spectra, and the synthetic
-heterogeneous-scale generator the test suite leans on.
+singular-value perturbation audits and spectra.
 
 Every report serializes two ways: ``to_table()`` gives a line-oriented
-text table; ``to_json()`` gives the compact key-sorted JSON dialect that
-bundle headers use. Schemas are documented on the report classes.
+text table; ``to_json_obj()`` gives the JSON-ready object whose schema the
+report class documents (``drm analyze`` writes it in the compact
+key-sorted dialect of ``bundle.canonical_json``).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundle import DeltaSet, canonical_json
+from .bundle import DeltaSet
 from .engine import MergeConfig, decompose_joint, prune_topk
 from .errors import NeedTwoTasks
 from .linalg import spectral_norm, thin_svd
@@ -48,9 +48,6 @@ class DensityReport:
     task_names: list[str]
     drop_fractions: np.ndarray  # n_tasks x r
 
-    def max_drop(self) -> float:
-        return float(self.drop_fractions.max())
-
     def to_json_obj(self) -> dict:
         return {
             "layer": self.layer_name,
@@ -61,9 +58,6 @@ class DensityReport:
             "task_names": list(self.task_names),
             "drop_fractions": [[float(x) for x in row] for row in self.drop_fractions],
         }
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_json_obj())
 
     def to_table(self) -> str:
         lines = [
@@ -112,9 +106,6 @@ class AgreementHistogram:
             "mean": self.mean,
             "positions": self.positions,
         }
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_json_obj())
 
     def to_table(self) -> str:
         lines = [
@@ -170,9 +161,6 @@ class BoundReport:
             ],
         }
 
-    def to_json(self) -> str:
-        return canonical_json(self.to_json_obj())
-
     def to_table(self) -> str:
         lines = [
             f"# spectrum perturbation bound  layer={self.layer_name}  "
@@ -214,9 +202,6 @@ class SpectrumReport:
             "sigma": [float(s) for s in self.sigma],
             "row_norms": [[float(x) for x in row] for row in self.row_norms],
         }
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_json_obj())
 
     def to_table(self) -> str:
         header = "i\tsigma\t" + "\t".join(f"norm[{n}]" for n in self.task_names)
@@ -347,22 +332,3 @@ def spectrum_report(ds: DeltaSet, orientation: str = "horizontal") -> SpectrumRe
         sigma=jd.sigma,
         row_norms=jd.row_norms,
     )
-
-
-def synth_hetero_deltas(
-    seed: int, n_tasks: int, m: int, n: int, scale_ratio: float
-) -> DeltaSet:
-    """Random deltas whose task norms span ``scale_ratio``.
-
-    Task t gets standard-normal entries scaled by
-    scale_ratio ** (t / (n_tasks - 1)), so the first and last tasks differ
-    by the full ratio. Deterministic in the seed.
-    """
-    if scale_ratio < 1.0:
-        raise ValueError(f"scale_ratio must be >= 1, got {scale_ratio}")
-    rng = np.random.default_rng(seed)
-    deltas = []
-    for t in range(n_tasks):
-        exponent = t / (n_tasks - 1) if n_tasks > 1 else 0.0
-        deltas.append(rng.standard_normal((m, n)) * scale_ratio**exponent)
-    return DeltaSet("synthetic", (m, n), deltas, [f"task{t}" for t in range(n_tasks)])

@@ -19,16 +19,6 @@ from .engine import (
 from .errors import ShapeMismatch
 
 
-def simple_average(weights: list[np.ndarray]) -> np.ndarray:
-    """Element-wise mean of the full task weights."""
-    weights = [np.asarray(w, dtype=np.float64) for w in weights]
-    shape = weights[0].shape
-    for i, w in enumerate(weights):
-        if w.shape != shape:
-            raise ShapeMismatch(f"weight {i} has shape {w.shape}, expected {shape}")
-    return np.mean(weights, axis=0)
-
-
 def task_arithmetic(ds: DeltaSet, lambdas) -> np.ndarray:
     """Coefficient-weighted sum of the deltas (no averaging, no pruning)."""
     lams = np.asarray(lambdas, dtype=np.float64).reshape(-1)

@@ -339,15 +339,16 @@ def _read_header(path, fd: int) -> tuple[dict, dict[str, str]]:
             raise CorruptHeader(f"{path}: tensor {name!r} has unknown dtype {rec.get('dtype')!r}")
         dtype = _DTYPE_FROM_NAME[rec["dtype"]]
         shape = rec.get("shape")
+        # type() rather than isinstance(): JSON true/false load as bool, an int.
         if (
             not isinstance(shape, list)
             or not shape
             or len(shape) > 2
-            or not all(isinstance(s, int) and s > 0 for s in shape)
+            or not all(type(s) is int and s > 0 for s in shape)
         ):
             raise CorruptHeader(f"{path}: tensor {name!r} has invalid shape {shape!r}")
         offset, nbytes = rec.get("offset"), rec.get("nbytes")
-        if not isinstance(offset, int) or not isinstance(nbytes, int) or offset % ALIGN != 0:
+        if type(offset) is not int or type(nbytes) is not int or offset % ALIGN != 0:
             raise CorruptHeader(f"{path}: tensor {name!r} has invalid offset/nbytes")
         expected = int(np.prod(shape)) * dtype.itemsize
         if nbytes != expected:

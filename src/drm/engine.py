@@ -140,15 +140,6 @@ class JointDecomposition:
         return nonzero_sigma_mask(self.sigma)
 
 
-def renormalize_row(v: np.ndarray) -> tuple[np.ndarray, float]:
-    """Return (unit vector, norm); the zero vector maps to (zero, 0.0)."""
-    v = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
-    if norm <= ZERO_ROW_NORM:
-        return np.zeros_like(v), 0.0
-    return v / norm, norm
-
-
 def decompose_joint(ds: DeltaSet, orientation: str = "horizontal") -> JointDecomposition:
     """Decompose the stacked deltas and renormalize the per-task blocks.
 

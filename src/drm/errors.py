@@ -68,10 +68,6 @@ class ConvergenceFailure(NumericError):
     """An iterative numerical routine failed to converge."""
 
 
-class SizeTooLarge(NumericError):
-    """Input exceeds the size limit of a test-scale routine."""
-
-
 class SingularSystem(NumericError):
     """A linear system has no unique solution."""
 

@@ -12,19 +12,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundle import DeltaSet, TensorBundle
+from .bundle import DeltaSet
 from .engine import MergeConfig, merge_delta_set, merge_delta_set_grid
 from .errors import ShapeMismatch, SingularSystem
 
 BENCH_METHODS = ("simple_avg", "task_arithmetic", "ties", "dare_ties", "drm_h", "drm_v")
+
+# Each planted task solution is the base plus this much standard-normal
+# perturbation, in the base's 1/sqrt(n) units.
+PLANTED_DELTA_SCALE = 0.3
 
 
 @dataclass
 class SynthTask:
     """One regression task: fit W so that X @ W.T approximates Y.
 
-    s >= n is required for a unique unregularized solution; any positive
-    ridge lifts that requirement.
+    At least one sample is required, and s >= n for a unique unregularized
+    solution; any positive ridge lifts the second requirement.
     """
 
     name: str
@@ -41,6 +45,8 @@ class SynthTask:
             )
         if self.ridge < 0:
             raise ValueError("ridge must be non-negative")
+        if self.X.shape[0] == 0:
+            raise ValueError(f"task {self.name!r} has no samples to fit or score")
         if self.ridge == 0.0 and self.X.shape[0] < self.X.shape[1]:
             raise ValueError(
                 f"task {self.name!r}: {self.X.shape[0]} samples underdetermine "
@@ -74,26 +80,17 @@ def closed_form_finetune(base: np.ndarray, task: SynthTask) -> np.ndarray:
     return wt.T
 
 
-def _as_matrix(model) -> np.ndarray:
-    if isinstance(model, TensorBundle):
-        mats = [arr for _, arr in model.items() if arr.ndim == 2]
-        if len(mats) != 1:
-            raise ValueError("expected a single-layer bundle with exactly one matrix")
-        return mats[0].astype(np.float64)
-    return np.asarray(model, dtype=np.float64)
-
-
 def _neg_mse(W: np.ndarray, X: np.ndarray, Y: np.ndarray) -> float:
     resid = X @ W.T - Y
     return -float(np.mean(resid * resid))
 
 
 def evaluate(model, tasks: list[SynthTask]) -> tuple[list[float], float]:
-    """Score a weight matrix (or single-layer bundle) on every task.
+    """Score a weight matrix on every task.
 
     Returns (per-task negative mean squared errors, their mean).
     """
-    W = _as_matrix(model)
+    W = np.asarray(model, dtype=np.float64)
     scores = []
     for task in tasks:
         if task.X.shape[1] != W.shape[1] or task.Y.shape[1] != W.shape[0]:
@@ -217,7 +214,6 @@ def synth_suite(
     identical: bool = False,
     ridge: float = 0.0,
     noise: float = 0.0,
-    delta_scale: float = 0.3,
 ) -> tuple[np.ndarray, list[SynthTask]]:
     """Build a base matrix and task family with planted linear solutions.
 
@@ -233,7 +229,7 @@ def synth_suite(
         if identical and shared is not None:
             X, Y = shared
         else:
-            w_true = base + delta_scale * rng.standard_normal((m, n)) / np.sqrt(n)
+            w_true = base + PLANTED_DELTA_SCALE * rng.standard_normal((m, n)) / np.sqrt(n)
             X = rng.standard_normal((samples, n))
             Y = X @ w_true.T
             if noise > 0:
@@ -272,11 +268,11 @@ def _neutral_config(method: str, n_tasks: int, seed: int) -> MergeConfig:
 def run_bench(
     base: np.ndarray,
     tasks: list[SynthTask],
-    methods=BENCH_METHODS,
     neutral: bool = False,
     seed: int = 0,
 ) -> BenchResult:
-    """Finetune every task, merge with each method, and score the merges.
+    """Finetune every task, merge with each of BENCH_METHODS, and score
+    the merges.
 
     ``neutral=True`` swaps the per-method defaults for identity-preserving
     settings (retain 1, coefficient 1 or 1/N, no random drops).
@@ -288,7 +284,7 @@ def run_bench(
         "layer0", base.shape, [w - base for w in finetuned], [t.name for t in tasks]
     )
     result = BenchResult([t.name for t in tasks], float(np.mean(ft_scores)))
-    for method in methods:
+    for method in BENCH_METHODS:
         if neutral:
             cfg = _neutral_config(method, len(tasks), seed)
         else:

@@ -1,25 +1,20 @@
-"""Dense kernels with explicit contracts: thin SVD and an independent
-brute-force singular-value oracle for cross-checking tests."""
+"""Dense kernels with explicit contracts: the thin SVD with pinned signs
+that factors the merge stacks, and the spectral norm."""
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NonFiniteValue, ShapeMismatch, SizeTooLarge
+from .errors import ConvergenceFailure, NonFiniteValue, ShapeMismatch
 
 # Singular values below this fraction of sigma_max count as zero for rank
 # purposes; floating-point rank is ill-posed without a cutoff.
 SIGMA_ZERO_REL = 1e-12
-
-# Largest Gram dimension svd_oracle accepts; it exists for test-scale
-# cross-checks only.
-ORACLE_MAX_SIDE = 32
 
 # thin_svd factors through the smaller Gram matrix only when its eigenvalues
 # satisfy lambda_min >= GRAM_MIN_EIG_RATIO * lambda_max. That bounds the
@@ -226,67 +221,3 @@ def spectral_norm(A: np.ndarray) -> float:
         return float(np.linalg.svd(A, compute_uv=False)[0])
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"SVD did not converge on a {A.shape} matrix") from exc
-
-
-def _jacobi_eigenvalues(G: np.ndarray, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Written without any library eigensolver so it can serve as an
-    independent check of the SVD backend.
-    """
-    G = np.array(G, dtype=np.float64, copy=True)
-    n = G.shape[0]
-    if n <= 1:
-        return G.reshape(-1)[:1].copy() if n else np.zeros(0)
-    fro = math.sqrt(float((G * G).sum()))
-    if fro == 0.0:
-        return np.zeros(n)
-    tol = 1e-15 * fro
-    off_mask = ~np.eye(n, dtype=bool)
-    for sweep in range(max_sweeps + 1):
-        off_sq = float((G[off_mask] ** 2).sum())
-        if off_sq <= tol * tol:
-            return np.diag(G).copy()
-        if sweep == max_sweeps:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                gpq = G[p, q]
-                if abs(gpq) <= 1e-30 * fro:
-                    continue
-                tau = (G[q, q] - G[p, p]) / (2.0 * gpq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = c * G[:, p] - s * G[:, q]
-                col_q = s * G[:, p] + c * G[:, q]
-                G[:, p], G[:, q] = col_p, col_q
-                row_p = c * G[p, :] - s * G[q, :]
-                row_q = s * G[p, :] + c * G[q, :]
-                G[p, :], G[q, :] = row_p, row_q
-                G[p, q] = 0.0
-                G[q, p] = 0.0
-    raise ConvergenceFailure(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
-
-
-def svd_oracle(A: np.ndarray) -> np.ndarray:
-    """Singular values via Jacobi eigenvalues of the smaller Gram matrix.
-
-    Test-scale only: the Gram side must not exceed ORACLE_MAX_SIDE. Returns
-    min(m, n) values sorted non-increasing.
-    """
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2:
-        raise ShapeMismatch(f"expected a matrix, got shape {A.shape}")
-    m, n = A.shape
-    if min(m, n) > ORACLE_MAX_SIDE:
-        raise SizeTooLarge(
-            f"oracle accepts min(m, n) <= {ORACLE_MAX_SIDE}, got {A.shape}"
-        )
-    gram = A @ A.T if m <= n else A.T @ A
-    evals = _jacobi_eigenvalues(gram)
-    evals = np.clip(evals, 0.0, None)
-    return np.sort(np.sqrt(evals))[::-1]

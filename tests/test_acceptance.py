@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from drm.analysis import check_perturbation_bounds, pruning_density, sign_agreement, synth_hetero_deltas
+from drm.analysis import check_perturbation_bounds, pruning_density, sign_agreement
 from drm.baselines import dare_ties_merge, task_arithmetic, ties_merge
 from drm.bundle import DeltaSet, TensorBundle, read_bundle, write_bundle
 from drm.engine import (
@@ -26,6 +26,7 @@ from drm.engine import (
 )
 from drm.harness import BENCH_METHODS, grid_tune, run_bench, synth_suite
 from drm.linalg import thin_svd
+from oracles import synth_hetero_deltas
 
 
 def announce(criterion: str, description: str):

@@ -3,15 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from drm.baselines import dare_ties_merge, simple_average, task_arithmetic, ties_merge
-from drm.bundle import DeltaSet
-from drm.engine import MergeConfig
+from drm.baselines import dare_ties_merge, task_arithmetic, ties_merge
+from drm.bundle import DeltaSet, TensorBundle
+from drm.engine import MergeConfig, merge_bundle, merge_delta_set
 from drm.errors import ShapeMismatch
 
 
 def make_ds(deltas, name="layer"):
     deltas = [np.asarray(d, dtype=np.float64) for d in deltas]
     return DeltaSet(name, deltas[0].shape, deltas, [f"t{i}" for i in range(len(deltas))])
+
+
+def simple_average(deltas):
+    """The ``simple_avg`` method's merged delta."""
+    return merge_delta_set(make_ds(deltas), MergeConfig(method="simple_avg"))
 
 
 class TestSimpleAverage:
@@ -34,8 +39,10 @@ class TestSimpleAverage:
         np.testing.assert_allclose(simple_average(weights), expected, atol=1e-12)
 
     def test_shape_mismatch(self):
+        base = TensorBundle({"w": np.zeros((2, 2))})
+        tasks = [TensorBundle({"w": np.zeros((2, 2))}), TensorBundle({"w": np.zeros((2, 3))})]
         with pytest.raises(ShapeMismatch):
-            simple_average([np.zeros((2, 2)), np.zeros((2, 3))])
+            merge_bundle(base, tasks, MergeConfig(method="simple_avg"))
 
 
 class TestTaskArithmetic:

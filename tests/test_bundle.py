@@ -141,6 +141,20 @@ class TestReadBundle:
         path.write_bytes(assemble(header, GOLDEN_DATA))
         assert_readers_raise(path, CorruptHeader, match="'w'")
 
+    @pytest.mark.parametrize("field,value", [
+        ("shape", [True, 2]),
+        ("offset", False),
+        ("nbytes", True),
+    ])
+    def test_boolean_integer_field_rejected(self, tmp_path, field, value):
+        # JSON true/false parse to bool, which Python counts as an int.
+        record = {"name": "w", "dtype": "f64", "shape": [1, 2], "offset": 0, "nbytes": 16}
+        record[field] = value
+        header = json.dumps({"tensors": [record], "metadata": {}})
+        path = tmp_path / "bool.drmb"
+        path.write_bytes(assemble(header, bytes(16)))
+        assert_readers_raise(path, CorruptHeader, match="'w'")
+
     def test_non_finite_payload(self, tmp_path):
         data = struct.pack("<4d", 1.0, float("nan"), 3.0, 4.0)
         path = tmp_path / "nan.drmb"

@@ -96,6 +96,25 @@ class TestMerge:
         assert run_merge(str(base), tasks, tmp / "out.drmb", "--method", "avg") == 3
         assert "overlap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["merge", "analyze"])
+    def test_boolean_shape_entry_is_io_error(self, tmp_path, capsys, command):
+        header = json.dumps({"tensors": [
+            {"name": "a.w", "dtype": "f64", "shape": [True, 2], "offset": 0, "nbytes": 16},
+        ]}).encode("utf-8")
+        base = tmp_path / "bool.drmb"
+        base.write_bytes(b"DRMB" + struct.pack("<IQ", 1, len(header)) + header + bytes(16))
+        out = tmp_path / "out"
+        # The file is its own task, so the inputs agree and only a read of
+        # the tensor would find the bad shape.
+        if command == "merge":
+            code = run_merge(str(base), [str(base)], out, "--method", "avg")
+        else:
+            code = main(["analyze", "spectrum", "--base", str(base), "--task", str(base),
+                         "--out", str(out)])
+        assert code == 3
+        assert "'a.w'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_non_finite_task_tensor_is_io_error(self, tmp_path, capsys, monkeypatch, threads):
         # The NaN sits in the last matrix layer of the second task, so the
@@ -393,6 +412,21 @@ class TestBenchTune:
         payload = json.loads(out.read_text())
         assert len(payload["grid"]) == 80  # 10 retain x 8 lambda
         capsys.readouterr()
+
+    @pytest.mark.parametrize("samples", ["0", "1"])
+    def test_tune_without_training_samples_exit_2(self, tmp_path, capsys, samples):
+        # 1 sample goes to validation, which leaves no training sample.
+        out = tmp_path / "t.json"
+        assert main(["tune", "--method", "drm-h", "--samples", samples, "--ridge", "1",
+                     "--out", str(out)]) == 2
+        assert "no samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bench_without_samples_exit_2(self, capsys):
+        assert main(["bench", "synthetic", "--samples", "0", "--ridge", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "no samples" in captured.err
+        assert captured.out == ""
 
     def test_bad_dim_exit_2(self):
         assert main(["bench", "synthetic", "--dim", "7"]) == 2

@@ -31,7 +31,6 @@ from drm.engine import (
     merge_drm,
     merge_drm_with_stats,
     prune_topk,
-    renormalize_row,
     survivor_filter,
     truncate_rank,
 )
@@ -58,20 +57,30 @@ def planted_delta_set(seed, n_tasks=3, m=8, n=5):
 
 
 class TestRenormalizeRow:
+    """decompose_joint scales each block row to unit length and keeps the
+    norm it had in ``row_norms``; a zero row stays zero, with norm 0."""
+
     def test_already_unit(self):
-        unit, norm = renormalize_row(np.array([0.6, 0.8]))
-        np.testing.assert_allclose(unit, [0.6, 0.8], atol=1e-15)
-        assert norm == pytest.approx(1.0)
+        # One task's block is the whole right factor, whose rows are unit.
+        ds = random_delta_set(0, n_tasks=1)
+        jd = decompose_joint(ds)
+        np.testing.assert_allclose(jd.row_norms, np.ones((1, 4)), atol=1e-12)
+        np.testing.assert_allclose(jd.renorm_blocks[0], thin_svd(ds.deltas[0]).Vt, atol=1e-12)
 
     def test_three_four_five(self):
-        unit, norm = renormalize_row(np.array([3.0, 4.0]))
-        np.testing.assert_allclose(unit, [0.6, 0.8], atol=1e-15)
-        assert norm == pytest.approx(5.0)
+        # [3I | 4I] has sigma 5 twice; in whatever basis the SVD picks, the
+        # rows of task 0's block have norm 3/5 and those of task 1's 4/5.
+        ds = DeltaSet("layer", (2, 2), [3.0 * np.eye(2), 4.0 * np.eye(2)], ["t0", "t1"])
+        jd = decompose_joint(ds)
+        np.testing.assert_allclose(jd.row_norms, [[0.6, 0.6], [0.8, 0.8]], atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(jd.renorm_blocks, axis=2), 1.0, atol=1e-12)
+        np.testing.assert_allclose(jd.task_sigmas, [[3.0, 3.0], [4.0, 4.0]], atol=1e-12)
 
     def test_zero_vector(self):
-        unit, norm = renormalize_row(np.zeros(4))
-        np.testing.assert_array_equal(unit, np.zeros(4))
-        assert norm == 0.0
+        ds = DeltaSet("layer", (2, 2), [np.eye(2), np.zeros((2, 2))], ["t0", "t1"])
+        jd = decompose_joint(ds)
+        np.testing.assert_array_equal(jd.renorm_blocks[1], np.zeros((2, 2)))
+        np.testing.assert_array_equal(jd.row_norms[1], [0.0, 0.0])
 
 
 def check_decomposition_invariants(ds, jd):
@@ -1125,3 +1134,14 @@ def test_readme_python_quick_start(capsys):
     assert capsys.readouterr().out
     named = set(re.findall(r"`([a-z_]+)`", section))
     assert named and named <= set(drm.__all__)
+
+
+def test_readme_python_api_table_is_drm_all():
+    # The README's "Python API" table lists every exported name once, and
+    # only those; each one resolves.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"^\| `(\w+)` \|", section, re.M)
+    assert len(names) == len(set(names))
+    assert set(names) == set(drm.__all__)
+    assert all(getattr(drm, name, None) is not None for name in names)

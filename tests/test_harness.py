@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import drm.engine
-from drm.bundle import TensorBundle
 from drm.errors import ShapeMismatch, SingularSystem
 from drm.harness import (
     BENCH_METHODS,
@@ -30,6 +29,10 @@ class TestSynthTask:
 
     def test_underdetermined_with_ridge_accepted(self):
         SynthTask("t", np.ones((2, 5)), np.zeros((2, 1)), ridge=0.1)
+
+    def test_no_samples_rejected_even_with_ridge(self):
+        with pytest.raises(ValueError, match="no samples"):
+            SynthTask("t", np.zeros((0, 2)), np.zeros((0, 1)), ridge=1.0)
 
     def test_sample_count_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -102,12 +105,6 @@ class TestEvaluate:
             for j in range(3):
                 total += resid[i, j] ** 2
         assert scores[0] == pytest.approx(-total / 24.0)
-
-    def test_accepts_single_layer_bundle(self):
-        task, w_true = simple_task(seed=8)
-        bundle = TensorBundle({"w": w_true})
-        scores, _ = evaluate(bundle, [task])
-        assert scores[0] == pytest.approx(0.0, abs=1e-18)
 
 
 class TestDefaultGrids:

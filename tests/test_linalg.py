@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drm.bundle import materialize_low_rank
-from drm.errors import ConvergenceFailure, NonFiniteValue, ShapeMismatch, SizeTooLarge
+from drm.errors import ConvergenceFailure, NonFiniteValue
 from drm import linalg
-from drm.linalg import SIGMA_ZERO_REL, spectral_norm, svd_oracle, thin_svd
+from drm.linalg import SIGMA_ZERO_REL, spectral_norm, thin_svd
+from oracles import SizeTooLarge, svd_oracle
 
 
 def random_matrix(seed, m, n, scale=1.0):
