@@ -9,6 +9,7 @@ import numpy as np
 from .bundle import DeltaSet
 from .engine import (
     MergeConfig,
+    _per_task,
     agreeing_entries,
     disjoint_average,
     elect_signs,
@@ -16,18 +17,12 @@ from .engine import (
     prune_topk,
     survivor_filter,
 )
-from .errors import ShapeMismatch
 
 
 def task_arithmetic(ds: DeltaSet, lambdas) -> np.ndarray:
     """Coefficient-weighted sum of the deltas (no averaging, no pruning)."""
-    lams = np.asarray(lambdas, dtype=np.float64).reshape(-1)
-    if lams.size == 1:
-        lams = np.full(ds.n_tasks, lams[0])
-    if lams.size != ds.n_tasks:
-        raise ShapeMismatch(f"got {lams.size} lambdas for {ds.n_tasks} tasks")
     out = np.zeros(ds.base_shape)
-    for lam, delta in zip(lams, ds.deltas):
+    for lam, delta in zip(_per_task(lambdas, ds.n_tasks), ds.deltas):
         out += lam * delta
     return out
 

@@ -24,6 +24,7 @@ import contextlib
 import json
 import os
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -416,13 +417,14 @@ class DeltaSet:
         if len(set(self.task_names)) != len(self.task_names):
             raise ValueError("task names must be unique")
         self.base_shape = (int(self.base_shape[0]), int(self.base_shape[1]))
-        expected = (len(self.task_names), *self.base_shape)
+        # Checked before stacking: a ragged list fails inside numpy, naming no layer.
+        for delta in self.deltas:
+            if np.shape(delta) != self.base_shape:
+                raise ShapeMismatch(
+                    f"layer {self.layer_name!r}: a delta has shape {np.shape(delta)}, "
+                    f"expected {self.base_shape}"
+                )
         self.deltas = np.asarray(self.deltas, dtype=np.float64)
-        if self.deltas.shape != expected:
-            raise ShapeMismatch(
-                f"layer {self.layer_name!r}: deltas stack to shape {self.deltas.shape}, "
-                f"expected {expected}"
-            )
 
     @property
     def n_tasks(self) -> int:
@@ -496,18 +498,21 @@ def extract_deltas(
     base: TensorBundle | BundleFile,
     tasks: list[TensorBundle | BundleFile],
     task_names: list[str] | None = None,
-) -> list[DeltaSet]:
+) -> Iterator[DeltaSet]:
     """One :class:`DeltaSet` of task - base deltas per rank-2 tensor of
-    aligned bundles, in base-bundle order. Rank-1 tensors are not read;
-    :func:`drm.engine.merge_bundle` averages them itself. Task bundles must
-    carry exactly the base bundle's tensor names and shapes.
+    aligned bundles, in base-bundle order, each built only when the
+    iterator reaches it, so a caller that drops each layer before taking
+    the next holds one layer's float64 data at a time. Names and shapes are
+    checked here, at the call (see :func:`check_aligned`); a bad tensor
+    value surfaces when its layer is read. Rank-1 tensors are not read;
+    :func:`drm.engine.merge_bundle` averages them itself.
     """
     task_names = check_aligned(base, tasks, task_names)
-    return [
+    return (
         layer_delta_set(name, base.read(name), tasks, task_names)
         for name in base.names()
         if len(base.shape(name)) == 2
-    ]
+    )
 
 
 def materialize_low_rank(down: np.ndarray, up: np.ndarray, scale: float) -> np.ndarray:

@@ -14,14 +14,8 @@ import sys
 from pathlib import Path
 
 from . import analysis, harness
-from .bundle import (
-    atomic_output,
-    canonical_json,
-    extract_deltas,
-    open_bundle,
-    read_bundle,
-    write_bundle,
-)
+from .bundle import atomic_output, canonical_json, extract_deltas, open_bundle, write_bundle
+from .bundle import read_bundle  # noqa: F401 -- drmbench wraps drm.cli.read_bundle
 from .engine import MergeConfig, merge_bundle_with_stats
 from .errors import ArgumentError, InputOutputError, NumericError
 
@@ -116,11 +110,17 @@ def _write_json(path, obj) -> None:
         fh.write((canonical_json(obj) + "\n").encode("utf-8"))
 
 
-def cmd_merge(args) -> int:
-    # Inputs are opened by their headers; the layer workers read each tensor.
+@contextlib.contextmanager
+def _open_inputs(args):
+    """The base and task bundles, opened by their headers for the block;
+    each tensor is read from disk only when its layer is taken."""
     with contextlib.ExitStack() as inputs:
         base = inputs.enter_context(open_bundle(args.base))
-        tasks = [inputs.enter_context(open_bundle(p)) for p in args.task]
+        yield base, [inputs.enter_context(open_bundle(p)) for p in args.task]
+
+
+def cmd_merge(args) -> int:
+    with _open_inputs(args) as (base, tasks):
         cfg = _config_from_args(args, len(tasks))
         merged, stats = merge_bundle_with_stats(base, tasks, cfg, _task_names(args.task))
     write_bundle(merged, args.out)
@@ -133,33 +133,27 @@ def cmd_merge(args) -> int:
     return 0
 
 
-def _analysis_delta_sets(args):
-    base = read_bundle(args.base)
-    tasks = [read_bundle(p) for p in args.task]
-    delta_sets = extract_deltas(base, tasks, _task_names(args.task))
-    if not delta_sets:
-        raise ValueError("no rank-2 tensors to analyze")
-    return delta_sets
-
-
 def cmd_analyze(args) -> int:
-    delta_sets = _analysis_delta_sets(args)
-    cfg = MergeConfig(
-        method="drm_v" if args.space.endswith("-v") else "drm_h",
-        retain=args.retain,
-        prune_mode=args.prune_mode,
-    )
+    orientation = "vertical" if args.space.endswith("-v") else "horizontal"
     reports = []
-    if args.kind == "prune-density":
-        reports = [analysis.pruning_density(ds, cfg, with_renorm=args.renorm) for ds in delta_sets]
-    elif args.kind == "sign-agreement":
-        reports = [analysis.sign_agreement(ds, cfg, args.space) for ds in delta_sets]
-    elif args.kind == "svd-bound":
-        for ds in delta_sets:
-            reports.extend(analysis.check_perturbation_bounds(ds))
-    elif args.kind == "spectrum":
-        orientation = "vertical" if args.space.endswith("-v") else "horizontal"
-        reports = [analysis.spectrum_report(ds, orientation) for ds in delta_sets]
+    with _open_inputs(args) as (base, tasks):
+        cfg = MergeConfig(
+            method="drm_v" if orientation == "vertical" else "drm_h",
+            retain=args.retain,
+            prune_mode=args.prune_mode,
+        )
+        # Each layer is read and its deltas built only when the loop takes it.
+        for ds in extract_deltas(base, tasks, _task_names(args.task)):
+            if args.kind == "prune-density":
+                reports.append(analysis.pruning_density(ds, cfg, with_renorm=args.renorm))
+            elif args.kind == "sign-agreement":
+                reports.append(analysis.sign_agreement(ds, cfg, args.space))
+            elif args.kind == "svd-bound":
+                reports.extend(analysis.check_perturbation_bounds(ds))
+            elif args.kind == "spectrum":
+                reports.append(analysis.spectrum_report(ds, orientation))
+    if not reports:
+        raise ValueError("no rank-2 tensors to analyze")
 
     _write_json(args.out, [r.to_json_obj() for r in reports])
     for r in reports:

@@ -309,18 +309,23 @@ def survivor_filter(
     return survivors, gamma
 
 
+def _per_task(lambdas, n_tasks: int) -> np.ndarray:
+    """One float64 coefficient per task from one shared value or a list."""
+    lams = np.asarray(lambdas, dtype=np.float64).reshape(-1)
+    if lams.size == 1:
+        return np.full(n_tasks, lams[0])
+    if lams.size != n_tasks:
+        raise ShapeMismatch(f"got {lams.size} lambdas for {n_tasks} tasks")
+    return lams
+
+
 def disjoint_average(
     stack: np.ndarray, survivors: np.ndarray, gamma: np.ndarray | float, lambdas
 ) -> np.ndarray:
     """gamma times the coefficient-weighted sum over tasks of the surviving
     entries; see :func:`survivor_filter`."""
     stack = np.asarray(stack, dtype=np.float64)
-    n_tasks = stack.shape[0]
-    lams = np.asarray(lambdas, dtype=np.float64).reshape(-1)
-    if lams.size == 1:
-        lams = np.full(n_tasks, lams[0])
-    if lams.size != n_tasks:
-        raise ShapeMismatch(f"got {lams.size} lambdas for {n_tasks} blocks")
+    lams = _per_task(lambdas, stack.shape[0])
     if survivors.shape != stack.shape:
         raise ShapeMismatch("the stack and its survivor mask must share one shape")
     weighted = np.zeros(stack.shape[1:])
@@ -386,11 +391,7 @@ def _drm_grid(ds: DeltaSet, cfg: MergeConfig, points: list[list[MergeConfig]]):
 def merge_biases(base: np.ndarray, task_values: list[np.ndarray], lambdas) -> np.ndarray:
     """Weighted-average path for rank-1 tensors: base + mean of scaled deltas."""
     base = np.asarray(base, dtype=np.float64)
-    lams = np.asarray(lambdas, dtype=np.float64).reshape(-1)
-    if lams.size == 1:
-        lams = np.full(len(task_values), lams[0])
-    if lams.size != len(task_values):
-        raise ShapeMismatch(f"got {lams.size} lambdas for {len(task_values)} tasks")
+    lams = _per_task(lambdas, len(task_values))
     acc = np.zeros_like(base)
     for value, lam in zip(task_values, lams):
         value = np.asarray(value, dtype=np.float64)

@@ -43,8 +43,8 @@ class SynthTask:
             raise ShapeMismatch(
                 f"task {self.name!r}: X {self.X.shape} and Y {self.Y.shape} disagree"
             )
-        if self.ridge < 0:
-            raise ValueError("ridge must be non-negative")
+        if not (np.isfinite(self.ridge) and self.ridge >= 0):
+            raise ValueError(f"ridge must be finite and non-negative, got {self.ridge}")
         if self.X.shape[0] == 0:
             raise ValueError(f"task {self.name!r} has no samples to fit or score")
         if self.ridge == 0.0 and self.X.shape[0] < self.X.shape[1]:
@@ -221,6 +221,8 @@ def synth_suite(
     every task, the degenerate case in which exact merging should recover
     the finetuned model.
     """
+    if not (np.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be finite and non-negative, got {noise}")
     rng = np.random.default_rng(seed)
     base = rng.standard_normal((m, n)) / np.sqrt(n)
     tasks = []

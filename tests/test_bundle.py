@@ -413,7 +413,7 @@ class TestExtractDeltas:
 
     def test_direct_subtraction(self):
         base, task = self.base_and_tasks()
-        delta_sets = extract_deltas(base, [task])
+        delta_sets = list(extract_deltas(base, [task]))
         assert len(delta_sets) == 1
         ds = delta_sets[0]
         assert ds.layer_name == "L0.w"
@@ -458,7 +458,7 @@ class TestExtractDeltas:
             base.add(name, rng.uniform(-4, 4, shape).astype(np.float32).astype(np.float64))
             for task in tasks:
                 task.add(name, rng.uniform(-4, 4, shape).astype(np.float32).astype(np.float64))
-        delta_sets = extract_deltas(base, tasks)
+        delta_sets = list(extract_deltas(base, tasks))
         assert [ds.layer_name for ds in delta_sets] == ["w1", "w2"]
         for ds in delta_sets:
             for t, delta in enumerate(ds.deltas):
@@ -517,3 +517,8 @@ def test_delta_set_holds_one_float64_stack():
 def test_delta_set_rejects_a_stack_of_the_wrong_shape():
     with pytest.raises(ShapeMismatch, match="'l'"):
         DeltaSet("l", (2, 3), np.zeros((2, 3, 2)), ["a", "b"])
+
+
+def test_delta_set_rejects_a_ragged_list_of_deltas():
+    with pytest.raises(ShapeMismatch, match=r"'l'.*\(2, 3\)"):
+        DeltaSet("l", (2, 2), [np.zeros((2, 2)), np.zeros((2, 3))], ["a", "b"])

@@ -382,6 +382,71 @@ class TestAnalyze:
         assert main(argv) == 0
         assert all(rep["orientation"] == "vertical" for rep in json.loads(out.read_text()))
 
+    @pytest.mark.parametrize("kind,bound", [
+        ("prune-density", 60), ("sign-agreement", 60), ("spectrum", 60), ("svd-bound", 125),
+    ])
+    def test_inputs_are_read_per_layer(self, tmp_path, capsys, kind, bound):
+        # In units of one layer's float64 deltas, holding every layer's at
+        # once would alone cost 64. The rest of the bound is the reports and
+        # their JSON, which grow with the layer count: svd-bound keeps one
+        # entry per singular value per task.
+        n_layers, n_tasks, shape = 64, 4, (64, 48)
+        rng = np.random.default_rng(29)
+        base = TensorBundle({
+            f"L{i}.w": rng.standard_normal(shape).astype(np.float32) for i in range(n_layers)
+        })
+        write_bundle(base, tmp_path / "base.drmb")
+        argv = ["analyze", kind, "--base", str(tmp_path / "base.drmb"),
+                "--out", str(tmp_path / "report.json")]
+        for t in range(n_tasks):
+            task = TensorBundle({
+                name: arr + 0.01 * rng.standard_normal(shape).astype(np.float32)
+                for name, arr in base.items()
+            })
+            write_bundle(task, tmp_path / f"task{t}.drmb")
+            argv += ["--task", str(tmp_path / f"task{t}.drmb")]
+        del base, task
+
+        unit = n_tasks * shape[0] * shape[1] * 8
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        capsys.readouterr()
+        assert len(json.loads((tmp_path / "report.json").read_text())) >= n_layers
+        assert peak < bound * unit
+
+    def test_non_finite_last_layer_is_io_error(self, tmp_path, capsys):
+        # Layers are read one at a time, so the NaN in the second task's
+        # last matrix layer is found only after every other report is made.
+        rng = np.random.default_rng(31)
+        shapes = {"L0.w": (5, 4), "L0.b": (5,), "L1.w": (4, 5), "L2.w": (3, 4)}
+        base = TensorBundle({name: rng.standard_normal(s) for name, s in shapes.items()})
+        write_bundle(base, tmp_path / "base.drmb")
+        task = TensorBundle({name: arr + 0.1 for name, arr in base.items()})
+        write_bundle(task, tmp_path / "good.drmb")
+        bad = tmp_path / "bad.drmb"
+        write_bundle(task, bad)
+        # TensorBundle refuses to hold a NaN, so it goes into the file: the
+        # last 8 bytes are the last entry of the last tensor, L2.w.
+        with open(bad, "r+b") as fh:
+            fh.seek(-8, os.SEEK_END)
+            fh.write(struct.pack("<d", np.nan))
+
+        before = sorted(p.name for p in tmp_path.iterdir())
+        out = tmp_path / "report.json"
+        code = main(["analyze", "spectrum", "--base", str(tmp_path / "base.drmb"),
+                     "--task", str(tmp_path / "good.drmb"), "--task", str(bad),
+                     "--out", str(out)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert str(bad) in captured.err and "'L2.w'" in captured.err and "NaN" in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
 
 class TestBenchTune:
     def test_bench_identical_within_tenth_percent(self, capsys):
@@ -426,6 +491,19 @@ class TestBenchTune:
         assert main(["bench", "synthetic", "--samples", "0", "--ridge", "1"]) == 2
         captured = capsys.readouterr()
         assert "no samples" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag", ["--noise", "--ridge"])
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_noise_or_ridge_exit_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "t.json"
+        assert main(["tune", "--method", "ties", "--tasks", "2", "--dim", "5,4",
+                     "--samples", "40", f"{flag}={value}", "--out", str(out)]) == 2
+        assert f"{flag[2:]} must be finite and non-negative" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["bench", "synthetic", f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert f"{flag[2:]} must be finite and non-negative" in captured.err
         assert captured.out == ""
 
     def test_bad_dim_exit_2(self):

@@ -38,6 +38,11 @@ class TestSynthTask:
         with pytest.raises(ShapeMismatch):
             SynthTask("t", np.zeros((3, 2)), np.zeros((4, 1)))
 
+    @pytest.mark.parametrize("ridge", [-1.0, np.nan, np.inf])
+    def test_ridge_must_be_finite_and_non_negative(self, ridge):
+        with pytest.raises(ValueError, match="ridge must be finite and non-negative"):
+            SynthTask("t", np.zeros((3, 2)), np.zeros((3, 1)), ridge=ridge)
+
 
 class TestClosedFormFinetune:
     def test_base_already_optimal(self):
@@ -197,6 +202,11 @@ class TestBench:
         table = run_bench(base, tasks).to_table()
         for method in BENCH_METHODS:
             assert method in table
+
+    @pytest.mark.parametrize("noise", [-1.0, np.nan, np.inf])
+    def test_noise_must_be_finite_and_non_negative(self, noise):
+        with pytest.raises(ValueError, match="noise must be finite and non-negative"):
+            synth_suite(19, 2, 5, 4, samples=40, noise=noise)
 
     def test_identical_with_noise_still_recovers(self):
         base, tasks = synth_suite(18, 3, 8, 6, samples=60, identical=True, noise=0.05)
