@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bundle import DeltaSet
-from .engine import MergeConfig, decompose_joint, prune_topk
+from .engine import DRM_ORIENTATIONS, MergeConfig, decompose_joint, prune_topk
 from .errors import NeedTwoTasks
-from .linalg import spectral_norm, thin_svd
+from .linalg import singular_values, spectral_norm, thin_svd
 
 SPACES = (
     "original",
@@ -215,7 +215,7 @@ class SpectrumReport:
 
 
 def _orientation_for(cfg: MergeConfig) -> str:
-    return "vertical" if cfg.method == "drm_v" else "horizontal"
+    return DRM_ORIENTATIONS.get(cfg.method, "horizontal")
 
 
 def row_drop_fractions(stack: np.ndarray, retain: float, mode: str = "joint") -> np.ndarray:
@@ -285,15 +285,16 @@ def check_perturbation_bounds(ds: DeltaSet) -> list[BoundReport]:
     For task t, compares each singular value of the actual stack with
     sqrt(k) times the task's own singular value; the admissible gap is the
     summed spectral budget of the other tasks' deviations from task t. The
-    stack is factored once, and each task's norm and each distinct pair's
-    difference norm are taken once for all k reports.
+    stack is factored once, each task's spectrum (whose first value is its
+    norm) is taken once by a values-only SVD, and each distinct pair's
+    difference norm once, for all k reports.
     """
     k = ds.n_tasks
     sv_stack = thin_svd(ds.side_by_side()).sigma
     # Zero-perturbation instances have rhs == 0 exactly while the computed
     # lhs carries backend rounding noise; grant that much absolute slack.
     noise = 1e-10 * float(sv_stack.max(initial=0.0))
-    norms = [spectral_norm(delta) for delta in ds.deltas]
+    spectra = [singular_values(delta) for delta in ds.deltas]
     # ||deltas[j] - deltas[t]|| is symmetric: the two differences are exact
     # negations of each other, with the same singular values.
     e_norms = [[0.0] * k for _ in range(k)]
@@ -303,12 +304,12 @@ def check_perturbation_bounds(ds: DeltaSet) -> list[BoundReport]:
 
     sqrt_k = math.sqrt(k)
     reports = []
-    for t, norm_t in enumerate(norms):
+    for t, sv_task in enumerate(spectra):
+        norm_t = float(sv_task.max(initial=0.0))  # 0.0 for an m x 0 delta
         budget = 0.0
         for e_norm in e_norms[t]:
             budget += 2.0 * norm_t * e_norm + e_norm * e_norm
-        sv_task = thin_svd(ds.deltas[t]).sigma
-        cutoff = 1e-12 * float(sv_task.max(initial=0.0))
+        cutoff = 1e-12 * norm_t
         report = BoundReport(ds.layer_name, ds.task_names[t], k)
         for i, sigma in enumerate(sv_task):
             if sigma <= cutoff:

@@ -391,9 +391,10 @@ class DeltaSet:
     """One layer's N task weight deltas, held as one N x m x n float64 stack.
 
     ``deltas`` may be given as a list of m x n matrices, which is stacked
-    once, or as an N x m x n float64 array, which is taken as it is. All
-    merging arithmetic happens in float64, whatever the stored checkpoint
-    dtype.
+    once, or as an N x m x n float64 array, which is taken as it is: a
+    task-major array, or a view of a buffer in another axis order (see
+    :func:`layer_delta_set`). All merging arithmetic happens in float64,
+    whatever the stored checkpoint dtype.
 
     A merge never changes a caller's stack. The one exception is a stack
     marked ``_owned`` by the code that built it for a single merge
@@ -432,9 +433,11 @@ class DeltaSet:
 
     def side_by_side(self) -> np.ndarray:
         """The m x N*n matrix ``[delta_0 ... delta_{N-1}]`` that the joint
-        SVD factors. On a :meth:`transposed` view of a task-major stack it
-        is a view, F-ordered like the concatenation of the transposed
-        deltas; on a task-major stack it is a C-ordered copy."""
+        SVD factors. It is a view where the stack's buffer allows one: a
+        C-ordered view of an m x N x n buffer (``layer_delta_set`` order
+        ``"itj"``), an F-ordered one of an N x n x m buffer (``"tji"``, or
+        the :meth:`transposed` view of a task-major stack); otherwise, as
+        for a task-major stack, a C-ordered copy."""
         return self.deltas.transpose(1, 0, 2).reshape(self.base_shape[0], -1)
 
     def transposed(self) -> "DeltaSet":
@@ -476,22 +479,58 @@ def check_aligned(
     return list(task_names)
 
 
+# Rows of a task delta are subtracted into a float64 tile of about this many
+# bytes before a transposing buffer takes them, so that the tile stays in
+# cache while it is written out column by column.
+_TILE_BYTES = 1 << 19
+
+
 def layer_delta_set(
     name: str,
     base: np.ndarray,
     tasks: list[TensorBundle | BundleFile],
     task_names: list[str],
+    order: str = "tij",
 ) -> DeltaSet:
     """One rank-2 tensor's task - base deltas as one float64 stack, given the
     base bundle's tensor ``name``, for bundles that passed
     :func:`check_aligned`. Each task tensor is read here and dropped once
     its slice of the stack is filled, so a caller going layer by layer
-    holds one layer's float64 data at a time."""
+    holds one layer's float64 data at a time.
+
+    ``order`` lays out the buffer the stack is a view of: its axes in
+    memory order, named t (task), i (row) and j (column) of the N x m x n
+    stack. ``"tij"`` is task-major; ``"itj"`` makes
+    :meth:`DeltaSet.side_by_side` a C-ordered view, and ``"jti"`` makes it
+    one for the :meth:`DeltaSet.transposed` set. Where a delta's rows are
+    not contiguous in the buffer (an order not ending in j), each delta is
+    written through a cache-sized row tile. The values never depend on
+    ``order``.
+    """
+    if sorted(order) != ["i", "j", "t"]:
+        raise ValueError(f"order must be a permutation of 'tij', got {order!r}")
     base64 = base.astype(np.float64)
-    stack = np.empty((len(tasks), *base64.shape))
+    extent = dict(zip("tij", (len(tasks), *base64.shape)))
+    buffer = np.empty([extent[axis] for axis in order])
+    stack = buffer.transpose([order.index(axis) for axis in "tij"])
     for t, task in enumerate(tasks):
-        np.subtract(task.read(name), base64, out=stack[t])
+        _subtract_into(task.read(name), base64, stack[t])
     return DeltaSet(name, base64.shape, stack, list(task_names))
+
+
+def _subtract_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """``out[...] = a - b`` for m x n matrices, through a cache-sized row
+    tile where ``out``'s rows are not contiguous."""
+    if out.strides[1] == out.itemsize:
+        np.subtract(a, b, out=out)
+        return
+    rows = max(1, _TILE_BYTES // (out.itemsize * out.shape[1]))
+    tile = np.empty((rows, out.shape[1]))
+    for start in range(0, out.shape[0], rows):
+        stop = min(start + rows, out.shape[0])
+        part = tile[: stop - start]
+        np.subtract(a[start:stop], b[start:stop], out=part)
+        out[start:stop] = part
 
 
 def extract_deltas(

@@ -28,10 +28,12 @@ from .bundle import (
 )
 from .bundle import extract_deltas  # noqa: F401 -- drmbench wraps drm.engine.extract_deltas
 from .errors import ArgumentError, CastOverflow, DrmError, NonFiniteValue, ShapeMismatch
-from .linalg import nonzero_sigma_mask, thin_svd
+from .linalg import in_place_order, nonzero_sigma_mask, thin_svd
 
 METHODS = ("drm_h", "drm_v", "simple_avg", "task_arithmetic", "ties", "dare_ties")
 ORIENTATIONS = ("horizontal", "vertical")
+# The orientation in which each drm method decomposes its stack.
+DRM_ORIENTATIONS = {"drm_h": "horizontal", "drm_v": "vertical"}
 PRUNE_MODES = ("joint", "individual")
 
 # A block row with 2-norm at or below this is rank-deficient noise; it
@@ -144,12 +146,11 @@ def decompose_joint(ds: DeltaSet, orientation: str = "horizontal") -> JointDecom
     """Decompose the stacked deltas and renormalize the per-task blocks.
 
     The vertical orientation decomposes the transposed deltas. The SVD
-    reads :meth:`DeltaSet.side_by_side`: for a task-major stack that is a
-    copy horizontally and a view of the stack vertically. An owned stack
-    is released once that matrix exists, so drm-h's stack is freed before
-    the SVD, and the SVD may overwrite that matrix: drm-v's stack, which
-    the view keeps alive, is factored where it lies and then holds the
-    right factor.
+    reads :meth:`DeltaSet.side_by_side`, a view of a stack laid out for it
+    (see :func:`_stack_order`) and a copy otherwise. An owned stack is
+    released once that matrix exists, and the SVD may overwrite that
+    matrix, so an owned stack laid out for its SVD is factored where it
+    lies.
     """
     if orientation not in ORIENTATIONS:
         raise ValueError(f"orientation must be one of {ORIENTATIONS}")
@@ -367,7 +368,7 @@ def _drm_grid(ds: DeltaSet, cfg: MergeConfig, points: list[list[MergeConfig]]):
     horizontal pipeline on transposed deltas, transposed back (exact
     duality).
     """
-    orientation = "vertical" if cfg.method == "drm_v" else "horizontal"
+    orientation = DRM_ORIENTATIONS[cfg.method]
     n_tasks = ds.n_tasks
     jd = truncate_rank(decompose_joint(ds, orientation), cfg.rank_drop)
     stack = jd.renorm_blocks
@@ -473,6 +474,26 @@ def _thread_count(n_items: int, method: str) -> int:
     return max(1, min(cap, n_items))
 
 
+def _stack_order(method: str, shape: tuple[int, int], n_tasks: int) -> str:
+    """The :func:`~drm.bundle.layer_delta_set` buffer order for a layer of
+    ``shape`` merged with ``method``. drm-h's and drm-v's SVD input is a
+    rows x N*cols matrix (m x N*n, or n x N*m for the transposed deltas).
+    Where ``thin_svd`` factors that input in place only when it is
+    C-ordered (see :func:`~drm.linalg.in_place_order`), the stack is laid
+    out rows x N x cols, whose side-by-side matrix is a C-ordered view, so
+    an owned stack is factored where it lies. Every other stack is
+    task-major: drm-v's input is then a Fortran-ordered view, factored in
+    place too, and a tall or square drm-h input is copied."""
+    orientation = DRM_ORIENTATIONS.get(method)
+    if orientation is None:
+        return "tij"
+    rows, cols = "ij" if orientation == "horizontal" else "ji"
+    height, width = shape if orientation == "horizontal" else shape[::-1]
+    if in_place_order((height, n_tasks * width)) == "C":
+        return rows + "t" + cols
+    return "tij"
+
+
 def merge_bundle(
     base: TensorBundle | BundleFile,
     tasks: list[TensorBundle | BundleFile],
@@ -512,7 +533,8 @@ def merge_bundle_with_stats(
     def one_layer(name: str) -> tuple[np.ndarray, dict]:
         arr = base.read(name)
         if arr.ndim == 2:
-            ds = layer_delta_set(name, arr, tasks, task_names)
+            order = _stack_order(cfg.method, arr.shape, n_tasks)
+            ds = layer_delta_set(name, arr, tasks, task_names, order)
             ds._owned = True  # built here for this merge alone, which consumes it
             try:
                 delta, info = _merge_delta_set_with_stats(ds, cfg)

@@ -1,5 +1,5 @@
 """Dense kernels with explicit contracts: the thin SVD with pinned signs
-that factors the merge stacks, and the spectral norm."""
+that factors the merge stacks, singular values and the spectral norm."""
 
 from __future__ import annotations
 
@@ -66,15 +66,24 @@ def thin_svd(A: np.ndarray, overwrite_a: bool = False) -> ThinSVD:
     Gram route to a relative error of order eps * kappa**2, where the gate
     keeps kappa <= 100. The Gram route is therefore not bit-identical to
     ``gesdd``, and within a (nearly) repeated singular value the two may
-    pick different bases of the same subspace. The ``gesdd`` route gives
-    the bytes of ``np.linalg.svd(A, full_matrices=False)``.
+    pick different bases of the same subspace. The ``gesdd`` route factors
+    a tall or square ``A`` itself and a wide one through its tall
+    transpose, so it gives the bytes of ``np.linalg.svd(A,
+    full_matrices=False)`` for a tall or square ``A`` and, for a wide one,
+    those of ``np.linalg.svd(A.T, full_matrices=False)`` with the factors
+    swapped and transposed (before the signs are pinned). Where A's rank
+    is below min(m, n), the components past the rank span a null space in
+    which LAPACK's basis depends on the path it takes (and on the BLAS
+    thread count), so the two orientations give different bytes there.
 
-    With ``overwrite_a`` the caller gives up ``A``: if it is a float64,
-    Fortran-ordered, writeable matrix, the ``gesdd`` route factors it where
-    it lies, its bytes are destroyed and its memory then holds the
-    C-ordered larger factor (``Vt`` when m <= n, ``U`` otherwise). Without
+    With ``overwrite_a`` the caller gives up ``A``: if the matrix ``gesdd``
+    factors (``A``, or ``A.T`` when ``A`` is wide) is a float64,
+    Fortran-ordered, writeable matrix, that is ``A`` is in
+    :func:`in_place_order`, the ``gesdd`` route factors it where it lies, its bytes are destroyed and its memory then
+    holds the larger factor (``U`` when m >= n, ``Vt`` otherwise). Without
     it, or for any other layout, ``A`` is never written. The Gram route
-    never writes ``A``.
+    never writes ``A``. The factors' memory order is not part of the
+    contract; their values do not depend on A's.
 
     Raises NonFiniteValue on NaN or infinity in ``A``, before any LAPACK
     call, and ConvergenceFailure if the backend does not converge.
@@ -94,6 +103,15 @@ def thin_svd(A: np.ndarray, overwrite_a: bool = False) -> ThinSVD:
     np.negative(U, out=U, where=flip[None, :])
     np.negative(Vt, out=Vt, where=flip[:, None])
     return ThinSVD(U, sigma, Vt)
+
+
+def in_place_order(shape: tuple[int, int]) -> str:
+    """The memory order, ``"C"`` or ``"F"``, of an m x n matrix of
+    ``shape`` that :func:`thin_svd` with ``overwrite_a`` factors where it
+    lies on its ``gesdd`` route. ``gesdd`` factors the tall or square
+    orientation, ``A`` or ``A.T``, and only a Fortran-ordered one in place,
+    so a wide ``A`` must be C-ordered."""
+    return "C" if shape[0] < shape[1] else "F"
 
 
 # dgesdd(jobz, m, n, a, lda, s, u, ldu, vt, ldvt, work, lwork, iwork, info,
@@ -137,47 +155,56 @@ def _dgesdd():
 
 
 def _lapack_svd(A: np.ndarray, overwrite_a: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(U, sigma, Vt) from LAPACK's ``gesdd``, called as numpy's ``svd_s``
-    calls it, so the bytes are those of ``np.linalg.svd``; only the buffers
-    differ. The larger factor is written into the work matrix ``a``, which
-    ``gesdd`` has destroyed and which has its element count."""
+    """(U, sigma, Vt) from LAPACK's ``gesdd``. A wide ``A`` is factored
+    through its tall transpose: ``gesdd`` then takes its QR path, whose
+    Householder steps walk the Fortran-ordered columns, instead of its LQ
+    path, which walks rows with a stride of the whole leading dimension."""
+    if in_place_order(A.shape) == "C":  # wide: A.T is the tall orientation
+        V, sigma, Ut = _tall_lapack_svd(A.T, overwrite_a, A.shape)  # A.T = V diag(sigma) Ut
+        return Ut.T, sigma, V.T
+    return _tall_lapack_svd(A, overwrite_a, A.shape)
+
+
+def _tall_lapack_svd(
+    A: np.ndarray, overwrite_a: bool, shape: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U, sigma, Vt) of a tall or square ``A`` from ``gesdd``, called as
+    numpy's ``svd_s`` calls it, so the bytes are those of ``np.linalg.svd``;
+    only the buffers differ. ``U`` is written, in ``gesdd``'s own Fortran
+    order, into the work matrix ``a``, which ``gesdd`` has destroyed and
+    which has its shape; ``Vt`` (n x n) is C-ordered. Errors name
+    ``shape``, the matrix the caller was given."""
     gesdd = _dgesdd()
     if gesdd is None or A.size == 0:
         try:
             return np.linalg.svd(A, full_matrices=False)
         except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(f"SVD did not converge on a {A.shape} matrix") from exc
-    m, n = A.shape
-    k = min(m, n)
+            raise ConvergenceFailure(f"SVD did not converge on a {shape} matrix") from exc
+    m, n = A.shape  # m >= n, so U is m x n and Vt n x n
     in_place = overwrite_a and A.flags.f_contiguous and A.flags.writeable and A.flags.aligned
     a = A if in_place else np.array(A, order="F")
-    s = np.empty(k)
-    u = np.empty((k, m))  # u.T is U, m x k in Fortran order (ldu = m)
-    vt = np.empty((n, k))  # vt.T is Vt, k x n in Fortran order (ldvt = k)
-    iwork = np.empty(8 * k, dtype=np.int64)
-    pm, pn, pk = (ctypes.byref(ctypes.c_int64(v)) for v in (m, n, k))
+    s = np.empty(n)
+    u = np.empty((n, m))  # u.T is U, m x n in Fortran order (ldu = m)
+    vt = np.empty((n, n))  # vt.T is Vt, n x n in Fortran order (ldvt = n)
+    iwork = np.empty(8 * n, dtype=np.int64)
+    pm, pn = (ctypes.byref(ctypes.c_int64(v)) for v in (m, n))
     lwork, info = ctypes.c_int64(-1), ctypes.c_int64(0)
     work = np.empty(1)
     for query in (True, False):  # a workspace query, then the factorization
         gesdd(b"S", pm, pn, a.ctypes.data, pm, s.ctypes.data, u.ctypes.data, pm,
-              vt.ctypes.data, pk, work.ctypes.data, ctypes.byref(lwork),
+              vt.ctypes.data, pn, work.ctypes.data, ctypes.byref(lwork),
               iwork.ctypes.data, ctypes.byref(info), 1)
         if info.value < 0:
-            raise RuntimeError(f"dgesdd rejected argument {-info.value} for a {A.shape} matrix")
+            raise RuntimeError(f"dgesdd rejected argument {-info.value} for a {shape} matrix")
         if info.value > 0:
-            raise ConvergenceFailure(f"SVD did not converge on a {A.shape} matrix")
+            raise ConvergenceFailure(f"SVD did not converge on a {shape} matrix")
         if query:
             lwork.value = max(1, int(work[0]))
             work = np.empty(lwork.value)
     del work, iwork
-    larger = a.reshape(-1, order="F").reshape((k, n) if m <= n else (m, k))
-    if m <= n:
-        np.copyto(larger, vt.T)
-        del vt
-        return np.ascontiguousarray(u.T), s, larger
-    np.copyto(larger, u.T)
+    np.copyto(a, u.T)  # both Fortran-ordered: a straight copy
     del u
-    return larger, s, np.ascontiguousarray(vt.T)
+    return a, s, np.ascontiguousarray(vt.T)
 
 
 def _gram_svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -206,18 +233,26 @@ def _gram_svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None
     return U, sigma, W.T
 
 
-def spectral_norm(A: np.ndarray) -> float:
-    """Largest singular value (exact, via SVD).
+def singular_values(A: np.ndarray) -> np.ndarray:
+    """All min(m, n) singular values, non-increasing, from LAPACK's
+    values-only ``gesdd``, which forms no U or Vt.
 
     Raises NonFiniteValue on NaN or infinity in ``A``, before any LAPACK
     call, and ConvergenceFailure if the backend does not converge.
     """
     A = np.asarray(A, dtype=np.float64)
-    if A.size == 0:
-        return 0.0
     if not np.isfinite(A).all():
         raise NonFiniteValue(f"cannot factor a {A.shape} matrix holding NaN or infinity")
     try:
-        return float(np.linalg.svd(A, compute_uv=False)[0])
+        return np.linalg.svd(A, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"SVD did not converge on a {A.shape} matrix") from exc
+
+
+def spectral_norm(A: np.ndarray) -> float:
+    """Largest singular value (exact, via :func:`singular_values`); 0.0 for
+    an empty matrix."""
+    A = np.asarray(A, dtype=np.float64)
+    if A.size == 0:
+        return 0.0
+    return float(singular_values(A)[0])

@@ -16,6 +16,7 @@ from drm.analysis import (
 from drm.bundle import DeltaSet, canonical_json
 from drm.engine import MergeConfig, decompose_joint
 from drm.errors import NeedTwoTasks
+from drm.linalg import thin_svd
 from oracles import svd_oracle, synth_hetero_deltas
 
 
@@ -169,6 +170,14 @@ class TestPerturbationBound:
         assert report.all_hold
         assert max(e.lhs for e in report.entries) <= 1e-10
 
+    def test_empty_deltas_hold_vacuously(self):
+        # An m x 0 layer has no singular values: each report is empty and
+        # its norm is 0.0, as the spectral norm of an empty matrix is.
+        ds = make_ds([np.zeros((4, 0)) for _ in range(3)])
+        reports = check_perturbation_bounds(ds)
+        assert [r.task_name for r in reports] == ds.task_names
+        assert all(r.entries == [] and r.all_hold for r in reports)
+
     def test_random_instances_hold(self):
         rng = np.random.default_rng(23)
         for _ in range(25):
@@ -178,27 +187,68 @@ class TestPerturbationBound:
             assert all(r.all_hold for r in reports)
 
     def test_shared_work_once_per_layer(self, monkeypatch):
-        # One stack SVD serves all N reports, and each task norm and each
-        # distinct pair's difference norm is taken once.
+        # One stack SVD serves all N reports, one values-only SVD per task
+        # gives both its norm and its spectrum, and each distinct pair's
+        # difference norm is taken once.
         n_tasks, m, n = 4, 6, 5
         rng = np.random.default_rng(29)
         ds = make_ds([rng.standard_normal((m, n)) for _ in range(n_tasks)])
         calls = {"stack": 0, "task": 0, "norm": 0}
-        real_svd, real_norm = drm.analysis.thin_svd, drm.analysis.spectral_norm
+        real_svd = drm.analysis.thin_svd
+        real_values, real_norm = drm.analysis.singular_values, drm.analysis.spectral_norm
 
         def counting_svd(A):
-            calls["stack" if A.shape == (m, n_tasks * n) else "task"] += 1
+            assert A.shape == (m, n_tasks * n)
+            calls["stack"] += 1
             return real_svd(A)
+
+        def counting_values(A):
+            calls["task"] += 1
+            return real_values(A)
 
         def counting_norm(A):
             calls["norm"] += 1
             return real_norm(A)
 
         monkeypatch.setattr(drm.analysis, "thin_svd", counting_svd)
+        monkeypatch.setattr(drm.analysis, "singular_values", counting_values)
         monkeypatch.setattr(drm.analysis, "spectral_norm", counting_norm)
         assert len(check_perturbation_bounds(ds)) == n_tasks
         pairs = n_tasks * (n_tasks - 1) // 2
-        assert calls == {"stack": 1, "task": n_tasks, "norm": n_tasks + pairs}
+        assert calls == {"stack": 1, "task": n_tasks, "norm": pairs}
+
+    @pytest.mark.parametrize("kind", ["dense", "rank_deficient", "ill_conditioned"])
+    def test_task_spectra_match_thin_svd(self, kind):
+        # The task spectra come from a values-only SVD. They agree with
+        # thin_svd's (the Gram route for well-conditioned deltas) to
+        # 1e-12 * sigma_max, so the same components are audited and every
+        # holds flag is the one thin_svd's spectrum gives.
+        rng = np.random.default_rng(37)
+        m, n, n_tasks = 12, 9, 3
+        if kind == "dense":
+            deltas = [rng.standard_normal((m, n)) for _ in range(n_tasks)]
+        elif kind == "rank_deficient":
+            deltas = [rng.standard_normal((m, 3)) @ rng.standard_normal((3, n)) for _ in range(n_tasks)]
+        else:  # full rank, kappa = 1e6: fails the Gram gate
+            deltas = [
+                np.linalg.qr(rng.standard_normal((m, n)))[0]
+                @ np.diag(np.logspace(0, -6, n))
+                @ np.linalg.qr(rng.standard_normal((n, n)))[0]
+                for _ in range(n_tasks)
+            ]
+        ds = make_ds(deltas)
+        sv_stack = thin_svd(ds.side_by_side()).sigma
+        noise = 1e-10 * sv_stack[0]
+        for t, report in enumerate(check_perturbation_bounds(ds)):
+            sv = thin_svd(ds.deltas[t]).sigma
+            audited = np.flatnonzero(sv > 1e-12 * sv[0])
+            assert [e.index for e in report.entries] == audited.tolist()
+            got = np.array([e.sigma_task for e in report.entries])
+            np.testing.assert_allclose(got, sv[audited], rtol=0, atol=1e-12 * sv[0])
+            for e, sigma in zip(report.entries, sv[audited]):
+                lhs = abs(sv_stack[e.index] - np.sqrt(n_tasks) * sigma)
+                rhs = e.rhs * e.sigma_task / sigma  # the budget is the same
+                assert e.holds == (lhs <= rhs * (1.0 + 1e-9) + noise)
 
     def test_report_serialization(self):
         ds = make_ds([np.eye(3), 2 * np.eye(3)])

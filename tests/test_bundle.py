@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import drm.bundle
 from drm.bundle import (
     DeltaSet,
     TensorBundle,
     extract_deltas,
+    layer_delta_set,
     materialize_low_rank,
     open_bundle,
     read_bundle,
@@ -522,3 +524,33 @@ def test_delta_set_rejects_a_stack_of_the_wrong_shape():
 def test_delta_set_rejects_a_ragged_list_of_deltas():
     with pytest.raises(ShapeMismatch, match=r"'l'.*\(2, 3\)"):
         DeltaSet("l", (2, 2), [np.zeros((2, 2)), np.zeros((2, 3))], ["a", "b"])
+
+
+@pytest.mark.parametrize("order", ["tij", "itj", "jti", "tji", "ijt", "jit"])
+def test_layer_delta_set_order_lays_out_the_same_values(order, monkeypatch):
+    # Two-row tiles: a buffer whose rows are strided is filled tile by
+    # tile, the last one short.
+    monkeypatch.setattr(drm.bundle, "_TILE_BYTES", 2 * 7 * 8)
+    rng = np.random.default_rng(11)
+    base = rng.standard_normal((5, 7)).astype(np.float32)
+    tasks = [TensorBundle({"w": rng.standard_normal((5, 7)).astype(np.float32)}) for _ in range(3)]
+    want = layer_delta_set("w", base, tasks, ["a", "b", "c"])
+    got = layer_delta_set("w", base, tasks, ["a", "b", "c"], order)
+    assert got.deltas.shape == (3, 5, 7) and got.deltas.dtype == np.float64
+    assert got.deltas.tobytes() == want.deltas.tobytes()
+    buffer = got.deltas.base
+    assert buffer.flags.c_contiguous
+    assert buffer.shape == tuple({"t": 3, "i": 5, "j": 7}[axis] for axis in order)
+    # The orders the drm merges use make the SVD input a view of the stack.
+    views = {"itj": got.side_by_side(), "tji": got.side_by_side(),
+             "jti": got.transposed().side_by_side(), "tij": got.transposed().side_by_side()}
+    if order in views:
+        assert np.shares_memory(views[order], buffer)
+        assert views[order].flags.c_contiguous == (order in ("itj", "jti"))
+        assert views[order].flags.f_contiguous == (order in ("tji", "tij"))
+
+
+def test_layer_delta_set_rejects_an_unknown_order():
+    base = TensorBundle({"w": np.zeros((2, 2))})
+    with pytest.raises(ValueError, match="permutation"):
+        layer_delta_set("w", base["w"], [base], ["a"], "tii")

@@ -595,9 +595,10 @@ def test_traced_names_resolve():
 
 
 def test_traced_gesdd_merge_reports_its_input(tmp_path, monkeypatch, gesdd_calls):
-    # drm-v factors a merge's own rank-deficient stack in place. The tracer
-    # reads the SVD input's shape once the call returns, which must still
-    # be the input's, and tracing must leave the merged bytes alone.
+    # drm-v factors a merge's own rank-deficient stack in place, as its
+    # tall transpose. The tracer reads the SVD input's shape once the call
+    # returns, which must still be the input's, and tracing must leave the
+    # merged bytes alone.
     tracing = load_tracing()
     monkeypatch.delenv("DRM_THREADS", raising=False)
     rng = np.random.default_rng(7)
@@ -630,5 +631,5 @@ def test_traced_gesdd_merge_reports_its_input(tmp_path, monkeypatch, gesdd_calls
     assert missing == []
     [svd] = [span for span in spans if span["name"] == "linalg.thin_svd"]
     assert (svd["m"], svd["n"], svd["rank"]) == (n, n_tasks * m, n_tasks * rank)
-    assert gesdd_calls == [(n, n_tasks * m)] * 2
+    assert gesdd_calls == [(n_tasks * m, n)] * 2
     assert (tmp_path / "traced.drmb").read_bytes() == (tmp_path / "untraced.drmb").read_bytes()

@@ -824,14 +824,17 @@ def adapter_family(n_layers, n_tasks, shape, seed=89):
     pytest.param("ties", (128, 512), deep_family, id="ties-shape2"),
     pytest.param("dare_ties", (128, 512), deep_family, id="dare_ties-shape3"),
     pytest.param("drm_v", (512, 128), adapter_family, id="drm_v-rank2_adapters"),
+    pytest.param("drm_h", (128, 512), adapter_family, id="drm_h-rank2_adapters"),
 ])
 def test_bundle_layer_peak_below_two_and_a_half_stacks(method, shape, family, monkeypatch, gesdd_calls):
-    # The bundle path builds the layer's stack and hands it to the merge:
-    # TIES prunes it and DARE-TIES drops it in place, drm-h frees it once
-    # its side-by-side copy exists and drm-v once the SVD of its view
-    # returns. Holding it to the end of the layer cost about 3.2-3.4 stacks.
-    # Rank-2 adapters take gesdd, which factors drm-v's stack where it lies.
-    # The peak counts the stack itself.
+    # The bundle path builds the layer's stack, laid out so that drm-h's
+    # and drm-v's SVD input is a view of it, and hands it to the merge:
+    # TIES prunes it and DARE-TIES drops it in place, drm-h and drm-v free
+    # it once the SVD of that view returns. Holding it to the end of the
+    # layer cost about 3.2-3.4 stacks. Rank-2 adapters take gesdd, which
+    # factors the stack where it lies; copying drm-h's stack side by side
+    # and then to Fortran order cost about 3.3. The peak counts the stack
+    # itself.
     n_tasks = 4
     base, tasks = family(1, n_tasks, shape)
     unit = n_tasks * shape[0] * shape[1] * 8
@@ -846,20 +849,46 @@ def test_bundle_layer_peak_below_two_and_a_half_stacks(method, shape, family, mo
     assert len(gesdd_calls) == (family is adapter_family)
 
 
+@pytest.mark.parametrize("method,shape,order,in_place", [
+    ("drm_h", (128, 512), "itj", True),  # 128 x 2048 stack: wide, gesdd factors its transpose
+    ("drm_h", (2048, 512), "tij", False),  # 2048 x 2048: square, side_by_side copies it
+    ("drm_v", (512, 128), "jti", True),  # 128 x 2048
+    ("drm_v", (512, 2048), "tij", True),  # 2048 x 2048: the task-major stack
+    ("ties", (128, 512), "tij", False),
+    ("dare_ties", (128, 512), "tij", False),
+    ("simple_avg", (128, 512), "tij", False),
+    ("task_arithmetic", (128, 512), "tij", False),
+])
+def test_stack_order_makes_the_gesdd_matrix_a_fortran_view(method, shape, order, in_place):
+    assert drm.engine._stack_order(method, shape, 4) == order
+    if method in ("drm_h", "drm_v"):
+        base = TensorBundle({"w": np.zeros(shape)})
+        ds = layer_delta_set("w", base["w"], [base] * 4, list("abcd"), order)
+        A = (ds if method == "drm_h" else ds.transposed()).side_by_side()
+        gesdd_input = A.T if A.shape[0] < A.shape[1] else A
+        is_view = gesdd_input.flags.f_contiguous and np.shares_memory(gesdd_input, ds.deltas)
+        assert is_view == in_place
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("method", METHODS)
 def test_bundle_merge_equals_borrowed_merge(method, threads, monkeypatch):
     # The owned stacks of the bundle path give the bytes a merge of a
-    # borrowed DeltaSet of the same layer gives.
-    base, tasks = deep_family(3, 3, (24, 16))
-    names = [f"task{t}" for t in range(len(tasks))]
+    # borrowed, task-major DeltaSet of the same layer gives. Dense deltas
+    # take the Gram route; rank-2 adapters take gesdd, and with N=3 their
+    # shapes give drm-h and drm-v both a wide and a tall SVD input, so
+    # every buffer order _stack_order picks is run.
     cfg = MergeConfig(method=method, seed=4)
     monkeypatch.setenv("DRM_THREADS", threads)
-    merged = merge_bundle(base, tasks, cfg)
-    for name, arr in base.items():
-        ds = layer_delta_set(name, arr, tasks, names)
-        want = (arr.astype(np.float64) + merge_delta_set(ds, cfg)).astype(arr.dtype)
-        assert merged[name].tobytes() == want.tobytes()
+    for family, shape in [(deep_family, (24, 16)), (adapter_family, (16, 64)),
+                          (adapter_family, (64, 16))]:
+        base, tasks = family(2, 3, shape)
+        names = [f"task{t}" for t in range(len(tasks))]
+        merged = merge_bundle(base, tasks, cfg)
+        for name, arr in base.items():
+            ds = layer_delta_set(name, arr, tasks, names)
+            want = (arr.astype(np.float64) + merge_delta_set(ds, cfg)).astype(arr.dtype)
+            assert merged[name].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("orientation", drm.engine.ORIENTATIONS)
@@ -887,17 +916,18 @@ def test_stacked_svd_input(orientation, monkeypatch):
     np.testing.assert_array_equal(A, want)
 
 
-def adapter_delta_set():
-    """Eight rank-2 adapters on a 256 x 64 layer. Their drm-v stack is a
-    rank-deficient 64 x 2048 matrix, which takes gesdd as drm-v on adapter
-    stacks does."""
+def adapter_delta_set(order="tij"):
+    """Eight rank-2 adapters on a 256 x 64 layer, stacked in a buffer of
+    ``order`` (see layer_delta_set). Their drm-v stack is a rank-deficient
+    64 x 2048 matrix, which takes gesdd as drm-v on adapter stacks does."""
     n_tasks, m, n = 8, 256, 64
     rng = np.random.default_rng(3)
-    deltas = [
-        drm.materialize_low_rank(rng.standard_normal((2, n)), rng.standard_normal((m, 2)), 1.0)
+    tasks = [
+        TensorBundle({"l": drm.materialize_low_rank(
+            rng.standard_normal((2, n)), rng.standard_normal((m, 2)), 1.0)})
         for _ in range(n_tasks)
     ]
-    return DeltaSet("l", (m, n), deltas, [f"t{i}" for i in range(n_tasks)])
+    return layer_delta_set("l", np.zeros((m, n)), tasks, [f"t{i}" for i in range(n_tasks)], order)
 
 
 def vertical_svd_peak(ds, monkeypatch):
@@ -924,30 +954,36 @@ def vertical_svd_peak(ds, monkeypatch):
 
 
 def test_vertical_svd_holds_one_stack(monkeypatch, gesdd_calls):
-    # An owned stack is factored where it lies and then holds the right
-    # factor, so the SVD adds one stack: gesdd's own Fortran right factor,
-    # copied into the stack's memory once gesdd returns.
-    ds = adapter_delta_set()
+    # An owned stack laid out as merge_bundle lays out drm-v's is factored
+    # where it lies and then holds the right factor, so the SVD adds one
+    # stack: gesdd's own Fortran left factor of the tall transpose, copied
+    # into the stack's memory once gesdd returns.
+    order = drm.engine._stack_order("drm_v", (256, 64), 8)
+    assert order == "jti"
+    ds = adapter_delta_set(order)
     ds._owned = True
     assert vertical_svd_peak(ds, monkeypatch) < 1.5
-    assert gesdd_calls == [(64, 2048)]
+    assert gesdd_calls == [(2048, 64)]
 
 
 def test_vertical_svd_of_a_borrowed_stack_holds_two(monkeypatch, gesdd_calls):
     # A caller's stack keeps its bytes: gesdd factors a Fortran copy, whose
-    # memory then receives the right factor.
+    # memory then receives the factor.
     ds = adapter_delta_set()
     before = ds.deltas.tobytes()
     assert vertical_svd_peak(ds, monkeypatch) < 2.5
-    assert gesdd_calls == [(64, 2048)]
+    assert gesdd_calls == [(2048, 64)]
     assert ds.deltas.tobytes() == before
 
 
 # --- byte reference: the list-of-blocks pipeline the stack replaced ---
 
 
-def reference_thin_svd(A):
-    """thin_svd as written with copies: (U, sigma, Vt, route)."""
+def reference_thin_svd(A, tall_gesdd=True):
+    """thin_svd as written with copies: (U, sigma, Vt, route). gesdd
+    factors a wide A through its tall transpose; ``tall_gesdd=False``
+    factors it as it is, the route thin_svd took before, whose LAPACK path
+    picks another basis for a rank-deficient A's null space."""
     wide = A.shape[0] <= A.shape[1]
     lam, W = np.linalg.eigh(A @ A.T if wide else A.T @ A)
     lam, W = lam[::-1], W[:, ::-1]
@@ -958,6 +994,12 @@ def reference_thin_svd(A):
         else:
             U, Vt = (A @ W) / sigma[None, :], W.T
         route = "gram"
+    elif tall_gesdd and A.shape[0] < A.shape[1]:
+        V, sigma, Ut = np.linalg.svd(A.T, full_matrices=False)
+        # Row-major factors: the block norms below sum each row's squares
+        # in the order numpy uses for contiguous rows.
+        U, Vt = np.ascontiguousarray(Ut.T), np.ascontiguousarray(V.T)
+        route = "gesdd"
     else:
         U, sigma, Vt = np.linalg.svd(A, full_matrices=False)
         route = "gesdd"
@@ -988,12 +1030,12 @@ def reference_prune(blocks, retain, mode):
     return [pooled[t * size : (t + 1) * size].reshape(b.shape) for t, b in enumerate(blocks)]
 
 
-def reference_merge_drm(ds, cfg):
+def reference_merge_drm(ds, cfg, tall_gesdd=True):
     """(merged delta, stats, SVD route) with one array per task and stage."""
     if cfg.method == "drm_v":
         ds = ds.transposed()
     n_tasks, n = ds.n_tasks, ds.base_shape[1]
-    U, sigma, Vt, route = reference_thin_svd(np.concatenate(ds.deltas, axis=1))
+    U, sigma, Vt, route = reference_thin_svd(np.concatenate(ds.deltas, axis=1), tall_gesdd)
     blocks = [Vt[:, t * n : (t + 1) * n] for t in range(n_tasks)]
     row_norms = np.empty((n_tasks, sigma.size))
     renorm_blocks = []
@@ -1005,6 +1047,16 @@ def reference_merge_drm(ds, cfg):
         renorm[norms <= drm.engine.ZERO_ROW_NORM] = 0.0
         renorm_blocks.append(renorm)
     row_norms[row_norms <= drm.engine.ZERO_ROW_NORM] = 0.0
+    rank = int(np.count_nonzero(drm.linalg.nonzero_sigma_mask(sigma)))
+    if cfg.rank_drop > 0.0:  # keep the top ceil((1 - rank_drop) * rank) components
+        keep = min(rank, math.ceil((1.0 - cfg.rank_drop) * rank - 1e-9))
+        U, sigma = U.copy(), sigma.copy()
+        U[:, keep:] = 0.0
+        sigma[keep:] = 0.0
+        row_norms[:, keep:] = 0.0
+        for renorm in renorm_blocks:
+            renorm[keep:] = 0.0
+        rank = keep
     task_sigmas = sigma[None, :] * row_norms
     scaled = [task_sigmas[t][:, None] * renorm_blocks[t] for t in range(n_tasks)]
     masks = reference_prune(renorm_blocks, cfg.retain, cfg.prune_mode)
@@ -1021,7 +1073,6 @@ def reference_merge_drm(ds, cfg):
         counts += kept != 0.0
     gamma = np.divide(1.0, counts, out=np.zeros(counts.shape), where=counts > 0)
     merged = U @ (gamma * weighted)
-    rank = int(np.count_nonzero(drm.linalg.nonzero_sigma_mask(sigma)))
     stats = {"rank": rank, "kept": int(sum(m.sum() for m in masks)), "total": sum(b.size for b in renorm_blocks)}
     return (merged.T if cfg.method == "drm_v" else merged), stats, route
 
@@ -1052,6 +1103,26 @@ def test_stack_pipeline_matches_reference_bytes(method, conditioning, route, kno
     got, stats = merge_drm_with_stats(ds, cfg)
     assert got.tobytes() == want.tobytes()
     assert stats == want_stats
+
+
+@pytest.mark.parametrize("method", ["drm_h", "drm_v"])
+def test_tall_gesdd_route_matches_the_wide_route_off_the_null_space(method):
+    # A rank-deficient stack's null components get whatever basis LAPACK's
+    # path picks, and they take part in the prune, so the tall (QR) route
+    # and the former wide (LQ) route give different merges. With them
+    # zeroed (rank_drop=1e-9 drops no nonzero component) the two agree to
+    # rounding.
+    ds = realistic_delta_set("rank_deficient")
+    cfg = MergeConfig(method=method, rank_drop=1e-9)
+    want, want_stats, route = reference_merge_drm(ds, cfg, tall_gesdd=False)
+    assert route == "gesdd" and want_stats["rank"] == 32
+    got, stats = merge_drm_with_stats(ds, cfg)
+    assert stats == want_stats
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    with_null = dataclasses.replace(cfg, rank_drop=0.0)
+    want, _, _ = reference_merge_drm(ds, with_null, tall_gesdd=False)
+    got = merge_drm(ds, with_null)
+    assert np.linalg.norm(got - want) > 1e-3 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("mode", ["joint", "individual"])

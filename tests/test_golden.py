@@ -17,7 +17,8 @@ synthetic suite is tuned over the default grids with six methods; their
 JSON outputs are pinned the same way. The drm-h and drm-v hashes depend
 on the LAPACK/BLAS build; after an intended output change, or on a
 platform whose BLAS rounds differently, print the current values with
-``PYTHONPATH=src python tests/test_golden.py``.
+``PYTHONPATH=src python tests/test_golden.py``, which marks every hash
+that differs from its recorded value.
 """
 
 import hashlib
@@ -80,8 +81,8 @@ LOW_RANK_TASKS = 4
 LOW_RANK = 2
 LOW_RANK_METHODS = ("drm-h", "drm-v")
 LOW_RANK_GOLDEN = {
-    "drm-h": "9017bb78377839968003b90f102a41e1bfefbb5011adc68a992cf4fda76679e9",
-    "drm-v": "81622a8c35708f716f68064699a3c3e1dce44eacdd675a3a3e4029e4778dcb60",
+    "drm-h": "7b3f55a80653d295744f8b613963779824e667a5c31613f84622982ad3a2c69c",
+    "drm-v": "ef10ae9be0ca52b952f0646cbb2e14079b5c04f58007aa4bcaed3401b18673b9",
 }
 
 TUNE_METHODS = ("drm-h", "drm-v", "ties", "dare-ties", "ta", "avg")
@@ -98,7 +99,7 @@ ANALYSIS_KINDS = ("prune-density", "sign-agreement", "svd-bound", "spectrum")
 ANALYSIS_GOLDEN = {
     "prune-density": "df7f55de315b5968c78d87344f59b64c4cf10432c06d69181b052d2df752c574",
     "sign-agreement": "0fd8af63765410fbd241a9450baea48f164543a425ede4532f42f9fc4f68e146",
-    "svd-bound": "a2c6a6e894ab880580f2264e958407ae13f7464ed617da928efe4a257f6197a0",
+    "svd-bound": "63efc5bde9105b71118bff26ae495261906a9c5cfbd38446867228fd07a2166d",
     "spectrum": "d9d4cae8a2f2d66b2f0f947130d779683955bfe0c7025b93952f40c8c60572f2",
 }
 
@@ -232,9 +233,9 @@ def test_low_rank_output_hash_unchanged(method, tmp_path, monkeypatch, gesdd_cal
     assert np.linalg.matrix_rank(stack) == LOW_RANK_TASKS * LOW_RANK < min(stack.shape)
 
     # A rank-deficient stack fails the Gram route's gate, so the stacked SVD
-    # is LAPACK's gesdd.
+    # is LAPACK's gesdd, which factors the wide stack's tall transpose.
     digest = run_merge(tmp_path, method, base, tasks)
-    assert gesdd_calls == [stack.shape]
+    assert gesdd_calls == [stack.T.shape]
     assert digest == LOW_RANK_GOLDEN[method]
 
 
@@ -258,18 +259,21 @@ if __name__ == "__main__":
     import io
     import tempfile
 
+    # Prints every table as it should now read; a hash that differs from
+    # the recorded one is marked with the recorded value.
     with tempfile.TemporaryDirectory() as tmp:
-        for title, hasher, keys in (
-            ("GOLDEN", merged_sha256, CASES),
-            ("WIDE_GOLDEN", wide_sha256, WIDE_METHODS),
-            ("LOW_RANK_GOLDEN", low_rank_sha256, LOW_RANK_METHODS),
-            ("TUNE_GOLDEN", tune_sha256, TUNE_METHODS),
-            ("ANALYSIS_GOLDEN", analysis_sha256, ANALYSIS_KINDS),
-            ("SPACE_GOLDEN", space_sha256, SPACES),
+        for title, hasher, keys, recorded in (
+            ("GOLDEN", merged_sha256, CASES, GOLDEN),
+            ("WIDE_GOLDEN", wide_sha256, WIDE_METHODS, WIDE_GOLDEN),
+            ("LOW_RANK_GOLDEN", low_rank_sha256, LOW_RANK_METHODS, LOW_RANK_GOLDEN),
+            ("TUNE_GOLDEN", tune_sha256, TUNE_METHODS, TUNE_GOLDEN),
+            ("ANALYSIS_GOLDEN", analysis_sha256, ANALYSIS_KINDS, ANALYSIS_GOLDEN),
+            ("SPACE_GOLDEN", space_sha256, SPACES, SPACE_GOLDEN),
         ):
             print(f"{title} = {{")
             for key in keys:
                 with contextlib.redirect_stdout(io.StringIO()):
                     digest = hasher(Path(tmp), key)
-                print(f'    "{key}": "{digest}",')
+                mark = "" if digest == recorded.get(key) else f"  # CHANGED, was {recorded.get(key)}"
+                print(f'    "{key}": "{digest}",{mark}')
             print("}")

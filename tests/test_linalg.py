@@ -168,9 +168,10 @@ class TestDecompositionRoutes:
 
     @pytest.mark.parametrize("name", ["low_rank_adapters", "identical_tasks", "zero"])
     def test_rank_deficient_stack_falls_back(self, gesdd_calls, name):
+        # Every stack here is wide, so gesdd factors its tall transpose.
         A, rank = rank_deficient_stack(name)
         svd = thin_svd(A)
-        assert gesdd_calls == [A.shape]
+        assert gesdd_calls == [A.T.shape]
         check_thin_svd_invariants(A, svd)
         assert svd.rank == gesdd_rank(A) == rank
 
@@ -200,8 +201,9 @@ class TestDecompositionRoutes:
         # thin_svd negates the flipped U columns and Vt rows in place; the
         # bytes must be those of the copying np.where formula it replaced.
         if route == "gesdd":
-            A, _ = rank_deficient_stack("low_rank_adapters")
-            U, sigma, Vt = np.linalg.svd(A, full_matrices=False)
+            A, _ = rank_deficient_stack("low_rank_adapters")  # wide: factored as A.T
+            V, sigma, Ut = np.linalg.svd(A.T, full_matrices=False)
+            U, Vt = Ut.T, V.T
         else:
             rng = np.random.default_rng(31)
             blocks = [rng.standard_normal((40, 24)) for _ in range(4)]
@@ -213,6 +215,55 @@ class TestDecompositionRoutes:
         assert svd.U.tobytes() == np.where(flip[None, :], -U, U).tobytes()
         assert svd.Vt.tobytes() == np.where(flip[:, None], -Vt, Vt).tobytes()
         assert svd.sigma.tobytes() == sigma.tobytes()
+
+
+def wide_gesdd_input(kind, seed=13):
+    """A wide matrix that fails the Gram gate, with a Gram side the Jacobi
+    oracle takes: four rank-2 adapters side by side (24 x 64, rank 8), or a
+    full-rank 20 x 80 matrix with condition number 1e8."""
+    rng = np.random.default_rng(seed)
+    if kind == "rank_deficient":
+        blocks = [materialize_low_rank(rng.standard_normal((2, 16)), rng.standard_normal((24, 2)), 0.5)
+                  for _ in range(4)]
+        return np.concatenate(blocks, axis=1)
+    left = np.linalg.qr(rng.standard_normal((20, 20)))[0]
+    right = np.linalg.qr(rng.standard_normal((80, 20)))[0]
+    return left @ np.diag(np.logspace(0, -8, 20)) @ right.T
+
+
+@pytest.mark.parametrize("kind", ["rank_deficient", "ill_conditioned"])
+class TestTallRoute:
+    """A wide matrix that fails the Gram gate is factored by gesdd as its
+    tall transpose, and meets the same contract as every other route."""
+
+    def test_takes_gesdd_on_the_transpose(self, gesdd_calls, kind):
+        A = wide_gesdd_input(kind)
+        thin_svd(A)
+        assert gesdd_calls == [A.T.shape]
+
+    def test_sigma_matches_the_jacobi_oracle(self, kind):
+        # The oracle squares the condition number, so its small singular
+        # values are only good to about sqrt(eps) * sigma_max.
+        A = wide_gesdd_input(kind)
+        svd = thin_svd(A)
+        np.testing.assert_allclose(svd.sigma, svd_oracle(A), rtol=0, atol=1e-7 * svd.sigma[0])
+        assert svd.rank == gesdd_rank(A) == (8 if kind == "rank_deficient" else 20)
+
+    def test_orthonormal_factors_reconstruct(self, kind):
+        A = wide_gesdd_input(kind)
+        check_thin_svd_invariants(A, thin_svd(A))
+
+    def test_bytes_are_the_swapped_factors_of_the_transpose(self, kind):
+        # thin_svd(A.T) factors the same tall matrix; swapping its factors
+        # and pinning the signs on the new U gives thin_svd(A)'s bytes.
+        A = wide_gesdd_input(kind)
+        svd = thin_svd(A)
+        tall = thin_svd(A.T)
+        U, Vt = tall.Vt.T, tall.U.T
+        flip = U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])] < 0
+        assert svd.sigma.tobytes() == tall.sigma.tobytes()
+        assert svd.U.tobytes() == np.where(flip[None, :], -U, U).tobytes()
+        assert svd.Vt.tobytes() == np.where(flip[:, None], -Vt, Vt).tobytes()
 
 
 def gesdd_input(shape, kind, order, seed=12):
@@ -242,18 +293,25 @@ needs_direct_gesdd = pytest.mark.skipif(
 
 class TestDirectGesdd:
     """The gesdd route calls the dgesdd numpy links, with the arguments of
-    numpy's own svd, so it can factor a matrix its caller gives up."""
+    numpy's own svd, so it can factor a matrix its caller gives up. A wide
+    matrix is factored through its tall transpose."""
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("kind", ["full", "rank2_adapters"])
     @pytest.mark.parametrize("shape", [(64, 512), (512, 64), (160, 160)], ids=["wide", "tall", "square"])
     def test_bytes_equal_numpy_svd(self, shape, kind, order):
         A = gesdd_input(shape, kind, order)
-        want = np.linalg.svd(A, full_matrices=False)
+        wide = shape[0] < shape[1]
+        want = np.linalg.svd(A.T if wide else A, full_matrices=False)
+        if wide:  # A.T = V diag(sigma) Ut, so A = Ut.T diag(sigma) V.T
+            V, sigma, Ut = want
+            want = Ut.T, sigma, V.T
         for overwrite_a in (False, True):
             got = linalg._lapack_svd(A.copy(order="K"), overwrite_a)
+            # U is gesdd's Fortran-ordered factor of the tall orientation,
+            # or its transpose; Vt likewise is C-ordered either way.
+            assert got[0].flags.f_contiguous and got[2].flags.c_contiguous
             for g, w in zip(got, want):
-                assert g.flags.c_contiguous
                 assert g.shape == w.shape
                 assert g.tobytes() == w.tobytes()
 
@@ -263,17 +321,19 @@ class TestDirectGesdd:
         direct = thin_svd(A)
         monkeypatch.setattr(linalg, "_dgesdd", lambda: None)
         fallback = thin_svd(A)
-        assert gesdd_calls == [shape, shape]
+        assert gesdd_calls == [(max(shape), min(shape))] * 2  # the tall orientation
         for name in ("U", "sigma", "Vt"):
             assert getattr(fallback, name).tobytes() == getattr(direct, name).tobytes()
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("overwrite_a", [False, True])
     def test_input_kept_unless_given_up_in_fortran_order(self, order, overwrite_a):
+        # A is wide, so gesdd factors A.T, which is Fortran-ordered when A
+        # is C-ordered.
         A = gesdd_input((24, 96), "rank2_adapters", order)
         before = A.tobytes()
         svd = thin_svd(A, overwrite_a=overwrite_a)
-        if overwrite_a and order == "F" and linalg._dgesdd() is not None:
+        if overwrite_a and order == "C" and linalg._dgesdd() is not None:
             assert np.shares_memory(svd.Vt, A)
         else:
             assert A.tobytes() == before
@@ -282,10 +342,13 @@ class TestDirectGesdd:
     @needs_direct_gesdd
     @pytest.mark.parametrize("shape", [(24, 96), (96, 24), (40, 40)], ids=["wide", "tall", "square"])
     def test_owned_fortran_input_holds_the_larger_factor(self, shape):
-        A = gesdd_input(shape, "rank2_adapters", "F")
+        # The matrix gesdd factors is Fortran-ordered: A itself when tall or
+        # square, A.T (so A is C-ordered) when wide.
+        wide = shape[0] < shape[1]
+        A = gesdd_input(shape, "rank2_adapters", "C" if wide else "F")
         want = thin_svd(A)
         got = thin_svd(A, overwrite_a=True)
-        larger = got.Vt if shape[0] <= shape[1] else got.U
+        larger = got.Vt if wide else got.U
         assert np.shares_memory(larger, A) and larger.size == A.size
         for name in ("U", "sigma", "Vt"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
