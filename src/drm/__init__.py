@@ -44,7 +44,6 @@ from .engine import (
     merge_drm,
     prune_topk,
     survivor_filter,
-    truncate_rank,
 )
 from .errors import ArgumentError, DrmError, InputOutputError, NumericError
 from .harness import (
@@ -105,6 +104,5 @@ __all__ = [
     "task_arithmetic",
     "thin_svd",
     "ties_merge",
-    "truncate_rank",
     "write_bundle",
 ]

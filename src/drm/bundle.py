@@ -438,7 +438,8 @@ class DeltaSet:
         ``"itj"``), an F-ordered one of an N x n x m buffer (``"tji"``, or
         the :meth:`transposed` view of a task-major stack); otherwise, as
         for a task-major stack, a C-ordered copy."""
-        return self.deltas.transpose(1, 0, 2).reshape(self.base_shape[0], -1)
+        m, n = self.base_shape
+        return self.deltas.transpose(1, 0, 2).reshape(m, self.n_tasks * n)
 
     def transposed(self) -> "DeltaSet":
         """Same layer with every delta transposed (rows and columns swapped);

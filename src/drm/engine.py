@@ -117,7 +117,6 @@ class JointDecomposition:
     blocks).
     """
 
-    orientation: str
     U: np.ndarray
     sigma: np.ndarray
     row_norms: np.ndarray
@@ -142,18 +141,27 @@ class JointDecomposition:
         return nonzero_sigma_mask(self.sigma)
 
 
-def decompose_joint(ds: DeltaSet, orientation: str = "horizontal") -> JointDecomposition:
+def decompose_joint(
+    ds: DeltaSet, orientation: str = "horizontal", rank_drop: float = 0.0
+) -> JointDecomposition:
     """Decompose the stacked deltas and renormalize the per-task blocks.
 
     The vertical orientation decomposes the transposed deltas. The SVD
     reads :meth:`DeltaSet.side_by_side`, a view of a stack laid out for it
     (see :func:`_stack_order`) and a copy otherwise. An owned stack is
-    released once that matrix exists, and the SVD may overwrite that
-    matrix, so an owned stack laid out for its SVD is factored where it
-    lies.
+    released once that matrix exists. The SVD may overwrite that matrix
+    unless it is a view of a caller's stack, so an owned stack laid out for
+    its SVD, and the copy of any other stack, are factored where they lie.
+
+    ``rank_drop`` keeps the top ceil((1 - rank_drop) * rank) components,
+    ranked by the shared singular values, before renormalization could
+    reorder them; the rest are zeroed in ``U``, ``sigma``, the renormalized
+    rows and the row norms. ``rank_drop = 0`` zeroes nothing.
     """
     if orientation not in ORIENTATIONS:
         raise ValueError(f"orientation must be one of {ORIENTATIONS}")
+    if not (0.0 <= rank_drop < 1.0):
+        raise ValueError(f"rank_drop must lie in [0, 1), got {rank_drop}")
     n_tasks = ds.n_tasks
     if orientation == "vertical":
         n_cols = ds.base_shape[0]
@@ -161,28 +169,28 @@ def decompose_joint(ds: DeltaSet, orientation: str = "horizontal") -> JointDecom
     else:
         n_cols = ds.base_shape[1]
         stacked = ds.side_by_side()
-    owned = ds._owned
-    if owned:
+    overwrite = ds._owned or not np.may_share_memory(stacked, ds.deltas)
+    if ds._owned:
         ds.deltas = None
-    svd = thin_svd(stacked, overwrite_a=owned)
+    svd = thin_svd(stacked, overwrite_a=overwrite)
     del stacked
     r = svd.sigma.size
+    keep = _keep_count(1.0 - rank_drop, svd.rank) if rank_drop > 0.0 else r
+    dead = np.arange(r) >= keep  # sigma is sorted, so the tail goes
+    svd.U[:, dead] = 0.0
+    svd.sigma[dead] = 0.0
     row_norms = np.empty((n_tasks, r))
     renorm_blocks = np.empty((n_tasks, r, n_cols))
     for t in range(n_tasks):
         block = svd.Vt[:, t * n_cols : (t + 1) * n_cols]
         norms = np.linalg.norm(block, axis=1)
+        zero = (norms <= ZERO_ROW_NORM) | dead
+        np.divide(block, np.where(zero, 1.0, norms)[:, None], out=renorm_blocks[t])
+        renorm_blocks[t, zero] = 0.0
+        norms[zero] = 0.0
         row_norms[t] = norms
-        safe = np.where(norms > ZERO_ROW_NORM, norms, 1.0)
-        np.divide(block, safe[:, None], out=renorm_blocks[t])
-        renorm_blocks[t, norms <= ZERO_ROW_NORM] = 0.0
-    row_norms[row_norms <= ZERO_ROW_NORM] = 0.0
     return JointDecomposition(
-        orientation=orientation,
-        U=svd.U,
-        sigma=svd.sigma.copy(),
-        row_norms=row_norms,
-        renorm_blocks=renorm_blocks,
+        U=svd.U, sigma=svd.sigma, row_norms=row_norms, renorm_blocks=renorm_blocks
     )
 
 
@@ -191,33 +199,6 @@ def _keep_count(retain: float, total: int) -> int:
     if total == 0:
         return 0
     return min(total, max(0, math.ceil(retain * total - 1e-9)))
-
-
-def truncate_rank(jd: JointDecomposition, rank_drop: float) -> JointDecomposition:
-    """Zero all but the top ceil((1 - rank_drop) * rank) components.
-
-    Ranking uses the shared singular values, before any renormalized
-    per-task rescaling could reorder them. rank_drop = 0 is the identity.
-    """
-    if not (0.0 <= rank_drop < 1.0):
-        raise ValueError(f"rank_drop must lie in [0, 1), got {rank_drop}")
-    if rank_drop == 0.0:
-        return jd
-    keep = _keep_count(1.0 - rank_drop, jd.rank)
-    dead = np.arange(jd.sigma.size) >= keep  # sigma is sorted, so the tail goes
-    U = jd.U.copy()
-    U[:, dead] = 0.0
-    row_norms = jd.row_norms.copy()
-    row_norms[:, dead] = 0.0
-    renorm = jd.renorm_blocks.copy()
-    renorm[:, dead] = 0.0
-    return JointDecomposition(
-        orientation=jd.orientation,
-        U=U,
-        sigma=np.where(dead, 0.0, jd.sigma),
-        row_norms=row_norms,
-        renorm_blocks=renorm,
-    )
 
 
 def _topk_mask(x: np.ndarray, keep: int) -> np.ndarray:
@@ -370,7 +351,7 @@ def _drm_grid(ds: DeltaSet, cfg: MergeConfig, points: list[list[MergeConfig]]):
     """
     orientation = DRM_ORIENTATIONS[cfg.method]
     n_tasks = ds.n_tasks
-    jd = truncate_rank(decompose_joint(ds, orientation), cfg.rank_drop)
+    jd = decompose_joint(ds, orientation, cfg.rank_drop)
     stack = jd.renorm_blocks
     masks = [
         prune_topk(stack, row[0].retain, cfg.prune_mode) if cfg.enable_prune else None

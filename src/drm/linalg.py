@@ -83,7 +83,8 @@ def thin_svd(A: np.ndarray, overwrite_a: bool = False) -> ThinSVD:
     holds the larger factor (``U`` when m >= n, ``Vt`` otherwise). Without
     it, or for any other layout, ``A`` is never written. The Gram route
     never writes ``A``. The factors' memory order is not part of the
-    contract; their values do not depend on A's.
+    contract; their values do not depend on A's. An empty ``A`` gives
+    m x 0, 0 and 0 x n factors without running either route.
 
     Raises NonFiniteValue on NaN or infinity in ``A``, before any LAPACK
     call, and ConvergenceFailure if the backend does not converge.
@@ -93,6 +94,9 @@ def thin_svd(A: np.ndarray, overwrite_a: bool = False) -> ThinSVD:
         raise ShapeMismatch(f"expected a matrix, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise NonFiniteValue(f"cannot factor a {A.shape} matrix holding NaN or infinity")
+    if A.size == 0:
+        m, n = A.shape
+        return ThinSVD(np.zeros((m, 0)), np.zeros(0), np.zeros((0, n)))
     factors = _gram_svd(A)
     if factors is None:
         factors = _lapack_svd(A, overwrite_a)
@@ -175,7 +179,7 @@ def _tall_lapack_svd(
     which has its shape; ``Vt`` (n x n) is C-ordered. Errors name
     ``shape``, the matrix the caller was given."""
     gesdd = _dgesdd()
-    if gesdd is None or A.size == 0:
+    if gesdd is None:
         try:
             return np.linalg.svd(A, full_matrices=False)
         except np.linalg.LinAlgError as exc:
@@ -210,8 +214,6 @@ def _tall_lapack_svd(
 def _gram_svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """(U, sigma, Vt) from ``eigh`` of the smaller Gram matrix, or None when
     the spectrum fails the GRAM_MIN_EIG_RATIO gate or ``eigh`` fails."""
-    if A.size == 0:
-        return None
     wide = A.shape[0] <= A.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the gate
         gram = A @ A.T if wide else A.T @ A

@@ -171,12 +171,14 @@ class TestPerturbationBound:
         assert max(e.lhs for e in report.entries) <= 1e-10
 
     def test_empty_deltas_hold_vacuously(self):
-        # An m x 0 layer has no singular values: each report is empty and
-        # its norm is 0.0, as the spectral norm of an empty matrix is.
-        ds = make_ds([np.zeros((4, 0)) for _ in range(3)])
-        reports = check_perturbation_bounds(ds)
-        assert [r.task_name for r in reports] == ds.task_names
-        assert all(r.entries == [] and r.all_hold for r in reports)
+        # An m x 0, 0 x n or 0 x 0 layer has no singular values: each
+        # report is empty and its norm is 0.0, as the spectral norm of an
+        # empty matrix is.
+        for shape in [(4, 0), (0, 4), (0, 0)]:
+            ds = make_ds([np.zeros(shape) for _ in range(3)])
+            reports = check_perturbation_bounds(ds)
+            assert [r.task_name for r in reports] == ds.task_names
+            assert all(r.entries == [] and r.all_hold for r in reports)
 
     def test_random_instances_hold(self):
         rng = np.random.default_rng(23)
@@ -285,6 +287,20 @@ class TestSpectrumReport:
         assert rows[0][0] == 0 and len(rows[0][2]) == 1
         assert "orientation=vertical" in report.to_table()
         assert json.loads(canonical_json(report.to_json_obj()))["orientation"] == "vertical"
+
+
+@pytest.mark.parametrize("shape", [(4, 0), (0, 4), (0, 0)])
+def test_zero_extent_layer_reports_are_empty(shape):
+    # No components and no positions: every report kind is empty, in both
+    # orientations and every tally space.
+    ds = make_ds([np.zeros(shape) for _ in range(3)])
+    for orientation, method in [("horizontal", "drm_h"), ("vertical", "drm_v")]:
+        report = spectrum_report(ds, orientation)
+        assert report.sigma.shape == (0,) and report.row_norms.shape == (3, 0)
+        density = pruning_density(ds, MergeConfig(method=method))
+        assert density.drop_fractions.shape == (3, 0)
+    for space in drm.analysis.SPACES:
+        assert sign_agreement(ds, MergeConfig(), space).positions == 0
 
 
 class TestSynthHeteroDeltas:

@@ -32,7 +32,6 @@ from drm.engine import (
     merge_drm_with_stats,
     prune_topk,
     survivor_filter,
-    truncate_rank,
 )
 from drm.errors import ShapeMismatch
 from drm.linalg import thin_svd
@@ -83,10 +82,10 @@ class TestRenormalizeRow:
         np.testing.assert_array_equal(jd.row_norms[1], [0.0, 0.0])
 
 
-def check_decomposition_invariants(ds, jd):
+def check_decomposition_invariants(ds, jd, orientation="horizontal"):
     active = jd.active_mask()
     # reconstruction per task
-    deltas = ds.deltas if jd.orientation == "horizontal" else [d.T for d in ds.deltas]
+    deltas = ds.deltas if orientation == "horizontal" else [d.T for d in ds.deltas]
     for t, delta in enumerate(deltas):
         recon = jd.U @ np.diag(jd.task_sigmas[t]) @ jd.renorm_blocks[t]
         assert np.linalg.norm(recon - delta) <= 1e-9 * max(1.0, np.linalg.norm(delta))
@@ -126,9 +125,8 @@ class TestDecomposeJoint:
     def test_vertical_orientation(self):
         ds = random_delta_set(9, n_tasks=2, m=4, n=7)
         jd = decompose_joint(ds, "vertical")
-        assert jd.orientation == "vertical"
         assert jd.U.shape[0] == 7  # shared factor lives on the transposed side
-        check_decomposition_invariants(ds, jd)
+        check_decomposition_invariants(ds, jd, "vertical")
 
     def test_rank_deficient_rows_stay_zero(self):
         # Two tasks whose stack has rank 2 inside a 3-row space: the thin
@@ -148,6 +146,17 @@ class TestDecomposeJoint:
     def test_bad_orientation(self):
         with pytest.raises(ValueError):
             decompose_joint(random_delta_set(1), "diagonal")
+
+    @pytest.mark.parametrize("shape", [(4, 0), (0, 4), (0, 0)])
+    def test_zero_extent_layer_has_no_components(self, shape):
+        ds = DeltaSet("l", shape, [np.zeros(shape)] * 3, ["a", "b", "c"])
+        for orientation, (rows, cols) in zip(drm.engine.ORIENTATIONS, [shape, shape[::-1]]):
+            jd = decompose_joint(ds, orientation, rank_drop=0.5)
+            assert jd.U.shape == (rows, 0)
+            assert jd.renorm_blocks.shape == (3, 0, cols)
+            assert jd.rank == 0
+        for method in METHODS:
+            assert merge_delta_set(ds, MergeConfig(method=method)).shape == shape
 
 
 @settings(max_examples=30, deadline=None)
@@ -172,9 +181,14 @@ def test_scale_compensation_rowwise_exact():
 
 
 class TestTruncateRank:
+    """``decompose_joint``'s ``rank_drop`` zeroes the tail of the spectrum
+    in the renormalization pass."""
+
     def test_zero_drop_is_identity(self):
-        jd = decompose_joint(random_delta_set(3))
-        assert truncate_rank(jd, 0.0) is jd
+        ds = random_delta_set(3)
+        jd, cut = decompose_joint(ds), decompose_joint(ds, rank_drop=0.0)
+        for field in dataclasses.fields(jd):
+            assert getattr(cut, field.name).tobytes() == getattr(jd, field.name).tobytes()
 
     def test_keep_count(self):
         rng = np.random.default_rng(4)
@@ -182,14 +196,14 @@ class TestTruncateRank:
         ds = DeltaSet("l", (4, 3), [rng.standard_normal((4, 3)) for _ in range(2)], ["a", "b"])
         jd = decompose_joint(ds)
         assert jd.rank == 4
-        cut = truncate_rank(jd, 0.5)
+        cut = decompose_joint(ds, rank_drop=0.5)
         assert cut.rank == 2
         assert np.count_nonzero(cut.sigma) == 2
 
     def test_tail_energy_matches_truncation_error(self):
         ds = random_delta_set(6, n_tasks=2, m=5, n=4)
         jd = decompose_joint(ds)
-        cut = truncate_rank(jd, 0.5)
+        cut = decompose_joint(ds, rank_drop=0.5)
         keep = cut.rank
         stack = np.concatenate(ds.deltas, axis=1)
         scaled = cut.task_sigmas[:, :, None] * cut.renorm_blocks
@@ -198,14 +212,18 @@ class TestTruncateRank:
         assert np.linalg.norm(recon - stack) == pytest.approx(tail_energy, abs=1e-8)
 
     def test_truncated_fields_are_consistent(self):
-        jd = decompose_joint(random_delta_set(8, n_tasks=3, m=6, n=4))
-        cut = truncate_rank(jd, 0.4)
+        cut = decompose_joint(random_delta_set(8, n_tasks=3, m=6, n=4), rank_drop=0.4)
         dead = ~cut.active_mask()
         assert np.all(cut.U[:, dead] == 0.0)
         assert np.all(cut.row_norms[:, dead] == 0.0)
         for t in range(cut.n_tasks):
             assert np.all(cut.renorm_blocks[t][dead] == 0.0)
             assert np.all(cut.task_sigmas[t][dead] == 0.0)
+
+    @pytest.mark.parametrize("rank_drop", [-0.1, 1.0, float("nan")])
+    def test_rank_drop_outside_unit_interval_rejected(self, rank_drop):
+        with pytest.raises(ValueError, match="rank_drop"):
+            decompose_joint(random_delta_set(3), rank_drop=rank_drop)
 
 
 def topk_oracle(blocks, retain, mode):
@@ -916,11 +934,13 @@ def test_stacked_svd_input(orientation, monkeypatch):
     np.testing.assert_array_equal(A, want)
 
 
-def adapter_delta_set(order="tij"):
-    """Eight rank-2 adapters on a 256 x 64 layer, stacked in a buffer of
-    ``order`` (see layer_delta_set). Their drm-v stack is a rank-deficient
-    64 x 2048 matrix, which takes gesdd as drm-v on adapter stacks does."""
-    n_tasks, m, n = 8, 256, 64
+def adapter_delta_set(order="tij", shape=(256, 64)):
+    """Eight rank-2 adapters on a layer of ``shape``, stacked in a buffer
+    of ``order`` (see layer_delta_set). On the default 256 x 64 layer their
+    drm-v stack, and on a 64 x 256 one their drm-h stack, is a
+    rank-deficient 64 x 2048 matrix, which takes gesdd as adapter stacks
+    do."""
+    n_tasks, (m, n) = 8, shape
     rng = np.random.default_rng(3)
     tasks = [
         TensorBundle({"l": drm.materialize_low_rank(
@@ -930,10 +950,10 @@ def adapter_delta_set(order="tij"):
     return layer_delta_set("l", np.zeros((m, n)), tasks, [f"t{i}" for i in range(n_tasks)], order)
 
 
-def vertical_svd_peak(ds, monkeypatch):
-    """tracemalloc peak of the stacked SVD in ``decompose_joint(ds,
-    "vertical")``, in stacks. Tracing starts once the deltas exist, so the
-    peak is what the SVD adds."""
+def svd_peak(ds, monkeypatch, orientation="vertical"):
+    """tracemalloc peak during the stacked SVD in ``decompose_joint(ds,
+    orientation)``, in stacks. Tracing starts once the deltas exist, so the
+    peak is what the SVD adds to the side-by-side copy, if one was made."""
     stack_bytes = ds.deltas.nbytes
     peaks = []
 
@@ -946,7 +966,7 @@ def vertical_svd_peak(ds, monkeypatch):
     monkeypatch.setattr(drm.engine, "thin_svd", peak_thin_svd)
     tracemalloc.start()
     try:
-        decompose_joint(ds, "vertical")
+        decompose_joint(ds, orientation)
     finally:
         tracemalloc.stop()
     [peak] = peaks
@@ -962,16 +982,23 @@ def test_vertical_svd_holds_one_stack(monkeypatch, gesdd_calls):
     assert order == "jti"
     ds = adapter_delta_set(order)
     ds._owned = True
-    assert vertical_svd_peak(ds, monkeypatch) < 1.5
+    assert svd_peak(ds, monkeypatch) < 1.5
     assert gesdd_calls == [(2048, 64)]
 
 
-def test_vertical_svd_of_a_borrowed_stack_holds_two(monkeypatch, gesdd_calls):
-    # A caller's stack keeps its bytes: gesdd factors a Fortran copy, whose
-    # memory then receives the factor.
-    ds = adapter_delta_set()
+@pytest.mark.parametrize("orientation,shape", [
+    pytest.param("horizontal", (64, 256), id="horizontal"),
+    pytest.param("vertical", (256, 64), id="vertical"),
+])
+def test_svd_of_a_borrowed_stack_holds_two(orientation, shape, monkeypatch, gesdd_calls):
+    # A caller's stack keeps its bytes. drm-v's matrix is a view of it, so
+    # gesdd factors a Fortran copy; drm-h's is a private C-ordered copy,
+    # whose transpose gesdd factors in place. Either way one copy of the
+    # stack then receives the factor. Copying drm-h's copy again cost
+    # about 3.2 stacks.
+    ds = adapter_delta_set(shape=shape)
     before = ds.deltas.tobytes()
-    assert vertical_svd_peak(ds, monkeypatch) < 2.5
+    assert svd_peak(ds, monkeypatch, orientation) < 2.5
     assert gesdd_calls == [(2048, 64)]
     assert ds.deltas.tobytes() == before
 

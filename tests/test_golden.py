@@ -2,21 +2,23 @@
 writing the same bytes.
 
 A small fixed family (float32 and float64 tensors, biases, four matrix
-layers so the layer pool runs) is merged with every method, and with TIES
-and drm-h with pruning switched off. A second family, one 96x160 float32
-layer and one bias with four tasks, is merged with every method at a size
-that reaches numpy's blocked loops. The SHA-256 of each output bundle is
-compared with a recorded value; refactors and speed-ups must leave these
-hashes unchanged, and a serial run must write the same bytes as a pooled
-one. A third family, one 48x32 float64 layer of rank-2 adapter deltas and
-one bias with four tasks, is merged with drm-h and drm-v; its stacks are
-rank-deficient, so it pins the ``gesdd`` route of the stacked SVD, which
-the dense families never take. The small family is analyzed with every
-report kind, and its sign agreement in every tally space, and a small
-synthetic suite is tuned over the default grids with six methods; their
-JSON outputs are pinned the same way. The drm-h and drm-v hashes depend
-on the LAPACK/BLAS build; after an intended output change, or on a
-platform whose BLAS rounds differently, print the current values with
+layers so the layer pool runs) is merged with every method, with TIES
+and drm-h with pruning switched off, and with drm-h and drm-v dropping
+half the rank. A second family, one 96x160 float32 layer and one bias
+with four tasks, is merged with every method at a size that reaches
+numpy's blocked loops. The SHA-256 of each output bundle is compared
+with a recorded value; refactors and speed-ups must leave these hashes
+unchanged, and a serial run must write the same bytes as a pooled one. A
+third family, one 48x32 float64 layer of rank-2 adapter deltas and one
+bias with four tasks, is merged with drm-h and drm-v, also dropping half
+the rank; its stacks are rank-deficient, so it pins the ``gesdd`` route
+of the stacked SVD, which the dense families never take. The small
+family is analyzed with every report kind, and its sign agreement in
+every tally space, and a small synthetic suite is tuned over the default
+grids with six methods; their JSON outputs are pinned the same way. The
+drm-h and drm-v hashes depend on the LAPACK/BLAS build; after an
+intended output change, or on a platform whose BLAS rounds differently,
+print the current values with
 ``PYTHONPATH=src python tests/test_golden.py``, which marks every hash
 that differs from its recorded value.
 """
@@ -48,6 +50,8 @@ CASES = {
     "dare-ties": ["--method", "dare-ties"],
     "ties-no-prune": ["--method", "ties", "--no-prune"],
     "drm-h-no-prune": ["--method", "drm-h", "--no-prune"],
+    "drm-h-rank-drop": ["--method", "drm-h", "--rank-drop", "0.5"],
+    "drm-v-rank-drop": ["--method", "drm-v", "--rank-drop", "0.5"],
 }
 
 GOLDEN = {
@@ -59,6 +63,8 @@ GOLDEN = {
     "dare-ties": "996139f189da8a6ac14bbdc42f9360e38af5b295956b661c19ba94ab3fc322a8",
     "ties-no-prune": "b94eb03406a5154b8cbc329b10d5792386b2e43eee2d2108bfd1fe29378587c7",
     "drm-h-no-prune": "419111cfe7fe73ea17208d82bca655abd3ff597ba29f20dc3ce430208ce965d4",
+    "drm-h-rank-drop": "ec8811cd2ab77ceeebc3feeb996d11ac832304f2b5a6ff4b53459ebfe441de80",
+    "drm-v-rank-drop": "5f124e938fe954a901e628792678e3f25581a1e3e993ded36edabcbaae931ba2",
 }
 
 WIDE_SHAPES = {
@@ -79,10 +85,12 @@ WIDE_GOLDEN = {
 LOW_RANK_SHAPE = (48, 32)
 LOW_RANK_TASKS = 4
 LOW_RANK = 2
-LOW_RANK_METHODS = ("drm-h", "drm-v")
+LOW_RANK_METHODS = ("drm-h", "drm-v", "drm-h-rank-drop", "drm-v-rank-drop")
 LOW_RANK_GOLDEN = {
     "drm-h": "7b3f55a80653d295744f8b613963779824e667a5c31613f84622982ad3a2c69c",
     "drm-v": "ef10ae9be0ca52b952f0646cbb2e14079b5c04f58007aa4bcaed3401b18673b9",
+    "drm-h-rank-drop": "afd6c7ba6e2b9122020dff5513e324f051d2319caa42b75276a88a16a383f211",
+    "drm-v-rank-drop": "7c50c3b57ce73e78f39a0c3a284157c51bde7b9c0dc7e46f1a04c0d97a60f7d3",
 }
 
 TUNE_METHODS = ("drm-h", "drm-v", "ties", "dare-ties", "ta", "avg")
@@ -227,7 +235,7 @@ def test_low_rank_output_hash_unchanged(method, tmp_path, monkeypatch, gesdd_cal
     base, tasks = write_low_rank_family(tmp_path)
     base_w = read_bundle(base)["lr.w"]
     deltas = [read_bundle(task)["lr.w"] - base_w for task in tasks]
-    if method == "drm-v":
+    if method.startswith("drm-v"):
         deltas = [delta.T for delta in deltas]
     stack = np.concatenate(deltas, axis=1)
     assert np.linalg.matrix_rank(stack) == LOW_RANK_TASKS * LOW_RANK < min(stack.shape)

@@ -41,6 +41,15 @@ class TestThinSVD:
         check_thin_svd_invariants(A, svd)
         assert svd.rank == 0
 
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+    def test_empty_matrix(self, shape, gesdd_calls):
+        # No components: m x 0, 0 and 0 x n factors, with no LAPACK call.
+        m, n = shape
+        svd = thin_svd(np.zeros(shape))
+        assert (svd.U.shape, svd.sigma.shape, svd.Vt.shape) == ((m, 0), (0,), (0, n))
+        assert svd.rank == 0
+        assert gesdd_calls == []
+
     def test_sigma_matches_gram_eigenvalues(self):
         A = random_matrix(11, 5, 3)
         svd = thin_svd(A)
