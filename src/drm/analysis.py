@@ -220,7 +220,9 @@ def _orientation_for(cfg: MergeConfig) -> str:
 
 def row_drop_fractions(stack: np.ndarray, retain: float, mode: str = "joint") -> np.ndarray:
     """Fraction of each block row zeroed by top-``retain`` magnitude pruning."""
-    return 1.0 - prune_topk(stack, retain, mode).mean(axis=2)
+    kept = prune_topk(stack, retain, mode)
+    # mean(axis=2) warns on the N x 0 x 0 blocks of an empty layer.
+    return 1.0 - kept.sum(axis=2, dtype=np.float64) / kept.shape[2]
 
 
 def pruning_density(ds: DeltaSet, cfg: MergeConfig, with_renorm: bool = True) -> DensityReport:

@@ -7,15 +7,16 @@ import hashlib
 import numpy as np
 
 from .bundle import DeltaSet
+# disjoint_average is not called here: the benchmark's tracer wraps it,
+# like elect_signs and prune_topk, under this module's name.
 from .engine import (
     MergeConfig,
     _per_task,
-    agreeing_entries,
+    _reciprocal_counts,
     disjoint_average,
     elect_signs,
     kept_counts,
     prune_topk,
-    survivor_filter,
 )
 
 
@@ -38,17 +39,39 @@ def ties_merge_with_stats(ds: DeltaSet, cfg: MergeConfig) -> tuple[np.ndarray, d
     stack = ds.deltas if ds._owned else ds.deltas.copy()  # pruned in place
     masks = prune_topk(stack, cfg.retain, "individual") if cfg.enable_prune else None
     if masks is not None:
-        stack[~masks] = 0.0
+        stack *= masks
     merged = _elect_and_average(stack, cfg, ds.n_tasks)
     return merged, kept_counts(masks, stack)
 
 
 def _elect_and_average(stack: np.ndarray, cfg: MergeConfig, n_tasks: int) -> np.ndarray:
     """The TIES tail shared with DARE-TIES: sign election over the already
-    pruned (or dropped) stack, then the disjoint average."""
-    signs = elect_signs(stack) if cfg.enable_sign_elect else None
-    survivors, gamma = survivor_filter(agreeing_entries(stack, signs), None, cfg.enable_disjoint)
-    return disjoint_average(stack, survivors, gamma, cfg.task_lambdas(n_tasks))
+    pruned (or dropped) stack, then the disjoint average.
+
+    The same floating-point operations as ``disjoint_average(stack,
+    *survivor_filter(agreeing_entries(stack, signs), None, disjoint), lambdas)``,
+    run one task plane at a time on ``stack``, which must be the merge's
+    own: each plane is overwritten with its weighted survivors.
+    """
+    neg = elect_signs(stack) < 0.0 if cfg.enable_sign_elect else None
+    plane = stack.shape[1:]
+    weighted = np.zeros(plane)
+    counts = np.zeros(plane, dtype=np.min_scalar_type(n_tasks))
+    keep = np.empty(plane, dtype=bool)
+    below = np.empty(plane, dtype=bool)
+    for block, lam in zip(stack, cfg.task_lambdas(n_tasks)):
+        np.not_equal(block, 0.0, out=keep)
+        if neg is not None:
+            np.less(block, 0.0, out=below)
+            keep &= np.equal(below, neg, out=below)
+        counts += keep
+        # block * keep is the block or a signed zero; a zero term leaves
+        # the sum's bytes as they are.
+        block *= keep
+        block *= lam
+        weighted += block
+    weighted *= _reciprocal_counts(counts) if cfg.enable_disjoint else 1.0 / n_tasks
+    return weighted
 
 
 def _dare_generator(seed: int, layer_name: str, task_index: int) -> np.random.Generator:
@@ -76,7 +99,11 @@ def dare_ties_merge(ds: DeltaSet, cfg: MergeConfig) -> np.ndarray:
         dropped *= scale
     else:
         dropped = ds.deltas * scale
-    for t in range(ds.n_tasks):
-        gen = _dare_generator(cfg.seed, ds.layer_name, t)
-        dropped[t][gen.random(ds.base_shape) < cfg.dare_drop] = 0.0
+    draw = np.empty(ds.base_shape)
+    kept = np.empty(ds.base_shape, dtype=bool)
+    for t, block in enumerate(dropped):
+        _dare_generator(cfg.seed, ds.layer_name, t).random(out=draw)
+        np.greater_equal(draw, cfg.dare_drop, out=kept)
+        block *= kept
+    del draw, kept
     return _elect_and_average(dropped, cfg, ds.n_tasks)

@@ -285,10 +285,16 @@ def survivor_filter(
         return survivors, 1.0 / survivors.shape[0]
     # The narrowest integer type that holds N makes the count a fast add.
     counts = survivors.sum(axis=0, dtype=np.min_scalar_type(survivors.shape[0]))
+    return survivors, _reciprocal_counts(counts)
+
+
+def _reciprocal_counts(counts: np.ndarray) -> np.ndarray:
+    """Per-position survivor counts to the disjoint scale gamma: 1/count,
+    or 0 where nobody survives."""
     with np.errstate(divide="ignore"):
         gamma = 1.0 / counts
     gamma[counts == 0] = 0.0
-    return survivors, gamma
+    return gamma
 
 
 def _per_task(lambdas, n_tasks: int) -> np.ndarray:

@@ -3,9 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from drm.baselines import dare_ties_merge, task_arithmetic, ties_merge
+from drm.baselines import (
+    _dare_generator,
+    _elect_and_average,
+    dare_ties_merge,
+    task_arithmetic,
+    ties_merge,
+)
 from drm.bundle import DeltaSet, TensorBundle
-from drm.engine import MergeConfig, merge_bundle, merge_delta_set
+from drm.engine import (
+    MergeConfig,
+    agreeing_entries,
+    disjoint_average,
+    elect_signs,
+    merge_bundle,
+    merge_delta_set,
+    survivor_filter,
+)
 from drm.errors import ShapeMismatch
 
 
@@ -172,6 +186,77 @@ class TestDareTies:
         merged = dare_ties_merge(ds, cfg)
         values = set(np.round(np.unique(merged), 12))
         assert values <= {0.0, 4.0}
+
+
+def tail_stack(seed, n_tasks, shape=(9, 7)):
+    """A stack whose half-integer entries give exact zeros and positions
+    whose task sum is exactly 0, with planted -0.0 and Gaussian entries."""
+    rng = np.random.default_rng(seed)
+    stack = rng.integers(-2, 3, (n_tasks, *shape)) * 0.5
+    gauss = rng.random(stack.shape) < 0.3
+    stack[gauss] = rng.standard_normal(np.count_nonzero(gauss))
+    stack[rng.random(stack.shape) < 0.15] = -0.0
+    stack[:, 0, 0] = -0.0
+    if n_tasks > 1:
+        stack[:, 0, 1] = 0.0
+        stack[:2, 0, 1] = [1.5, -1.5]  # a sign tie: +1 is elected
+    return stack
+
+
+TAIL_LAMBDAS = [-0.7, 0.0, 1.3, 0.4, -2.0]
+
+
+class TestElectAndAverage:
+    @pytest.mark.parametrize("n_tasks", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("sign_elect", [True, False])
+    @pytest.mark.parametrize("disjoint", [True, False])
+    def test_matches_the_stage_functions_bytewise(self, n_tasks, sign_elect, disjoint):
+        # The in-place, plane-at-a-time tail against the public stages it
+        # replaces, including -0.0 inputs, zero sums and zero or negative
+        # coefficients.
+        stack = tail_stack(n_tasks, n_tasks)
+        if n_tasks > 1:
+            assert (stack.sum(axis=0) == 0.0).any()
+        for offset in range(len(TAIL_LAMBDAS)):
+            lams = tuple(np.roll(TAIL_LAMBDAS, offset)[:n_tasks])
+            cfg = MergeConfig(
+                method="ties", lambdas=lams,
+                enable_sign_elect=sign_elect, enable_disjoint=disjoint,
+            )
+            signs = elect_signs(stack) if sign_elect else None
+            survivors, gamma = survivor_filter(agreeing_entries(stack, signs), None, disjoint)
+            want = disjoint_average(stack, survivors, gamma, lams)
+            got = _elect_and_average(stack.copy(), cfg, n_tasks)
+            assert got.tobytes() == want.tobytes()
+
+
+class TestBorrowedStacks:
+    @pytest.mark.parametrize("merge,cfg", [
+        (ties_merge, MergeConfig(method="ties", retain=0.3)),
+        (dare_ties_merge, MergeConfig(method="dare_ties", dare_drop=0.8)),
+    ], ids=["ties", "dare_ties"])
+    def test_caller_deltas_keep_their_bytes(self, merge, cfg):
+        # The tail overwrites the stack it is given, which for a caller's
+        # DeltaSet must be a copy.
+        ds = DeltaSet("layer", (9, 7), tail_stack(23, 4), ["a", "b", "c", "d"])
+        stack = ds.deltas
+        before = stack.tobytes()
+        merge(ds, cfg)
+        assert ds.deltas is stack
+        assert stack.tobytes() == before
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 0.8, 0.95])
+    def test_drop_mask_is_the_generator_draw(self, p):
+        # All-positive deltas and a one-hot coefficient make task t's merged
+        # entries nonzero exactly where its drop mask keeps them.
+        n_tasks, shape = 3, (37, 23)
+        ds = make_ds([np.full(shape, t + 1.0) for t in range(n_tasks)], name="blk.w")
+        for t in range(n_tasks):
+            lams = tuple(float(s == t) for s in range(n_tasks))
+            cfg = MergeConfig(method="dare_ties", dare_drop=p, seed=5, lambdas=lams)
+            merged = dare_ties_merge(ds, cfg)
+            dropped = _dare_generator(5, "blk.w", t).random(shape) < p
+            np.testing.assert_array_equal(merged != 0.0, ~dropped)
 
 
 class TestSingleTaskNeutrality:

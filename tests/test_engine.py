@@ -836,23 +836,26 @@ def adapter_family(n_layers, n_tasks, shape, seed=89):
     return base, tasks
 
 
-@pytest.mark.parametrize("method,shape,family", [
-    pytest.param("drm_h", (128, 512), deep_family, id="drm_h-shape0"),
-    pytest.param("drm_v", (512, 128), deep_family, id="drm_v-shape1"),
-    pytest.param("ties", (128, 512), deep_family, id="ties-shape2"),
-    pytest.param("dare_ties", (128, 512), deep_family, id="dare_ties-shape3"),
-    pytest.param("drm_v", (512, 128), adapter_family, id="drm_v-rank2_adapters"),
-    pytest.param("drm_h", (128, 512), adapter_family, id="drm_h-rank2_adapters"),
+@pytest.mark.parametrize("method,shape,family,bound", [
+    pytest.param("drm_h", (128, 512), deep_family, 2.5, id="drm_h-shape0"),
+    pytest.param("drm_v", (512, 128), deep_family, 2.5, id="drm_v-shape1"),
+    pytest.param("ties", (128, 512), deep_family, 1.9, id="ties-shape2"),
+    pytest.param("dare_ties", (128, 512), deep_family, 1.9, id="dare_ties-shape3"),
+    pytest.param("drm_v", (512, 128), adapter_family, 2.5, id="drm_v-rank2_adapters"),
+    pytest.param("drm_h", (128, 512), adapter_family, 2.5, id="drm_h-rank2_adapters"),
 ])
-def test_bundle_layer_peak_below_two_and_a_half_stacks(method, shape, family, monkeypatch, gesdd_calls):
+def test_bundle_layer_peak_below_two_and_a_half_stacks(
+    method, shape, family, bound, monkeypatch, gesdd_calls
+):
     # The bundle path builds the layer's stack, laid out so that drm-h's
     # and drm-v's SVD input is a view of it, and hands it to the merge:
     # TIES prunes it and DARE-TIES drops it in place, drm-h and drm-v free
     # it once the SVD of that view returns. Holding it to the end of the
     # layer cost about 3.2-3.4 stacks. Rank-2 adapters take gesdd, which
     # factors the stack where it lies; copying drm-h's stack side by side
-    # and then to Fortran order cost about 3.3. The peak counts the stack
-    # itself.
+    # and then to Fortran order cost about 3.3. TIES and DARE-TIES elect
+    # and average one task plane at a time in that stack, about 1.8 and
+    # 1.7. The peak counts the stack itself.
     n_tasks = 4
     base, tasks = family(1, n_tasks, shape)
     unit = n_tasks * shape[0] * shape[1] * 8
@@ -863,7 +866,7 @@ def test_bundle_layer_peak_below_two_and_a_half_stacks(method, shape, family, mo
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / unit < 2.5
+    assert peak / unit < bound
     assert len(gesdd_calls) == (family is adapter_family)
 
 
