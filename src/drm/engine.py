@@ -11,13 +11,16 @@ deltas and transposes the result.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import dataclasses
+import functools
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bands import INLINE, BandPool
 from .bundle import (
     BundleFile,
     DeltaSet,
@@ -142,7 +145,11 @@ class JointDecomposition:
 
 
 def decompose_joint(
-    ds: DeltaSet, orientation: str = "horizontal", rank_drop: float = 0.0
+    ds: DeltaSet,
+    orientation: str = "horizontal",
+    rank_drop: float = 0.0,
+    *,
+    pool: BandPool | None = None,
 ) -> JointDecomposition:
     """Decompose the stacked deltas and renormalize the per-task blocks.
 
@@ -181,14 +188,23 @@ def decompose_joint(
     svd.sigma[dead] = 0.0
     row_norms = np.empty((n_tasks, r))
     renorm_blocks = np.empty((n_tasks, r, n_cols))
-    for t in range(n_tasks):
-        block = svd.Vt[:, t * n_cols : (t + 1) * n_cols]
-        norms = np.linalg.norm(block, axis=1)
-        zero = (norms <= ZERO_ROW_NORM) | dead
-        np.divide(block, np.where(zero, 1.0, norms)[:, None], out=renorm_blocks[t])
-        renorm_blocks[t, zero] = 0.0
-        norms[zero] = 0.0
-        row_norms[t] = norms
+
+    def renormalize(rows):
+        # np.linalg.norm costs more per call than the other kernels' steps,
+        # so this one takes chunks four times as large.
+        for part in _chunks(*renorm_blocks[0, rows].shape, 4 * _CHUNK):
+            vt = svd.Vt[rows][part]
+            for t in range(n_tasks):
+                block = vt[:, t * n_cols : (t + 1) * n_cols]
+                norms = np.linalg.norm(block, axis=1)
+                zero = (norms <= ZERO_ROW_NORM) | dead[rows][part]
+                out = renorm_blocks[t, rows][part]
+                np.divide(block, np.where(zero, 1.0, norms)[:, None], out=out)
+                out[zero] = 0.0
+                norms[zero] = 0.0
+                row_norms[t, rows][part] = norms
+
+    (pool or INLINE).map(renormalize, r, renorm_blocks.size)
     return JointDecomposition(
         U=svd.U, sigma=svd.sigma, row_norms=row_norms, renorm_blocks=renorm_blocks
     )
@@ -201,46 +217,220 @@ def _keep_count(retain: float, total: int) -> int:
     return min(total, max(0, math.ceil(retain * total - 1e-9)))
 
 
-def _topk_mask(x: np.ndarray, keep: int) -> np.ndarray:
-    """Bool mask of the ``keep`` largest |x|, ties at the cutoff going to
-    the smaller flattened index."""
-    if keep == 0:
-        return np.zeros(x.shape, dtype=bool)
-    # Selection, not a sort: everything above the keep-th largest magnitude
-    # survives, and the remaining slots go to entries equal to it in
-    # flattened order -- the same mask a stable sort on -|x| gives.
+# Entries a stage kernel takes at a time (512 KiB of float64), so that its
+# temporaries and the partial results it revisits stay in cache.
+_CHUNK = 1 << 16
+# Magnitudes sampled to bracket a prune pool's cutoff. A pool of at most
+# 4 * _SAMPLE entries is partitioned outright.
+_SAMPLE = 1 << 14
+
+
+def _stack_shape(shape: tuple[int, ...]) -> tuple[int, int, int]:
+    """A stack's ``shape`` as N x rows x cols: a 2-D stack's positions form
+    one row, a 1-D stack's one entry."""
+    if len(shape) < 2:
+        return (*shape, 1, 1)
+    return shape[0], math.prod(shape[1:-1]), shape[-1]
+
+
+def _as_stack(stack) -> np.ndarray:
+    """``stack`` as a float64 array of :func:`_stack_shape` (a view where
+    it can be)."""
+    stack = np.asarray(stack, dtype=np.float64)
+    return stack.reshape(_stack_shape(stack.shape))
+
+
+def _chunks(n_rows: int, n_cols: int, size: int = _CHUNK) -> list[slice]:
+    """Row ranges that cut an n_rows x n_cols plane into pieces of about
+    ``size`` entries. Each piece has at least two rows where the plane
+    has, for the reason bands do (see :meth:`drm.bands.BandPool.bands`)."""
+    count = max(1, n_rows // max(2, size // max(n_cols, 1)))
+    bounds = [n_rows * i // count for i in range(count + 1)]
+    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
+
+
+def _scratch(parts: list[slice], n_cols: int) -> np.ndarray:
+    """float64 room for the largest of the row ranges ``parts`` of a plane."""
+    return np.empty((max(part.stop - part.start for part in parts), n_cols))
+
+
+def _magnitudes(plane: np.ndarray, parts: list[slice], buf: np.ndarray):
+    """``(part, |plane[part]|)`` for each row range of ``parts`` (from
+    :func:`_chunks`), the magnitudes written into ``buf`` (from
+    :func:`_scratch`)."""
+    for part in parts:
+        rows = plane[part]
+        yield part, np.abs(rows, out=buf[: rows.shape[0]])
+
+
+def _partition_cutoff(x: np.ndarray, keep: int) -> float:
+    """The ``keep``-th largest magnitude of ``x``, by a partition of a
+    copy of every magnitude."""
     mags = np.abs(x).reshape(-1)
     cut = mags.size - keep
     mags.partition(cut)
-    cutoff = mags[cut]
-    del mags
-    mask = x > cutoff
-    mask |= x < -cutoff
-    ties = np.flatnonzero((x == cutoff) | (x == -cutoff))
-    mask.reshape(-1)[ties[: keep - np.count_nonzero(mask)]] = True
-    return mask
+    return float(mags[cut])
 
 
-def prune_topk(stack: np.ndarray, retain: float, mode: str = "joint") -> np.ndarray:
+def _bracket_mask(x: np.ndarray, keep: int, mask: np.ndarray, pool: BandPool) -> bool:
+    """Write into the C-ordered ``mask`` the ``keep`` largest |x| of the
+    N x r x n pool ``x`` (0 < keep < x.size), as :func:`_pool_mask` does,
+    in one pass over ``x``; return False, with ``mask`` half written,
+    where a sample misleads the pass.
+
+    Sorted magnitudes of an evenly strided sample bracket the cutoff's
+    rank by four standard deviations either side, as ``lo < cutoff < hi``
+    or ``cutoff == lo`` (a cutoff tied with ``hi`` is a miss). The pass sets every magnitude above ``hi`` (and
+    equal to it, unless ``lo == hi``), counts those equal to ``lo``, and
+    gathers the positions and magnitudes of the few strictly between. The
+    cutoff is then the right one of the gathered, or ``lo``, whose ties a
+    second pass sets in order. Runs of equal magnitudes (structural zeros)
+    are counted, never gathered, and no stack-sized copy is made.
+    """
+    total = x.size
+    n_tasks, n_rows, n_cols = x.shape
+    step = max(1, total // _SAMPLE)
+    while math.gcd(step, n_cols) > 1:  # so that the sample visits every column
+        step += 1
+    sample = np.abs(x[np.unravel_index(np.arange(0, total, step), x.shape)])
+    sample.sort()
+    below = (total - keep) / total  # the share of magnitudes under the cutoff
+    at = below * sample.size
+    margin = 4.0 * math.sqrt(sample.size * below * (1.0 - below)) + 2.0
+    low, high = math.floor(at - margin), math.ceil(at + margin)
+    lo = float(sample[max(low, 0)])
+    hi = float(sample[high]) if high < sample.size else math.inf
+    keep_hi = np.greater if lo == hi else np.greater_equal
+
+    def sweep(rows):
+        above, at_lo = 0, np.zeros(n_tasks, dtype=np.int64)
+        where, values = [[] for _ in range(n_tasks)], [[] for _ in range(n_tasks)]
+        parts = _chunks(*x[0, rows].shape)
+        buf = _scratch(parts, n_cols)
+        first = rows.start or 0
+        for t in range(n_tasks):
+            out = mask[t, rows]
+            for part, mags in _magnitudes(x[t, rows], parts, buf):
+                keep_hi(mags, hi, out=out[part])
+                above += np.count_nonzero(out[part])
+                at_lo[t] += np.count_nonzero(mags == lo)
+                inside = np.flatnonzero((mags > lo) & (mags < hi))
+                where[t].append(inside + (t * n_rows + first + part.start) * n_cols)
+                values[t].append(mags.reshape(-1)[inside])
+        return above, at_lo, where, values
+
+    bands = pool.bands(n_rows, total)
+    swept = pool.run([functools.partial(sweep, rows) for rows in bands])
+    above = sum(part[0] for part in swept)
+    at_lo = [part[1] for part in swept]
+    # The gathered entries in flattened order: task by task, band by band.
+    where = np.concatenate(
+        [np.empty(0, dtype=np.int64)]
+        + [w for t in range(n_tasks) for part in swept for w in part[2][t]]
+    )
+    values = np.concatenate(
+        [np.empty(0)] + [v for t in range(n_tasks) for part in swept for v in part[3][t]]
+    )
+    if not above < keep <= above + values.size + sum(int(c.sum()) for c in at_lo):
+        return False
+    flat = mask.reshape(-1)
+    if keep <= above + values.size:
+        cut = values.size - (keep - above)
+        cutoff = np.partition(values, cut)[cut]
+        flat[where[values > cutoff]] = True
+        ties = where[values == cutoff]
+        flat[ties[: keep - above - np.count_nonzero(values > cutoff)]] = True
+    else:
+        flat[where] = True
+        _fill_ties(x, lo, keep - above - values.size, at_lo, bands, mask, pool)
+    return True
+
+
+def _fill_ties(x, cutoff, slots, ties, bands, mask, pool) -> None:
+    """Set in ``mask`` the first ``slots`` entries of the N x r x n ``x``
+    with magnitude ``cutoff``, in flattened (task, row, col) order, given
+    ``ties``, the count of such entries per task in each band."""
+    n_tasks, _, n_cols = x.shape
+    quotas = [np.zeros(n_tasks, dtype=np.int64) for _ in bands]
+    for t in range(n_tasks):
+        for quota, count in zip(quotas, ties):
+            quota[t] = min(slots, count[t])
+            slots -= quota[t]
+
+    def fill(rows, quota):
+        parts = _chunks(*x[0, rows].shape)
+        buf = _scratch(parts, n_cols)
+        for t in range(n_tasks):
+            left = int(quota[t])
+            out = mask[t, rows]
+            for part, mags in _magnitudes(x[t, rows], parts, buf):
+                if left == 0:
+                    break
+                hits = np.flatnonzero(mags == cutoff)[:left]
+                np.put(out[part], hits, True)
+                left -= hits.size
+
+    pool.run([functools.partial(fill, rows, quota) for rows, quota in zip(bands, quotas)])
+
+
+def _pool_mask(x: np.ndarray, keep: int, mask: np.ndarray, pool: BandPool) -> None:
+    """Write into the C-ordered ``mask`` the ``keep`` largest |x| of the
+    N x r x n pool ``x``, ties at the cutoff going to the smaller flattened
+    (task, row, col) index: everything above the cutoff, then the first
+    entries equal to it until ``keep`` are set."""
+    n_tasks, n_rows, n_cols = x.shape
+    if keep in (0, x.size):
+        mask[...] = keep > 0
+        return
+    if x.size > 4 * _SAMPLE and _bracket_mask(x, keep, mask, pool):
+        return
+    cutoff = _partition_cutoff(x, keep)
+
+    def select(rows):
+        # Everything above the cutoff, and per task the ties passed over.
+        ties = np.zeros(n_tasks, dtype=np.int64)
+        parts = _chunks(*x[0, rows].shape)
+        buf = _scratch(parts, n_cols)
+        for t in range(n_tasks):
+            out = mask[t, rows]
+            for part, mags in _magnitudes(x[t, rows], parts, buf):
+                np.greater(mags, cutoff, out=out[part])
+                ties[t] += np.count_nonzero(mags == cutoff)
+        return ties
+
+    bands = pool.bands(n_rows, x.size)
+    ties = pool.run([functools.partial(select, rows) for rows in bands])
+    slots = keep - int(np.count_nonzero(mask))
+    _fill_ties(x, cutoff, slots, ties, bands, mask, pool)
+
+
+def prune_topk(
+    stack: np.ndarray, retain: float, mode: str = "joint", *, pool: BandPool | None = None
+) -> np.ndarray:
     """Boolean keep-mask, shaped like ``stack``, for the top-``retain``
     fraction by magnitude of an N x rows x cols stack of blocks.
 
     Joint mode pools every entry of every block before ranking; individual
     mode ranks inside each block. Exactly ceil(retain * pool_size) entries
     are kept per pool; ties at the cutoff keep the smaller
-    (task, row, col) index. Structural zeros compete and lose.
+    (task, row, col) index. Structural zeros compete and lose. The stack
+    must be finite; it may have any memory layout, and the mask is
+    C-ordered. A pool of more than 4 * ``_SAMPLE`` entries is pruned
+    without a copy of its magnitudes unless a sample misleads the pass (see
+    :func:`_bracket_mask`). ``pool`` runs the passes over row bands (see
+    :mod:`drm.bands`); without one they run on the calling thread.
     """
     if not (0.0 < retain <= 1.0):
         raise ValueError(f"retain must lie in (0, 1], got {retain}")
     if mode not in PRUNE_MODES:
         raise ValueError(f"mode must be one of {PRUNE_MODES}")
-    stack = np.asarray(stack, dtype=np.float64)
-    if mode == "joint":
-        return _topk_mask(stack, _keep_count(retain, stack.size))
-    mask = np.empty(stack.shape, dtype=bool)
-    for t, block in enumerate(stack):
-        mask[t] = _topk_mask(block, _keep_count(retain, block.size))
-    return mask
+    x = _as_stack(stack)
+    mask = np.empty(x.shape, dtype=bool)
+    pools = [slice(None)] if mode == "joint" else [slice(t, t + 1) for t in range(len(x))]
+    for tasks in pools:
+        keep = _keep_count(retain, x[tasks].size)
+        _pool_mask(x[tasks], keep, mask[tasks], pool or INLINE)
+    return mask.reshape(np.shape(stack))
 
 
 def kept_counts(mask: np.ndarray | None, stack: np.ndarray) -> dict:
@@ -250,49 +440,94 @@ def kept_counts(mask: np.ndarray | None, stack: np.ndarray) -> dict:
     return {"kept": kept, "total": total}
 
 
-def elect_signs(stack: np.ndarray) -> np.ndarray:
+def elect_signs(stack: np.ndarray, *, pool: BandPool | None = None) -> np.ndarray:
     """Dominant sign per position of the sum over the stack's first axis;
-    zero sums elect +1."""
-    stack = np.asarray(stack, dtype=np.float64)
-    total = stack[0].copy()
-    for block in stack[1:]:
-        total += block
-    return np.where(total < 0.0, -1.0, 1.0)
+    zero sums elect +1. ``pool`` runs it over row bands (see
+    :mod:`drm.bands`)."""
+    x = _as_stack(stack)
+    n_tasks, n_rows, n_cols = x.shape
+    signs = np.empty((n_rows, n_cols))
+
+    def elect(rows):
+        band = signs[rows]
+        for part in _chunks(*band.shape):
+            total = band[part]
+            np.copyto(total, x[0, rows][part])
+            for t in range(1, n_tasks):
+                total += x[t, rows][part]
+            below = total < 0.0
+            total.fill(1.0)
+            total[below] = -1.0
+
+    (pool or INLINE).map(elect, n_rows, x.size)
+    return signs.reshape(np.shape(stack)[1:])
 
 
-def agreeing_entries(stack: np.ndarray, signs: np.ndarray | None) -> np.ndarray:
+def agreeing_entries(
+    stack: np.ndarray, signs: np.ndarray | None, *, pool: BandPool | None = None
+) -> np.ndarray:
     """Bool mask of the stack's nonzero entries whose sign is the elected
-    one; ``signs=None`` skips the sign test."""
-    stack = np.asarray(stack, dtype=np.float64)
-    agree = stack != 0.0
+    one; ``signs=None`` skips the sign test. ``pool`` runs it over row bands
+    (see :mod:`drm.bands`)."""
+    x = _as_stack(stack)
+    agree = np.empty(x.shape, dtype=bool)
     if signs is not None:
-        agree &= (stack < 0.0) == (signs < 0.0)
-    return agree
+        negative = np.broadcast_to(signs, np.shape(stack)[1:]).reshape(x.shape[1:]) < 0.0
+
+    def test(rows):
+        for part in _chunks(*x[0, rows].shape):
+            block, out = x[:, rows][:, part], agree[:, rows][:, part]
+            np.not_equal(block, 0.0, out=out)
+            if signs is not None:
+                out &= (block < 0.0) == negative[rows][part]
+
+    (pool or INLINE).map(test, x.shape[1], x.size)
+    return agree.reshape(np.shape(stack))
 
 
 def survivor_filter(
-    agree: np.ndarray, mask: np.ndarray | None, disjoint: bool = True
+    agree: np.ndarray,
+    mask: np.ndarray | None,
+    disjoint: bool = True,
+    *,
+    pool: BandPool | None = None,
 ) -> tuple[np.ndarray, np.ndarray | float]:
     """The entries that enter the average and the per-position scale gamma.
 
     Survivors are the ``agree`` entries (see :func:`agreeing_entries`) that
     also pass ``mask`` (``None`` passes all). gamma is the reciprocal
     survivor count per position (zero where nobody survives), or the
-    constant 1/N with ``disjoint=False``.
+    constant 1/N with ``disjoint=False``. ``pool`` runs it over row bands
+    (see :mod:`drm.bands`).
     """
-    survivors = agree if mask is None else agree & mask
-    if not disjoint:
-        return survivors, 1.0 / survivors.shape[0]
-    # The narrowest integer type that holds N makes the count a fast add.
-    counts = survivors.sum(axis=0, dtype=np.min_scalar_type(survivors.shape[0]))
-    return survivors, _reciprocal_counts(counts)
+    shape = np.shape(agree)
+    agree = np.asarray(agree).reshape(_stack_shape(shape))
+    if mask is not None:
+        mask = np.asarray(mask).reshape(agree.shape)
+    survivors = agree if mask is None else np.empty(agree.shape, dtype=bool)
+    gamma = np.empty(agree.shape[1:]) if disjoint else 1.0 / agree.shape[0]
+
+    def count(rows):
+        for part in _chunks(*agree[0, rows].shape):
+            kept = survivors[:, rows][:, part]
+            if mask is not None:
+                np.logical_and(agree[:, rows][:, part], mask[:, rows][:, part], out=kept)
+            if disjoint:
+                # The narrowest integer type that holds N makes the count a fast add.
+                counts = kept.sum(axis=0, dtype=np.min_scalar_type(agree.shape[0]))
+                _reciprocal_counts(counts, out=gamma[rows][part])
+
+    (pool or INLINE).map(count, agree.shape[1], agree.size)
+    if disjoint:
+        gamma = gamma.reshape(shape[1:])
+    return survivors.reshape(shape), gamma
 
 
-def _reciprocal_counts(counts: np.ndarray) -> np.ndarray:
+def _reciprocal_counts(counts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Per-position survivor counts to the disjoint scale gamma: 1/count,
     or 0 where nobody survives."""
     with np.errstate(divide="ignore"):
-        gamma = 1.0 / counts
+        gamma = np.divide(1.0, counts, out=out)
     gamma[counts == 0] = 0.0
     return gamma
 
@@ -308,24 +543,41 @@ def _per_task(lambdas, n_tasks: int) -> np.ndarray:
 
 
 def disjoint_average(
-    stack: np.ndarray, survivors: np.ndarray, gamma: np.ndarray | float, lambdas
+    stack: np.ndarray,
+    survivors: np.ndarray,
+    gamma: np.ndarray | float,
+    lambdas,
+    *,
+    pool: BandPool | None = None,
 ) -> np.ndarray:
     """gamma times the coefficient-weighted sum over tasks of the surviving
-    entries; see :func:`survivor_filter`."""
-    stack = np.asarray(stack, dtype=np.float64)
-    lams = _per_task(lambdas, stack.shape[0])
-    if survivors.shape != stack.shape:
+    entries; see :func:`survivor_filter`. ``pool`` runs it over row bands
+    (see :mod:`drm.bands`)."""
+    x = _as_stack(stack)
+    lams = _per_task(lambdas, x.shape[0])
+    if np.shape(survivors) != np.shape(stack):
         raise ShapeMismatch("the stack and its survivor mask must share one shape")
-    weighted = np.zeros(stack.shape[1:])
-    term = np.empty_like(weighted)
-    for block, keep, lam in zip(stack, survivors, lams):
-        # block * keep is the block or a signed zero; a zero term leaves
-        # the sum's bytes as they are.
-        np.multiply(block, keep, out=term)
-        term *= lam
-        weighted += term
-    weighted *= gamma
-    return weighted
+    survivors = np.asarray(survivors).reshape(x.shape)
+    weighted = np.zeros(x.shape[1:])
+    gamma = np.broadcast_to(gamma, np.shape(stack)[1:]).reshape(weighted.shape)
+
+    def average(rows):
+        band = weighted[rows]
+        parts = _chunks(*band.shape)
+        term = _scratch(parts, band.shape[1])
+        for part in parts:
+            total = band[part]
+            scratch = term[: total.shape[0]]
+            for t, lam in enumerate(lams):
+                # block * keep is the block or a signed zero; a zero term
+                # leaves the sum's bytes as they are.
+                np.multiply(x[t, rows][part], survivors[t, rows][part], out=scratch)
+                scratch *= lam
+                total += scratch
+            total *= gamma[rows][part]
+
+    (pool or INLINE).map(average, x.shape[1], x.size)
+    return weighted.reshape(np.shape(stack)[1:])
 
 
 def merge_drm(ds: DeltaSet, cfg: MergeConfig) -> np.ndarray:
@@ -336,7 +588,9 @@ def merge_drm(ds: DeltaSet, cfg: MergeConfig) -> np.ndarray:
 
 def merge_drm_with_stats(ds: DeltaSet, cfg: MergeConfig) -> tuple[np.ndarray, dict]:
     """The merged delta and its ``rank``/``kept``/``total`` stats: the 1x1
-    case of :func:`_drm_grid`."""
+    case of :func:`_drm_grid`. Its element-wise stages run over row bands
+    on the threads ``DRM_THREADS`` allows (see :mod:`drm.bands`); the bytes
+    do not depend on how many."""
     if cfg.method not in ("drm_h", "drm_v"):
         raise ValueError(f"merge_drm handles drm_h/drm_v, not {cfg.method!r}")
     return next(_drm_grid(ds, cfg, [[cfg]]))
@@ -354,26 +608,41 @@ def _drm_grid(ds: DeltaSet, cfg: MergeConfig, points: list[list[MergeConfig]]):
     weighted sum and projection once per point. The vertical variant is the
     horizontal pipeline on transposed deltas, transposed back (exact
     duality).
+
+    The stages run over row bands on the band pool ``ds`` was built with
+    (see :func:`~drm.bundle.layer_delta_set`), or on a pool of
+    :func:`_drm_threads` threads of the grid's own.
     """
     orientation = DRM_ORIENTATIONS[cfg.method]
     n_tasks = ds.n_tasks
-    jd = decompose_joint(ds, orientation, cfg.rank_drop)
-    stack = jd.renorm_blocks
-    masks = [
-        prune_topk(stack, row[0].retain, cfg.prune_mode) if cfg.enable_prune else None
-        for row in points
-    ]
-    stack *= jd.task_sigmas[:, :, None]  # jd.renorm_blocks is not used again
-    agree = agreeing_entries(stack, elect_signs(stack) if cfg.enable_sign_elect else None)
-    for row, mask in zip(points, masks):
-        stats = {"rank": jd.rank, **kept_counts(mask, stack)}
-        survivors, gamma = survivor_filter(agree, mask, cfg.enable_disjoint)
-        for point in row:
-            merged_block = disjoint_average(
-                stack, survivors, gamma, point.task_lambdas(n_tasks)
-            )
-            merged = jd.U @ merged_block
-            yield (merged.T if orientation == "vertical" else merged), dict(stats)
+    with contextlib.ExitStack() as scope:
+        pool = ds._pool or scope.enter_context(BandPool(_drm_threads()))
+        jd = decompose_joint(ds, orientation, cfg.rank_drop, pool=pool)
+        stack = jd.renorm_blocks
+        masks = [
+            prune_topk(stack, row[0].retain, cfg.prune_mode, pool=pool)
+            if cfg.enable_prune
+            else None
+            for row in points
+        ]
+        task_sigmas = jd.task_sigmas[:, :, None]  # jd.renorm_blocks is not used again
+
+        def scale(rows):
+            np.multiply(stack[:, rows], task_sigmas[:, rows], out=stack[:, rows])
+
+        pool.map(scale, stack.shape[1], stack.size)
+        signs = elect_signs(stack, pool=pool) if cfg.enable_sign_elect else None
+        agree = agreeing_entries(stack, signs, pool=pool)
+        del signs
+        for row, mask in zip(points, masks):
+            stats = {"rank": jd.rank, **kept_counts(mask, stack)}
+            survivors, gamma = survivor_filter(agree, mask, cfg.enable_disjoint, pool=pool)
+            for point in row:
+                merged_block = disjoint_average(
+                    stack, survivors, gamma, point.task_lambdas(n_tasks), pool=pool
+                )
+                merged = jd.U @ merged_block
+                yield (merged.T if orientation == "vertical" else merged), dict(stats)
 
 
 def merge_biases(base: np.ndarray, task_values: list[np.ndarray], lambdas) -> np.ndarray:
@@ -446,18 +715,31 @@ class LayerStats:
     total: int | None = None
 
 
-def _thread_count(n_items: int, method: str) -> int:
-    """Layer workers, at most one per layer. An explicit ``DRM_THREADS``
-    caps every method. Unset, empty or 0 means one layer at a time for
-    drm-h/drm-v, whose stacked SVD BLAS already spreads over every core (a
-    layer pool on top only oversubscribes the cores), and one worker per
-    core for the other methods, whose single-threaded kernels and reads the
-    pool overlaps. Anything but a non-negative integer is an
-    :class:`ArgumentError`."""
+def _threads_setting() -> int:
+    """``DRM_THREADS`` as an integer, 0 where it is unset or empty.
+    Anything but a non-negative integer is an :class:`ArgumentError`."""
     raw = os.environ.get("DRM_THREADS") or "0"
     if not raw.isdecimal():
         raise ArgumentError(f"DRM_THREADS must be a non-negative integer, got {raw!r}")
-    cap = int(raw) or (1 if method in ("drm_h", "drm_v") else os.cpu_count() or 1)
+    return int(raw)
+
+
+def _drm_threads() -> int:
+    """The most threads drm runs at once, layer workers and band threads
+    together: ``DRM_THREADS``, or one per core where it is unset, empty or
+    0."""
+    return _threads_setting() or os.cpu_count() or 1
+
+
+def _thread_count(n_items: int, method: str) -> int:
+    """Layer workers, at most one per layer. An explicit ``DRM_THREADS``
+    caps every method. Unset, empty or 0 means one layer at a time for
+    drm-h/drm-v, whose stacked SVD BLAS already spreads over every core and
+    whose element-wise stages run over row bands on the rest of
+    :func:`_drm_threads` (a layer pool on top only oversubscribes the
+    cores), and one worker per core for the other methods, whose
+    single-threaded kernels and reads the pool overlaps."""
+    cap = _threads_setting() or (1 if method in DRM_ORIENTATIONS else os.cpu_count() or 1)
     return max(1, min(cap, n_items))
 
 
@@ -502,9 +784,11 @@ def merge_bundle_with_stats(
     via weighted averaging. Output dtypes follow the base bundle per tensor
     and the metadata records the configuration. Layers are independent, so
     other methods merge them in a pool of one worker per core, while
-    drm-h/drm-v merge one layer at a time and leave the cores to BLAS. An
-    explicit ``DRM_THREADS`` caps the pool for every method (unset, empty or
-    0 chooses as above); merged bytes do not depend on it.
+    drm-h/drm-v merge one layer at a time and leave the cores to BLAS and
+    to row bands (see :mod:`drm.bands`). An explicit ``DRM_THREADS`` caps
+    the layer pool for every method (unset, empty or 0 chooses as above),
+    and drm-h/drm-v layer workers and band threads together; merged bytes
+    do not depend on it.
 
     Names and shapes are checked up front. Each layer worker then reads
     that layer's input tensors (from disk, for a :class:`BundleFile`), and
@@ -519,32 +803,41 @@ def merge_bundle_with_stats(
 
     def one_layer(name: str) -> tuple[np.ndarray, dict]:
         arr = base.read(name)
-        if arr.ndim == 2:
-            order = _stack_order(cfg.method, arr.shape, n_tasks)
-            ds = layer_delta_set(name, arr, tasks, task_names, order)
-            ds._owned = True  # built here for this merge alone, which consumes it
-            try:
-                delta, info = _merge_delta_set_with_stats(ds, cfg)
-            except (DrmError, ValueError) as exc:
-                raise type(exc)(f"layer {name!r}: {exc}") from exc
-            del ds
-            merged = arr.astype(np.float64)
-            merged += delta
-        else:
+        if arr.ndim != 2:
             merged = merge_biases(arr, [task.read(name) for task in tasks], bias_lams)
-            info = {}
-        with np.errstate(over="ignore"):
-            return merged.astype(arr.dtype, copy=False), info
+            with np.errstate(over="ignore"):
+                return merged.astype(arr.dtype, copy=False), {}
+        order = _stack_order(cfg.method, arr.shape, n_tasks)
+        ds = layer_delta_set(name, arr, tasks, task_names, order, bands)
+        ds._owned = True  # built here for this merge alone, which consumes it
+        try:
+            delta, info = _merge_delta_set_with_stats(ds, cfg)
+        except (DrmError, ValueError) as exc:
+            raise type(exc)(f"layer {name!r}: {exc}") from exc
+        del ds
+        cast = np.empty(arr.shape, dtype=arr.dtype)
+
+        def add(rows):
+            # The sum in float64, rounded once to the output dtype.
+            with np.errstate(over="ignore"):
+                np.add(arr[rows], delta[rows], out=cast[rows], dtype=np.float64, casting="unsafe")
+
+        bands.map(add, arr.shape[0], arr.size)
+        return cast, info
 
     layer_names = base.names()
     workers = _thread_count(
         sum(len(base.shape(name)) == 2 for name in layer_names), cfg.method
     )
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_layer, layer_names))
-    else:
-        results = [one_layer(name) for name in layer_names]
+    # Each drm-h/drm-v layer worker gets an equal share of the threads for
+    # its bands; the other methods' layers run theirs inline.
+    threads = _drm_threads() if cfg.method in DRM_ORIENTATIONS else workers
+    with BandPool(threads // workers, threads - workers) as bands:
+        if workers > 1:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(one_layer, layer_names))
+        else:
+            results = [one_layer(name) for name in layer_names]
 
     meta = dict(base.metadata)
     meta["merge.method"] = cfg.method

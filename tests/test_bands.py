@@ -1,0 +1,331 @@
+"""Row bands (drm.bands): a stage's bytes do not depend on how many bands it
+ran in, the prune finds the exact cutoff without a copy of the stack, and
+a merge starts only the threads DRM_THREADS allows."""
+
+import math
+import sys
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import drm
+import drm.bands
+import drm.engine
+from drm.bands import INLINE, BandPool
+from drm.bundle import DeltaSet, TensorBundle
+from drm.engine import (
+    MergeConfig,
+    merge_bundle_with_stats,
+    merge_delta_set_grid,
+    prune_topk,
+)
+
+
+def partition_prune(stack, retain, mode):
+    """The keep-mask from a partition of a copy of each pool's magnitudes,
+    ties at the cutoff filled in flattened order."""
+    stack = np.asarray(stack, dtype=np.float64)
+    pools = [stack] if mode == "joint" else list(stack)
+    masks = []
+    for pool in pools:
+        mags = np.abs(pool).ravel()
+        keep = min(mags.size, max(0, math.ceil(retain * mags.size - 1e-9)))
+        mask = np.zeros(mags.size, dtype=bool)
+        if keep:
+            cut = mags.size - keep
+            cutoff = np.partition(mags, cut)[cut]
+            mask = mags > cutoff
+            ties = np.flatnonzero(mags == cutoff)
+            mask[ties[: keep - np.count_nonzero(mask)]] = True
+        masks.append(mask.reshape(pool.shape))
+    return masks[0] if mode == "joint" else np.stack(masks)
+
+
+# ---------------------------------------------------------------- prune
+
+
+@pytest.mark.parametrize("mode, kept", [("individual", 102), ("joint", 101)])
+def test_prune_keeps_the_ties_of_a_strided_stack(mode, kept):
+    # A transposed DeltaSet's stack is not C-ordered; its tie slots were
+    # once written into a copy of the mask and lost (72 kept).
+    rng = np.random.default_rng(0)
+    d = rng.standard_normal((3, 6, 8))
+    d[:, :, 4:] = 0.0
+    stack = DeltaSet("l", (6, 8), d, ["a", "b", "c"]).transposed().deltas
+    assert not stack.flags.c_contiguous
+    mask = prune_topk(stack, 0.7, mode)
+    assert mask.flags.c_contiguous
+    assert np.count_nonzero(mask) == kept
+    assert mask.tobytes() == prune_topk(np.ascontiguousarray(stack), 0.7, mode).tobytes()
+    assert mask.tobytes() == partition_prune(stack, 0.7, mode).tobytes()
+
+
+def cutoff_inputs():
+    rng = np.random.default_rng(5)
+    shape = (3, 20, 30)
+    signs = rng.choice([-1.0, 1.0], shape)
+    zeros = rng.standard_normal(shape)
+    zeros[:, 6:] = 0.0
+    tiny = rng.choice([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2e-310, 1.0, -1.0], shape)
+    return {
+        "normal": rng.standard_normal(shape),
+        "all_equal": 0.5 * signs,
+        "heavy_ties": rng.integers(-3, 4, shape).astype(np.float64),
+        "structural_zeros": zeros,
+        "signed_zeros_and_subnormals": tiny,
+    }
+
+
+@pytest.fixture()
+def small_sample(monkeypatch):
+    # Brackets from a 64-entry sample, so a 1,800-entry stack takes the
+    # bracket path and its misses are likely.
+    monkeypatch.setattr(drm.engine, "_SAMPLE", 64)
+
+
+@pytest.mark.parametrize("name", list(cutoff_inputs()))
+def test_bracket_pass_keeps_the_partition_cutoff(name, small_sample, monkeypatch):
+    x = cutoff_inputs()[name]
+    total = x.size
+    partitions = []
+    real = drm.engine._partition_cutoff
+    monkeypatch.setattr(
+        drm.engine, "_partition_cutoff", lambda *a: partitions.append(a) or real(*a)
+    )
+    for keep in (1, 2, 17, total // 5, total // 2, total - 1, total):
+        for mode in ("joint", "individual"):
+            got = prune_topk(x, keep / total, mode)
+            assert got.tobytes() == partition_prune(x, keep / total, mode).tobytes(), (keep, mode)
+    # On continuous magnitudes, with or without a run of zeros under the
+    # cutoff, the sample never misleads the pass unless the cutoff lies
+    # below the smallest sampled magnitude. A cutoff tied with the
+    # bracket's upper end (heavy ties) takes a partition too.
+    if name in ("normal", "structural_zeros"):
+        partitions.clear()
+        for keep in (1, 17, total // 5, total // 2):
+            prune_topk(x, keep / total)
+        assert partitions == []
+
+
+def test_a_misleading_sample_falls_back_to_a_partition(small_sample, monkeypatch):
+    # Every sampled position holds a large magnitude and every other entry
+    # a small one, so the sample puts the 20% cutoff among the large values.
+    rng = np.random.default_rng(6)
+    x = rng.uniform(-1.0, 1.0, (3, 20, 30))
+    step = max(1, x.size // drm.engine._SAMPLE)
+    while math.gcd(step, x.shape[2]) > 1:
+        step += 1
+    x.reshape(-1)[::step] = 100.0 + np.arange(x.reshape(-1)[::step].size)
+    keep = drm.engine._keep_count(0.2, x.size)
+    assert not drm.engine._bracket_mask(x, keep, np.empty(x.shape, dtype=bool), INLINE)
+    partitions = []
+    real = drm.engine._partition_cutoff
+    monkeypatch.setattr(
+        drm.engine, "_partition_cutoff", lambda *a: partitions.append(a) or real(*a)
+    )
+    got = prune_topk(x, 0.2)
+    assert len(partitions) == 1
+    assert got.tobytes() == partition_prune(x, 0.2, "joint").tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, -0.0, 5e-324, 0.5, -0.5, 1.0, -1.0, 2.0]), min_size=3, max_size=3),
+    st.integers(0, 2**32 - 1),
+    st.floats(1e-3, 1.0),
+    st.sampled_from(["joint", "individual"]),
+)
+def test_tie_heavy_prune_matches_the_partition(values, seed, retain, mode):
+    rng = np.random.default_rng(seed)
+    x = rng.choice(values, (4, 18, 25))
+    x[:, rng.integers(0, 18, 6)] = 0.0  # whole zero rows
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(drm.engine, "_SAMPLE", 32)
+        got = prune_topk(x, retain, mode)
+    assert got.tobytes() == partition_prune(x, retain, mode).tobytes()
+
+
+# ------------------------------------------------------ band independence
+
+
+@pytest.fixture()
+def banded(monkeypatch):
+    """Run every stack in bands: ``banded(threads)`` sets DRM_THREADS (None
+    for one band on the calling thread)."""
+
+    def use(threads):
+        if threads is None:
+            monkeypatch.setattr(drm.bands, "FLOOR", 1 << 62)
+            monkeypatch.delenv("DRM_THREADS", raising=False)
+        else:
+            monkeypatch.setattr(drm.bands, "FLOOR", 0)
+            monkeypatch.setenv("DRM_THREADS", str(threads))
+
+    return use
+
+
+def adapters(n_tasks, shape, rank, seed):
+    rng = np.random.default_rng(seed)
+    m, n = shape
+    return [
+        drm.materialize_low_rank(rng.standard_normal((rank, n)), rng.standard_normal((m, rank)), 1.0)
+        for _ in range(n_tasks)
+    ]
+
+
+def band_cases():
+    """(task deltas, rank_drop) per case."""
+    rng = np.random.default_rng(12)
+    return {
+        # 13 rows: no band count divides them.
+        "rows_not_divisible": ([rng.standard_normal((13, 40)) for _ in range(3)], 0.0),
+        # 3 rows: fewer than the bands asked for.
+        "fewer_rows_than_bands": ([rng.standard_normal((3, 40)) for _ in range(3)], 0.0),
+        # The rank drop zeroes the last 7 of 14 rows of every block, so at
+        # retain 0.6 the cutoff is 0 and its ties run across band boundaries.
+        "zero_cutoff_ties": ([rng.standard_normal((14, 40)) for _ in range(3)], 0.5),
+        # Rank 6 of 16: null components, on the gesdd route.
+        "rank_deficient": (adapters(3, (16, 24), 2, 13), 0.0),
+        "one_task": ([rng.standard_normal((12, 40))], 0.0),
+        # A tall stack (120 x 36) takes the Gram route, whose right factor
+        # is a strided view.
+        "tall": ([rng.standard_normal((120, 12)) for _ in range(3)], 0.0),
+        "m_by_0": ([np.zeros((5, 0)) for _ in range(3)], 0.0),
+        "0_by_n": ([np.zeros((0, 5)) for _ in range(3)], 0.0),
+    }
+
+
+def grid_merges(case, method):
+    deltas, rank_drop = band_cases()[case]
+    ds = DeltaSet("l", deltas[0].shape, deltas, [f"t{i}" for i in range(len(deltas))])
+    cfg = MergeConfig(method=method, rank_drop=rank_drop)
+    return [
+        (merged.tobytes(), stats)
+        for merged, stats in merge_delta_set_grid(ds, cfg, [0.1, 0.6, 1.0], [0.5, 1.0])
+    ]
+
+
+@pytest.mark.parametrize("method", ["drm_h", "drm_v"])
+@pytest.mark.parametrize("case", list(band_cases()))
+def test_merge_bytes_do_not_depend_on_the_band_count(case, method, banded):
+    # A drm tune grid: three prunes, six averages, one decomposition.
+    banded(None)
+    want = grid_merges(case, method)
+    for threads in (2, 3, 5):
+        banded(threads)
+        assert grid_merges(case, method) == want, threads
+
+
+@pytest.mark.parametrize("sample", [None, 64], ids=["partition", "bracket"])
+@pytest.mark.parametrize("values", ["integers", "normal"])
+@pytest.mark.parametrize("mode", ["joint", "individual"])
+def test_prune_bytes_do_not_depend_on_the_band_count(mode, values, sample, monkeypatch):
+    monkeypatch.setattr(drm.bands, "FLOOR", 0)
+    if sample:
+        monkeypatch.setattr(drm.engine, "_SAMPLE", sample)
+    rng = np.random.default_rng(14)
+    if values == "integers":
+        stack = rng.integers(-2, 3, (3, 23, 117)).astype(np.float64)
+    else:
+        stack = rng.standard_normal((3, 23, 117))
+    stack[:, 9:15] = 0.0
+    for retain in (0.05, 0.3, 0.6, 0.9):
+        want = prune_topk(stack, retain, mode)
+        for width in (2, 3, 7):
+            with BandPool(width) as pool:
+                assert prune_topk(stack, retain, mode, pool=pool).tobytes() == want.tobytes()
+
+
+def test_bundle_merge_bytes_do_not_depend_on_threads(banded):
+    rng = np.random.default_rng(15)
+    base = TensorBundle({"a.w": rng.standard_normal((24, 36)).astype(np.float32),
+                         "b.w": rng.standard_normal((30, 9)), "b.b": rng.standard_normal(30)})
+    tasks = [
+        TensorBundle({name: value + 0.1 * rng.standard_normal(value.shape).astype(value.dtype)
+                      for name, value in base.items()})
+        for _ in range(3)
+    ]
+
+    def merge(method):
+        out, stats = merge_bundle_with_stats(base, tasks, MergeConfig(method=method))
+        return [(name, value.tobytes()) for name, value in out.items()], stats
+
+    for method in ("drm_h", "drm_v"):
+        banded(None)
+        want = merge(method)
+        for threads in (1, 2, 4):
+            banded(threads)
+            assert merge(method) == want, (method, threads)
+
+
+# ----------------------------------------------------------------- pool
+
+
+def test_bands_have_two_rows_and_cover_the_stack():
+    with BandPool(4) as pool:
+        assert pool.bands(1000, drm.bands.FLOOR - 1) == [slice(None)]
+        assert pool.bands(3, drm.bands.FLOOR) == [slice(None)]
+        assert pool.bands(5, drm.bands.FLOOR) == [slice(0, 2), slice(2, 5)]
+        bands = pool.bands(13, drm.bands.FLOOR)
+        assert len(bands) == 4 and bands[0].start == 0 and bands[-1].stop == 13
+        assert all(a.stop == b.start for a, b in zip(bands, bands[1:]))
+        assert all(band.stop - band.start >= 2 for band in bands)
+
+
+def test_one_thread_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(drm.bands, "FLOOR", 0)
+    started = []
+    real = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or real(self))
+    with BandPool(1) as pool:
+        assert pool.map(lambda rows: rows, 100, 10**9) == [slice(None)]
+    assert started == []
+    with BandPool(2) as pool:
+        assert pool.map(lambda rows: rows, 100, 10**9) == [slice(0, 50), slice(50, 100)]
+    assert len(started) == 1
+
+
+def test_every_band_finishes_before_an_error_surfaces(monkeypatch):
+    done = []
+
+    def kernel(rows):
+        if rows.start == 0:
+            raise ValueError("first band")
+        threading.Event().wait(0.05)
+        done.append(rows)
+
+    with BandPool(3) as pool:
+        with pytest.raises(ValueError, match="first band"):
+            pool.map(kernel, 9, 10**9)
+        assert len(done) == 2
+
+
+def test_many_bands_on_more_threads_than_cores_keep_the_bytes(monkeypatch):
+    # Eight bands on eight threads, switching threads as often as the
+    # interpreter allows: a lost or misplaced band write changes the bytes.
+    monkeypatch.setattr(drm.bands, "FLOOR", 0)
+    monkeypatch.setattr(drm.engine, "_SAMPLE", 64)
+    rng = np.random.default_rng(16)
+    stack = rng.standard_normal((3, 40, 33))
+    stack[:, 30:] = 0.0
+    survivors = stack > 0.2
+
+    def stages(pool):
+        signs = drm.engine.elect_signs(stack, pool=pool)
+        agree = drm.engine.agreeing_entries(stack, signs, pool=pool)
+        kept, gamma = drm.engine.survivor_filter(agree, survivors, pool=pool)
+        return [signs, agree, kept, gamma, prune_topk(stack, 0.85, pool=pool),
+                drm.engine.disjoint_average(stack, kept, gamma, [0.5, 1.0, 2.0], pool=pool)]
+
+    want = [a.tobytes() for a in stages(None)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with BandPool(8) as pool:
+            for _ in range(20):
+                assert [a.tobytes() for a in stages(pool)] == want
+    finally:
+        sys.setswitchinterval(interval)

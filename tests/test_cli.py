@@ -6,6 +6,7 @@ import resource
 import struct
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import drm.bands
 import drm.bundle
 from drm.bundle import TensorBundle, read_bundle, write_bundle
 from drm.cli import MAX_GRID_POINTS, _parse_grid, main
@@ -633,3 +635,63 @@ def test_traced_gesdd_merge_reports_its_input(tmp_path, monkeypatch, gesdd_calls
     assert (svd["m"], svd["n"], svd["rank"]) == (n, n_tasks * m, n_tasks * rank)
     assert gesdd_calls == [(n_tasks * m, n)] * 2
     assert (tmp_path / "traced.drmb").read_bytes() == (tmp_path / "untraced.drmb").read_bytes()
+
+
+def test_traced_banded_merge_keeps_every_span_on_its_layer_thread(tmp_path, monkeypatch):
+    # A drm-h layer above the band floor runs its stages over row bands on
+    # a second thread. The benchmark's traced pass still needs every span
+    # on the thread that opened its layer span, and the blocking path to
+    # add up to the root span. With DRM_THREADS=1 no thread starts at all.
+    tracing = load_tracing()
+    rng = np.random.default_rng(8)
+    n_tasks, (m, n) = 3, (256, 768)
+    assert n_tasks * m * n >= drm.bands.FLOOR
+    base = TensorBundle({"w": rng.standard_normal((m, n)), "b": rng.standard_normal(m)})
+    write_bundle(base, tmp_path / "base.drmb")
+    tasks = []
+    for t in range(n_tasks):
+        task = TensorBundle({name: value + 0.1 * rng.standard_normal(value.shape)
+                             for name, value in base.items()})
+        write_bundle(task, tmp_path / f"task{t}.drmb")
+        tasks.append(str(tmp_path / f"task{t}.drmb"))
+    base_path = str(tmp_path / "base.drmb")
+    started = []
+    real_start = threading.Thread.start
+    monkeypatch.setattr(
+        threading.Thread, "start", lambda self: started.append(self.name) or real_start(self)
+    )
+
+    for module_name, attr, _ in tracing.TARGETS:  # undo the tracer's wrappers afterwards
+        module = importlib.import_module(module_name)
+        if hasattr(module, attr):
+            monkeypatch.setattr(module, attr, getattr(module, attr))
+    monkeypatch.setenv("DRM_THREADS", "2")
+    tracer = tracing.Tracer()
+    tracer.install()
+    start = time.perf_counter()
+    try:
+        code = run_merge(base_path, tasks, tmp_path / "banded.drmb", "--method", "drm-h")
+    finally:
+        tracer.finish(start, time.perf_counter(), tmp_path / "spans.jsonl")
+    assert code == 0
+    assert any(name.startswith("drm-band") for name in started)
+    spans, missing = tracing.read_spans(tmp_path / "spans.jsonl")
+    assert missing == []
+    by_id = {span["id"]: span for span in spans}
+    layer_spans = 0
+    for span in spans:
+        layer = span
+        while layer is not None and layer["name"] != tracing.LAYER:
+            layer = by_id.get(layer["parent"])
+        if layer is not None:
+            layer_spans += 1
+            assert span["thread"] == layer["thread"], span["name"]
+    assert layer_spans > 1
+    tree = tracing.SpanTree(spans)
+    assert abs(tree.blocking_path_s() - tree.duration(tree.root)) <= 1e-6
+
+    started.clear()
+    monkeypatch.setenv("DRM_THREADS", "1")
+    assert run_merge(base_path, tasks, tmp_path / "serial.drmb", "--method", "drm-h") == 0
+    assert started == []
+    assert (tmp_path / "serial.drmb").read_bytes() == (tmp_path / "banded.drmb").read_bytes()
