@@ -18,16 +18,18 @@ import functools
 # A stack with fewer entries than this runs as one band on the calling
 # thread. Below it, handing a band to another thread and waiting for it
 # costs about what the band saves: on a 2-core VM two bands of a 4 x 256 x
-# 256 stack (2 MiB of float64) ran some stages faster and the prune slower
-# than one, and two bands of a 4 x 256 x 512 stack ran every stage faster.
+# 256 stack (2 MiB of float64) ran the sign election faster than one band
+# and the agreement mask, the average and the prune slower, while two bands
+# of a 4 x 256 x 512 stack ran none of them slower.
 FLOOR = 1 << 19
 
 
 class BandPool:
     """The threads that run one layer's stages over row bands.
 
-    A stage on a stack of at least :data:`FLOOR` entries runs in ``width``
-    bands: the calling thread runs the first and pool threads the rest.
+    A stage on a stack of at least :data:`FLOOR` entries runs in up to
+    ``width`` bands of at least two rows: the calling thread runs the first
+    and pool threads the rest.
     ``helpers`` is how many pool threads may exist, shared by every layer
     in flight (``width - 1`` for one layer). Threads start on the first
     banded stage, so a pool of width 1, or one that only sees small stacks,

@@ -109,8 +109,9 @@ class MergeConfig:
 class JointDecomposition:
     """Shared basis and per-task blocks of one stacked-delta SVD.
 
-    ``renorm_blocks`` is one N x r x dim array: block t holds the rows of
-    task t's slice of the non-shared factor, each scaled to unit length.
+    ``renorm_blocks`` is one N x r x dim array, a view of the SVD's right
+    factor (so not C-ordered): block t holds the rows of task t's slice of
+    the non-shared factor, each scaled to unit length.
     ``row_norms[t, i]`` is the 2-norm that row i of task t had before; the
     squared norms of any active row sum to one across tasks (the unit budget
     of a partitioned orthonormal factor). For the horizontal orientation
@@ -187,20 +188,20 @@ def decompose_joint(
     svd.U[:, dead] = 0.0
     svd.sigma[dead] = 0.0
     row_norms = np.empty((n_tasks, r))
-    renorm_blocks = np.empty((n_tasks, r, n_cols))
+    # Task t's block is columns t*n .. (t+1)*n of the right factor, which
+    # is the SVD's own: the blocks are renormalized where they lie.
+    renorm_blocks = svd.Vt.reshape(r, n_tasks, n_cols).transpose(1, 0, 2)
 
     def renormalize(rows):
         # np.linalg.norm costs more per call than the other kernels' steps,
         # so this one takes chunks four times as large.
         for part in _chunks(*renorm_blocks[0, rows].shape, 4 * _CHUNK):
-            vt = svd.Vt[rows][part]
             for t in range(n_tasks):
-                block = vt[:, t * n_cols : (t + 1) * n_cols]
+                block = renorm_blocks[t, rows][part]
                 norms = np.linalg.norm(block, axis=1)
                 zero = (norms <= ZERO_ROW_NORM) | dead[rows][part]
-                out = renorm_blocks[t, rows][part]
-                np.divide(block, np.where(zero, 1.0, norms)[:, None], out=out)
-                out[zero] = 0.0
+                np.divide(block, np.where(zero, 1.0, norms)[:, None], out=block)
+                block[zero] = 0.0
                 norms[zero] = 0.0
                 row_norms[t, rows][part] = norms
 
@@ -275,17 +276,18 @@ def _partition_cutoff(x: np.ndarray, keep: int) -> float:
 def _bracket_mask(x: np.ndarray, keep: int, mask: np.ndarray, pool: BandPool) -> bool:
     """Write into the C-ordered ``mask`` the ``keep`` largest |x| of the
     N x r x n pool ``x`` (0 < keep < x.size), as :func:`_pool_mask` does,
-    in one pass over ``x``; return False, with ``mask`` half written,
-    where a sample misleads the pass.
+    without a copy of its magnitudes; return False, with ``mask`` half
+    written, where a sample misleads it.
 
     Sorted magnitudes of an evenly strided sample bracket the cutoff's
     rank by four standard deviations either side, as ``lo < cutoff < hi``
-    or ``cutoff == lo`` (a cutoff tied with ``hi`` is a miss). The pass sets every magnitude above ``hi`` (and
-    equal to it, unless ``lo == hi``), counts those equal to ``lo``, and
-    gathers the positions and magnitudes of the few strictly between. The
-    cutoff is then the right one of the gathered, or ``lo``, whose ties a
-    second pass sets in order. Runs of equal magnitudes (structural zeros)
-    are counted, never gathered, and no stack-sized copy is made.
+    or ``cutoff <= lo``. One pass sets every magnitude above ``hi`` (and
+    equal to it, unless ``lo == hi``) and gathers the positions and
+    magnitudes of the few strictly between, of which the cutoff is the
+    right one. A cutoff at ``lo`` takes a second pass
+    (:func:`_threshold_mask`), so runs of equal magnitudes there
+    (structural zeros) are counted, never gathered; a cutoff at or above
+    ``hi``, or under ``lo``, is a miss.
     """
     total = x.size
     n_tasks, n_rows, n_cols = x.shape
@@ -303,54 +305,72 @@ def _bracket_mask(x: np.ndarray, keep: int, mask: np.ndarray, pool: BandPool) ->
     keep_hi = np.greater if lo == hi else np.greater_equal
 
     def sweep(rows):
-        above, at_lo = 0, np.zeros(n_tasks, dtype=np.int64)
-        where, values = [[] for _ in range(n_tasks)], [[] for _ in range(n_tasks)]
+        above, where, values = 0, [[] for _ in range(n_tasks)], [[] for _ in range(n_tasks)]
         parts = _chunks(*x[0, rows].shape)
         buf = _scratch(parts, n_cols)
+        inside = np.empty(buf.shape, dtype=bool)
         first = rows.start or 0
         for t in range(n_tasks):
             out = mask[t, rows]
             for part, mags in _magnitudes(x[t, rows], parts, buf):
-                keep_hi(mags, hi, out=out[part])
-                above += np.count_nonzero(out[part])
-                at_lo[t] += np.count_nonzero(mags == lo)
-                inside = np.flatnonzero((mags > lo) & (mags < hi))
-                where[t].append(inside + (t * n_rows + first + part.start) * n_cols)
-                values[t].append(mags.reshape(-1)[inside])
-        return above, at_lo, where, values
+                kept, between = out[part], inside[: mags.shape[0]]
+                keep_hi(mags, hi, out=kept)
+                above += np.count_nonzero(kept)
+                # Above lo and not kept: strictly between lo and hi.
+                np.not_equal(np.greater(mags, lo, out=between), kept, out=between)
+                index = np.flatnonzero(between)
+                where[t].append(index + (t * n_rows + first + part.start) * n_cols)
+                values[t].append(mags.reshape(-1)[index])
+        return above, where, values
 
-    bands = pool.bands(n_rows, total)
-    swept = pool.run([functools.partial(sweep, rows) for rows in bands])
+    swept = pool.map(sweep, n_rows, total)
     above = sum(part[0] for part in swept)
-    at_lo = [part[1] for part in swept]
     # The gathered entries in flattened order: task by task, band by band.
     where = np.concatenate(
         [np.empty(0, dtype=np.int64)]
-        + [w for t in range(n_tasks) for part in swept for w in part[2][t]]
+        + [w for t in range(n_tasks) for part in swept for w in part[1][t]]
     )
     values = np.concatenate(
-        [np.empty(0)] + [v for t in range(n_tasks) for part in swept for v in part[3][t]]
+        [np.empty(0)] + [v for t in range(n_tasks) for part in swept for v in part[2][t]]
     )
-    if not above < keep <= above + values.size + sum(int(c.sum()) for c in at_lo):
+    if keep <= above:
         return False
+    if keep > above + values.size:
+        return _threshold_mask(x, keep, lo, mask, pool)
+    cut = values.size - (keep - above)
+    cutoff = np.partition(values, cut)[cut]
     flat = mask.reshape(-1)
-    if keep <= above + values.size:
-        cut = values.size - (keep - above)
-        cutoff = np.partition(values, cut)[cut]
-        flat[where[values > cutoff]] = True
-        ties = where[values == cutoff]
-        flat[ties[: keep - above - np.count_nonzero(values > cutoff)]] = True
-    else:
-        flat[where] = True
-        _fill_ties(x, lo, keep - above - values.size, at_lo, bands, mask, pool)
+    flat[where[values > cutoff]] = True
+    ties = where[values == cutoff]
+    flat[ties[: keep - above - np.count_nonzero(values > cutoff)]] = True
     return True
 
 
-def _fill_ties(x, cutoff, slots, ties, bands, mask, pool) -> None:
-    """Set in ``mask`` the first ``slots`` entries of the N x r x n ``x``
-    with magnitude ``cutoff``, in flattened (task, row, col) order, given
-    ``ties``, the count of such entries per task in each band."""
-    n_tasks, _, n_cols = x.shape
+def _threshold_mask(x: np.ndarray, keep: int, cutoff: float, mask: np.ndarray, pool: BandPool) -> bool:
+    """Write into the C-ordered ``mask`` every entry of the N x r x n pool
+    ``x`` whose magnitude is above ``cutoff``, then the first entries (in
+    flattened order) equal to it until ``keep`` are set; return False,
+    with ``mask`` half written, where that cannot make ``keep``."""
+    n_tasks, n_rows, n_cols = x.shape
+
+    def select(rows):
+        # Everything above the cutoff, and per task the ties passed over.
+        ties = np.zeros(n_tasks, dtype=np.int64)
+        parts = _chunks(*x[0, rows].shape)
+        buf = _scratch(parts, n_cols)
+        for t in range(n_tasks):
+            out = mask[t, rows]
+            for part, mags in _magnitudes(x[t, rows], parts, buf):
+                np.greater(mags, cutoff, out=out[part])
+                ties[t] += np.count_nonzero(mags == cutoff)
+        return ties
+
+    bands = pool.bands(n_rows, x.size)
+    ties = pool.run([functools.partial(select, rows) for rows in bands])
+    slots = keep - int(np.count_nonzero(mask))
+    if not 0 <= slots <= sum(int(count.sum()) for count in ties):
+        return False
+    # The tie slots go out in flattened order: task by task, band by band.
     quotas = [np.zeros(n_tasks, dtype=np.int64) for _ in bands]
     for t in range(n_tasks):
         for quota, count in zip(quotas, ties):
@@ -371,6 +391,7 @@ def _fill_ties(x, cutoff, slots, ties, bands, mask, pool) -> None:
                 left -= hits.size
 
     pool.run([functools.partial(fill, rows, quota) for rows, quota in zip(bands, quotas)])
+    return True
 
 
 def _pool_mask(x: np.ndarray, keep: int, mask: np.ndarray, pool: BandPool) -> None:
@@ -378,30 +399,10 @@ def _pool_mask(x: np.ndarray, keep: int, mask: np.ndarray, pool: BandPool) -> No
     N x r x n pool ``x``, ties at the cutoff going to the smaller flattened
     (task, row, col) index: everything above the cutoff, then the first
     entries equal to it until ``keep`` are set."""
-    n_tasks, n_rows, n_cols = x.shape
     if keep in (0, x.size):
         mask[...] = keep > 0
-        return
-    if x.size > 4 * _SAMPLE and _bracket_mask(x, keep, mask, pool):
-        return
-    cutoff = _partition_cutoff(x, keep)
-
-    def select(rows):
-        # Everything above the cutoff, and per task the ties passed over.
-        ties = np.zeros(n_tasks, dtype=np.int64)
-        parts = _chunks(*x[0, rows].shape)
-        buf = _scratch(parts, n_cols)
-        for t in range(n_tasks):
-            out = mask[t, rows]
-            for part, mags in _magnitudes(x[t, rows], parts, buf):
-                np.greater(mags, cutoff, out=out[part])
-                ties[t] += np.count_nonzero(mags == cutoff)
-        return ties
-
-    bands = pool.bands(n_rows, x.size)
-    ties = pool.run([functools.partial(select, rows) for rows in bands])
-    slots = keep - int(np.count_nonzero(mask))
-    _fill_ties(x, cutoff, slots, ties, bands, mask, pool)
+    elif not (x.size > 4 * _SAMPLE and _bracket_mask(x, keep, mask, pool)):
+        _threshold_mask(x, keep, _partition_cutoff(x, keep), mask, pool)
 
 
 def prune_topk(
