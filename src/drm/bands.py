@@ -13,7 +13,7 @@ would record or time.
 from __future__ import annotations
 
 import concurrent.futures
-import functools
+import threading
 
 # A stack with fewer entries than this runs as one band on the calling
 # thread. Below it, handing a band to another thread and waiting for it
@@ -29,21 +29,19 @@ class BandPool:
 
     A stage on a stack of at least :data:`FLOOR` entries runs in up to
     ``width`` bands of at least two rows: the calling thread runs the first
-    and pool threads the rest.
-    ``helpers`` is how many pool threads may exist, shared by every layer
-    in flight (``width - 1`` for one layer). Threads start on the first
-    banded stage, so a pool of width 1, or one that only sees small stacks,
-    starts none. Use it as a context manager, which joins its threads.
+    and pool threads the rest. ``helpers`` is how many pool threads may
+    exist, shared by every layer in flight (``width - 1`` for one layer).
+    The threads start with the first banded stage, so a pool of width 1,
+    or one that only sees small stacks, starts none. Use it as a context
+    manager, which joins its threads.
     """
 
     def __init__(self, width: int, helpers: int | None = None):
         helpers = width - 1 if helpers is None else helpers
         self.width = max(1, width) if helpers > 0 else 1
-        self._executor = (
-            concurrent.futures.ThreadPoolExecutor(helpers, thread_name_prefix="drm-band")
-            if self.width > 1
-            else None
-        )
+        self._helpers = helpers
+        self._executor = None  # made by the first banded stage
+        self._lock = threading.Lock()
 
     def bands(self, n_rows: int, entries: int) -> list:
         """The row ranges, as slices, of the bands of a stack of ``entries``
@@ -57,18 +55,20 @@ class BandPool:
         return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
 
     def map(self, kernel, n_rows: int, entries: int) -> list:
-        """``kernel(rows)`` for each of :meth:`bands`, in band order."""
-        return self.run([functools.partial(kernel, rows) for rows in self.bands(n_rows, entries)])
-
-    def run(self, calls: list) -> list:
-        """Call each of ``calls`` (one per band, from :meth:`bands`), the
-        first on this thread and the rest on pool threads, and return their
-        results in order. Every call has finished when this returns or
-        raises."""
-        first, *rest = calls
-        futures = [self._executor.submit(call) for call in rest]
+        """``kernel(rows)`` for each of :meth:`bands`, in band order: the
+        first band on this thread, the rest on pool threads. Every band has
+        finished when this returns or raises."""
+        first, *rest = self.bands(n_rows, entries)
+        if not rest:
+            return [kernel(first)]
+        with self._lock:
+            if self._executor is None:
+                self._executor = concurrent.futures.ThreadPoolExecutor(
+                    self._helpers, thread_name_prefix="drm-band"
+                )
+        futures = [self._executor.submit(kernel, rows) for rows in rest]
         try:
-            head = first()
+            head = kernel(first)
         finally:
             concurrent.futures.wait(futures)
         return [head, *(future.result() for future in futures)]

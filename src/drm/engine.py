@@ -13,7 +13,6 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import dataclasses
-import functools
 import math
 import os
 from dataclasses import dataclass
@@ -284,10 +283,10 @@ def _bracket_mask(x: np.ndarray, keep: int, mask: np.ndarray, pool: BandPool) ->
     or ``cutoff <= lo``. One pass sets every magnitude above ``hi`` (and
     equal to it, unless ``lo == hi``) and gathers the positions and
     magnitudes of the few strictly between, of which the cutoff is the
-    right one. A cutoff at ``lo`` takes a second pass
+    right one. A cutoff at ``lo`` takes a second, whole-array pass
     (:func:`_threshold_mask`), so runs of equal magnitudes there
-    (structural zeros) are counted, never gathered; a cutoff at or above
-    ``hi``, or under ``lo``, is a miss.
+    (structural zeros) are never gathered; a cutoff at or above ``hi``, or
+    under ``lo``, is a miss.
     """
     total = x.size
     n_tasks, n_rows, n_cols = x.shape
@@ -336,7 +335,7 @@ def _bracket_mask(x: np.ndarray, keep: int, mask: np.ndarray, pool: BandPool) ->
     if keep <= above:
         return False
     if keep > above + values.size:
-        return _threshold_mask(x, keep, lo, mask, pool)
+        return _threshold_mask(x, keep, lo, mask)
     cut = values.size - (keep - above)
     cutoff = np.partition(values, cut)[cut]
     flat = mask.reshape(-1)
@@ -346,51 +345,18 @@ def _bracket_mask(x: np.ndarray, keep: int, mask: np.ndarray, pool: BandPool) ->
     return True
 
 
-def _threshold_mask(x: np.ndarray, keep: int, cutoff: float, mask: np.ndarray, pool: BandPool) -> bool:
-    """Write into the C-ordered ``mask`` every entry of the N x r x n pool
-    ``x`` whose magnitude is above ``cutoff``, then the first entries (in
-    flattened order) equal to it until ``keep`` are set; return False,
-    with ``mask`` half written, where that cannot make ``keep``."""
-    n_tasks, n_rows, n_cols = x.shape
-
-    def select(rows):
-        # Everything above the cutoff, and per task the ties passed over.
-        ties = np.zeros(n_tasks, dtype=np.int64)
-        parts = _chunks(*x[0, rows].shape)
-        buf = _scratch(parts, n_cols)
-        for t in range(n_tasks):
-            out = mask[t, rows]
-            for part, mags in _magnitudes(x[t, rows], parts, buf):
-                np.greater(mags, cutoff, out=out[part])
-                ties[t] += np.count_nonzero(mags == cutoff)
-        return ties
-
-    bands = pool.bands(n_rows, x.size)
-    ties = pool.run([functools.partial(select, rows) for rows in bands])
-    slots = keep - int(np.count_nonzero(mask))
-    if not 0 <= slots <= sum(int(count.sum()) for count in ties):
+def _threshold_mask(x: np.ndarray, keep: int, cutoff: float, mask: np.ndarray) -> bool:
+    """Write into the C-ordered ``mask`` every entry of ``x`` whose
+    magnitude is above ``cutoff``, then the first entries (in flattened
+    order) equal to it until ``keep`` are set; return False, with ``mask``
+    half written, where that cannot make ``keep``."""
+    np.greater(x, cutoff, out=mask)
+    mask |= x < -cutoff
+    ties = np.flatnonzero((x == cutoff) | (x == -cutoff))
+    slots = keep - np.count_nonzero(mask)
+    if not 0 <= slots <= ties.size:
         return False
-    # The tie slots go out in flattened order: task by task, band by band.
-    quotas = [np.zeros(n_tasks, dtype=np.int64) for _ in bands]
-    for t in range(n_tasks):
-        for quota, count in zip(quotas, ties):
-            quota[t] = min(slots, count[t])
-            slots -= quota[t]
-
-    def fill(rows, quota):
-        parts = _chunks(*x[0, rows].shape)
-        buf = _scratch(parts, n_cols)
-        for t in range(n_tasks):
-            left = int(quota[t])
-            out = mask[t, rows]
-            for part, mags in _magnitudes(x[t, rows], parts, buf):
-                if left == 0:
-                    break
-                hits = np.flatnonzero(mags == cutoff)[:left]
-                np.put(out[part], hits, True)
-                left -= hits.size
-
-    pool.run([functools.partial(fill, rows, quota) for rows, quota in zip(bands, quotas)])
+    np.put(mask, ties[:slots], True)
     return True
 
 
@@ -398,11 +364,14 @@ def _pool_mask(x: np.ndarray, keep: int, mask: np.ndarray, pool: BandPool) -> No
     """Write into the C-ordered ``mask`` the ``keep`` largest |x| of the
     N x r x n pool ``x``, ties at the cutoff going to the smaller flattened
     (task, row, col) index: everything above the cutoff, then the first
-    entries equal to it until ``keep`` are set."""
+    entries equal to it until ``keep`` are set. A pool of more than
+    4 * ``_SAMPLE`` entries goes through :func:`_bracket_mask`; a smaller
+    one, or one whose sample misleads it, takes its cutoff from a partition
+    of a copy of the magnitudes."""
     if keep in (0, x.size):
         mask[...] = keep > 0
     elif not (x.size > 4 * _SAMPLE and _bracket_mask(x, keep, mask, pool)):
-        _threshold_mask(x, keep, _partition_cutoff(x, keep), mask, pool)
+        _threshold_mask(x, keep, _partition_cutoff(x, keep), mask)
 
 
 def prune_topk(
@@ -560,22 +529,24 @@ def disjoint_average(
         raise ShapeMismatch("the stack and its survivor mask must share one shape")
     survivors = np.asarray(survivors).reshape(x.shape)
     weighted = np.zeros(x.shape[1:])
-    gamma = np.broadcast_to(gamma, np.shape(stack)[1:]).reshape(weighted.shape)
+    gamma = np.asarray(gamma)
+    if gamma.shape != weighted.shape:
+        gamma = np.broadcast_to(gamma, np.shape(stack)[1:]).reshape(weighted.shape)
 
     def average(rows):
-        band = weighted[rows]
+        blocks, keeps, band, scale = x[:, rows], survivors[:, rows], weighted[rows], gamma[rows]
         parts = _chunks(*band.shape)
         term = _scratch(parts, band.shape[1])
         for part in parts:
             total = band[part]
             scratch = term[: total.shape[0]]
-            for t, lam in enumerate(lams):
+            for block, keep, lam in zip(blocks[:, part], keeps[:, part], lams):
                 # block * keep is the block or a signed zero; a zero term
                 # leaves the sum's bytes as they are.
-                np.multiply(x[t, rows][part], survivors[t, rows][part], out=scratch)
+                np.multiply(block, keep, out=scratch)
                 scratch *= lam
                 total += scratch
-            total *= gamma[rows][part]
+            total *= scale[part]
 
     (pool or INLINE).map(average, x.shape[1], x.size)
     return weighted.reshape(np.shape(stack)[1:])
