@@ -419,15 +419,15 @@ def elect_signs(stack: np.ndarray, *, pool: BandPool | None = None) -> np.ndarra
     signs = np.empty((n_rows, n_cols))
 
     def elect(rows):
-        band = signs[rows]
+        blocks, band = x[:, rows], signs[rows]
         for part in _chunks(*band.shape):
             total = band[part]
-            np.copyto(total, x[0, rows][part])
-            for t in range(1, n_tasks):
-                total += x[t, rows][part]
-            below = total < 0.0
-            total.fill(1.0)
-            total[below] = -1.0
+            np.copyto(total, blocks[0, part])
+            for block in blocks[1:, part]:
+                total += block
+            # -2 * (total < 0) + 1: exactly -1.0 below zero, +1.0 otherwise.
+            np.multiply(total < 0.0, -2.0, out=total)
+            total += 1.0
 
     (pool or INLINE).map(elect, n_rows, x.size)
     return signs.reshape(np.shape(stack)[1:])
@@ -445,8 +445,9 @@ def agreeing_entries(
         negative = np.broadcast_to(signs, np.shape(stack)[1:]).reshape(x.shape[1:]) < 0.0
 
     def test(rows):
-        for part in _chunks(*x[0, rows].shape):
-            block, out = x[:, rows][:, part], agree[:, rows][:, part]
+        blocks, outs = x[:, rows], agree[:, rows]
+        for part in _chunks(*blocks.shape[1:]):
+            block, out = blocks[:, part], outs[:, part]
             np.not_equal(block, 0.0, out=out)
             if signs is not None:
                 out &= (block < 0.0) == negative[rows][part]
@@ -477,14 +478,16 @@ def survivor_filter(
     survivors = agree if mask is None else np.empty(agree.shape, dtype=bool)
     gamma = np.empty(agree.shape[1:]) if disjoint else 1.0 / agree.shape[0]
 
+    # The narrowest integer type that holds N makes the count a fast add.
+    count_type = np.min_scalar_type(agree.shape[0])
+
     def count(rows):
-        for part in _chunks(*agree[0, rows].shape):
-            kept = survivors[:, rows][:, part]
+        agrees, kept = agree[:, rows], survivors[:, rows]
+        for part in _chunks(*agrees.shape[1:]):
             if mask is not None:
-                np.logical_and(agree[:, rows][:, part], mask[:, rows][:, part], out=kept)
+                np.logical_and(agrees[:, part], mask[:, rows][:, part], out=kept[:, part])
             if disjoint:
-                # The narrowest integer type that holds N makes the count a fast add.
-                counts = kept.sum(axis=0, dtype=np.min_scalar_type(agree.shape[0]))
+                counts = kept[:, part].sum(axis=0, dtype=count_type)
                 _reciprocal_counts(counts, out=gamma[rows][part])
 
     (pool or INLINE).map(count, agree.shape[1], agree.size)
