@@ -338,10 +338,9 @@ def _bracket_mask(x: np.ndarray, keep: int, mask: np.ndarray, pool: BandPool) ->
         return _threshold_mask(x, keep, lo, mask)
     cut = values.size - (keep - above)
     cutoff = np.partition(values, cut)[cut]
-    flat = mask.reshape(-1)
-    flat[where[values > cutoff]] = True
+    np.put(mask, where[values > cutoff], True)
     ties = where[values == cutoff]
-    flat[ties[: keep - above - np.count_nonzero(values > cutoff)]] = True
+    np.put(mask, ties[: keep - above - np.count_nonzero(values > cutoff)], True)
     return True
 
 
