@@ -3,8 +3,9 @@ writing the same bytes.
 
 A small fixed family (float32 and float64 tensors, biases, four matrix
 layers so the layer pool runs) is merged with every method, with TIES
-and drm-h with pruning switched off, and with drm-h and drm-v dropping
-half the rank. A second family, one 96x160 float32 layer and one bias
+and drm-h with pruning switched off, with drm-h and drm-v dropping half
+the rank, with DARE-TIES at drop rates 0.5 and 0 and without the
+disjoint average, and with TIES without the sign election. A second family, one 96x160 float32 layer and one bias
 with four tasks, is merged with every method at a size that reaches
 numpy's blocked loops. The SHA-256 of each output bundle is compared
 with a recorded value; refactors and speed-ups must leave these hashes
@@ -52,6 +53,10 @@ CASES = {
     "drm-h-no-prune": ["--method", "drm-h", "--no-prune"],
     "drm-h-rank-drop": ["--method", "drm-h", "--rank-drop", "0.5"],
     "drm-v-rank-drop": ["--method", "drm-v", "--rank-drop", "0.5"],
+    "dare-ties-drop-half": ["--method", "dare-ties", "--dare-drop", "0.5"],
+    "dare-ties-no-drop": ["--method", "dare-ties", "--dare-drop", "0"],
+    "dare-ties-no-disjoint": ["--method", "dare-ties", "--no-disjoint"],
+    "ties-no-sign-elect": ["--method", "ties", "--no-sign-elect"],
 }
 
 GOLDEN = {
@@ -65,6 +70,10 @@ GOLDEN = {
     "drm-h-no-prune": "419111cfe7fe73ea17208d82bca655abd3ff597ba29f20dc3ce430208ce965d4",
     "drm-h-rank-drop": "ec8811cd2ab77ceeebc3feeb996d11ac832304f2b5a6ff4b53459ebfe441de80",
     "drm-v-rank-drop": "5f124e938fe954a901e628792678e3f25581a1e3e993ded36edabcbaae931ba2",
+    "dare-ties-drop-half": "ecaea122624af77883b4aaa806dfbe739aa45c15ed72475ac3a8e4a643940142",
+    "dare-ties-no-drop": "0c2d781a12ecba54e6416fc3996e7585bb7f8595509d6f04594faaca62c71d2a",
+    "dare-ties-no-disjoint": "62c73c669e9d8d4a59575c10beb6caafa3a46ea2122ea58034be94d1fa41f9b7",
+    "ties-no-sign-elect": "c997e5ab1b80d6bf40a37fe6707c5d3f039666933f664eaa19f8ae958869b532",
 }
 
 WIDE_SHAPES = {
