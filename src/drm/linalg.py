@@ -92,21 +92,24 @@ def thin_svd(A: np.ndarray, overwrite_a: bool = False) -> ThinSVD:
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise ShapeMismatch(f"expected a matrix, got shape {A.shape}")
-    if not np.isfinite(A).all():
-        raise NonFiniteValue(f"cannot factor a {A.shape} matrix holding NaN or infinity")
     if A.size == 0:
         m, n = A.shape
         return ThinSVD(np.zeros((m, 0)), np.zeros(0), np.zeros((0, n)))
     factors = _gram_svd(A)
     if factors is None:
-        factors = _lapack_svd(A, overwrite_a)
-    U, sigma, Vt = factors
-    # Pin the sign ambiguity: largest-|entry| of each U column made positive.
-    # Both factors are fresh arrays (or views of one), so negate in place.
-    flip = U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])] < 0
-    np.negative(U, out=U, where=flip[None, :])
-    np.negative(Vt, out=Vt, where=flip[:, None])
-    return ThinSVD(U, sigma, Vt)
+        U, sigma, Vt = _lapack_svd(A, overwrite_a)
+        # Both factors are fresh arrays (or views of one): negate in place.
+        flip = _sign_flips(U)
+        np.negative(U, out=U, where=flip[None, :])
+        np.negative(Vt, out=Vt, where=flip[:, None])
+        factors = U, sigma, Vt
+    return ThinSVD(*factors)
+
+
+def _sign_flips(U: np.ndarray) -> np.ndarray:
+    """The columns of ``U`` to negate to pin the sign ambiguity: those whose
+    largest-|entry| is negative."""
+    return U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])] < 0
 
 
 def in_place_order(shape: tuple[int, int]) -> str:
@@ -212,11 +215,20 @@ def _tall_lapack_svd(
 
 
 def _gram_svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """(U, sigma, Vt) from ``eigh`` of the smaller Gram matrix, or None when
-    the spectrum fails the GRAM_MIN_EIG_RATIO gate or ``eigh`` fails."""
+    """(U, sigma, Vt), signs pinned, from ``eigh`` of the smaller Gram
+    matrix, or None when the spectrum fails the GRAM_MIN_EIG_RATIO gate or
+    ``eigh`` fails. Raises NonFiniteValue on NaN or infinity in ``A``,
+    before ``eigh`` runs."""
     wide = A.shape[0] <= A.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the gate
         gram = A @ A.T if wide else A.T @ A
+    # Each diagonal entry sums the squares of one row (wide) or column of A,
+    # so NaN or infinity anywhere in A shows there; so does an overflow,
+    # which only a scan of A tells apart.
+    if not np.isfinite(gram.diagonal()).all():
+        if not np.isfinite(A).all():
+            raise NonFiniteValue(f"cannot factor a {A.shape} matrix holding NaN or infinity")
+        return None
     try:
         lam, W = np.linalg.eigh(gram)
     except np.linalg.LinAlgError:
@@ -227,11 +239,17 @@ def _gram_svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None
         return None  # also rejects NaN spectra
     sigma = np.sqrt(lam)
     if wide:
+        # U is W: negating its flipped columns before the product negates
+        # the matching rows of Vt with it, bit for bit.
+        np.negative(W, out=W, where=_sign_flips(W)[None, :])
         Vt = W.T @ A
         Vt /= sigma[:, None]
         return W, sigma, Vt
     U = A @ W
     U /= sigma[None, :]
+    flip = _sign_flips(U)
+    np.negative(U, out=U, where=flip[None, :])
+    np.negative(W, out=W, where=flip[None, :])
     return U, sigma, W.T
 
 

@@ -207,8 +207,10 @@ class TestDecompositionRoutes:
 
     @pytest.mark.parametrize("route", ["wide_gram", "tall_gram", "gesdd"])
     def test_in_place_sign_fix_matches_where_formula(self, route):
-        # thin_svd negates the flipped U columns and Vt rows in place; the
-        # bytes must be those of the copying np.where formula it replaced.
+        # thin_svd negates the flipped U columns and Vt rows in place (the
+        # wide Gram route negates W's columns before Vt = W.T @ A); the
+        # bytes must be those of the copying np.where formula it replaced,
+        # applied to the unpinned factors.
         if route == "gesdd":
             A, _ = rank_deficient_stack("low_rank_adapters")  # wide: factored as A.T
             V, sigma, Ut = np.linalg.svd(A.T, full_matrices=False)
@@ -216,8 +218,15 @@ class TestDecompositionRoutes:
         else:
             rng = np.random.default_rng(31)
             blocks = [rng.standard_normal((40, 24)) for _ in range(4)]
-            A = np.concatenate(blocks, axis=1 if route == "wide_gram" else 0)
-            U, sigma, Vt = linalg._gram_svd(A)
+            wide = route == "wide_gram"
+            A = np.concatenate(blocks, axis=1 if wide else 0)
+            lam, W = np.linalg.eigh(A @ A.T if wide else A.T @ A)
+            lam, W = lam[::-1], W[:, ::-1]
+            sigma = np.sqrt(lam)
+            if wide:
+                U, Vt = W, (W.T @ A) / sigma[:, None]
+            else:
+                U, Vt = (A @ W) / sigma[None, :], W.T
         flip = U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])] < 0
         assert flip.any() and not flip.all()
         svd = thin_svd(A)
