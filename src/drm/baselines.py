@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -11,6 +12,7 @@ from .bundle import DeltaSet
 # like elect_signs and prune_topk, under this module's name.
 from .engine import (
     MergeConfig,
+    _chunks,
     _per_task,
     _reciprocal_counts,
     disjoint_average,
@@ -36,41 +38,75 @@ def ties_merge(ds: DeltaSet, cfg: MergeConfig) -> np.ndarray:
 
 
 def ties_merge_with_stats(ds: DeltaSet, cfg: MergeConfig) -> tuple[np.ndarray, dict]:
-    stack = ds.deltas if ds._owned else ds.deltas.copy()  # pruned in place
+    stack = ds.deltas
     masks = prune_topk(stack, cfg.retain, "individual") if cfg.enable_prune else None
-    if masks is not None:
-        stack *= masks
-    merged = _elect_and_average(stack, cfg, ds.n_tasks)
+
+    def prune(t, rows, block, out):
+        np.multiply(block, masks[t, rows], out=out)
+
+    merged = _elect_and_average(
+        stack, cfg, ds.n_tasks, prune if masks is not None else None, in_place=ds._owned
+    )
     return merged, kept_counts(masks, stack)
 
 
-def _elect_and_average(stack: np.ndarray, cfg: MergeConfig, n_tasks: int) -> np.ndarray:
-    """The TIES tail shared with DARE-TIES: sign election over the already
-    pruned (or dropped) stack, then the disjoint average.
+def _elect_and_average(
+    stack: np.ndarray, cfg: MergeConfig, n_tasks: int, prepare=None, *, in_place: bool = True
+) -> np.ndarray:
+    """The TIES tail shared with DARE-TIES: sign election over the pruned
+    (or dropped) stack, then the disjoint average.
 
     The same floating-point operations as ``disjoint_average(stack,
     *survivor_filter(agreeing_entries(stack, signs), None, disjoint), lambdas)``,
-    run one task plane at a time on ``stack``, which must be the merge's
-    own: each plane is overwritten with its weighted survivors.
+    run over row chunks of the N x m x n ``stack`` (see
+    :func:`~drm.engine._chunks`), so that each chunk's drop or prune,
+    election, filter and sum happen while it is in cache.
+    ``prepare(t, rows, block, out)``, where given, first writes task t's
+    ``block`` of those ``rows``, pruned or dropped, into ``out``. With
+    ``in_place`` the stack must be the merge's own: ``out`` is ``block``
+    and each chunk is overwritten with its weighted survivors. Otherwise
+    the chunk goes through a scratch buffer and ``stack`` keeps its bytes.
     """
-    neg = elect_signs(stack) < 0.0 if cfg.enable_sign_elect else None
-    plane = stack.shape[1:]
-    weighted = np.zeros(plane)
-    counts = np.zeros(plane, dtype=np.min_scalar_type(n_tasks))
-    keep = np.empty(plane, dtype=bool)
-    below = np.empty(plane, dtype=bool)
-    for block, lam in zip(stack, cfg.task_lambdas(n_tasks)):
-        np.not_equal(block, 0.0, out=keep)
-        if neg is not None:
-            np.less(block, 0.0, out=below)
-            keep &= np.equal(below, neg, out=below)
-        counts += keep
-        # block * keep is the block or a signed zero; a zero term leaves
-        # the sum's bytes as they are.
-        block *= keep
-        block *= lam
-        weighted += block
-    weighted *= _reciprocal_counts(counts) if cfg.enable_disjoint else 1.0 / n_tasks
+    n_rows, n_cols = stack.shape[1:]
+    lams = cfg.task_lambdas(n_tasks)
+    parts = _chunks(n_rows, n_cols)
+    height = max(part.stop - part.start for part in parts)
+    scratch = None if in_place else np.empty((n_tasks, height, n_cols))
+    weighted = np.zeros((n_rows, n_cols))
+    counts = np.empty((height, n_cols), dtype=np.min_scalar_type(n_tasks))
+    keep = np.empty((height, n_cols), dtype=bool)
+    below = np.empty((height, n_cols), dtype=bool)
+    for part in parts:
+        size = part.stop - part.start
+        blocks = stack[:, part] if in_place else scratch[:, :size]
+        for t in range(n_tasks):
+            if prepare is not None:
+                prepare(t, part, stack[t, part], blocks[t])
+            elif not in_place:
+                np.copyto(blocks[t], stack[t, part])
+        neg = elect_signs(blocks) < 0.0 if cfg.enable_sign_elect else None
+        total, count, kept, under = weighted[part], counts[:size], keep[:size], below[:size]
+        if cfg.enable_disjoint:
+            count.fill(0)
+        for block, lam in zip(blocks, lams):
+            np.not_equal(block, 0.0, out=kept)
+            if neg is not None:
+                np.less(block, 0.0, out=under)
+                kept &= np.equal(under, neg, out=under)
+            if cfg.enable_disjoint:
+                count += kept
+            # block * kept is the block or a signed zero; a zero term leaves
+            # the sum's bytes as they are. Multiplying by a coefficient of 1
+            # changes no byte, so that multiply is skipped.
+            block *= kept
+            if lam != 1.0:
+                block *= lam
+            total += block
+        if cfg.enable_disjoint:
+            # The chunk's blocks are spent: the first holds gamma.
+            total *= _reciprocal_counts(count, out=blocks[0])
+        else:
+            total *= 1.0 / n_tasks
     return weighted
 
 
@@ -84,6 +120,15 @@ def _dare_generator(seed: int, layer_name: str, task_index: int) -> np.random.Ge
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _keep_threshold(p: float) -> np.uint64:
+    """The raw 64-bit draw at or above which DARE keeps an entry dropped
+    with probability ``p`` (0 <= p < 1). ``Generator.random()`` is
+    ``(raw >> 11) * 2**-53`` of the stream's raw integers, so ``random() >=
+    p`` exactly where ``raw >= ceil(p * 2**53) << 11``: the same masks from
+    the same draws, with no conversion to float."""
+    return np.uint64(math.ceil(p * 2**53) << 11)
+
+
 def dare_ties_merge(ds: DeltaSet, cfg: MergeConfig) -> np.ndarray:
     """Random drop-and-rescale in place of magnitude pruning, then the TIES
     election and disjoint averaging.
@@ -91,19 +136,17 @@ def dare_ties_merge(ds: DeltaSet, cfg: MergeConfig) -> np.ndarray:
     Each entry is zeroed independently with probability ``cfg.dare_drop``
     and survivors are scaled by 1/(1 - p), which keeps the per-entry
     expectation at the original delta. Task t's drops come from a
-    deterministic stream keyed on (``cfg.seed``, layer name, t).
+    deterministic stream keyed on (``cfg.seed``, layer name, t), one draw
+    per entry in row-major order, taken one row chunk at a time.
     """
     scale = 1.0 / (1.0 - cfg.dare_drop)
-    if ds._owned:
-        dropped = ds.deltas  # scaled and dropped in place
-        dropped *= scale
-    else:
-        dropped = ds.deltas * scale
-    draw = np.empty(ds.base_shape)
-    kept = np.empty(ds.base_shape, dtype=bool)
-    for t, block in enumerate(dropped):
-        _dare_generator(cfg.seed, ds.layer_name, t).random(out=draw)
-        np.greater_equal(draw, cfg.dare_drop, out=kept)
-        block *= kept
-    del draw, kept
-    return _elect_and_average(dropped, cfg, ds.n_tasks)
+    threshold = _keep_threshold(cfg.dare_drop)
+    streams = [
+        _dare_generator(cfg.seed, ds.layer_name, t).bit_generator for t in range(ds.n_tasks)
+    ]
+
+    def drop(t, rows, block, out):
+        np.multiply(block, scale, out=out)
+        out *= streams[t].random_raw(out.size).reshape(out.shape) >= threshold
+
+    return _elect_and_average(ds.deltas, cfg, ds.n_tasks, drop, in_place=ds._owned)

@@ -240,10 +240,12 @@ def _as_stack(stack) -> np.ndarray:
     return stack.reshape(_stack_shape(stack.shape))
 
 
-def _chunks(n_rows: int, n_cols: int, size: int = _CHUNK) -> list[slice]:
+def _chunks(n_rows: int, n_cols: int, size: int | None = None) -> list[slice]:
     """Row ranges that cut an n_rows x n_cols plane into pieces of about
-    ``size`` entries. Each piece has at least two rows where the plane
-    has, for the reason bands do (see :meth:`drm.bands.BandPool.bands`)."""
+    ``size`` entries (default :data:`_CHUNK`). Each piece has at least two
+    rows where the plane has, for the reason bands do (see
+    :meth:`drm.bands.BandPool.bands`)."""
+    size = _CHUNK if size is None else size
     count = max(1, n_rows // max(2, size // max(n_cols, 1)))
     bounds = [n_rows * i // count for i in range(count + 1)]
     return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]

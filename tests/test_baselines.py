@@ -1,14 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import drm.engine
 from drm.baselines import (
     _dare_generator,
     _elect_and_average,
+    _keep_threshold,
     dare_ties_merge,
     task_arithmetic,
     ties_merge,
+    ties_merge_with_stats,
 )
 from drm.bundle import DeltaSet, TensorBundle
 from drm.engine import (
@@ -16,8 +20,10 @@ from drm.engine import (
     agreeing_entries,
     disjoint_average,
     elect_signs,
+    kept_counts,
     merge_bundle,
     merge_delta_set,
+    prune_topk,
     survivor_filter,
 )
 from drm.errors import ShapeMismatch
@@ -257,6 +263,96 @@ class TestBorrowedStacks:
             merged = dare_ties_merge(ds, cfg)
             dropped = _dare_generator(5, "blk.w", t).random(shape) < p
             np.testing.assert_array_equal(merged != 0.0, ~dropped)
+
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 0.8, 0.95, np.nextafter(1.0, 0.0)])
+    def test_raw_threshold_drop_is_the_generator_draw(self, p, monkeypatch):
+        # random() is (raw >> 11) * 2**-53: the integer threshold keeps the
+        # raw draws random() keeps, on either side of it and in bulk.
+        threshold = _keep_threshold(p)
+        raws = [0, 2**64 - 1, *_dare_generator(3, "w", 0).bit_generator.random_raw(4096)]
+        raws += [int(threshold) + d for d in (-2049, -2048, -1, 0, 1, 2047, 2048)]
+        raws = np.array([r for r in raws if 0 <= r < 2**64], dtype=np.uint64)
+        floats = (raws >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        np.testing.assert_array_equal(raws >= threshold, floats >= p)
+        # The merge draws each task's plane one row chunk at a time, the
+        # stream continuing across chunks; all-positive deltas and a one-hot
+        # coefficient show its drop mask.
+        monkeypatch.setattr(drm.engine, "_CHUNK", 64)
+        n_tasks, shape = 3, (37, 23)
+        ds = make_ds([np.full(shape, t + 1.0) for t in range(n_tasks)], name="blk.w")
+        for t in range(n_tasks):
+            lams = tuple(float(s == t) for s in range(n_tasks))
+            cfg = MergeConfig(method="dare_ties", dare_drop=p, seed=5, lambdas=lams)
+            merged = dare_ties_merge(ds, cfg)
+            dropped = _dare_generator(5, "blk.w", t).random(shape) < p
+            np.testing.assert_array_equal(merged != 0.0, ~dropped)
+
+
+def stage_tail(stack, cfg):
+    """The TIES tail through the public stage functions, whole stack at once."""
+    signs = elect_signs(stack) if cfg.enable_sign_elect else None
+    survivors, gamma = survivor_filter(agreeing_entries(stack, signs), None, cfg.enable_disjoint)
+    return disjoint_average(stack, survivors, gamma, cfg.task_lambdas(len(stack)))
+
+
+def stage_ties(stack, cfg):
+    masks = prune_topk(stack, cfg.retain, "individual") if cfg.enable_prune else None
+    pruned = stack if masks is None else stack * masks
+    return stage_tail(pruned, cfg), kept_counts(masks, stack)
+
+
+def stage_dare(stack, cfg, layer_name):
+    dropped = stack * (1.0 / (1.0 - cfg.dare_drop))
+    for t, block in enumerate(dropped):
+        block *= _dare_generator(cfg.seed, layer_name, t).random(block.shape) >= cfg.dare_drop
+    return stage_tail(dropped, cfg), {}
+
+
+def layer_stack(n_tasks, shape, layout, seed=29):
+    """A tail_stack of ``shape``, C-ordered, or Fortran-ordered for the
+    ``strided`` layout."""
+    if shape[0] * shape[1] == 0:
+        return np.zeros((n_tasks, *shape))
+    stack = tail_stack(seed, n_tasks, shape)
+    if layout == "strided":
+        stack = np.asfortranarray(stack)
+        assert not stack.flags.c_contiguous
+    return stack
+
+
+class TestChunkedMerge:
+    # Chunks of two rows: 9 rows make chunks of 2, 2, 2 and 3.
+    @pytest.mark.parametrize("layout", ["owned", "borrowed", "strided"])
+    @pytest.mark.parametrize("shape", [(9, 7), (9, 0), (0, 7)], ids=["9x7", "9x0", "0x7"])
+    @pytest.mark.parametrize("n_tasks", [1, 4])
+    @pytest.mark.parametrize("method", ["ties", "dare_ties"])
+    def test_matches_the_stage_functions_bytewise(self, method, n_tasks, shape, layout, monkeypatch):
+        monkeypatch.setattr(drm.engine, "_CHUNK", 16)
+        assert len(drm.engine._chunks(*shape)) == (4 if shape == (9, 7) else 1)
+        stack = layer_stack(n_tasks, shape, layout)
+        before = stack.tobytes()
+        per_task = tuple(np.roll([1.3, -0.4, 0.0, 1.0], n_tasks)[:n_tasks])
+        for lambdas in (None, 0.0, -0.7, per_task):
+            for prune, elect, disjoint in itertools.product([True, False], repeat=3):
+                cfg = MergeConfig(
+                    method=method, retain=0.3, dare_drop=0.5, seed=7, lambdas=lambdas,
+                    enable_prune=prune, enable_sign_elect=elect, enable_disjoint=disjoint,
+                )
+                if method == "ties":
+                    want, want_stats = stage_ties(stack, cfg)
+                else:
+                    want, want_stats = stage_dare(stack, cfg, "blk.w")
+                ds = DeltaSet("blk.w", shape, stack.copy() if layout == "owned" else stack,
+                              [f"t{t}" for t in range(n_tasks)])
+                ds._owned = layout == "owned"
+                if method == "ties":
+                    got, stats = ties_merge_with_stats(ds, cfg)
+                else:
+                    got, stats = dare_ties_merge(ds, cfg), {}
+                assert got.tobytes() == want.tobytes()
+                assert stats == want_stats
+        assert stack.tobytes() == before
 
 
 class TestSingleTaskNeutrality:
