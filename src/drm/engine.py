@@ -285,10 +285,10 @@ def _bracket_mask(x: np.ndarray, keep: int, mask: np.ndarray, pool: BandPool) ->
     or ``cutoff <= lo``. One pass sets every magnitude above ``hi`` (and
     equal to it, unless ``lo == hi``) and gathers the positions and
     magnitudes of the few strictly between, of which the cutoff is the
-    right one. A cutoff at ``lo`` takes a second, whole-array pass
-    (:func:`_threshold_mask`), so runs of equal magnitudes there
-    (structural zeros) are never gathered; a cutoff at or above ``hi``, or
-    under ``lo``, is a miss.
+    right one. A cutoff at ``lo`` or at ``hi`` takes a second, whole-array
+    pass (:func:`_threshold_mask`), so runs of equal magnitudes there
+    (structural zeros, integer values) are never gathered; a cutoff above
+    ``hi`` or under ``lo`` is a miss.
     """
     total = x.size
     n_tasks, n_rows, n_cols = x.shape
@@ -334,8 +334,8 @@ def _bracket_mask(x: np.ndarray, keep: int, mask: np.ndarray, pool: BandPool) ->
     values = np.concatenate(
         [np.empty(0)] + [v for t in range(n_tasks) for part in swept for v in part[2][t]]
     )
-    if keep <= above:
-        return False
+    if keep <= above:  # a cutoff at hi, or a miss
+        return _threshold_mask(x, keep, hi, mask)
     if keep > above + values.size:
         return _threshold_mask(x, keep, lo, mask)
     cut = values.size - (keep - above)

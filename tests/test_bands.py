@@ -101,13 +101,46 @@ def test_bracket_pass_keeps_the_partition_cutoff(name, small_sample, monkeypatch
             assert got.tobytes() == partition_prune(x, keep / total, mode).tobytes(), (keep, mode)
     # On continuous magnitudes, with or without a run of zeros under the
     # cutoff, the sample never misleads the pass unless the cutoff lies
-    # below the smallest sampled magnitude. A cutoff tied with the
-    # bracket's upper end (heavy ties) takes a partition too.
+    # below the smallest sampled magnitude.
     if name in ("normal", "structural_zeros"):
         partitions.clear()
         for keep in (1, 17, total // 5, total // 2):
             prune_topk(x, keep / total)
         assert partitions == []
+
+
+def tie_run_inputs():
+    rng = np.random.default_rng(8)
+    shape = (3, 40, 60)
+    signs = rng.choice([-1.0, 1.0], shape)
+    half = 0.5 * signs
+    half[rng.random(shape) < 0.4] = 0.0
+    return {
+        "integers": rng.integers(-3, 4, shape).astype(np.float64),
+        "small_integers": rng.integers(-1, 2, shape).astype(np.float64),
+        "equal_and_zeros": half,
+        "all_equal": 0.5 * signs,
+    }
+
+
+@pytest.mark.parametrize("name", list(tie_run_inputs()))
+def test_a_cutoff_in_a_tie_run_takes_no_partition(name, small_sample, monkeypatch):
+    # Runs of equal magnitudes often put the cutoff on the bracket's upper
+    # end. Its ties are then placed by a threshold pass at that value, not
+    # by a partition of a copy of every magnitude: while a cutoff at the
+    # upper end counted as a miss, 11, 28 and 29 of these prunes of the
+    # first three stacks fell back to a partition.
+    x = tie_run_inputs()[name]
+    partitions = []
+    real = drm.engine._partition_cutoff
+    monkeypatch.setattr(
+        drm.engine, "_partition_cutoff", lambda *a: partitions.append(a) or real(*a)
+    )
+    for retain in np.linspace(0.02, 0.98, 49):
+        for mode in ("joint", "individual"):
+            got = prune_topk(x, retain, mode)
+            assert got.tobytes() == partition_prune(x, retain, mode).tobytes(), (retain, mode)
+    assert partitions == []
 
 
 def test_a_misleading_sample_falls_back_to_a_partition(small_sample, monkeypatch):
