@@ -500,10 +500,9 @@ def survivor_filter(
 def _reciprocal_counts(counts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Per-position survivor counts to the disjoint scale gamma: 1/count,
     or 0 where nobody survives."""
-    with np.errstate(divide="ignore"):
-        gamma = np.divide(1.0, counts, out=out)
-    gamma[counts == 0] = 0.0
-    return gamma
+    # (count != 0) / max(count, 1) is 1.0 / count, or 0 / 1: no division by
+    # zero to mend with a masked store, which cost three times the division.
+    return np.divide(counts != 0, np.maximum(counts, 1), out=out)
 
 
 def _per_task(lambdas, n_tasks: int) -> np.ndarray:
