@@ -8,8 +8,8 @@ import math
 import numpy as np
 
 from .bundle import DeltaSet
-# disjoint_average is not called here: the benchmark's tracer wraps it,
-# like elect_signs and prune_topk, under this module's name.
+# disjoint_average and elect_signs are not called here: the benchmark's
+# tracer wraps them, like prune_topk, under this module's name.
 from .engine import (
     MergeConfig,
     _chunks,
@@ -41,7 +41,7 @@ def ties_merge_with_stats(ds: DeltaSet, cfg: MergeConfig) -> tuple[np.ndarray, d
     stack = ds.deltas
     masks = prune_topk(stack, cfg.retain, "individual") if cfg.enable_prune else None
 
-    def prune(t, rows, block, out):
+    def prune(t, rows, block, out, spare):
         np.multiply(block, masks[t, rows], out=out)
 
     merged = _elect_and_average(
@@ -57,12 +57,13 @@ def _elect_and_average(
     (or dropped) stack, then the disjoint average.
 
     The same floating-point operations as ``disjoint_average(stack,
-    *survivor_filter(agreeing_entries(stack, signs), None, disjoint), lambdas)``,
-    run over row chunks of the N x m x n ``stack`` (see
-    :func:`~drm.engine._chunks`), so that each chunk's drop or prune,
+    *survivor_filter(agreeing_entries(stack, elect_signs(stack)), None,
+    disjoint), lambdas)``, run over row chunks of the N x m x n ``stack``
+    (see :func:`~drm.engine._chunks`), so that each chunk's drop or prune,
     election, filter and sum happen while it is in cache.
-    ``prepare(t, rows, block, out)``, where given, first writes task t's
-    ``block`` of those ``rows``, pruned or dropped, into ``out``. With
+    ``prepare(t, rows, block, out, spare)``, where given, first writes task
+    t's ``block`` of those ``rows``, pruned or dropped, into ``out``;
+    ``spare`` is a bool buffer of their shape it may use. With
     ``in_place`` the stack must be the merge's own: ``out`` is ``block``
     and each chunk is overwritten with its weighted survivors. Otherwise
     the chunk goes through a scratch buffer and ``stack`` keeps its bytes.
@@ -76,25 +77,34 @@ def _elect_and_average(
     counts = np.empty((height, n_cols), dtype=np.min_scalar_type(n_tasks))
     keep = np.empty((height, n_cols), dtype=bool)
     below = np.empty((height, n_cols), dtype=bool)
+    negative = np.empty((height, n_cols), dtype=bool)
     for part in parts:
         size = part.stop - part.start
         blocks = stack[:, part] if in_place else scratch[:, :size]
+        total, count, kept, under = weighted[part], counts[:size], keep[:size], below[:size]
         for t in range(n_tasks):
             if prepare is not None:
-                prepare(t, part, stack[t, part], blocks[t])
+                prepare(t, part, stack[t, part], blocks[t], kept)
             elif not in_place:
                 np.copyto(blocks[t], stack[t, part])
-        neg = elect_signs(blocks) < 0.0 if cfg.enable_sign_elect else None
-        total, count, kept, under = weighted[part], counts[:size], keep[:size], below[:size]
-        if cfg.enable_disjoint:
-            count.fill(0)
+        neg = None
+        if cfg.enable_sign_elect:
+            # elect_signs' sum, in task order, held in this chunk of the
+            # running total; -1 is elected where it is negative. Calling
+            # elect_signs per chunk would add its +-1 array and the passes
+            # that write it, and its per-call work, to every chunk.
+            np.copyto(total, blocks[0])
+            for block in blocks[1:]:
+                total += block
+            neg = np.less(total, 0.0, out=negative[:size])
+            total.fill(0.0)
+        count.fill(0)
         for block, lam in zip(blocks, lams):
             np.not_equal(block, 0.0, out=kept)
             if neg is not None:
                 np.less(block, 0.0, out=under)
                 kept &= np.equal(under, neg, out=under)
-            if cfg.enable_disjoint:
-                count += kept
+            count += kept
             # block * kept is the block or a signed zero; a zero term leaves
             # the sum's bytes as they are. Multiplying by a coefficient of 1
             # changes no byte, so that multiply is skipped.
@@ -145,8 +155,9 @@ def dare_ties_merge(ds: DeltaSet, cfg: MergeConfig) -> np.ndarray:
         _dare_generator(cfg.seed, ds.layer_name, t).bit_generator for t in range(ds.n_tasks)
     ]
 
-    def drop(t, rows, block, out):
+    def drop(t, rows, block, out, spare):
         np.multiply(block, scale, out=out)
-        out *= streams[t].random_raw(out.size).reshape(out.shape) >= threshold
+        raw = streams[t].random_raw(out.size).reshape(out.shape)
+        out *= np.greater_equal(raw, threshold, out=spare)
 
     return _elect_and_average(ds.deltas, cfg, ds.n_tasks, drop, in_place=ds._owned)
