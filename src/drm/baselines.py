@@ -15,6 +15,8 @@ from .engine import (
     _chunks,
     _per_task,
     _reciprocal_counts,
+    _scratch,
+    _task_sum,
     disjoint_average,
     elect_signs,
     kept_counts,
@@ -38,20 +40,18 @@ def ties_merge(ds: DeltaSet, cfg: MergeConfig) -> np.ndarray:
 
 
 def ties_merge_with_stats(ds: DeltaSet, cfg: MergeConfig) -> tuple[np.ndarray, dict]:
-    stack = ds.deltas
+    stack = ds.deltas if ds._owned else ds.deltas.copy()  # pruned in place
     masks = prune_topk(stack, cfg.retain, "individual") if cfg.enable_prune else None
 
-    def prune(t, rows, block, out, spare):
-        np.multiply(block, masks[t, rows], out=out)
+    def prune(t, rows, block, spare):
+        block *= masks[t, rows]
 
-    merged = _elect_and_average(
-        stack, cfg, ds.n_tasks, prune if masks is not None else None, in_place=ds._owned
-    )
+    merged = _elect_and_average(stack, cfg, ds.n_tasks, prune if masks is not None else None)
     return merged, kept_counts(masks, stack)
 
 
 def _elect_and_average(
-    stack: np.ndarray, cfg: MergeConfig, n_tasks: int, prepare=None, *, in_place: bool = True
+    stack: np.ndarray, cfg: MergeConfig, n_tasks: int, prepare=None
 ) -> np.ndarray:
     """The TIES tail shared with DARE-TIES: sign election over the pruned
     (or dropped) stack, then the disjoint average.
@@ -60,43 +60,32 @@ def _elect_and_average(
     *survivor_filter(agreeing_entries(stack, elect_signs(stack)), None,
     disjoint), lambdas)``, run over row chunks of the N x m x n ``stack``
     (see :func:`~drm.engine._chunks`), so that each chunk's drop or prune,
-    election, filter and sum happen while it is in cache.
-    ``prepare(t, rows, block, out, spare)``, where given, first writes task
-    t's ``block`` of those ``rows``, pruned or dropped, into ``out``;
-    ``spare`` is a bool buffer of their shape it may use. With
-    ``in_place`` the stack must be the merge's own: ``out`` is ``block``
-    and each chunk is overwritten with its weighted survivors. Otherwise
-    the chunk goes through a scratch buffer and ``stack`` keeps its bytes.
+    election, filter and sum happen while it is in cache. ``stack`` must be
+    the merge's own: each chunk is overwritten with its weighted survivors.
+    ``prepare(t, rows, block, spare)``, where given, first prunes or drops
+    task t's ``block`` of those ``rows`` in place; ``spare`` is a bool
+    buffer of its shape it may use.
     """
     n_rows, n_cols = stack.shape[1:]
     lams = cfg.task_lambdas(n_tasks)
     parts = _chunks(n_rows, n_cols)
-    height = max(part.stop - part.start for part in parts)
-    scratch = None if in_place else np.empty((n_tasks, height, n_cols))
     weighted = np.zeros((n_rows, n_cols))
-    counts = np.empty((height, n_cols), dtype=np.min_scalar_type(n_tasks))
-    keep = np.empty((height, n_cols), dtype=bool)
-    below = np.empty((height, n_cols), dtype=bool)
-    negative = np.empty((height, n_cols), dtype=bool)
+    counts = _scratch(parts, n_cols, np.min_scalar_type(n_tasks))
+    keep, below, negative = (_scratch(parts, n_cols, bool) for _ in range(3))
     for part in parts:
         size = part.stop - part.start
-        blocks = stack[:, part] if in_place else scratch[:, :size]
+        blocks = stack[:, part]
         total, count, kept, under = weighted[part], counts[:size], keep[:size], below[:size]
-        for t in range(n_tasks):
-            if prepare is not None:
-                prepare(t, part, stack[t, part], blocks[t], kept)
-            elif not in_place:
-                np.copyto(blocks[t], stack[t, part])
+        if prepare is not None:
+            for t in range(n_tasks):
+                prepare(t, part, blocks[t], kept)
         neg = None
         if cfg.enable_sign_elect:
-            # elect_signs' sum, in task order, held in this chunk of the
-            # running total; -1 is elected where it is negative. Calling
-            # elect_signs per chunk would add its +-1 array and the passes
-            # that write it, and its per-call work, to every chunk.
-            np.copyto(total, blocks[0])
-            for block in blocks[1:]:
-                total += block
-            neg = np.less(total, 0.0, out=negative[:size])
+            # elect_signs' sum, held in this chunk of the running total; -1
+            # is elected where it is negative. Calling elect_signs per chunk
+            # would add its +-1 array and the passes that write it, and its
+            # per-call work, to every chunk.
+            neg = np.less(_task_sum(blocks, total), 0.0, out=negative[:size])
             total.fill(0.0)
         count.fill(0)
         for block, lam in zip(blocks, lams):
@@ -155,9 +144,11 @@ def dare_ties_merge(ds: DeltaSet, cfg: MergeConfig) -> np.ndarray:
         _dare_generator(cfg.seed, ds.layer_name, t).bit_generator for t in range(ds.n_tasks)
     ]
 
-    def drop(t, rows, block, out, spare):
-        np.multiply(block, scale, out=out)
-        raw = streams[t].random_raw(out.size).reshape(out.shape)
-        out *= np.greater_equal(raw, threshold, out=spare)
+    def drop(t, rows, block, spare):
+        block *= scale
+        raw = streams[t].random_raw(block.size).reshape(block.shape)
+        block *= np.greater_equal(raw, threshold, out=spare)
 
-    return _elect_and_average(ds.deltas, cfg, ds.n_tasks, drop, in_place=ds._owned)
+    # Scaled and dropped in place.
+    stack = ds.deltas if ds._owned else ds.deltas.copy()
+    return _elect_and_average(stack, cfg, ds.n_tasks, drop)

@@ -251,9 +251,18 @@ def _chunks(n_rows: int, n_cols: int, size: int | None = None) -> list[slice]:
     return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
 
 
-def _scratch(parts: list[slice], n_cols: int) -> np.ndarray:
-    """float64 room for the largest of the row ranges ``parts`` of a plane."""
-    return np.empty((max(part.stop - part.start for part in parts), n_cols))
+def _scratch(parts: list[slice], n_cols: int, dtype=np.float64) -> np.ndarray:
+    """Room for the largest of the row ranges ``parts`` of a plane."""
+    return np.empty((max(part.stop - part.start for part in parts), n_cols), dtype=dtype)
+
+
+def _task_sum(blocks: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The sum over the first axis of the N x r x n ``blocks``, added into
+    ``out`` in task order: the sum whose sign :func:`elect_signs` elects."""
+    np.copyto(out, blocks[0])
+    for block in blocks[1:]:
+        out += block
+    return out
 
 
 def _magnitudes(plane: np.ndarray, parts: list[slice], buf: np.ndarray):
@@ -422,10 +431,7 @@ def elect_signs(stack: np.ndarray, *, pool: BandPool | None = None) -> np.ndarra
     def elect(rows):
         blocks, band = x[:, rows], signs[rows]
         for part in _chunks(*band.shape):
-            total = band[part]
-            np.copyto(total, blocks[0, part])
-            for block in blocks[1:, part]:
-                total += block
+            total = _task_sum(blocks[:, part], band[part])
             # -2 * (total < 0) + 1: exactly -1.0 below zero, +1.0 otherwise.
             np.multiply(total < 0.0, -2.0, out=total)
             total += 1.0
