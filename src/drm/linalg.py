@@ -75,6 +75,10 @@ def thin_svd(A: np.ndarray, overwrite_a: bool = False) -> ThinSVD:
     is below min(m, n), the components past the rank span a null space in
     which LAPACK's basis depends on the path it takes (and on the BLAS
     thread count), so the two orientations give different bytes there.
+    On the Gram route for a wide ``A``, the flipped rows of Vt come from
+    the product with negated columns of U, so an exact zero there (an
+    all-zero column of ``A``, or a sum that cancels) is +0.0, not the
+    -0.0 that negating the row after the product gives.
 
     With ``overwrite_a`` the caller gives up ``A``: if the matrix ``gesdd``
     factors (``A``, or ``A.T`` when ``A`` is wide) is a float64,
@@ -240,7 +244,8 @@ def _gram_svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None
     sigma = np.sqrt(lam)
     if wide:
         # U is W: negating its flipped columns before the product negates
-        # the matching rows of Vt with it, bit for bit.
+        # the matching rows of Vt with it, bit for bit up to the sign of a
+        # zero (the product's zeros are +0.0).
         np.negative(W, out=W, where=_sign_flips(W)[None, :])
         Vt = W.T @ A
         Vt /= sigma[:, None]

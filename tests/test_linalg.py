@@ -210,7 +210,8 @@ class TestDecompositionRoutes:
         # thin_svd negates the flipped U columns and Vt rows in place (the
         # wide Gram route negates W's columns before Vt = W.T @ A); the
         # bytes must be those of the copying np.where formula it replaced,
-        # applied to the unpinned factors.
+        # applied to the unpinned factors, except that the wide Gram route
+        # leaves a zero of Vt +0.0 where that formula negates it.
         if route == "gesdd":
             A, _ = rank_deficient_stack("low_rank_adapters")  # wide: factored as A.T
             V, sigma, Ut = np.linalg.svd(A.T, full_matrices=False)
@@ -219,6 +220,8 @@ class TestDecompositionRoutes:
             rng = np.random.default_rng(31)
             blocks = [rng.standard_normal((40, 24)) for _ in range(4)]
             wide = route == "wide_gram"
+            if wide:
+                blocks[-1][:, 4:] = 0.0  # structural zeros: all-zero columns of A
             A = np.concatenate(blocks, axis=1 if wide else 0)
             lam, W = np.linalg.eigh(A @ A.T if wide else A.T @ A)
             lam, W = lam[::-1], W[:, ::-1]
@@ -231,7 +234,12 @@ class TestDecompositionRoutes:
         assert flip.any() and not flip.all()
         svd = thin_svd(A)
         assert svd.U.tobytes() == np.where(flip[None, :], -U, U).tobytes()
-        assert svd.Vt.tobytes() == np.where(flip[:, None], -Vt, Vt).tobytes()
+        want = np.where(flip[:, None], -Vt, Vt)
+        if route == "wide_gram":
+            zero = want == 0.0
+            assert zero[flip].any() and not np.signbit(svd.Vt[zero]).any()
+            want[zero] = 0.0
+        assert svd.Vt.tobytes() == want.tobytes()
         assert svd.sigma.tobytes() == sigma.tobytes()
 
 
