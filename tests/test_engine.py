@@ -836,16 +836,16 @@ def adapter_family(n_layers, n_tasks, shape, seed=89):
     return base, tasks
 
 
-@pytest.mark.parametrize("method,shape,family,bound", [
-    pytest.param("drm_h", (128, 512), deep_family, 2.5, id="drm_h-shape0"),
-    pytest.param("drm_v", (512, 128), deep_family, 2.5, id="drm_v-shape1"),
-    pytest.param("ties", (128, 512), deep_family, 1.55, id="ties-shape2"),
-    pytest.param("dare_ties", (128, 512), deep_family, 1.55, id="dare_ties-shape3"),
-    pytest.param("drm_v", (512, 128), adapter_family, 2.5, id="drm_v-rank2_adapters"),
-    pytest.param("drm_h", (128, 512), adapter_family, 2.5, id="drm_h-rank2_adapters"),
+@pytest.mark.parametrize("method,shape,family,bound,chunk", [
+    pytest.param("drm_h", (128, 512), deep_family, 2.5, 1, id="drm_h-shape0"),
+    pytest.param("drm_v", (512, 128), deep_family, 2.5, 1, id="drm_v-shape1"),
+    pytest.param("ties", (128, 512), deep_family, 1.55, 8, id="ties-shape2"),
+    pytest.param("dare_ties", (128, 512), deep_family, 1.55, 8, id="dare_ties-shape3"),
+    pytest.param("drm_v", (512, 128), adapter_family, 2.5, 1, id="drm_v-rank2_adapters"),
+    pytest.param("drm_h", (128, 512), adapter_family, 2.5, 1, id="drm_h-rank2_adapters"),
 ])
 def test_bundle_layer_peak_below_two_and_a_half_stacks(
-    method, shape, family, bound, monkeypatch, gesdd_calls
+    method, shape, family, bound, chunk, monkeypatch, gesdd_calls
 ):
     # The bundle path builds the layer's stack, laid out so that drm-h's
     # and drm-v's SVD input is a view of it, and hands it to the merge:
@@ -855,15 +855,15 @@ def test_bundle_layer_peak_below_two_and_a_half_stacks(
     # factors the stack where it lies; copying drm-h's stack side by side
     # and then to Fortran order cost about 3.3. TIES and DARE-TIES merge
     # the stack one row chunk at a time; a 128 x 512 plane is one chunk of
-    # the default size, so the chunks are made eight times smaller here.
-    # Their drop draws, masks and election then take chunk-sized buffers,
-    # about 1.46 and 1.34 stacks, against 1.8 and 1.7 for plane-sized ones.
-    # The peak counts the stack itself.
+    # the default size, so their chunks are made ``chunk`` = 8 times
+    # smaller here. Their drop draws, masks and election then take
+    # chunk-sized buffers, about 1.46 and 1.34 stacks, against 1.8 and 1.7
+    # for plane-sized ones. The peak counts the stack itself.
     n_tasks = 4
     base, tasks = family(1, n_tasks, shape)
     unit = n_tasks * shape[0] * shape[1] * 8
     monkeypatch.setenv("DRM_THREADS", "1")
-    monkeypatch.setattr(drm.engine, "_CHUNK", drm.engine._CHUNK // 8)
+    monkeypatch.setattr(drm.engine, "_CHUNK", drm.engine._CHUNK // chunk)
     tracemalloc.start()
     try:
         merge_bundle(base, tasks, MergeConfig(method=method))
