@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import INLINE, BandPool
 from .errors import (
     BadMagic,
     CorruptHeader,
@@ -111,11 +110,10 @@ class TensorBundle:
     def shape(self, name: str) -> tuple[int, ...]:
         return self._entries[name].shape
 
-    def read(self, name: str, rows: slice = slice(None)) -> np.ndarray:
-        """The tensor itself, or a view of the rows ``rows`` (a slice of its
-        first axis); :meth:`BundleFile.read` reads them from disk instead,
-        so merging code takes either kind of bundle."""
-        return self._entries[name][rows]
+    def read(self, name: str) -> np.ndarray:
+        """The tensor itself; :meth:`BundleFile.read` reads it from disk
+        instead, so merging code takes either kind of bundle."""
+        return self._entries[name]
 
     def items(self):
         return self._entries.items()
@@ -246,22 +244,16 @@ class BundleFile:
     def shape(self, name: str) -> tuple[int, ...]:
         return self._records[name][1]
 
-    def read(self, name: str, rows: slice = slice(None)) -> np.ndarray:
-        """Read one tensor, or the rows ``rows`` of it (a slice of its first
-        axis, with step 1), into a fresh array of its own and check that
-        every entry is finite."""
+    def read(self, name: str) -> np.ndarray:
+        """Read one tensor into a fresh array of its own and check that every
+        entry is finite."""
         dtype, shape, start, nbytes = self._records[name]
-        first, stop, step = rows.indices(shape[0])
-        if step != 1:
-            raise ValueError(f"rows must be a slice with step 1, got {rows!r}")
-        arr = np.empty((max(0, stop - first), *shape[1:]), dtype=dtype)
+        arr = np.empty(shape, dtype=dtype)
         try:
-            got = _read_at(
-                self._fd, arr.reshape(-1).view(np.uint8), start + first * nbytes // shape[0]
-            )
+            got = _read_at(self._fd, arr.reshape(-1).view(np.uint8), start)
         except OSError as exc:
             raise IoFailure(f"cannot read bundle from {self.path}: {exc}") from exc
-        if got != arr.nbytes:
+        if got != nbytes:
             raise IoFailure(f"{self.path}: tensor {name!r} ends past the end of the file")
         try:
             _require_finite(name, arr)
@@ -408,9 +400,7 @@ class DeltaSet:
     marked ``_owned`` by the code that built it for a single merge
     (:func:`drm.engine.merge_bundle_with_stats`), which the merge consumes:
     TIES and DARE-TIES overwrite it in place, and drm-h/drm-v drop it
-    (``deltas`` becomes None) once the SVD input exists. ``_pool`` is the
-    band pool (:mod:`drm.bands`) :func:`layer_delta_set` built the stack
-    on, on which drm-h/drm-v then run the layer's stages.
+    (``deltas`` becomes None) once the SVD input exists.
     """
 
     layer_name: str
@@ -418,9 +408,8 @@ class DeltaSet:
     deltas: np.ndarray
     task_names: list[str]
 
-    # Class attributes, not fields: the constructor stays as it is.
+    # A class attribute, not a field: the constructor stays as it is.
     _owned = False
-    _pool: BandPool | None = None
 
     def __post_init__(self):
         if len(self.deltas) < 1:
@@ -504,7 +493,6 @@ def layer_delta_set(
     tasks: list[TensorBundle | BundleFile],
     task_names: list[str],
     order: str = "tij",
-    pool: BandPool | None = None,
 ) -> DeltaSet:
     """One rank-2 tensor's task - base deltas as one float64 stack, given the
     base bundle's tensor ``name``, for bundles that passed
@@ -520,10 +508,6 @@ def layer_delta_set(
     not contiguous in the buffer (an order not ending in j), each delta is
     written through a cache-sized row tile. The values never depend on
     ``order``.
-
-    With a ``pool``, each task tensor is read and subtracted over row bands
-    on it (see :mod:`drm.bands`), each band reading its own rows, and the
-    set keeps the pool as ``_pool``.
     """
     if sorted(order) != ["i", "j", "t"]:
         raise ValueError(f"order must be a permutation of 'tij', got {order!r}")
@@ -531,14 +515,8 @@ def layer_delta_set(
     buffer = np.empty([extent[axis] for axis in order])
     stack = buffer.transpose([order.index(axis) for axis in "tij"])
     for task, out in zip(tasks, stack):
-        (pool or INLINE).map(
-            lambda rows: _subtract_into(task.read(name, rows), base[rows], out[rows]),
-            base.shape[0],
-            stack.size,
-        )
-    ds = DeltaSet(name, base.shape, stack, list(task_names))
-    ds._pool = pool
-    return ds
+        _subtract_into(task.read(name), base, out)
+    return DeltaSet(name, base.shape, stack, list(task_names))
 
 
 def _subtract_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:

@@ -11,7 +11,6 @@ deltas and transposes the result.
 from __future__ import annotations
 
 import concurrent.futures
-import contextlib
 import dataclasses
 import math
 import os
@@ -19,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import INLINE, BandPool
 from .bundle import (
     BundleFile,
     DeltaSet,
@@ -148,8 +146,6 @@ def decompose_joint(
     ds: DeltaSet,
     orientation: str = "horizontal",
     rank_drop: float = 0.0,
-    *,
-    pool: BandPool | None = None,
 ) -> JointDecomposition:
     """Decompose the stacked deltas and renormalize the per-task blocks.
 
@@ -190,21 +186,17 @@ def decompose_joint(
     # Task t's block is columns t*n .. (t+1)*n of the right factor, which
     # is the SVD's own: the blocks are renormalized where they lie.
     renorm_blocks = svd.Vt.reshape(r, n_tasks, n_cols).transpose(1, 0, 2)
-
-    def renormalize(rows):
-        # np.linalg.norm costs more per call than the other kernels' steps,
-        # so this one takes chunks four times as large.
-        for part in _chunks(*renorm_blocks[0, rows].shape, 4 * _CHUNK):
-            for t in range(n_tasks):
-                block = renorm_blocks[t, rows][part]
-                norms = np.linalg.norm(block, axis=1)
-                zero = (norms <= ZERO_ROW_NORM) | dead[rows][part]
-                np.divide(block, np.where(zero, 1.0, norms)[:, None], out=block)
-                block[zero] = 0.0
-                norms[zero] = 0.0
-                row_norms[t, rows][part] = norms
-
-    (pool or INLINE).map(renormalize, r, renorm_blocks.size)
+    # np.linalg.norm costs more per call than the other stages' steps, so
+    # this one takes chunks four times as large.
+    for part in _chunks(r, n_cols, 4 * _CHUNK):
+        for t in range(n_tasks):
+            block = renorm_blocks[t, part]
+            norms = np.linalg.norm(block, axis=1)
+            zero = (norms <= ZERO_ROW_NORM) | dead[part]
+            np.divide(block, np.where(zero, 1.0, norms)[:, None], out=block)
+            block[zero] = 0.0
+            norms[zero] = 0.0
+            row_norms[t, part] = norms
     return JointDecomposition(
         U=svd.U, sigma=svd.sigma, row_norms=row_norms, renorm_blocks=renorm_blocks
     )
@@ -243,8 +235,10 @@ def _as_stack(stack) -> np.ndarray:
 def _chunks(n_rows: int, n_cols: int, size: int | None = None) -> list[slice]:
     """Row ranges that cut an n_rows x n_cols plane into pieces of about
     ``size`` entries (default :data:`_CHUNK`). Each piece has at least two
-    rows where the plane has, for the reason bands do (see
-    :meth:`drm.bands.BandPool.bands`)."""
+    rows where the plane has, because numpy may sum a row reduction over a
+    one-row piece of a strided array (the Gram route's right factor) in
+    another order than over more rows, so the bytes would depend on the
+    chunk size."""
     size = _CHUNK if size is None else size
     count = max(1, n_rows // max(2, size // max(n_cols, 1)))
     bounds = [n_rows * i // count for i in range(count + 1)]
@@ -265,15 +259,6 @@ def _task_sum(blocks: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _magnitudes(plane: np.ndarray, parts: list[slice], buf: np.ndarray):
-    """``(part, |plane[part]|)`` for each row range of ``parts`` (from
-    :func:`_chunks`), the magnitudes written into ``buf`` (from
-    :func:`_scratch`)."""
-    for part in parts:
-        rows = plane[part]
-        yield part, np.abs(rows, out=buf[: rows.shape[0]])
-
-
 def _partition_cutoff(x: np.ndarray, keep: int) -> float:
     """The ``keep``-th largest magnitude of ``x``, by a partition of a
     copy of every magnitude."""
@@ -283,7 +268,7 @@ def _partition_cutoff(x: np.ndarray, keep: int) -> float:
     return float(mags[cut])
 
 
-def _bracket_mask(x: np.ndarray, keep: int, mask: np.ndarray, pool: BandPool) -> bool:
+def _bracket_mask(x: np.ndarray, keep: int, mask: np.ndarray) -> bool:
     """Write into the C-ordered ``mask`` the ``keep`` largest |x| of the
     N x r x n pool ``x`` (0 < keep < x.size), as :func:`_pool_mask` does,
     without a copy of its magnitudes; return False, with ``mask`` half
@@ -314,35 +299,23 @@ def _bracket_mask(x: np.ndarray, keep: int, mask: np.ndarray, pool: BandPool) ->
     hi = float(sample[high]) if high < sample.size else math.inf
     keep_hi = np.greater if lo == hi else np.greater_equal
 
-    def sweep(rows):
-        above, where, values = 0, [[] for _ in range(n_tasks)], [[] for _ in range(n_tasks)]
-        parts = _chunks(*x[0, rows].shape)
-        buf = _scratch(parts, n_cols)
-        inside = np.empty(buf.shape, dtype=bool)
-        first = rows.start or 0
-        for t in range(n_tasks):
-            out = mask[t, rows]
-            for part, mags in _magnitudes(x[t, rows], parts, buf):
-                kept, between = out[part], inside[: mags.shape[0]]
-                keep_hi(mags, hi, out=kept)
-                above += np.count_nonzero(kept)
-                # Above lo and not kept: strictly between lo and hi.
-                np.not_equal(np.greater(mags, lo, out=between), kept, out=between)
-                index = np.flatnonzero(between)
-                where[t].append(index + (t * n_rows + first + part.start) * n_cols)
-                values[t].append(mags.reshape(-1)[index])
-        return above, where, values
-
-    swept = pool.map(sweep, n_rows, total)
-    above = sum(part[0] for part in swept)
-    # The gathered entries in flattened order: task by task, band by band.
-    where = np.concatenate(
-        [np.empty(0, dtype=np.int64)]
-        + [w for t in range(n_tasks) for part in swept for w in part[1][t]]
-    )
-    values = np.concatenate(
-        [np.empty(0)] + [v for t in range(n_tasks) for part in swept for v in part[2][t]]
-    )
+    above, where, values = 0, [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    parts = _chunks(n_rows, n_cols)
+    buf = _scratch(parts, n_cols)
+    inside = np.empty(buf.shape, dtype=bool)
+    for t in range(n_tasks):
+        for part in parts:
+            mags = np.abs(x[t, part], out=buf[: part.stop - part.start])
+            kept, between = mask[t, part], inside[: mags.shape[0]]
+            keep_hi(mags, hi, out=kept)
+            above += np.count_nonzero(kept)
+            # Above lo and not kept: strictly between lo and hi.
+            np.not_equal(np.greater(mags, lo, out=between), kept, out=between)
+            index = np.flatnonzero(between)
+            # In flattened order, as the sweep goes task by task, row by row.
+            where.append(index + (t * n_rows + part.start) * n_cols)
+            values.append(mags.reshape(-1)[index])
+    where, values = np.concatenate(where), np.concatenate(values)
     if keep <= above:  # a cutoff at hi, or a miss
         return _threshold_mask(x, keep, hi, mask)
     if keep > above + values.size:
@@ -370,7 +343,7 @@ def _threshold_mask(x: np.ndarray, keep: int, cutoff: float, mask: np.ndarray) -
     return True
 
 
-def _pool_mask(x: np.ndarray, keep: int, mask: np.ndarray, pool: BandPool) -> None:
+def _pool_mask(x: np.ndarray, keep: int, mask: np.ndarray) -> None:
     """Write into the C-ordered ``mask`` the ``keep`` largest |x| of the
     N x r x n pool ``x``, ties at the cutoff going to the smaller flattened
     (task, row, col) index: everything above the cutoff, then the first
@@ -380,13 +353,11 @@ def _pool_mask(x: np.ndarray, keep: int, mask: np.ndarray, pool: BandPool) -> No
     of a copy of the magnitudes."""
     if keep in (0, x.size):
         mask[...] = keep > 0
-    elif not (x.size > 4 * _SAMPLE and _bracket_mask(x, keep, mask, pool)):
+    elif not (x.size > 4 * _SAMPLE and _bracket_mask(x, keep, mask)):
         _threshold_mask(x, keep, _partition_cutoff(x, keep), mask)
 
 
-def prune_topk(
-    stack: np.ndarray, retain: float, mode: str = "joint", *, pool: BandPool | None = None
-) -> np.ndarray:
+def prune_topk(stack: np.ndarray, retain: float, mode: str = "joint") -> np.ndarray:
     """Boolean keep-mask, shaped like ``stack``, for the top-``retain``
     fraction by magnitude of an N x rows x cols stack of blocks.
 
@@ -397,8 +368,7 @@ def prune_topk(
     must be finite; it may have any memory layout, and the mask is
     C-ordered. A pool of more than 4 * ``_SAMPLE`` entries is pruned
     without a copy of its magnitudes unless a sample misleads the pass (see
-    :func:`_bracket_mask`). ``pool`` runs the passes over row bands (see
-    :mod:`drm.bands`); without one they run on the calling thread.
+    :func:`_bracket_mask`).
     """
     if not (0.0 < retain <= 1.0):
         raise ValueError(f"retain must lie in (0, 1], got {retain}")
@@ -409,7 +379,7 @@ def prune_topk(
     pools = [slice(None)] if mode == "joint" else [slice(t, t + 1) for t in range(len(x))]
     for tasks in pools:
         keep = _keep_count(retain, x[tasks].size)
-        _pool_mask(x[tasks], keep, mask[tasks], pool or INLINE)
+        _pool_mask(x[tasks], keep, mask[tasks])
     return mask.reshape(np.shape(stack))
 
 
@@ -420,46 +390,31 @@ def kept_counts(mask: np.ndarray | None, stack: np.ndarray) -> dict:
     return {"kept": kept, "total": total}
 
 
-def elect_signs(stack: np.ndarray, *, pool: BandPool | None = None) -> np.ndarray:
+def elect_signs(stack: np.ndarray) -> np.ndarray:
     """Dominant sign per position of the sum over the stack's first axis;
-    zero sums elect +1. ``pool`` runs it over row bands (see
-    :mod:`drm.bands`)."""
+    zero sums elect +1."""
     x = _as_stack(stack)
-    n_tasks, n_rows, n_cols = x.shape
-    signs = np.empty((n_rows, n_cols))
-
-    def elect(rows):
-        blocks, band = x[:, rows], signs[rows]
-        for part in _chunks(*band.shape):
-            total = _task_sum(blocks[:, part], band[part])
-            # -2 * (total < 0) + 1: exactly -1.0 below zero, +1.0 otherwise.
-            np.multiply(total < 0.0, -2.0, out=total)
-            total += 1.0
-
-    (pool or INLINE).map(elect, n_rows, x.size)
+    signs = np.empty(x.shape[1:])
+    for part in _chunks(*signs.shape):
+        total = _task_sum(x[:, part], signs[part])
+        # -2 * (total < 0) + 1: exactly -1.0 below zero, +1.0 otherwise.
+        np.multiply(total < 0.0, -2.0, out=total)
+        total += 1.0
     return signs.reshape(np.shape(stack)[1:])
 
 
-def agreeing_entries(
-    stack: np.ndarray, signs: np.ndarray | None, *, pool: BandPool | None = None
-) -> np.ndarray:
+def agreeing_entries(stack: np.ndarray, signs: np.ndarray | None) -> np.ndarray:
     """Bool mask of the stack's nonzero entries whose sign is the elected
-    one; ``signs=None`` skips the sign test. ``pool`` runs it over row bands
-    (see :mod:`drm.bands`)."""
+    one; ``signs=None`` skips the sign test."""
     x = _as_stack(stack)
     agree = np.empty(x.shape, dtype=bool)
     if signs is not None:
         negative = np.broadcast_to(signs, np.shape(stack)[1:]).reshape(x.shape[1:]) < 0.0
-
-    def test(rows):
-        blocks, outs = x[:, rows], agree[:, rows]
-        for part in _chunks(*blocks.shape[1:]):
-            block, out = blocks[:, part], outs[:, part]
-            np.not_equal(block, 0.0, out=out)
-            if signs is not None:
-                out &= (block < 0.0) == negative[rows][part]
-
-    (pool or INLINE).map(test, x.shape[1], x.size)
+    for part in _chunks(*x.shape[1:]):
+        block, out = x[:, part], agree[:, part]
+        np.not_equal(block, 0.0, out=out)
+        if signs is not None:
+            out &= (block < 0.0) == negative[part]
     return agree.reshape(np.shape(stack))
 
 
@@ -467,16 +422,13 @@ def survivor_filter(
     agree: np.ndarray,
     mask: np.ndarray | None,
     disjoint: bool = True,
-    *,
-    pool: BandPool | None = None,
 ) -> tuple[np.ndarray, np.ndarray | float]:
     """The entries that enter the average and the per-position scale gamma.
 
     Survivors are the ``agree`` entries (see :func:`agreeing_entries`) that
     also pass ``mask`` (``None`` passes all). gamma is the reciprocal
     survivor count per position (zero where nobody survives), or the
-    constant 1/N with ``disjoint=False``. ``pool`` runs it over row bands
-    (see :mod:`drm.bands`).
+    constant 1/N with ``disjoint=False``.
     """
     shape = np.shape(agree)
     agree = np.asarray(agree).reshape(_stack_shape(shape))
@@ -487,17 +439,12 @@ def survivor_filter(
 
     # The narrowest integer type that holds N makes the count a fast add.
     count_type = np.min_scalar_type(agree.shape[0])
-
-    def count(rows):
-        agrees, kept = agree[:, rows], survivors[:, rows]
-        for part in _chunks(*agrees.shape[1:]):
-            if mask is not None:
-                np.logical_and(agrees[:, part], mask[:, rows][:, part], out=kept[:, part])
-            if disjoint:
-                counts = kept[:, part].sum(axis=0, dtype=count_type)
-                _reciprocal_counts(counts, out=gamma[rows][part])
-
-    (pool or INLINE).map(count, agree.shape[1], agree.size)
+    for part in _chunks(*agree.shape[1:]):
+        if mask is not None:
+            np.logical_and(agree[:, part], mask[:, part], out=survivors[:, part])
+        if disjoint:
+            counts = survivors[:, part].sum(axis=0, dtype=count_type)
+            _reciprocal_counts(counts, out=gamma[part])
     if disjoint:
         gamma = gamma.reshape(shape[1:])
     return survivors.reshape(shape), gamma
@@ -526,12 +473,9 @@ def disjoint_average(
     survivors: np.ndarray,
     gamma: np.ndarray | float,
     lambdas,
-    *,
-    pool: BandPool | None = None,
 ) -> np.ndarray:
     """gamma times the coefficient-weighted sum over tasks of the surviving
-    entries; see :func:`survivor_filter`. ``pool`` runs it over row bands
-    (see :mod:`drm.bands`)."""
+    entries; see :func:`survivor_filter`."""
     x = _as_stack(stack)
     lams = _per_task(lambdas, x.shape[0])
     if np.shape(survivors) != np.shape(stack):
@@ -541,23 +485,18 @@ def disjoint_average(
     gamma = np.asarray(gamma)
     if gamma.shape != weighted.shape:
         gamma = np.broadcast_to(gamma, np.shape(stack)[1:]).reshape(weighted.shape)
-
-    def average(rows):
-        blocks, keeps, band, scale = x[:, rows], survivors[:, rows], weighted[rows], gamma[rows]
-        parts = _chunks(*band.shape)
-        term = _scratch(parts, band.shape[1])
-        for part in parts:
-            total = band[part]
-            scratch = term[: total.shape[0]]
-            for block, keep, lam in zip(blocks[:, part], keeps[:, part], lams):
-                # block * keep is the block or a signed zero; a zero term
-                # leaves the sum's bytes as they are.
-                np.multiply(block, keep, out=scratch)
-                scratch *= lam
-                total += scratch
-            total *= scale[part]
-
-    (pool or INLINE).map(average, x.shape[1], x.size)
+    parts = _chunks(*weighted.shape)
+    term = _scratch(parts, weighted.shape[1])
+    for part in parts:
+        total = weighted[part]
+        scratch = term[: total.shape[0]]
+        for block, keep, lam in zip(x[:, part], survivors[:, part], lams):
+            # block * keep is the block or a signed zero; a zero term leaves
+            # the sum's bytes as they are.
+            np.multiply(block, keep, out=scratch)
+            scratch *= lam
+            total += scratch
+        total *= gamma[part]
     return weighted.reshape(np.shape(stack)[1:])
 
 
@@ -569,9 +508,7 @@ def merge_drm(ds: DeltaSet, cfg: MergeConfig) -> np.ndarray:
 
 def merge_drm_with_stats(ds: DeltaSet, cfg: MergeConfig) -> tuple[np.ndarray, dict]:
     """The merged delta and its ``rank``/``kept``/``total`` stats: the 1x1
-    case of :func:`_drm_grid`. Its element-wise stages run over row bands
-    on the threads ``DRM_THREADS`` allows (see :mod:`drm.bands`); the bytes
-    do not depend on how many."""
+    case of :func:`_drm_grid`."""
     if cfg.method not in ("drm_h", "drm_v"):
         raise ValueError(f"merge_drm handles drm_h/drm_v, not {cfg.method!r}")
     return next(_drm_grid(ds, cfg, [[cfg]]))
@@ -589,41 +526,27 @@ def _drm_grid(ds: DeltaSet, cfg: MergeConfig, points: list[list[MergeConfig]]):
     weighted sum and projection once per point. The vertical variant is the
     horizontal pipeline on transposed deltas, transposed back (exact
     duality).
-
-    The stages run over row bands on the band pool ``ds`` was built with
-    (see :func:`~drm.bundle.layer_delta_set`), or on a pool of
-    :func:`_drm_threads` threads of the grid's own.
     """
     orientation = DRM_ORIENTATIONS[cfg.method]
     n_tasks = ds.n_tasks
-    with contextlib.ExitStack() as scope:
-        pool = ds._pool or scope.enter_context(BandPool(_drm_threads()))
-        jd = decompose_joint(ds, orientation, cfg.rank_drop, pool=pool)
-        stack = jd.renorm_blocks
-        masks = [
-            prune_topk(stack, row[0].retain, cfg.prune_mode, pool=pool)
-            if cfg.enable_prune
-            else None
-            for row in points
-        ]
-        task_sigmas = jd.task_sigmas[:, :, None]  # jd.renorm_blocks is not used again
-
-        def scale(rows):
-            np.multiply(stack[:, rows], task_sigmas[:, rows], out=stack[:, rows])
-
-        pool.map(scale, stack.shape[1], stack.size)
-        signs = elect_signs(stack, pool=pool) if cfg.enable_sign_elect else None
-        agree = agreeing_entries(stack, signs, pool=pool)
-        del signs
-        for row, mask in zip(points, masks):
-            stats = {"rank": jd.rank, **kept_counts(mask, stack)}
-            survivors, gamma = survivor_filter(agree, mask, cfg.enable_disjoint, pool=pool)
-            for point in row:
-                merged_block = disjoint_average(
-                    stack, survivors, gamma, point.task_lambdas(n_tasks), pool=pool
-                )
-                merged = jd.U @ merged_block
-                yield (merged.T if orientation == "vertical" else merged), dict(stats)
+    jd = decompose_joint(ds, orientation, cfg.rank_drop)
+    stack = jd.renorm_blocks
+    masks = [
+        prune_topk(stack, row[0].retain, cfg.prune_mode) if cfg.enable_prune else None
+        for row in points
+    ]
+    # jd.renorm_blocks is not used again.
+    np.multiply(stack, jd.task_sigmas[:, :, None], out=stack)
+    signs = elect_signs(stack) if cfg.enable_sign_elect else None
+    agree = agreeing_entries(stack, signs)
+    del signs
+    for row, mask in zip(points, masks):
+        stats = {"rank": jd.rank, **kept_counts(mask, stack)}
+        survivors, gamma = survivor_filter(agree, mask, cfg.enable_disjoint)
+        for point in row:
+            merged_block = disjoint_average(stack, survivors, gamma, point.task_lambdas(n_tasks))
+            merged = jd.U @ merged_block
+            yield (merged.T if orientation == "vertical" else merged), dict(stats)
 
 
 def merge_biases(base: np.ndarray, task_values: list[np.ndarray], lambdas) -> np.ndarray:
@@ -705,21 +628,13 @@ def _threads_setting() -> int:
     return int(raw)
 
 
-def _drm_threads() -> int:
-    """The most threads drm runs at once, layer workers and band threads
-    together: ``DRM_THREADS``, or one per core where it is unset, empty or
-    0."""
-    return _threads_setting() or os.cpu_count() or 1
-
-
 def _thread_count(n_items: int, method: str) -> int:
     """Layer workers, at most one per layer. An explicit ``DRM_THREADS``
     caps every method. Unset, empty or 0 means one layer at a time for
-    drm-h/drm-v, whose stacked SVD BLAS already spreads over every core and
-    whose element-wise stages run over row bands on the rest of
-    :func:`_drm_threads` (a layer pool on top only oversubscribes the
-    cores), and one worker per core for the other methods, whose
-    single-threaded kernels and reads the pool overlaps."""
+    drm-h/drm-v, whose stacked SVD BLAS already spreads over every core (a
+    layer pool on top only oversubscribes the cores), and one worker per
+    core for the other methods, whose single-threaded kernels and reads the
+    pool overlaps."""
     cap = _threads_setting() or (1 if method in DRM_ORIENTATIONS else os.cpu_count() or 1)
     return max(1, min(cap, n_items))
 
@@ -765,11 +680,9 @@ def merge_bundle_with_stats(
     via weighted averaging. Output dtypes follow the base bundle per tensor
     and the metadata records the configuration. Layers are independent, so
     other methods merge them in a pool of one worker per core, while
-    drm-h/drm-v merge one layer at a time and leave the cores to BLAS and
-    to row bands (see :mod:`drm.bands`). An explicit ``DRM_THREADS`` caps
-    the layer pool for every method (unset, empty or 0 chooses as above),
-    and drm-h/drm-v layer workers and band threads together; merged bytes
-    do not depend on it.
+    drm-h/drm-v merge one layer at a time and leave the cores to BLAS. An
+    explicit ``DRM_THREADS`` caps the layer pool for every method (unset,
+    empty or 0 chooses as above); merged bytes do not depend on it.
 
     Names and shapes are checked up front. Each layer worker then reads
     that layer's input tensors (from disk, for a :class:`BundleFile`), and
@@ -789,7 +702,7 @@ def merge_bundle_with_stats(
             with np.errstate(over="ignore"):
                 return merged.astype(arr.dtype, copy=False), {}
         order = _stack_order(cfg.method, arr.shape, n_tasks)
-        ds = layer_delta_set(name, arr, tasks, task_names, order, bands)
+        ds = layer_delta_set(name, arr, tasks, task_names, order)
         ds._owned = True  # built here for this merge alone, which consumes it
         try:
             delta, info = _merge_delta_set_with_stats(ds, cfg)
@@ -797,28 +710,20 @@ def merge_bundle_with_stats(
             raise type(exc)(f"layer {name!r}: {exc}") from exc
         del ds
         cast = np.empty(arr.shape, dtype=arr.dtype)
-
-        def add(rows):
-            # The sum in float64, rounded once to the output dtype.
-            with np.errstate(over="ignore"):
-                np.add(arr[rows], delta[rows], out=cast[rows], dtype=np.float64, casting="unsafe")
-
-        bands.map(add, arr.shape[0], arr.size)
+        # The sum in float64, rounded once to the output dtype.
+        with np.errstate(over="ignore"):
+            np.add(arr, delta, out=cast, dtype=np.float64, casting="unsafe")
         return cast, info
 
     layer_names = base.names()
     workers = _thread_count(
         sum(len(base.shape(name)) == 2 for name in layer_names), cfg.method
     )
-    # Each drm-h/drm-v layer worker gets an equal share of the threads for
-    # its bands; the other methods' layers run theirs inline.
-    threads = _drm_threads() if cfg.method in DRM_ORIENTATIONS else workers
-    with BandPool(threads // workers, threads - workers) as bands:
-        if workers > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(one_layer, layer_names))
-        else:
-            results = [one_layer(name) for name in layer_names]
+    if workers > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(one_layer, layer_names))
+    else:
+        results = [one_layer(name) for name in layer_names]
 
     meta = dict(base.metadata)
     meta["merge.method"] = cfg.method

@@ -1,9 +1,9 @@
-"""Row bands (drm.bands): a stage's bytes do not depend on how many bands it
-ran in, the prune finds the exact cutoff without a copy of the stack, and
-a merge starts only the threads DRM_THREADS allows."""
+"""Row bands: each element-wise stage walks its stack in row chunks
+(``drm.engine._chunks``), and its bytes do not depend on the chunk size; the
+prune finds the exact cutoff without a copy of the stack; and a merge starts
+only the layer workers DRM_THREADS allows."""
 
 import math
-import sys
 import threading
 
 import numpy as np
@@ -12,9 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drm
-import drm.bands
 import drm.engine
-from drm.bands import INLINE, BandPool
 from drm.bundle import DeltaSet, TensorBundle
 from drm.engine import (
     MergeConfig,
@@ -153,7 +151,7 @@ def test_a_misleading_sample_falls_back_to_a_partition(small_sample, monkeypatch
         step += 1
     x.reshape(-1)[::step] = 100.0 + np.arange(x.reshape(-1)[::step].size)
     keep = drm.engine._keep_count(0.2, x.size)
-    assert not drm.engine._bracket_mask(x, keep, np.empty(x.shape, dtype=bool), INLINE)
+    assert not drm.engine._bracket_mask(x, keep, np.empty(x.shape, dtype=bool))
     partitions = []
     real = drm.engine._partition_cutoff
     monkeypatch.setattr(
@@ -181,23 +179,14 @@ def test_tie_heavy_prune_matches_the_partition(values, seed, retain, mode):
     assert got.tobytes() == partition_prune(x, retain, mode).tobytes()
 
 
-# ------------------------------------------------------ band independence
+# ------------------------------------------------- chunk independence
 
-
-@pytest.fixture()
-def banded(monkeypatch):
-    """Run every stack in bands: ``banded(threads)`` sets DRM_THREADS (None
-    for one band on the calling thread)."""
-
-    def use(threads):
-        if threads is None:
-            monkeypatch.setattr(drm.bands, "FLOOR", 1 << 62)
-            monkeypatch.delenv("DRM_THREADS", raising=False)
-        else:
-            monkeypatch.setattr(drm.bands, "FLOOR", 0)
-            monkeypatch.setenv("DRM_THREADS", str(threads))
-
-    return use
+# Chunk sizes, in entries, that cut the stacks below into pieces of from
+# two rows (the least :func:`drm.engine._chunks` makes) to a few dozen. At
+# 4, the renormalization's chunks (four times as large) of the tall case's
+# strided right factor are two rows high; one-row chunks there sum the row
+# norms in another order, and this test fails.
+CHUNKS = (4, 16, 64, 256)
 
 
 def adapters(n_tasks, shape, rank, seed):
@@ -213,12 +202,12 @@ def band_cases():
     """(task deltas, rank_drop) per case."""
     rng = np.random.default_rng(12)
     return {
-        # 13 rows: no band count divides them.
+        # 13 rows: no chunk height divides them.
         "rows_not_divisible": ([rng.standard_normal((13, 40)) for _ in range(3)], 0.0),
-        # 3 rows: fewer than the bands asked for.
+        # 3 rows: fewer than two chunks of two rows.
         "fewer_rows_than_bands": ([rng.standard_normal((3, 40)) for _ in range(3)], 0.0),
         # The rank drop zeroes the last 7 of 14 rows of every block, so at
-        # retain 0.6 the cutoff is 0 and its ties run across band boundaries.
+        # retain 0.6 the cutoff is 0 and its ties run across chunk boundaries.
         "zero_cutoff_ties": ([rng.standard_normal((14, 40)) for _ in range(3)], 0.5),
         # Rank 6 of 16: null components, on the gesdd route.
         "rank_deficient": (adapters(3, (16, 24), 2, 13), 0.0),
@@ -243,20 +232,19 @@ def grid_merges(case, method):
 
 @pytest.mark.parametrize("method", ["drm_h", "drm_v"])
 @pytest.mark.parametrize("case", list(band_cases()))
-def test_merge_bytes_do_not_depend_on_the_band_count(case, method, banded):
-    # A drm tune grid: three prunes, six averages, one decomposition.
-    banded(None)
+def test_merge_bytes_do_not_depend_on_the_band_count(case, method, monkeypatch):
+    # A drm tune grid: three prunes, six averages, one decomposition, at
+    # the default chunk size and at chunks of a few rows.
     want = grid_merges(case, method)
-    for threads in (2, 3, 5):
-        banded(threads)
-        assert grid_merges(case, method) == want, threads
+    for chunk in CHUNKS:
+        monkeypatch.setattr(drm.engine, "_CHUNK", chunk)
+        assert grid_merges(case, method) == want, chunk
 
 
 @pytest.mark.parametrize("sample", [None, 64], ids=["partition", "bracket"])
 @pytest.mark.parametrize("values", ["integers", "normal"])
 @pytest.mark.parametrize("mode", ["joint", "individual"])
 def test_prune_bytes_do_not_depend_on_the_band_count(mode, values, sample, monkeypatch):
-    monkeypatch.setattr(drm.bands, "FLOOR", 0)
     if sample:
         monkeypatch.setattr(drm.engine, "_SAMPLE", sample)
     rng = np.random.default_rng(14)
@@ -265,14 +253,14 @@ def test_prune_bytes_do_not_depend_on_the_band_count(mode, values, sample, monke
     else:
         stack = rng.standard_normal((3, 23, 117))
     stack[:, 9:15] = 0.0
-    for retain in (0.05, 0.3, 0.6, 0.9):
-        want = prune_topk(stack, retain, mode)
-        for width in (2, 3, 7):
-            with BandPool(width) as pool:
-                assert prune_topk(stack, retain, mode, pool=pool).tobytes() == want.tobytes()
+    retains = (0.05, 0.3, 0.6, 0.9)
+    want = [prune_topk(stack, retain, mode).tobytes() for retain in retains]
+    for chunk in CHUNKS:
+        monkeypatch.setattr(drm.engine, "_CHUNK", chunk)
+        assert [prune_topk(stack, retain, mode).tobytes() for retain in retains] == want, chunk
 
 
-def test_bundle_merge_bytes_do_not_depend_on_threads(banded):
+def test_bundle_merge_bytes_do_not_depend_on_threads(monkeypatch):
     rng = np.random.default_rng(15)
     base = TensorBundle({"a.w": rng.standard_normal((24, 36)).astype(np.float32),
                          "b.w": rng.standard_normal((30, 9)), "b.b": rng.standard_normal(30)})
@@ -287,78 +275,30 @@ def test_bundle_merge_bytes_do_not_depend_on_threads(banded):
         return [(name, value.tobytes()) for name, value in out.items()], stats
 
     for method in ("drm_h", "drm_v"):
-        banded(None)
+        monkeypatch.delenv("DRM_THREADS", raising=False)
         want = merge(method)
         for threads in (1, 2, 4):
-            banded(threads)
+            monkeypatch.setenv("DRM_THREADS", str(threads))
             assert merge(method) == want, (method, threads)
 
 
-# ----------------------------------------------------------------- pool
+# -------------------------------------------------------------- threads
 
 
-def test_bands_have_two_rows_and_cover_the_stack():
-    with BandPool(4) as pool:
-        assert pool.bands(1000, drm.bands.FLOOR - 1) == [slice(None)]
-        assert pool.bands(3, drm.bands.FLOOR) == [slice(None)]
-        assert pool.bands(5, drm.bands.FLOOR) == [slice(0, 2), slice(2, 5)]
-        bands = pool.bands(13, drm.bands.FLOOR)
-        assert len(bands) == 4 and bands[0].start == 0 and bands[-1].stop == 13
-        assert all(a.stop == b.start for a, b in zip(bands, bands[1:]))
-        assert all(band.stop - band.start >= 2 for band in bands)
-
-
-def test_one_thread_starts_no_thread(monkeypatch):
-    monkeypatch.setattr(drm.bands, "FLOOR", 0)
+@pytest.mark.parametrize("method", ["drm_h", "drm_v"])
+def test_drm_merge_starts_no_thread_by_default(method, monkeypatch):
+    # Unset DRM_THREADS runs drm-h/drm-v one layer at a time, every stage
+    # on the calling thread: BLAS alone spreads over the cores.
+    monkeypatch.delenv("DRM_THREADS", raising=False)
+    rng = np.random.default_rng(17)
+    base = TensorBundle({"a.w": rng.standard_normal((64, 96)), "b.w": rng.standard_normal((48, 32))})
+    tasks = [
+        TensorBundle({name: value + 0.1 * rng.standard_normal(value.shape)
+                      for name, value in base.items()})
+        for _ in range(3)
+    ]
     started = []
     real = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or real(self))
-    with BandPool(1) as pool:
-        assert pool.map(lambda rows: rows, 100, 10**9) == [slice(None)]
+    merge_bundle_with_stats(base, tasks, MergeConfig(method=method))
     assert started == []
-    with BandPool(2) as pool:
-        assert pool.map(lambda rows: rows, 100, 10**9) == [slice(0, 50), slice(50, 100)]
-    assert len(started) == 1
-
-
-def test_every_band_finishes_before_an_error_surfaces(monkeypatch):
-    done = []
-
-    def kernel(rows):
-        if rows.start == 0:
-            raise ValueError("first band")
-        threading.Event().wait(0.05)
-        done.append(rows)
-
-    with BandPool(3) as pool:
-        with pytest.raises(ValueError, match="first band"):
-            pool.map(kernel, 9, 10**9)
-        assert len(done) == 2
-
-
-def test_many_bands_on_more_threads_than_cores_keep_the_bytes(monkeypatch):
-    # Eight bands on eight threads, switching threads as often as the
-    # interpreter allows: a lost or misplaced band write changes the bytes.
-    monkeypatch.setattr(drm.bands, "FLOOR", 0)
-    monkeypatch.setattr(drm.engine, "_SAMPLE", 64)
-    rng = np.random.default_rng(16)
-    stack = rng.standard_normal((3, 40, 33))
-    stack[:, 30:] = 0.0
-    survivors = stack > 0.2
-
-    def stages(pool):
-        signs = drm.engine.elect_signs(stack, pool=pool)
-        agree = drm.engine.agreeing_entries(stack, signs, pool=pool)
-        kept, gamma = drm.engine.survivor_filter(agree, survivors, pool=pool)
-        return [signs, agree, kept, gamma, prune_topk(stack, 0.85, pool=pool),
-                drm.engine.disjoint_average(stack, kept, gamma, [0.5, 1.0, 2.0], pool=pool)]
-
-    want = [a.tobytes() for a in stages(None)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with BandPool(8) as pool:
-            for _ in range(20):
-                assert [a.tobytes() for a in stages(pool)] == want
-    finally:
-        sys.setswitchinterval(interval)

