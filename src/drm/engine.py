@@ -535,7 +535,7 @@ def _drm_grid(ds: DeltaSet, cfg: MergeConfig, points: list[list[MergeConfig]]):
         prune_topk(stack, row[0].retain, cfg.prune_mode) if cfg.enable_prune else None
         for row in points
     ]
-    # jd.renorm_blocks is not used again.
+    # Scaled in place: jd.renorm_blocks is not used again.
     np.multiply(stack, jd.task_sigmas[:, :, None], out=stack)
     signs = elect_signs(stack) if cfg.enable_sign_elect else None
     agree = agreeing_entries(stack, signs)

@@ -288,10 +288,13 @@ def test_bundle_merge_bytes_do_not_depend_on_threads(monkeypatch):
 @pytest.mark.parametrize("method", ["drm_h", "drm_v"])
 def test_drm_merge_starts_no_thread_by_default(method, monkeypatch):
     # Unset DRM_THREADS runs drm-h/drm-v one layer at a time, every stage
-    # on the calling thread: BLAS alone spreads over the cores.
+    # on the calling thread: BLAS alone spreads over the cores. Each layer's
+    # stack (3 x 256 x 768) is large enough that row bands once split it
+    # over a second thread.
     monkeypatch.delenv("DRM_THREADS", raising=False)
     rng = np.random.default_rng(17)
-    base = TensorBundle({"a.w": rng.standard_normal((64, 96)), "b.w": rng.standard_normal((48, 32))})
+    base = TensorBundle({"a.w": rng.standard_normal((256, 768)),
+                         "b.w": rng.standard_normal((768, 256))})
     tasks = [
         TensorBundle({name: value + 0.1 * rng.standard_normal(value.shape)
                       for name, value in base.items()})
