@@ -12,11 +12,8 @@ from .bundle import DeltaSet
 # tracer wraps them, like prune_topk, under this module's name.
 from .engine import (
     MergeConfig,
-    _chunks,
+    _elect_and_average,
     _per_task,
-    _reciprocal_counts,
-    _scratch,
-    _task_sum,
     disjoint_average,
     elect_signs,
     kept_counts,
@@ -46,67 +43,10 @@ def ties_merge_with_stats(ds: DeltaSet, cfg: MergeConfig) -> tuple[np.ndarray, d
     def prune(t, rows, block, spare):
         block *= masks[t, rows]
 
-    merged = _elect_and_average(stack, cfg, ds.n_tasks, prune if masks is not None else None)
+    prepare = prune if masks is not None else None
+    lams = [cfg.task_lambdas(ds.n_tasks)]
+    (merged,) = _elect_and_average(stack, cfg, lams, prepare, in_place=True)
     return merged, kept_counts(masks, stack)
-
-
-def _elect_and_average(
-    stack: np.ndarray, cfg: MergeConfig, n_tasks: int, prepare=None
-) -> np.ndarray:
-    """The TIES tail shared with DARE-TIES: sign election over the pruned
-    (or dropped) stack, then the disjoint average.
-
-    The same floating-point operations as ``disjoint_average(stack,
-    *survivor_filter(agreeing_entries(stack, elect_signs(stack)), None,
-    disjoint), lambdas)``, run over row chunks of the N x m x n ``stack``
-    (see :func:`~drm.engine._chunks`), so that each chunk's drop or prune,
-    election, filter and sum happen while it is in cache. ``stack`` must be
-    the merge's own: each chunk is overwritten with its weighted survivors.
-    ``prepare(t, rows, block, spare)``, where given, first prunes or drops
-    task t's ``block`` of those ``rows`` in place; ``spare`` is a bool
-    buffer of its shape it may use.
-    """
-    n_rows, n_cols = stack.shape[1:]
-    lams = cfg.task_lambdas(n_tasks)
-    parts = _chunks(n_rows, n_cols)
-    weighted = np.zeros((n_rows, n_cols))
-    counts = _scratch(parts, n_cols, np.min_scalar_type(n_tasks))
-    keep, below, negative = (_scratch(parts, n_cols, bool) for _ in range(3))
-    for part in parts:
-        size = part.stop - part.start
-        blocks = stack[:, part]
-        total, count, kept, under = weighted[part], counts[:size], keep[:size], below[:size]
-        if prepare is not None:
-            for t in range(n_tasks):
-                prepare(t, part, blocks[t], kept)
-        neg = None
-        if cfg.enable_sign_elect:
-            # elect_signs' sum, held in this chunk of the running total; -1
-            # is elected where it is negative. Calling elect_signs per chunk
-            # would add its +-1 array and the passes that write it, and its
-            # per-call work, to every chunk.
-            neg = np.less(_task_sum(blocks, total), 0.0, out=negative[:size])
-            total.fill(0.0)
-        count.fill(0)
-        for block, lam in zip(blocks, lams):
-            np.not_equal(block, 0.0, out=kept)
-            if neg is not None:
-                np.less(block, 0.0, out=under)
-                kept &= np.equal(under, neg, out=under)
-            count += kept
-            # block * kept is the block or a signed zero; a zero term leaves
-            # the sum's bytes as they are. Multiplying by a coefficient of 1
-            # changes no byte, so that multiply is skipped.
-            block *= kept
-            if lam != 1.0:
-                block *= lam
-            total += block
-        if cfg.enable_disjoint:
-            # The chunk's blocks are spent: the first holds gamma.
-            total *= _reciprocal_counts(count, out=blocks[0])
-        else:
-            total *= 1.0 / n_tasks
-    return weighted
 
 
 def _dare_generator(seed: int, layer_name: str, task_index: int) -> np.random.Generator:
@@ -151,4 +91,6 @@ def dare_ties_merge(ds: DeltaSet, cfg: MergeConfig) -> np.ndarray:
 
     # Scaled and dropped in place.
     stack = ds.deltas if ds._owned else ds.deltas.copy()
-    return _elect_and_average(stack, cfg, ds.n_tasks, drop)
+    lams = [cfg.task_lambdas(ds.n_tasks)]
+    (merged,) = _elect_and_average(stack, cfg, lams, drop, in_place=True)
+    return merged

@@ -394,27 +394,18 @@ def elect_signs(stack: np.ndarray) -> np.ndarray:
     """Dominant sign per position of the sum over the stack's first axis;
     zero sums elect +1."""
     x = _as_stack(stack)
-    signs = np.empty(x.shape[1:])
-    for part in _chunks(*signs.shape):
-        total = _task_sum(x[:, part], signs[part])
-        # -2 * (total < 0) + 1: exactly -1.0 below zero, +1.0 otherwise.
-        np.multiply(total < 0.0, -2.0, out=total)
-        total += 1.0
-    return signs.reshape(np.shape(stack)[1:])
+    total = _task_sum(x, np.empty(x.shape[1:]))
+    return np.where(total < 0.0, -1.0, 1.0).reshape(np.shape(stack)[1:])
 
 
 def agreeing_entries(stack: np.ndarray, signs: np.ndarray | None) -> np.ndarray:
     """Bool mask of the stack's nonzero entries whose sign is the elected
     one; ``signs=None`` skips the sign test."""
     x = _as_stack(stack)
-    agree = np.empty(x.shape, dtype=bool)
+    agree = x != 0.0
     if signs is not None:
         negative = np.broadcast_to(signs, np.shape(stack)[1:]).reshape(x.shape[1:]) < 0.0
-    for part in _chunks(*x.shape[1:]):
-        block, out = x[:, part], agree[:, part]
-        np.not_equal(block, 0.0, out=out)
-        if signs is not None:
-            out &= (block < 0.0) == negative[part]
+        agree &= (x < 0.0) == negative
     return agree.reshape(np.shape(stack))
 
 
@@ -432,22 +423,11 @@ def survivor_filter(
     """
     shape = np.shape(agree)
     agree = np.asarray(agree).reshape(_stack_shape(shape))
-    if mask is not None:
-        mask = np.asarray(mask).reshape(agree.shape)
-    survivors = agree if mask is None else np.empty(agree.shape, dtype=bool)
-    gamma = np.empty(agree.shape[1:]) if disjoint else 1.0 / agree.shape[0]
-
-    # The narrowest integer type that holds N makes the count a fast add.
-    count_type = np.min_scalar_type(agree.shape[0])
-    for part in _chunks(*agree.shape[1:]):
-        if mask is not None:
-            np.logical_and(agree[:, part], mask[:, part], out=survivors[:, part])
-        if disjoint:
-            counts = survivors[:, part].sum(axis=0, dtype=count_type)
-            _reciprocal_counts(counts, out=gamma[part])
-    if disjoint:
-        gamma = gamma.reshape(shape[1:])
-    return survivors.reshape(shape), gamma
+    survivors = agree if mask is None else agree & np.asarray(mask).reshape(agree.shape)
+    if not disjoint:
+        return survivors.reshape(shape), 1.0 / agree.shape[0]
+    counts = survivors.sum(axis=0, dtype=np.min_scalar_type(agree.shape[0]))
+    return survivors.reshape(shape), _reciprocal_counts(counts).reshape(shape[1:])
 
 
 def _reciprocal_counts(counts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -482,22 +462,81 @@ def disjoint_average(
         raise ShapeMismatch("the stack and its survivor mask must share one shape")
     survivors = np.asarray(survivors).reshape(x.shape)
     weighted = np.zeros(x.shape[1:])
-    gamma = np.asarray(gamma)
-    if gamma.shape != weighted.shape:
-        gamma = np.broadcast_to(gamma, np.shape(stack)[1:]).reshape(weighted.shape)
-    parts = _chunks(*weighted.shape)
-    term = _scratch(parts, weighted.shape[1])
-    for part in parts:
-        total = weighted[part]
-        scratch = term[: total.shape[0]]
-        for block, keep, lam in zip(x[:, part], survivors[:, part], lams):
-            # block * keep is the block or a signed zero; a zero term leaves
-            # the sum's bytes as they are.
-            np.multiply(block, keep, out=scratch)
-            scratch *= lam
-            total += scratch
-        total *= gamma[part]
+    for block, keep, lam in zip(x, survivors, lams):
+        # block * keep is the block or a signed zero; a zero term leaves the
+        # sum's bytes as they are.
+        weighted += block * keep * lam
+    weighted *= np.broadcast_to(gamma, np.shape(stack)[1:]).reshape(weighted.shape)
     return weighted.reshape(np.shape(stack)[1:])
+
+
+def _elect_and_average(
+    stack: np.ndarray,
+    cfg: MergeConfig,
+    lambdas: list[np.ndarray],
+    prepare=None,
+    mask: np.ndarray | None = None,
+    in_place: bool = False,
+) -> list[np.ndarray]:
+    """The disjoint-merge tail of drm-h, drm-v, TIES and DARE-TIES: one
+    merged plane per per-task coefficient vector in ``lambdas``.
+
+    Plane p has the bytes of ``disjoint_average(stack,
+    *survivor_filter(agreeing_entries(stack, elect_signs(stack)), mask,
+    disjoint), lambdas[p])`` (see :func:`disjoint_average`, the
+    reference), run over row chunks of the N x m x n ``stack`` (see
+    :func:`_chunks`) so that each chunk's preparation, election, filter and
+    sums happen while it is in cache. ``prepare(t, rows, block, spare)``,
+    where given, first prunes or drops task t's ``block`` of those ``rows``
+    in place (``spare`` is a bool buffer of its shape); the stack then must
+    be the merge's own. ``mask`` joins the survivor test after the election.
+    ``in_place``, for the stack's last use, overwrites each chunk with its
+    survivors instead of writing them to a chunk-sized buffer.
+    """
+    n_tasks, n_rows, n_cols = stack.shape
+    planes = [np.zeros((n_rows, n_cols)) for _ in lambdas]
+    parts = _chunks(n_rows, n_cols)
+    counts = _scratch(parts, n_cols, np.min_scalar_type(n_tasks))
+    keep, below, negative = (_scratch(parts, n_cols, bool) for _ in range(3))
+    terms = None if in_place else _scratch(parts, n_cols)
+    spare = _scratch(parts, n_cols) if len(planes) > 1 else None
+    for part in parts:
+        size = part.stop - part.start
+        blocks, totals = stack[:, part], [plane[part] for plane in planes]
+        count, kept, under = counts[:size], keep[:size], below[:size]
+        if prepare is not None:
+            for t in range(n_tasks):
+                prepare(t, part, blocks[t], kept)
+        neg = None
+        if cfg.enable_sign_elect:
+            # elect_signs' sum, held in this chunk of the first plane; -1 is
+            # elected where it is negative. Calling elect_signs per chunk
+            # would add its +-1 array and the passes that write it, and its
+            # per-call work, to every chunk.
+            neg = np.less(_task_sum(blocks, totals[0]), 0.0, out=negative[:size])
+            totals[0].fill(0.0)
+        count.fill(0)
+        for t, block in enumerate(blocks):
+            np.not_equal(block, 0.0, out=kept)
+            if neg is not None:
+                np.less(block, 0.0, out=under)
+                kept &= np.equal(under, neg, out=under)
+            if mask is not None:
+                kept &= mask[t, part]
+            count += kept
+            # block * kept is the block or a signed zero; a zero term leaves
+            # the sum's bytes as they are. Multiplying by a coefficient of 1
+            # changes no byte, so that multiply is skipped, and one plane
+            # scales its term where it lies.
+            term = np.multiply(block, kept, out=block if in_place else terms[:size])
+            scaled = term if spare is None else spare[:size]
+            for total, lams in zip(totals, lambdas):
+                total += term if lams[t] == 1.0 else np.multiply(term, lams[t], out=scaled)
+        # The chunk's terms are spent: the last one's buffer holds gamma.
+        gamma = _reciprocal_counts(count, out=term) if cfg.enable_disjoint else 1.0 / n_tasks
+        for total in totals:
+            total *= gamma
+    return planes
 
 
 def merge_drm(ds: DeltaSet, cfg: MergeConfig) -> np.ndarray:
@@ -521,11 +560,11 @@ def _drm_grid(ds: DeltaSet, cfg: MergeConfig, points: list[list[MergeConfig]]):
     and the configs of one row share ``retain``. The layer lives in one
     N x r x dim float64 stack, rewritten in place: the renormalized blocks
     are pruned once per row, then scaled by ``task_sigmas`` into the blocks
-    that elect signs and are averaged. The decomposition, election and sign
-    agreement run once, the survivor filter once per row, and only the
-    weighted sum and projection once per point. The vertical variant is the
-    horizontal pipeline on transposed deltas, transposed back (exact
-    duality).
+    that elect signs and are averaged, by one :func:`_elect_and_average`
+    pass per row that takes the row's prune mask at the survivor test and
+    writes every point's plane. The decomposition runs once, and only the
+    projection once per point. The vertical variant is the horizontal
+    pipeline on transposed deltas, transposed back (exact duality).
     """
     orientation = DRM_ORIENTATIONS[cfg.method]
     n_tasks = ds.n_tasks
@@ -537,15 +576,12 @@ def _drm_grid(ds: DeltaSet, cfg: MergeConfig, points: list[list[MergeConfig]]):
     ]
     # Scaled in place: jd.renorm_blocks is not used again.
     np.multiply(stack, jd.task_sigmas[:, :, None], out=stack)
-    signs = elect_signs(stack) if cfg.enable_sign_elect else None
-    agree = agreeing_entries(stack, signs)
-    del signs
-    for row, mask in zip(points, masks):
+    for i, (row, mask) in enumerate(zip(points, masks)):
         stats = {"rank": jd.rank, **kept_counts(mask, stack)}
-        survivors, gamma = survivor_filter(agree, mask, cfg.enable_disjoint)
-        for point in row:
-            merged_block = disjoint_average(stack, survivors, gamma, point.task_lambdas(n_tasks))
-            merged = jd.U @ merged_block
+        lambdas = [point.task_lambdas(n_tasks) for point in row]
+        last = i == len(points) - 1
+        for plane in _elect_and_average(stack, cfg, lambdas, mask=mask, in_place=last):
+            merged = jd.U @ plane
             yield (merged.T if orientation == "vertical" else merged), dict(stats)
 
 

@@ -83,8 +83,9 @@ def thin_svd(A: np.ndarray, overwrite_a: bool = False) -> ThinSVD:
     With ``overwrite_a`` the caller gives up ``A``: if the matrix ``gesdd``
     factors (``A``, or ``A.T`` when ``A`` is wide) is a float64,
     Fortran-ordered, writeable matrix, that is ``A`` is in
-    :func:`in_place_order`, the ``gesdd`` route factors it where it lies, its bytes are destroyed and its memory then
-    holds the larger factor (``U`` when m >= n, ``Vt`` otherwise). Without
+    :func:`in_place_order`, the ``gesdd`` route factors it where it lies,
+    its bytes are destroyed and its memory then holds the larger factor
+    (``U`` when m >= n, ``Vt`` otherwise). Without
     it, or for any other layout, ``A`` is never written. The Gram route
     never writes ``A``. The factors' memory order is not part of the
     contract; their values do not depend on A's. An empty ``A`` gives

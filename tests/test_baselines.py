@@ -7,7 +7,6 @@ import pytest
 import drm.engine
 from drm.baselines import (
     _dare_generator,
-    _elect_and_average,
     _keep_threshold,
     dare_ties_merge,
     task_arithmetic,
@@ -17,6 +16,7 @@ from drm.baselines import (
 from drm.bundle import DeltaSet, TensorBundle
 from drm.engine import (
     MergeConfig,
+    _elect_and_average,
     agreeing_entries,
     disjoint_average,
     elect_signs,
@@ -216,24 +216,37 @@ class TestElectAndAverage:
     @pytest.mark.parametrize("n_tasks", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("sign_elect", [True, False])
     @pytest.mark.parametrize("disjoint", [True, False])
-    def test_matches_the_stage_functions_bytewise(self, n_tasks, sign_elect, disjoint):
-        # The in-place, plane-at-a-time tail against the public stages it
-        # replaces, including -0.0 inputs, zero sums and zero or negative
-        # coefficients.
+    def test_matches_the_stage_functions_bytewise(self, n_tasks, sign_elect, disjoint, monkeypatch):
+        # The chunked tail against the public stages it replaces, including
+        # -0.0 inputs, zero sums and zero or negative coefficients: with and
+        # without a prune mask at the survivor test (drm's), with several
+        # coefficient vectors in one call (each plane its own stage chain's)
+        # and with one, written in place (a stack's last use) or through
+        # scratch, in one chunk and in four.
         stack = tail_stack(n_tasks, n_tasks)
         if n_tasks > 1:
             assert (stack.sum(axis=0) == 0.0).any()
-        for offset in range(len(TAIL_LAMBDAS)):
-            lams = tuple(np.roll(TAIL_LAMBDAS, offset)[:n_tasks])
-            cfg = MergeConfig(
-                method="ties", lambdas=lams,
-                enable_sign_elect=sign_elect, enable_disjoint=disjoint,
-            )
-            signs = elect_signs(stack) if sign_elect else None
-            survivors, gamma = survivor_filter(agreeing_entries(stack, signs), None, disjoint)
-            want = disjoint_average(stack, survivors, gamma, lams)
-            got = _elect_and_average(stack.copy(), cfg, n_tasks)
-            assert got.tobytes() == want.tobytes()
+        mask = np.random.default_rng(n_tasks).random(stack.shape) < 0.6
+        lambdas = [np.roll(TAIL_LAMBDAS, offset)[:n_tasks] for offset in range(len(TAIL_LAMBDAS))]
+        lambdas.append(np.ones(n_tasks))
+        cfg = MergeConfig(method="ties", enable_sign_elect=sign_elect, enable_disjoint=disjoint)
+        agree = agreeing_entries(stack, elect_signs(stack) if sign_elect else None)
+        for chunk in (drm.engine._CHUNK, 16):
+            monkeypatch.setattr(drm.engine, "_CHUNK", chunk)
+            for keep in (None, mask):
+                survivors, gamma = survivor_filter(agree, keep, disjoint)
+                want = [disjoint_average(stack, survivors, gamma, lams).tobytes() for lams in lambdas]
+                for in_place in (True, False):
+                    copy = stack.copy()
+                    planes = _elect_and_average(copy, cfg, lambdas, mask=keep, in_place=in_place)
+                    assert [plane.tobytes() for plane in planes] == want
+                    if not in_place:
+                        assert copy.tobytes() == stack.tobytes()
+                    for lams, plane in zip(lambdas, want):
+                        (got,) = _elect_and_average(
+                            stack.copy(), cfg, [lams], mask=keep, in_place=in_place
+                        )
+                        assert got.tobytes() == plane
 
 
 class TestBorrowedStacks:

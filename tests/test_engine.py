@@ -554,16 +554,20 @@ class TestMergeGrid:
         MergeConfig(method="simple_avg"),
     ], ids=repr)
     def test_every_point_matches_a_single_merge(self, cfg):
+        # drm's last row merges its stack in place, with one point (a
+        # one-value lambda grid) or several; a per-task tuple weighs each
+        # task.
         ds = random_delta_set(37, n_tasks=3, m=7, n=5)
-        grid = list(merge_delta_set_grid(ds, cfg, self.RETAINS, self.LAMBDAS))
-        assert len(grid) == len(self.RETAINS) * len(self.LAMBDAS)
-        points = [(r, l) for r in self.RETAINS for l in self.LAMBDAS]
-        for (retain, lam), (merged, stats) in zip(points, grid):
-            point = dataclasses.replace(cfg, retain=retain, lambdas=lam)
-            want, want_stats = drm.engine._merge_delta_set_with_stats(ds, point)
-            assert merged.shape == want.shape
-            assert merged.tobytes() == want.tobytes()
-            assert stats == want_stats
+        for lambda_grid in (self.LAMBDAS, [1.3], [(0.5, 1.0, -0.3), 0.7]):
+            grid = list(merge_delta_set_grid(ds, cfg, self.RETAINS, lambda_grid))
+            assert len(grid) == len(self.RETAINS) * len(lambda_grid)
+            points = [(r, l) for r in self.RETAINS for l in lambda_grid]
+            for (retain, lam), (merged, stats) in zip(points, grid):
+                point = dataclasses.replace(cfg, retain=retain, lambdas=lam)
+                want, want_stats = drm.engine._merge_delta_set_with_stats(ds, point)
+                assert merged.shape == want.shape
+                assert merged.tobytes() == want.tobytes()
+                assert stats == want_stats
 
     def test_bad_point_rejected_before_any_decomposition(self, monkeypatch):
         def no_svd(*args, **kwargs):
@@ -772,6 +776,31 @@ def test_layer_merge_memory_bounded_by_its_stack(method, shape):
     finally:
         tracemalloc.stop()
     assert peak / unit < 3.5
+
+
+@pytest.mark.parametrize("method,shape", [("drm_h", (256, 512)), ("drm_v", (512, 256))])
+def test_drm_tail_allocates_no_stack_sized_temporary(method, shape, monkeypatch):
+    # From the scaled stack to the projected delta, a drm layer allocates
+    # its merged plane and the projected delta, each 1/N of the stack, plus
+    # chunk-sized scratch: 0.50 stacks here. Whole-stack stages (a signs
+    # plane, agreement and survivor masks, a gamma plane and the weighted
+    # sum) took 1.00. The decomposition and the prune mask are made before
+    # tracing starts.
+    n_tasks = 4
+    ds = random_delta_set(3, n_tasks, *shape)
+    cfg = MergeConfig(method=method)
+    jd = decompose_joint(ds, drm.engine.DRM_ORIENTATIONS[method])
+    mask = prune_topk(jd.renorm_blocks, cfg.retain, cfg.prune_mode)
+    monkeypatch.setattr(drm.engine, "decompose_joint", lambda *args: jd)
+    monkeypatch.setattr(drm.engine, "prune_topk", lambda *args: mask)
+    unit = jd.renorm_blocks.nbytes
+    tracemalloc.start()
+    try:
+        merge_drm_with_stats(ds, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / unit < 0.75
 
 
 # Every public entry point that takes a DeltaSet, each called on a borrowed
