@@ -16,7 +16,7 @@ from pathlib import Path
 from . import analysis, harness
 from .bundle import atomic_output, canonical_json, extract_deltas, open_bundle, write_bundle
 from .bundle import read_bundle  # noqa: F401 -- drmbench wraps drm.cli.read_bundle
-from .engine import MergeConfig, merge_bundle_with_stats
+from .engine import PRUNE_MODES, MergeConfig, merge_bundle_with_stats
 from .errors import ArgumentError, InputOutputError, NumericError
 
 _CLI_METHODS = {
@@ -207,22 +207,31 @@ def cmd_tune(args) -> int:
     return 0
 
 
+_DEFAULTS = MergeConfig()  # the knobs' defaults, written down once
+
+
+def _add_prune_knobs(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--retain", type=float, default=_DEFAULTS.retain,
+                   help="fraction of largest-magnitude entries kept (default %(default)s)")
+    p.add_argument("--prune-mode", choices=PRUNE_MODES, default=_DEFAULTS.prune_mode,
+                   help="rank entries across all tasks or within each (default %(default)s)")
+
+
 def _add_merge_knobs(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--retain", type=float, default=0.2,
-                   help="fraction of largest-magnitude entries kept (default 0.2)")
+    _add_prune_knobs(p)
     p.add_argument("--lambda", dest="lam", default=None,
                    help="merging coefficient: one shared value or comma list per task "
                         "(default 1.0; 0.4 for ta)")
-    p.add_argument("--dare-drop", type=float, default=0.8,
-                   help="random drop rate for dare-ties (default 0.8)")
-    p.add_argument("--rank-drop", type=float, default=0.0,
-                   help="fraction of the nonzero spectrum to discard (default 0)")
-    p.add_argument("--prune-mode", choices=["joint", "individual"], default="joint")
+    p.add_argument("--dare-drop", type=float, default=_DEFAULTS.dare_drop,
+                   help="random drop rate for dare-ties (default %(default)s)")
+    p.add_argument("--rank-drop", type=float, default=_DEFAULTS.rank_drop,
+                   help="fraction of the nonzero spectrum to discard (default %(default)s)")
     p.add_argument("--no-prune", action="store_true", help="skip magnitude pruning")
     p.add_argument("--no-sign-elect", action="store_true", help="skip sign election")
     p.add_argument("--no-disjoint", action="store_true",
                    help="average over all tasks instead of survivors only")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=_DEFAULTS.seed,
+                   help="seed of the dare-ties drops (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,8 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--space", choices=list(analysis.SPACES), default="original",
                       help="tally space for sign-agreement; -h/-v suffix also "
                            "selects the orientation for spectrum")
-    p_an.add_argument("--retain", type=float, default=0.2)
-    p_an.add_argument("--prune-mode", choices=["joint", "individual"], default="joint")
+    _add_prune_knobs(p_an)
     renorm = p_an.add_mutually_exclusive_group()
     renorm.add_argument("--renorm", dest="renorm", action="store_true", default=True)
     renorm.add_argument("--no-renorm", dest="renorm", action="store_false")

@@ -182,21 +182,16 @@ def decompose_joint(
     dead = np.arange(r) >= keep  # sigma is sorted, so the tail goes
     svd.U[:, dead] = 0.0
     svd.sigma[dead] = 0.0
-    row_norms = np.empty((n_tasks, r))
     # Task t's block is columns t*n .. (t+1)*n of the right factor, which
     # is the SVD's own: the blocks are renormalized where they lie.
     renorm_blocks = svd.Vt.reshape(r, n_tasks, n_cols).transpose(1, 0, 2)
-    # np.linalg.norm costs more per call than the other stages' steps, so
-    # this one takes chunks four times as large.
-    for part in _chunks(r, n_cols, 4 * _CHUNK):
-        for t in range(n_tasks):
-            block = renorm_blocks[t, part]
-            norms = np.linalg.norm(block, axis=1)
-            zero = (norms <= ZERO_ROW_NORM) | dead[part]
-            np.divide(block, np.where(zero, 1.0, norms)[:, None], out=block)
-            block[zero] = 0.0
-            norms[zero] = 0.0
-            row_norms[t, part] = norms
+    row_norms = np.empty((n_tasks, r))
+    for t, block in enumerate(renorm_blocks):  # one block's temporary at a time
+        row_norms[t] = np.linalg.norm(block, axis=1)
+    zero = (row_norms <= ZERO_ROW_NORM) | dead
+    np.divide(renorm_blocks, np.where(zero, 1.0, row_norms)[:, :, None], out=renorm_blocks)
+    renorm_blocks[zero] = 0.0
+    row_norms[zero] = 0.0
     return JointDecomposition(
         U=svd.U, sigma=svd.sigma, row_norms=row_norms, renorm_blocks=renorm_blocks
     )
@@ -232,15 +227,10 @@ def _as_stack(stack) -> np.ndarray:
     return stack.reshape(_stack_shape(stack.shape))
 
 
-def _chunks(n_rows: int, n_cols: int, size: int | None = None) -> list[slice]:
+def _chunks(n_rows: int, n_cols: int) -> list[slice]:
     """Row ranges that cut an n_rows x n_cols plane into pieces of about
-    ``size`` entries (default :data:`_CHUNK`). Each piece has at least two
-    rows where the plane has, because numpy may sum a row reduction over a
-    one-row piece of a strided array (the Gram route's right factor) in
-    another order than over more rows, so the bytes would depend on the
-    chunk size."""
-    size = _CHUNK if size is None else size
-    count = max(1, n_rows // max(2, size // max(n_cols, 1)))
+    :data:`_CHUNK` entries, and of at least one row."""
+    count = max(1, n_rows // max(1, _CHUNK // max(n_cols, 1)))
     bounds = [n_rows * i // count for i in range(count + 1)]
     return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
 

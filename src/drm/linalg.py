@@ -88,8 +88,9 @@ def thin_svd(A: np.ndarray, overwrite_a: bool = False) -> ThinSVD:
     (``U`` when m >= n, ``Vt`` otherwise). Without
     it, or for any other layout, ``A`` is never written. The Gram route
     never writes ``A``. The factors' memory order is not part of the
-    contract; their values do not depend on A's. An empty ``A`` gives
-    m x 0, 0 and 0 x n factors without running either route.
+    contract; their values do not depend on A's, except that a BLAS may
+    round a tall A's Gram-route ``A @ W`` otherwise in Fortran order. An
+    empty ``A`` gives m x 0, 0 and 0 x n factors without running either route.
 
     Raises NonFiniteValue on NaN or infinity in ``A``, before any LAPACK
     call, and ConvergenceFailure if the backend does not converge.

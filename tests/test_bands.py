@@ -1,7 +1,8 @@
-"""Row bands: each element-wise stage walks its stack in row chunks
-(``drm.engine._chunks``), and its bytes do not depend on the chunk size; the
-prune finds the exact cutoff without a copy of the stack; and a merge starts
-only the layer workers DRM_THREADS allows."""
+"""Row chunks: the prune sweep and the elect -> average tail walk their
+stack in row chunks (``drm.engine._chunks``), and no merge's or prune's
+bytes depend on the chunk size; the prune finds the exact cutoff without a
+copy of the stack; and a merge starts only the layer workers DRM_THREADS
+allows."""
 
 import math
 import threading
@@ -182,11 +183,10 @@ def test_tie_heavy_prune_matches_the_partition(values, seed, retain, mode):
 # ------------------------------------------------- chunk independence
 
 # Chunk sizes, in entries, that cut the stacks below into pieces of from
-# two rows (the least :func:`drm.engine._chunks` makes) to a few dozen. At
-# 4, the renormalization's chunks (four times as large) of the tall case's
-# strided right factor are two rows high; one-row chunks there sum the row
-# norms in another order, and this test fails.
-CHUNKS = (4, 16, 64, 256)
+# one row (the least :func:`drm.engine._chunks` makes) to a few dozen. The
+# renormalization takes no chunks: a one-row piece of the tall case's
+# strided right factor could sum its row norm in another order.
+CHUNKS = (1, 4, 16, 64, 256)
 
 
 def adapters(n_tasks, shape, rank, seed):
@@ -198,13 +198,13 @@ def adapters(n_tasks, shape, rank, seed):
     ]
 
 
-def band_cases():
+def chunk_cases():
     """(task deltas, rank_drop) per case."""
     rng = np.random.default_rng(12)
     return {
         # 13 rows: no chunk height divides them.
         "rows_not_divisible": ([rng.standard_normal((13, 40)) for _ in range(3)], 0.0),
-        # 3 rows: fewer than two chunks of two rows.
+        # 3 rows: fewer than most chunk heights.
         "fewer_rows_than_bands": ([rng.standard_normal((3, 40)) for _ in range(3)], 0.0),
         # The rank drop zeroes the last 7 of 14 rows of every block, so at
         # retain 0.6 the cutoff is 0 and its ties run across chunk boundaries.
@@ -221,7 +221,7 @@ def band_cases():
 
 
 def grid_merges(case, method):
-    deltas, rank_drop = band_cases()[case]
+    deltas, rank_drop = chunk_cases()[case]
     ds = DeltaSet("l", deltas[0].shape, deltas, [f"t{i}" for i in range(len(deltas))])
     cfg = MergeConfig(method=method, rank_drop=rank_drop)
     return [
@@ -231,10 +231,10 @@ def grid_merges(case, method):
 
 
 @pytest.mark.parametrize("method", ["drm_h", "drm_v"])
-@pytest.mark.parametrize("case", list(band_cases()))
+@pytest.mark.parametrize("case", list(chunk_cases()))
 def test_merge_bytes_do_not_depend_on_the_band_count(case, method, monkeypatch):
     # A drm tune grid: three prunes, six averages, one decomposition, at
-    # the default chunk size and at chunks of a few rows.
+    # the default chunk size and at chunks of one row to a few dozen.
     want = grid_merges(case, method)
     for chunk in CHUNKS:
         monkeypatch.setattr(drm.engine, "_CHUNK", chunk)

@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 
 import drm.bundle
+import drm.cli
 from drm.bundle import TensorBundle, read_bundle, write_bundle
 from drm.cli import MAX_GRID_POINTS, _parse_grid, main
+from drm.engine import MergeConfig
 
 
 @pytest.fixture()
@@ -59,6 +61,14 @@ class TestMerge:
         assert merged.metadata["merge.method"] == "drm_h"
         stdout = capsys.readouterr().out
         assert "enc.w" in stdout and "rank=" in stdout
+
+    @pytest.mark.parametrize("name", sorted(drm.cli._CLI_METHODS))
+    def test_bare_merge_parses_to_the_default_config(self, name):
+        args = drm.cli.build_parser().parse_args(
+            ["merge", "--method", name, "--base", "b", "--task", "t", "--out", "o"]
+        )
+        method = drm.cli._CLI_METHODS[name]
+        assert drm.cli._config_from_args(args, 1) == MergeConfig(method=method)
 
     def test_ta_default_lambda(self, family):
         base, tasks, tmp = family

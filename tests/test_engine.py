@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 import re
@@ -700,15 +701,16 @@ class TestMergeBundle:
             merge_bundle(base, tasks, MergeConfig(method="drm_h"))
 
 
-def deep_family(n_layers, n_tasks, shape, seed=83):
-    """float32 bundles of ``n_layers`` rank-2 layers, tasks near the base."""
+def deep_family(n_layers, n_tasks, shape, seed=83, dtype=np.float32):
+    """float32 (or ``dtype``) bundles of ``n_layers`` rank-2 layers, tasks
+    near the base."""
     rng = np.random.default_rng(seed)
     base, tasks = TensorBundle(), [TensorBundle() for _ in range(n_tasks)]
     for i in range(n_layers):
-        w = rng.standard_normal(shape).astype(np.float32)
+        w = rng.standard_normal(shape).astype(dtype)
         base.add(f"l{i}.w", w)
         for task in tasks:
-            task.add(f"l{i}.w", (w + 0.1 * rng.standard_normal(shape)).astype(np.float32))
+            task.add(f"l{i}.w", (w + 0.1 * rng.standard_normal(shape)).astype(dtype))
     return base, tasks
 
 
@@ -931,11 +933,15 @@ def test_bundle_merge_equals_borrowed_merge(method, threads, monkeypatch):
     # borrowed, task-major DeltaSet of the same layer gives. Dense deltas
     # take the Gram route; rank-2 adapters take gesdd, and with N=3 their
     # shapes give drm-h and drm-v both a wide and a tall SVD input, so
-    # every buffer order _stack_order picks is run.
+    # every buffer order _stack_order picks is run. The float64 120 x 12
+    # layer gives drm-h a tall Gram-route input, whose A @ W OpenBLAS's
+    # small-matrix GEMM rounds differently for a Fortran-ordered A: an
+    # N x n x m drm-h stack would fail here (float32 rounding hides it).
     cfg = MergeConfig(method=method, seed=4)
     monkeypatch.setenv("DRM_THREADS", threads)
+    dense64 = functools.partial(deep_family, dtype=np.float64)
     for family, shape in [(deep_family, (24, 16)), (adapter_family, (16, 64)),
-                          (adapter_family, (64, 16))]:
+                          (adapter_family, (64, 16)), (dense64, (120, 12))]:
         base, tasks = family(2, 3, shape)
         names = [f"task{t}" for t in range(len(tasks))]
         merged = merge_bundle(base, tasks, cfg)
