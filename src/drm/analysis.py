@@ -214,10 +214,6 @@ class SpectrumReport:
         return "\n".join(lines) + "\n"
 
 
-def _orientation_for(cfg: MergeConfig) -> str:
-    return DRM_ORIENTATIONS.get(cfg.method, "horizontal")
-
-
 def row_drop_fractions(stack: np.ndarray, retain: float, mode: str = "joint") -> np.ndarray:
     """Fraction of each block row zeroed by top-``retain`` magnitude pruning."""
     kept = prune_topk(stack, retain, mode)
@@ -227,7 +223,7 @@ def row_drop_fractions(stack: np.ndarray, retain: float, mode: str = "joint") ->
 
 def pruning_density(ds: DeltaSet, cfg: MergeConfig, with_renorm: bool = True) -> DensityReport:
     """Per-row drop fractions after pruning the (renormalized or raw) blocks."""
-    orientation = _orientation_for(cfg)
+    orientation = DRM_ORIENTATIONS.get(cfg.method, "horizontal")
     jd = decompose_joint(ds, orientation)
     stack = jd.renorm_blocks if with_renorm else jd.renorm_blocks * jd.row_norms[..., None]
     fractions = row_drop_fractions(stack, cfg.retain, cfg.prune_mode)

@@ -465,6 +465,8 @@ def check_aligned(
         task_names = [f"task{i}" for i in range(len(tasks))]
     if len(task_names) != len(tasks):
         raise ValueError("task_names and tasks must have equal length")
+    if len(set(task_names)) != len(task_names):
+        raise ValueError("task names must be unique")
 
     base_names = set(base.names())
     for tname, task in zip(task_names, tasks):

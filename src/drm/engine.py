@@ -30,10 +30,10 @@ from .bundle import extract_deltas  # noqa: F401 -- drmbench wraps drm.engine.ex
 from .errors import ArgumentError, CastOverflow, DrmError, NonFiniteValue, ShapeMismatch
 from .linalg import in_place_order, nonzero_sigma_mask, thin_svd
 
-METHODS = ("drm_h", "drm_v", "simple_avg", "task_arithmetic", "ties", "dare_ties")
 ORIENTATIONS = ("horizontal", "vertical")
 # The orientation in which each drm method decomposes its stack.
 DRM_ORIENTATIONS = {"drm_h": "horizontal", "drm_v": "vertical"}
+METHODS = (*DRM_ORIENTATIONS, "simple_avg", "task_arithmetic", "ties", "dare_ties")
 PRUNE_MODES = ("joint", "individual")
 
 # A block row with 2-norm at or below this is rank-deficient noise; it
@@ -50,7 +50,7 @@ class MergeConfig:
     ``retain`` is the fraction of largest-magnitude entries kept by
     pruning; ``dare_drop`` the random drop rate; ``rank_drop`` the fraction
     of nonzero spectrum discarded before merging. Simple averaging ignores
-    the coefficients entirely.
+    the coefficients: :meth:`task_lambdas` resolves them to ones.
     """
 
     method: str = "drm_h"
@@ -85,7 +85,7 @@ class MergeConfig:
 
     def task_lambdas(self, n_tasks: int) -> np.ndarray:
         """Resolve the coefficient setting to one float per task."""
-        if self.lambdas is None:
+        if self.lambdas is None or self.method == "simple_avg":
             shared = 0.4 if self.method == "task_arithmetic" else 1.0
             return np.full(n_tasks, shared)
         if np.isscalar(self.lambdas):
@@ -94,12 +94,6 @@ class MergeConfig:
         if lams.shape != (n_tasks,):
             raise ValueError(f"got {lams.size} lambdas for {n_tasks} tasks")
         return lams
-
-    def as_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        if isinstance(d["lambdas"], tuple):
-            d["lambdas"] = list(d["lambdas"])
-        return d
 
 
 @dataclass
@@ -538,38 +532,37 @@ def merge_drm(ds: DeltaSet, cfg: MergeConfig) -> np.ndarray:
 def merge_drm_with_stats(ds: DeltaSet, cfg: MergeConfig) -> tuple[np.ndarray, dict]:
     """The merged delta and its ``rank``/``kept``/``total`` stats: the 1x1
     case of :func:`_drm_grid`."""
-    if cfg.method not in ("drm_h", "drm_v"):
+    if cfg.method not in DRM_ORIENTATIONS:
         raise ValueError(f"merge_drm handles drm_h/drm_v, not {cfg.method!r}")
-    return next(_drm_grid(ds, cfg, [[cfg]]))
+    return next(_drm_grid(ds, cfg, [cfg.retain], [cfg.task_lambdas(ds.n_tasks)]))
 
 
-def _drm_grid(ds: DeltaSet, cfg: MergeConfig, points: list[list[MergeConfig]]):
-    """Yield ``(merged delta, stats)`` for each point config, row by row.
+def _drm_grid(ds: DeltaSet, cfg: MergeConfig, retains: list[float], lambdas: list[np.ndarray]):
+    """Yield ``(merged delta, stats)`` for each ``retain`` in ``retains``
+    (outer loop) and each per-task coefficient vector in ``lambdas`` (inner
+    loop), the rest of the settings taken from ``cfg``.
 
-    Point configs differ from ``cfg`` only in ``retain`` and ``lambdas``,
-    and the configs of one row share ``retain``. The layer lives in one
-    N x r x dim float64 stack, rewritten in place: the renormalized blocks
-    are pruned once per row, then scaled by ``task_sigmas`` into the blocks
-    that elect signs and are averaged, by one :func:`_elect_and_average`
-    pass per row that takes the row's prune mask at the survivor test and
-    writes every point's plane. The decomposition runs once, and only the
-    projection once per point. The vertical variant is the horizontal
-    pipeline on transposed deltas, transposed back (exact duality).
+    The layer lives in one N x r x dim float64 stack, rewritten in place:
+    the renormalized blocks are pruned once per ``retain``, then scaled by
+    ``task_sigmas`` into the blocks that elect signs and are averaged, by
+    one :func:`_elect_and_average` pass per ``retain`` that takes its prune
+    mask at the survivor test and writes every point's plane. The
+    decomposition runs once, and only the projection once per point. The
+    vertical variant is the horizontal pipeline on transposed deltas,
+    transposed back (exact duality).
     """
     orientation = DRM_ORIENTATIONS[cfg.method]
-    n_tasks = ds.n_tasks
     jd = decompose_joint(ds, orientation, cfg.rank_drop)
     stack = jd.renorm_blocks
     masks = [
-        prune_topk(stack, row[0].retain, cfg.prune_mode) if cfg.enable_prune else None
-        for row in points
+        prune_topk(stack, retain, cfg.prune_mode) if cfg.enable_prune else None
+        for retain in retains
     ]
     # Scaled in place: jd.renorm_blocks is not used again.
     np.multiply(stack, jd.task_sigmas[:, :, None], out=stack)
-    for i, (row, mask) in enumerate(zip(points, masks)):
+    for i, mask in enumerate(masks):
         stats = {"rank": jd.rank, **kept_counts(mask, stack)}
-        lambdas = [point.task_lambdas(n_tasks) for point in row]
-        last = i == len(points) - 1
+        last = i == len(masks) - 1
         for plane in _elect_and_average(stack, cfg, lambdas, mask=mask, in_place=last):
             merged = jd.U @ plane
             yield (merged.T if orientation == "vertical" else merged), dict(stats)
@@ -597,7 +590,7 @@ def merge_delta_set(ds: DeltaSet, cfg: MergeConfig) -> np.ndarray:
 def _merge_delta_set_with_stats(ds: DeltaSet, cfg: MergeConfig) -> tuple[np.ndarray, dict]:
     from . import baselines  # local import: baselines builds on this module's ops
 
-    if cfg.method in ("drm_h", "drm_v"):
+    if cfg.method in DRM_ORIENTATIONS:
         return merge_drm_with_stats(ds, cfg)
     if cfg.method == "simple_avg":
         # Averaging the full weights equals base + the mean delta.
@@ -626,8 +619,9 @@ def merge_delta_set_grid(ds: DeltaSet, cfg: MergeConfig, retain_grid, lambda_gri
         [dataclasses.replace(cfg, retain=retain, lambdas=lam) for lam in lambda_grid]
         for retain in retain_grid
     ]
-    if cfg.method in ("drm_h", "drm_v"):
-        yield from _drm_grid(ds, cfg, points)
+    if cfg.method in DRM_ORIENTATIONS:
+        lambdas = [point.task_lambdas(ds.n_tasks) for point in points[0]] if points else []
+        yield from _drm_grid(ds, cfg, retain_grid, lambdas)
         return
     for row in points:
         for point in row:
@@ -717,9 +711,7 @@ def merge_bundle_with_stats(
     """
     task_names = check_aligned(base, tasks, task_names)
     n_tasks = len(tasks)
-    bias_lams = (
-        np.ones(n_tasks) if cfg.method == "simple_avg" else cfg.task_lambdas(n_tasks)
-    )
+    bias_lams = cfg.task_lambdas(n_tasks)
 
     def one_layer(name: str) -> tuple[np.ndarray, dict]:
         arr = base.read(name)
@@ -753,21 +745,13 @@ def merge_bundle_with_stats(
 
     meta = dict(base.metadata)
     meta["merge.method"] = cfg.method
-    meta["merge.config"] = canonical_json(cfg.as_dict())
+    meta["merge.config"] = canonical_json(dataclasses.asdict(cfg))
     meta["merge.lambdas"] = canonical_json([float(l) for l in bias_lams])
     meta["merge.tasks"] = canonical_json(task_names)
     out = TensorBundle(metadata=meta)
     stats: list[LayerStats] = []
     for name, (cast, info) in zip(layer_names, results):
-        stats.append(
-            LayerStats(
-                name,
-                cast.shape,
-                rank=info.get("rank"),
-                kept=info.get("kept"),
-                total=info.get("total"),
-            )
-        )
+        stats.append(LayerStats(name, cast.shape, **info))
         try:
             out.add(name, cast)
         except NonFiniteValue as exc:

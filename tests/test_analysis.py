@@ -101,6 +101,11 @@ class TestSignAgreement:
         with pytest.raises(NeedTwoTasks):
             sign_agreement(ds, MergeConfig(), "original")
 
+    def test_unknown_space_rejected(self):
+        ds = make_ds([np.ones((2, 2)), -np.ones((2, 2))])
+        with pytest.raises(ValueError, match="space"):
+            sign_agreement(ds, MergeConfig(), "x")
+
     def test_identical_tasks_fully_agree(self):
         delta = np.random.default_rng(5).standard_normal((6, 6))
         ds = make_ds([delta, delta.copy()])

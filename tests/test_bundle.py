@@ -13,6 +13,7 @@ import drm.bundle
 from drm.bundle import (
     DeltaSet,
     TensorBundle,
+    check_aligned,
     extract_deltas,
     layer_delta_set,
     materialize_low_rank,
@@ -97,6 +98,29 @@ class TestReadBundle:
         path = tmp_path / "notjson.drmb"
         path.write_bytes(assemble("{nope", GOLDEN_DATA))
         assert_readers_raise(path, CorruptHeader)
+
+    @pytest.mark.parametrize("header,match", [
+        ([], "an object with a 'tensors' list"),
+        ({"metadata": {}}, "an object with a 'tensors' list"),
+        ({"tensors": [], "metadata": {"k": 1}}, "metadata must map strings to strings"),
+        ({"tensors": [5]}, "record is not an object"),
+        ({"tensors": [{"dtype": "f64", "shape": [1], "offset": 0, "nbytes": 8}]},
+         "missing or empty name"),
+        ({"tensors": [{"name": "", "dtype": "f64", "shape": [1], "offset": 0, "nbytes": 8}]},
+         "missing or empty name"),
+        ({"tensors": [{"name": "w", "dtype": "f64", "shape": [1], "offset": 0, "nbytes": 8},
+                      {"name": "w", "dtype": "f64", "shape": [1], "offset": 8, "nbytes": 8}]},
+         "duplicate tensor name 'w'"),
+        ({"tensors": [{"name": "w", "dtype": "f16", "shape": [1], "offset": 0, "nbytes": 2}]},
+         "'w' has unknown dtype 'f16'"),
+    ], ids=[
+        "not-object", "no-tensors", "metadata", "record", "no-name", "empty-name",
+        "duplicate-name", "dtype",
+    ])
+    def test_malformed_header_rejected(self, tmp_path, header, match):
+        path = tmp_path / "malformed.drmb"
+        path.write_bytes(assemble(json.dumps(header), bytes(16)))
+        assert_readers_raise(path, CorruptHeader, match=match)
 
     def test_header_length_past_eof(self, tmp_path):
         path = tmp_path / "longhdr.drmb"
@@ -369,6 +393,14 @@ class TestBundleValidation:
         with pytest.raises(ValueError):
             b.add("w", np.zeros(2))
 
+    def test_non_string_metadata_value_rejected(self):
+        with pytest.raises(ValueError, match="metadata"):
+            TensorBundle(metadata={"k": 1})
+
+    def test_zero_extent_rejected(self):
+        with pytest.raises(ValueError, match="non-positive extent"):
+            TensorBundle().add("w", np.zeros((2, 0)))
+
     def test_int_dtype_rejected(self):
         with pytest.raises(ValueError):
             TensorBundle().add("w", np.zeros(2, dtype=np.int32))
@@ -455,6 +487,11 @@ class TestExtractDeltas:
         with pytest.raises(ShapeMismatch, match="L0.w"):
             extract_deltas(base, [task])
 
+    def test_no_tasks(self):
+        base, _ = self.base_and_tasks()
+        with pytest.raises(ValueError, match="at least one task"):
+            check_aligned(base, [])
+
     def test_identical_tasks_give_zero_deltas(self):
         base, _ = self.base_and_tasks()
         delta_sets = extract_deltas(base, [base, base])
@@ -531,6 +568,16 @@ def test_delta_set_holds_one_float64_stack():
 def test_delta_set_rejects_a_stack_of_the_wrong_shape():
     with pytest.raises(ShapeMismatch, match="'l'"):
         DeltaSet("l", (2, 3), np.zeros((2, 3, 2)), ["a", "b"])
+
+
+@pytest.mark.parametrize("deltas,names,match", [
+    ([], [], "at least one task delta"),
+    ([np.zeros((2, 2))] * 2, ["a"], "equal length"),
+    ([np.zeros((2, 2))] * 2, ["a", "a"], "unique"),
+])
+def test_delta_set_rejects_a_bad_task_list(deltas, names, match):
+    with pytest.raises(ValueError, match=match):
+        DeltaSet("l", (2, 2), deltas, names)
 
 
 def test_delta_set_rejects_a_ragged_list_of_deltas():

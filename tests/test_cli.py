@@ -348,6 +348,19 @@ class TestAnalyze:
         assert code == 2
         assert "two tasks" in capsys.readouterr().err
 
+    def test_only_rank_1_tensors_exit_2(self, tmp_path, capsys):
+        bias = TensorBundle({"b": np.ones(3)})
+        write_bundle(bias, tmp_path / "base.drmb")
+        write_bundle(bias, tmp_path / "task.drmb")
+        out = tmp_path / "r.json"
+        code = main([
+            "analyze", "spectrum", "--base", str(tmp_path / "base.drmb"),
+            "--task", str(tmp_path / "task.drmb"), "--out", str(out),
+        ])
+        assert code == 2
+        assert "no rank-2 tensors" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_svd_bound_identical_tasks_zero_lhs(self, family):
         base, _, tmp = family
         out = tmp / "bound.json"
@@ -517,11 +530,19 @@ class TestBenchTune:
         assert f"{flag[2:]} must be finite and non-negative" in captured.err
         assert captured.out == ""
 
-    def test_bad_dim_exit_2(self):
-        assert main(["bench", "synthetic", "--dim", "7"]) == 2
+    def test_bad_dim_exit_2(self, capsys):
+        for dim, message in (("7", "expected M,N"), ("0,3", "extents must be positive")):
+            assert main(["bench", "synthetic", "--dim", dim]) == 2
+            assert message in capsys.readouterr().err
 
-    def test_bad_grid_exit_2(self):
-        assert main(["tune", "--method", "ties", "--grid-retain", "0.5:0.1:0.1"]) == 2
+    def test_bad_grid_exit_2(self, capsys):
+        for spec, message in (
+            ("0.5:0.1:0.1", "need step > 0"),
+            ("abc", "expected a:b:step"),
+            ("0.1:0.5", "expected a:b:step"),
+        ):
+            assert main(["tune", "--method", "ties", "--grid-retain", spec]) == 2
+            assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,spec", [
         ("--grid-retain", "0.1:inf:0.1"),

@@ -250,6 +250,11 @@ def topk_oracle(blocks, retain, mode):
 
 
 class TestPruneTopk:
+    @pytest.mark.parametrize("retain,mode,match", [(0.0, "joint", "retain"), (0.5, "x", "mode")])
+    def test_bad_setting_rejected(self, retain, mode, match):
+        with pytest.raises(ValueError, match=match):
+            prune_topk(np.ones((2, 2, 2)), retain, mode)
+
     def test_retain_all(self):
         blocks = [np.arange(4.0).reshape(2, 2), -np.ones((2, 2))]
         masks = prune_topk(blocks, 1.0)
@@ -458,6 +463,10 @@ class TestDisjointAverage:
     def test_lambda_count_mismatch(self):
         with pytest.raises(ShapeMismatch):
             filtered_average([np.ones((1, 1))], [np.ones((1, 1), dtype=bool)], None, [1.0, 2.0])
+
+    def test_survivor_mask_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch, match="survivor mask"):
+            disjoint_average(np.ones((2, 3, 4)), np.ones((2, 4, 3), dtype=bool), 1.0, 1.0)
 
 
 class TestMergeDrm:
@@ -680,6 +689,18 @@ class TestMergeBundle:
         parallel = merge_bundle(base, tasks, cfg)
         assert serial == parallel
 
+    def test_duplicate_task_names_rejected_before_any_read(self, monkeypatch):
+        base, tasks = build_family(73, n_tasks=2)
+
+        def no_read(self, name):
+            raise AssertionError(f"read {name!r} before the task names were checked")
+
+        monkeypatch.setattr(TensorBundle, "read", no_read)
+        with pytest.raises(ValueError, match="task names must be unique"):
+            merge_bundle(base, tasks, MergeConfig(), task_names=["x", "x"])
+        with pytest.raises(ValueError, match="task names must be unique"):
+            extract_deltas(base, tasks, ["x", "x"])
+
     def test_lambda_count_checked_upfront(self):
         base, tasks = build_family(71)
         cfg = MergeConfig(method="drm_h", lambdas=(1.0, 1.0))  # 2 lambdas, 3 tasks
@@ -750,6 +771,19 @@ class TestMergeConfig:
         np.testing.assert_allclose(cfg.task_lambdas(2), [0.5, 1.5])
         with pytest.raises(ValueError):
             cfg.task_lambdas(3)
+
+    def test_simple_avg_resolves_to_ones(self):
+        cfg = MergeConfig(method="simple_avg", lambdas=(0.5, 2.0))
+        np.testing.assert_array_equal(cfg.task_lambdas(3), [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("name,value", [
+        ("dare_drop", 1.0),
+        ("rank_drop", 1.0),
+        ("prune_mode", "x"),
+    ])
+    def test_setting_out_of_range_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            MergeConfig(**{name: value})
 
     def test_non_finite_lambda_rejected(self):
         with pytest.raises(ValueError):

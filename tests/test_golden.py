@@ -5,8 +5,10 @@ A small fixed family (float32 and float64 tensors, biases, four matrix
 layers so the layer pool runs) is merged with every method, with TIES
 and drm-h with pruning switched off, with drm-h and drm-v dropping half
 the rank, with DARE-TIES at drop rates 0.5 and 0 and without the
-disjoint average, and with TIES without the sign election. A second family, one 96x160 float32 layer and one bias
-with four tasks, is merged with every method at a size that reaches
+disjoint average, with TIES without the sign election, with simple
+averaging given a coefficient it records but ignores, and with drm-h
+given one coefficient per task. A second family, one 96x160 float32
+layer and one bias with four tasks, is merged with every method at a size that reaches
 numpy's blocked loops. The SHA-256 of each output bundle is compared
 with a recorded value; refactors and speed-ups must leave these hashes
 unchanged, and a serial run must write the same bytes as a pooled one. A
@@ -57,6 +59,8 @@ CASES = {
     "dare-ties-no-drop": ["--method", "dare-ties", "--dare-drop", "0"],
     "dare-ties-no-disjoint": ["--method", "dare-ties", "--no-disjoint"],
     "ties-no-sign-elect": ["--method", "ties", "--no-sign-elect"],
+    "avg-lambda": ["--method", "avg", "--lambda", "0.5"],
+    "drm-h-lambda-list": ["--method", "drm-h", "--lambda", "0.5,1,1.5"],
 }
 
 GOLDEN = {
@@ -74,6 +78,8 @@ GOLDEN = {
     "dare-ties-no-drop": "0c2d781a12ecba54e6416fc3996e7585bb7f8595509d6f04594faaca62c71d2a",
     "dare-ties-no-disjoint": "62c73c669e9d8d4a59575c10beb6caafa3a46ea2122ea58034be94d1fa41f9b7",
     "ties-no-sign-elect": "c997e5ab1b80d6bf40a37fe6707c5d3f039666933f664eaa19f8ae958869b532",
+    "avg-lambda": "ab14b323210a000f1b8a5a1d32f410dfd02b1618299a456a4793328dc4111e65",
+    "drm-h-lambda-list": "3c6a160b3dcc36b189ed2cc96ad83874d3ddff6c9c76eebc4f7cee3ddbfcde71",
 }
 
 WIDE_SHAPES = {

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drm.bundle import materialize_low_rank
-from drm.errors import ConvergenceFailure, NonFiniteValue
+from drm.errors import ConvergenceFailure, NonFiniteValue, ShapeMismatch
 from drm import linalg
 from drm.linalg import SIGMA_ZERO_REL, spectral_norm, thin_svd
 from oracles import SizeTooLarge, svd_oracle
@@ -29,6 +29,10 @@ def check_thin_svd_invariants(A, svd):
 
 
 class TestThinSVD:
+    def test_non_matrix_rejected(self):
+        with pytest.raises(ShapeMismatch, match=r"\(2, 3, 4\)"):
+            thin_svd(np.zeros((2, 3, 4)))
+
     def test_diagonal_with_negative_entry(self):
         svd = thin_svd(np.diag([3.0, -2.0]))
         np.testing.assert_allclose(svd.sigma, [3.0, 2.0], atol=1e-12)
