@@ -175,12 +175,12 @@ def cmd_bench(args) -> int:
 
 def cmd_tune(args) -> int:
     m, n = _parse_dim(args.dim)
+    retain_grid = _parse_grid(args.grid_retain) if args.grid_retain else None
+    lambda_grid = _parse_grid(args.grid_lambda) if args.grid_lambda else None
     base, tasks = harness.synth_suite(
         args.seed, args.tasks, m, n, args.samples, ridge=args.ridge, noise=args.noise
     )
     method = _CLI_METHODS[args.method]
-    retain_grid = _parse_grid(args.grid_retain) if args.grid_retain else None
-    lambda_grid = _parse_grid(args.grid_lambda) if args.grid_lambda else None
     result = harness.grid_tune(
         base, tasks, method, retain_grid, lambda_grid, val_split_seed=args.seed
     )

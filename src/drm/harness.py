@@ -80,9 +80,27 @@ def closed_form_finetune(base: np.ndarray, task: SynthTask) -> np.ndarray:
     return wt.T
 
 
-def _neg_mse(W: np.ndarray, X: np.ndarray, Y: np.ndarray) -> float:
-    resid = X @ W.T - Y
-    return -float(np.mean(resid * resid))
+def _scorer(pairs: list[tuple[np.ndarray, np.ndarray]]):
+    """Return a function that scores a weight matrix W on every (X, Y)
+    pair: the negative mean squared error of ``X @ W.T`` against ``Y``.
+
+    Each pair's GEMM writes its own rows of one residual buffer, which is
+    then reduced slot by slot with the sum and division ``np.mean`` runs,
+    so every score has the bytes of ``-np.mean((X @ W.T - Y) ** 2)``.
+    """
+    Xs = [X for X, _ in pairs]
+    Y = np.concatenate([Y for _, Y in pairs])
+    resid = np.empty_like(Y)
+    slots = np.split(resid, np.cumsum([len(X) for X in Xs])[:-1])
+
+    def score(W: np.ndarray) -> list[float]:
+        for X, slot in zip(Xs, slots):
+            np.matmul(X, W.T, out=slot)
+        np.subtract(resid, Y, out=resid)
+        np.multiply(resid, resid, out=resid)
+        return [-float(np.add.reduce(slot, axis=None) / slot.size) for slot in slots]
+
+    return score
 
 
 def evaluate(model, tasks: list[SynthTask]) -> tuple[list[float], float]:
@@ -91,11 +109,10 @@ def evaluate(model, tasks: list[SynthTask]) -> tuple[list[float], float]:
     Returns (per-task negative mean squared errors, their mean).
     """
     W = np.asarray(model, dtype=np.float64)
-    scores = []
     for task in tasks:
         if task.X.shape[1] != W.shape[1] or task.Y.shape[1] != W.shape[0]:
             raise ShapeMismatch(f"task {task.name!r} does not match model shape {W.shape}")
-        scores.append(_neg_mse(W, task.X, task.Y))
+    scores = _scorer([(task.X, task.Y) for task in tasks])(W) if tasks else []
     return scores, float(np.mean(scores))
 
 
@@ -142,14 +159,17 @@ class TuneResult:
         return "\n".join(lines) + "\n"
 
 
-def _split_task(task: SynthTask, rng: np.random.Generator) -> tuple[SynthTask, np.ndarray, np.ndarray]:
-    """90/10 train/validation split; returns (train task, X_val, Y_val)."""
+def _finetune_split(
+    base: np.ndarray, task: SynthTask, rng: np.random.Generator
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Finetune on a 90% split of ``task``; returns (finetuned delta,
+    (X_val, Y_val)). The training rows are dropped on return."""
     s = task.n_samples
     n_val = max(1, s // 10)
     perm = rng.permutation(s)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     train = SynthTask(task.name, task.X[train_idx], task.Y[train_idx], task.ridge)
-    return train, task.X[val_idx], task.Y[val_idx]
+    return closed_form_finetune(base, train) - base, (task.X[val_idx], task.Y[val_idx])
 
 
 def grid_tune(
@@ -177,21 +197,20 @@ def grid_tune(
 
     base = np.asarray(base, dtype=np.float64)
     rng = np.random.default_rng(val_split_seed)
-    splits = [_split_task(task, rng) for task in tasks]
-    finetuned = [closed_form_finetune(base, train) for train, _, _ in splits]
-    ds = DeltaSet(
-        "layer0", base.shape, [w - base for w in finetuned], [t.name for t in tasks]
-    )
+    fits = [_finetune_split(base, task, rng) for task in tasks]
+    ds = DeltaSet("layer0", base.shape, [delta for delta, _ in fits], [t.name for t in tasks])
+    score_val = _scorer([pair for _, pair in fits])
 
     result = TuneResult(method=method, task_names=[t.name for t in tasks])
     best_per_task: list[float] = []
+    merged = np.empty_like(base)
     merges = merge_delta_set_grid(
         ds, MergeConfig(method=method, seed=val_split_seed), retain_grid, lambda_grid
     )
     points = itertools.product(retain_grid, lambda_grid)
     for (retain, lam), (delta, _) in zip(points, merges, strict=True):
-        merged = base + delta
-        per_task = [_neg_mse(merged, xv, yv) for _, xv, yv in splits]
+        np.add(base, delta, out=merged)
+        per_task = score_val(merged)
         score = float(np.mean(per_task))
         result.grid.append((retain, lam, score))
         first = not np.isfinite(result.best_score)

@@ -4,7 +4,8 @@
 smaller Gram matrix, with no library eigensolver, so it is an independent
 check of the SVD backend. ``synth_hetero_deltas`` generates delta sets
 whose task norms span a chosen ratio, the input on which renormalization
-visibly changes what pruning keeps.
+visibly changes what pruning keeps. ``neg_mse_oracle`` is the per-task
+score the synthetic harness must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -103,3 +104,8 @@ def synth_hetero_deltas(
         exponent = t / (n_tasks - 1) if n_tasks > 1 else 0.0
         deltas.append(rng.standard_normal((m, n)) * scale_ratio**exponent)
     return DeltaSet("synthetic", (m, n), deltas, [f"task{t}" for t in range(n_tasks)])
+
+
+def neg_mse_oracle(W: np.ndarray, X: np.ndarray, Y: np.ndarray) -> float:
+    """Negative mean squared error of ``X @ W.T`` against ``Y``."""
+    return -float(np.mean((X @ W.T - Y) ** 2))

@@ -544,6 +544,19 @@ class TestBenchTune:
             assert main(["tune", "--method", "ties", "--grid-retain", spec]) == 2
             assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--grid-retain", "--grid-lambda"])
+    def test_bad_grid_reported_before_the_suite_is_built(self, monkeypatch, capsys, flag):
+        built = []
+
+        def no_suite(*args, **kwargs):
+            built.append(args)
+            raise AssertionError("synth_suite called")
+
+        monkeypatch.setattr(drm.cli.harness, "synth_suite", no_suite)
+        assert main(["tune", "--method", "ties", flag, "abc"]) == 2
+        assert "bad grid spec 'abc'" in capsys.readouterr().err
+        assert built == []
+
     @pytest.mark.parametrize("flag,spec", [
         ("--grid-retain", "0.1:inf:0.1"),
         ("--grid-retain", "0.1:0.5:nan"),

@@ -18,7 +18,9 @@ the rank; its stacks are rank-deficient, so it pins the ``gesdd`` route
 of the stacked SVD, which the dense families never take. The small
 family is analyzed with every report kind, and its sign agreement in
 every tally space, and a small synthetic suite is tuned over the default
-grids with six methods; their JSON outputs are pinned the same way. The
+grids with six methods, as are, with drm-h, the benchmark's ``tune-grid``
+suite at seeds 0 and 1 and a nine-task suite; their JSON outputs are
+pinned the same way. The
 drm-h and drm-v hashes depend on the LAPACK/BLAS build; after an
 intended output change, or on a platform whose BLAS rounds differently,
 print the current values with
@@ -109,6 +111,15 @@ LOW_RANK_GOLDEN = {
 }
 
 TUNE_METHODS = ("drm-h", "drm-v", "ties", "dare-ties", "ta", "avg")
+# The benchmark's tune-grid suite. The nine-task case hands np.mean eight or
+# more per-task scores, which it sums pairwise.
+TUNE_BENCH = ["--tasks", "4", "--dim", "128,96", "--samples", "400", "--noise", "0.02"]
+TUNE_CASES = {
+    **{m: ["--method", m, "--tasks", "3", "--dim", "12,8"] for m in TUNE_METHODS},
+    "drm-h-bench-seed0": ["--method", "drm-h", *TUNE_BENCH, "--seed", "0"],
+    "drm-h-bench-seed1": ["--method", "drm-h", *TUNE_BENCH, "--seed", "1"],
+    "drm-h-9-tasks": ["--method", "drm-h", "--tasks", "9", "--dim", "12,8"],
+}
 TUNE_GOLDEN = {
     "drm-h": "f1934087abc586679acebb2ddbff73992bc97e6bcfdad4e0e2cda127e9439130",
     "drm-v": "8e125d6a11c734671ffd28cbfb38e6ce9e565dc1e7c6975a1c719a6babf963b5",
@@ -116,6 +127,9 @@ TUNE_GOLDEN = {
     "dare-ties": "ba7ef9c36df84a7ecf43bb83c34aff81d33dc398128af19a817ae024dfd72994",
     "ta": "092cc935257874ea6aec560ee6fdd0514eec26c825e2009b127c93406b6face3",
     "avg": "60a585d7cbcafd864e22be2f6218639dce25e73b5ac7cd2ee8de77f08fca2da7",
+    "drm-h-bench-seed0": "e6a76d9f7ac8b24610e2e8fb85914ffa80fce1a6cdbf99c102f4f696034cf985",
+    "drm-h-bench-seed1": "4e87a3fb0ea915b7298f49c7a3be53214e996de51ba4e81b6249a11553d368f2",
+    "drm-h-9-tasks": "27af41388dbb401d9d2c94c68faca05ff3b85edd698dc1f5f63d954e20c53f4a",
 }
 
 ANALYSIS_KINDS = ("prune-density", "sign-agreement", "svd-bound", "spectrum")
@@ -206,9 +220,9 @@ def space_sha256(directory: Path, space: str) -> str:
     return analysis_sha256(directory, "sign-agreement", "--space", space)
 
 
-def tune_sha256(directory: Path, method: str) -> str:
-    out = directory / f"tune-{method}.json"
-    argv = ["tune", "--method", method, "--tasks", "3", "--dim", "12,8", "--out", str(out)]
+def tune_sha256(directory: Path, case: str) -> str:
+    out = directory / f"tune-{case}.json"
+    argv = ["tune", *TUNE_CASES[case], "--out", str(out)]
     assert main(argv) == 0
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
@@ -262,9 +276,9 @@ def test_low_rank_output_hash_unchanged(method, tmp_path, monkeypatch, gesdd_cal
     assert digest == LOW_RANK_GOLDEN[method]
 
 
-@pytest.mark.parametrize("method", TUNE_METHODS)
-def test_tune_hash_unchanged(method, tmp_path):
-    assert tune_sha256(tmp_path, method) == TUNE_GOLDEN[method]
+@pytest.mark.parametrize("case", TUNE_CASES)
+def test_tune_hash_unchanged(case, tmp_path):
+    assert tune_sha256(tmp_path, case) == TUNE_GOLDEN[case]
 
 
 @pytest.mark.parametrize("kind", ANALYSIS_KINDS)
@@ -289,7 +303,7 @@ if __name__ == "__main__":
             ("GOLDEN", merged_sha256, CASES, GOLDEN),
             ("WIDE_GOLDEN", wide_sha256, WIDE_METHODS, WIDE_GOLDEN),
             ("LOW_RANK_GOLDEN", low_rank_sha256, LOW_RANK_METHODS, LOW_RANK_GOLDEN),
-            ("TUNE_GOLDEN", tune_sha256, TUNE_METHODS, TUNE_GOLDEN),
+            ("TUNE_GOLDEN", tune_sha256, TUNE_CASES, TUNE_GOLDEN),
             ("ANALYSIS_GOLDEN", analysis_sha256, ANALYSIS_KINDS, ANALYSIS_GOLDEN),
             ("SPACE_GOLDEN", space_sha256, SPACES, SPACE_GOLDEN),
         ):

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import drm.engine
+import drm.harness
 from drm.errors import ShapeMismatch, SingularSystem
 from drm.harness import (
     BENCH_METHODS,
@@ -13,6 +16,7 @@ from drm.harness import (
     run_bench,
     synth_suite,
 )
+from oracles import neg_mse_oracle
 
 
 def simple_task(seed=0, s=30, n=3, m=4, ridge=0.0):
@@ -112,6 +116,76 @@ class TestEvaluate:
         assert scores[0] == pytest.approx(-total / 24.0)
 
 
+def planted_tasks(seed, samples, m, n, noise=0.1):
+    """Tasks with their own sample counts, planted solutions and noise."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((m, n))
+    tasks = []
+    for t, s in enumerate(samples):
+        w_true = base + 0.3 * rng.standard_normal((m, n))
+        X = rng.standard_normal((s, n))
+        Y = X @ w_true.T + noise * rng.standard_normal((s, m))
+        tasks.append(SynthTask(f"t{t}", X, Y, ridge=0.1))
+    return base, tasks
+
+
+# (samples per task, m, n): unequal counts giving 1, 3 and 40 validation
+# rows, one-row validation splits, 1x1 weights, and nine tasks.
+SCORER_SUITES = {
+    "unequal": ((11, 37, 400), 5, 3),
+    "one-row": ((12, 19), 4, 3),
+    "1x1": ((20, 30, 40), 1, 1),
+    "nine": ((50,) * 9, 6, 4),
+}
+
+
+class TestScorer:
+    @pytest.mark.parametrize("suite", SCORER_SUITES)
+    def test_evaluate_matches_oracle_exactly(self, suite):
+        samples, m, n = SCORER_SUITES[suite]
+        base, tasks = planted_tasks(1, samples, m, n)
+        W = base + 0.1 * np.random.default_rng(2).standard_normal((m, n))
+        scores, mean = evaluate(W, tasks)
+        assert scores == [neg_mse_oracle(W, t.X, t.Y) for t in tasks]
+        assert mean == float(np.mean(scores))
+
+    @pytest.mark.parametrize("method", ["drm_h", "ties"])
+    @pytest.mark.parametrize("suite", SCORER_SUITES)
+    def test_grid_tune_matches_oracle_exactly(self, suite, method, monkeypatch):
+        samples, m, n = SCORER_SUITES[suite]
+        base, tasks = planted_tasks(3, samples, m, n)
+        deltas = []
+        real_grid = drm.harness.merge_delta_set_grid
+
+        def recording_grid(*args, **kwargs):
+            for delta, stats in real_grid(*args, **kwargs):
+                deltas.append(delta.copy())
+                yield delta, stats
+
+        monkeypatch.setattr(drm.harness, "merge_delta_set_grid", recording_grid)
+        res = grid_tune(base, tasks, method, val_split_seed=4)
+
+        # The split rule, restated: the first max(1, s // 10) entries of a
+        # permutation drawn per task from one generator are validation rows.
+        rng = np.random.default_rng(4)
+        val = []
+        for task in tasks:
+            idx = rng.permutation(task.n_samples)[: max(1, task.n_samples // 10)]
+            val.append((task.X[idx], task.Y[idx]))
+
+        assert len(deltas) == len(res.grid) == 80
+        best, best_per_task = None, None
+        for (retain, lam, score), delta in zip(res.grid, deltas):
+            W = base + delta
+            per_task = [neg_mse_oracle(W, x, y) for x, y in val]
+            expected = float(np.mean(per_task))
+            assert score == expected, (retain, lam)
+            if best is None or expected > best[2] + 1e-12 * max(1.0, abs(best[2])):
+                best, best_per_task = (retain, lam, expected), per_task
+        assert (res.best_retain, res.best_lambda, res.best_score) == best
+        assert res.per_task_scores == best_per_task
+
+
 class TestDefaultGrids:
     def test_drm_grid_is_10_by_8(self):
         retain, lam = default_grids("drm_h")
@@ -175,6 +249,26 @@ class TestGridTune:
         res = grid_tune(base, tasks, method, retain_grid, lambda_grid)
         assert len(res.grid) == 12
         assert calls == {"thin_svd": 1, "prune_topk": len(retain_grid)}
+
+    def test_training_splits_freed_before_the_grid(self, monkeypatch):
+        # Training rows dominate this suite: 4 x 1800 x (64 + 4) float64
+        # values, about 3.7 MiB, against 4 x 200 x 68 validation values.
+        base, tasks = synth_suite(20, 4, 4, 64, samples=2000)
+        train_bytes = sum(8 * (t.n_samples - t.n_samples // 10) * 68 for t in tasks)
+        held = []
+        real_grid = drm.harness.merge_delta_set_grid
+
+        def recording_grid(*args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return real_grid(*args, **kwargs)
+
+        monkeypatch.setattr(drm.harness, "merge_delta_set_grid", recording_grid)
+        tracemalloc.start()
+        try:
+            grid_tune(base, tasks, "task_arithmetic", [1.0], [1.0])
+        finally:
+            tracemalloc.stop()
+        assert held and held[0] < train_bytes / 4, (held, train_bytes)
 
     def test_empty_grid_rejected(self):
         base, tasks = synth_suite(14, 2, 5, 4, samples=40)
