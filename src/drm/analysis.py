@@ -263,14 +263,15 @@ def sign_agreement(ds: DeltaSet, cfg: MergeConfig, space: str = "original") -> A
         raise NeedTwoTasks("sign agreement needs at least two tasks")
 
     if space == "original":
-        stack = ds.deltas
+        stack = ds.deltas if ds._owned else ds.deltas.copy()
         masks = prune_topk(stack, cfg.retain, "individual")
     else:
         orientation = "vertical" if space.endswith("-v") else "horizontal"
         jd = decompose_joint(ds, orientation)
         stack = jd.renorm_blocks
         masks = prune_topk(stack, cfg.retain, cfg.prune_mode)
-    pruned = np.where(masks, stack, 0.0)
+    # Pruned where it lies; a pruned entry's zero may be -0.0, which tallies as 0.0.
+    pruned = np.multiply(stack, masks, out=stack)
     if space.startswith("backprojected"):
         pruned *= jd.task_sigmas[:, :, None]
         pruned = jd.U @ pruned

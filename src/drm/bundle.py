@@ -24,7 +24,6 @@ import contextlib
 import json
 import os
 import struct
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -393,14 +392,15 @@ class DeltaSet:
     ``deltas`` may be given as a list of m x n matrices, which is stacked
     once, or as an N x m x n float64 array, which is taken as it is: a
     task-major array, or a view of a buffer in another axis order (see
-    :func:`layer_delta_set`). All merging arithmetic happens in float64,
+    :func:`extract_deltas`). All merging arithmetic happens in float64,
     whatever the stored checkpoint dtype.
 
-    A merge never changes a caller's stack. The one exception is a stack
-    marked ``_owned`` by the code that built it for a single merge
-    (:func:`drm.engine.merge_bundle_with_stats`), which the merge consumes:
-    TIES and DARE-TIES overwrite it in place, and drm-h/drm-v drop it
-    (``deltas`` becomes None) once the SVD input exists.
+    Neither a merge nor an analysis changes a caller's stack. The one
+    exception is a stack marked ``_owned`` by :func:`drm.engine.map_layers`,
+    which builds it for the one merge or analysis of its layer, and that
+    call consumes it: TIES and DARE-TIES overwrite it in place, and
+    :func:`drm.engine.decompose_joint` drops it (``deltas`` becomes None)
+    once the SVD input exists.
     """
 
     layer_name: str
@@ -435,7 +435,7 @@ class DeltaSet:
     def side_by_side(self) -> np.ndarray:
         """The m x N*n matrix ``[delta_0 ... delta_{N-1}]`` that the joint
         SVD factors. It is a view where the stack's buffer allows one: a
-        C-ordered view of an m x N x n buffer (``layer_delta_set`` order
+        C-ordered view of an m x N x n buffer (``extract_deltas`` order
         ``"itj"``), an F-ordered one of an N x n x m buffer (``"tji"``, or
         the :meth:`transposed` view of a task-major stack); otherwise, as
         for a task-major stack, a C-ordered copy."""
@@ -489,7 +489,7 @@ def check_aligned(
 _TILE_BYTES = 1 << 19
 
 
-def layer_delta_set(
+def extract_deltas(
     name: str,
     base: np.ndarray,
     tasks: list[TensorBundle | BundleFile],
@@ -534,27 +534,6 @@ def _subtract_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
         part = tile[: stop - start]
         np.subtract(a[start:stop], b[start:stop], out=part, dtype=np.float64)
         out[start:stop] = part
-
-
-def extract_deltas(
-    base: TensorBundle | BundleFile,
-    tasks: list[TensorBundle | BundleFile],
-    task_names: list[str] | None = None,
-) -> Iterator[DeltaSet]:
-    """One :class:`DeltaSet` of task - base deltas per rank-2 tensor of
-    aligned bundles, in base-bundle order, each built only when the
-    iterator reaches it, so a caller that drops each layer before taking
-    the next holds one layer's float64 data at a time. Names and shapes are
-    checked here, at the call (see :func:`check_aligned`); a bad tensor
-    value surfaces when its layer is read. Rank-1 tensors are not read;
-    :func:`drm.engine.merge_bundle` averages them itself.
-    """
-    task_names = check_aligned(base, tasks, task_names)
-    return (
-        layer_delta_set(name, base.read(name), tasks, task_names)
-        for name in base.names()
-        if len(base.shape(name)) == 2
-    )
 
 
 def materialize_low_rank(down: np.ndarray, up: np.ndarray, scale: float) -> np.ndarray:

@@ -14,9 +14,9 @@ import sys
 from pathlib import Path
 
 from . import analysis, harness
-from .bundle import atomic_output, canonical_json, extract_deltas, open_bundle, write_bundle
+from .bundle import atomic_output, canonical_json, check_aligned, open_bundle, write_bundle
 from .bundle import read_bundle  # noqa: F401 -- drmbench wraps drm.cli.read_bundle
-from .engine import PRUNE_MODES, MergeConfig, merge_bundle_with_stats
+from .engine import PRUNE_MODES, MergeConfig, map_layers, merge_bundle_with_stats
 from .errors import ArgumentError, InputOutputError, NumericError
 
 _CLI_METHODS = {
@@ -134,24 +134,21 @@ def cmd_merge(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    orientation = "vertical" if args.space.endswith("-v") else "horizontal"
-    reports = []
+    # svd-bound factors the horizontal stack whatever the space.
+    vertical = args.space.endswith("-v") and args.kind != "svd-bound"
+    orientation = "vertical" if vertical else "horizontal"
     with _open_inputs(args) as (base, tasks):
-        cfg = MergeConfig(
-            method="drm_v" if orientation == "vertical" else "drm_h",
-            retain=args.retain,
-            prune_mode=args.prune_mode,
-        )
-        # Each layer is read and its deltas built only when the loop takes it.
-        for ds in extract_deltas(base, tasks, _task_names(args.task)):
-            if args.kind == "prune-density":
-                reports.append(analysis.pruning_density(ds, cfg, with_renorm=args.renorm))
-            elif args.kind == "sign-agreement":
-                reports.append(analysis.sign_agreement(ds, cfg, args.space))
-            elif args.kind == "svd-bound":
-                reports.extend(analysis.check_perturbation_bounds(ds))
-            elif args.kind == "spectrum":
-                reports.append(analysis.spectrum_report(ds, orientation))
+        cfg = MergeConfig(method="drm_v" if vertical else "drm_h", retain=args.retain,
+                          prune_mode=args.prune_mode)
+        analyze_layer = {  # (base value, deltas) -> the layer's reports
+            "prune-density": lambda _, ds: [analysis.pruning_density(ds, cfg, args.renorm)],
+            "sign-agreement": lambda _, ds: [analysis.sign_agreement(ds, cfg, args.space)],
+            "svd-bound": lambda _, ds: analysis.check_perturbation_bounds(ds),
+            "spectrum": lambda _, ds: [analysis.spectrum_report(ds, orientation)],
+        }[args.kind]
+        task_names = check_aligned(base, tasks, _task_names(args.task))
+        layers = map_layers(base, tasks, task_names, cfg.method, analyze_layer)
+    reports = [r for layer_reports in layers.values() for r in layer_reports]
     if not reports:
         raise ValueError("no rank-2 tensors to analyze")
 

@@ -24,9 +24,8 @@ from .bundle import (
     TensorBundle,
     canonical_json,
     check_aligned,
-    layer_delta_set,
+    extract_deltas,
 )
-from .bundle import extract_deltas  # noqa: F401 -- drmbench wraps drm.engine.extract_deltas
 from .errors import ArgumentError, CastOverflow, DrmError, NonFiniteValue, ShapeMismatch
 from .linalg import in_place_order, nonzero_sigma_mask, thin_svd
 
@@ -660,10 +659,11 @@ def _thread_count(n_items: int, method: str) -> int:
 
 
 def _stack_order(method: str, shape: tuple[int, int], n_tasks: int) -> str:
-    """The :func:`~drm.bundle.layer_delta_set` buffer order for a layer of
-    ``shape`` merged with ``method``. drm-h's and drm-v's SVD input is a
-    rows x N*cols matrix (m x N*n, or n x N*m for the transposed deltas).
-    Where ``thin_svd`` factors that input in place only when it is
+    """The :func:`~drm.bundle.extract_deltas` buffer order in which
+    :func:`map_layers` builds a layer of ``shape`` for ``method`` (for an
+    analysis, the drm method of its orientation). drm-h's and drm-v's SVD
+    input is a rows x N*cols matrix (m x N*n, or n x N*m for the transposed
+    deltas). Where ``thin_svd`` factors that input in place only when it is
     C-ordered (see :func:`~drm.linalg.in_place_order`), the stack is laid
     out rows x N x cols, whose side-by-side matrix is a C-ordered view, so
     an owned stack is factored where it lies. Every other stack is
@@ -677,6 +677,42 @@ def _stack_order(method: str, shape: tuple[int, int], n_tasks: int) -> str:
     if in_place_order((height, n_tasks * width)) == "C":
         return rows + "t" + cols
     return "tij"
+
+
+def map_layers(base, tasks, task_names: list[str], method: str, on_matrix, on_vector=None):
+    """``{name: result}`` over the tensors of bundles that passed
+    :func:`check_aligned`, in base order. A rank-2 tensor's result is
+    ``on_matrix(base value, ds)``, where ``ds`` is its task deltas in an
+    owned stack laid out for ``method`` (see :func:`_stack_order`), which
+    that call may consume; a :class:`DrmError` or ``ValueError`` it raises
+    is raised again with the layer named. A rank-1 tensor's result is
+    ``on_vector(base value, task values)``; without ``on_vector`` rank-1
+    tensors are neither read nor listed.
+
+    Each call reads its layer's tensors (from disk, for a
+    :class:`BundleFile`), so input tensors and float64 stacks exist only for
+    the layers in flight. Layers run in a pool of :func:`_thread_count`
+    workers; results do not depend on the pool's size.
+    """
+
+    def one_layer(name: str):
+        value = base.read(name)
+        if value.ndim != 2:
+            return on_vector(value, [task.read(name) for task in tasks])
+        order = _stack_order(method, value.shape, len(tasks))
+        ds = extract_deltas(name, value, tasks, task_names, order)
+        ds._owned = True
+        try:
+            return on_matrix(value, ds)
+        except (DrmError, ValueError) as exc:
+            raise type(exc)(f"layer {name!r}: {exc}") from exc
+
+    names = [name for name in base.names() if on_vector is not None or len(base.shape(name)) == 2]
+    workers = _thread_count(sum(len(base.shape(name)) == 2 for name in names), method)
+    if workers > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            return dict(zip(names, pool.map(one_layer, names)))
+    return {name: one_layer(name) for name in names}
 
 
 def merge_bundle(
@@ -698,50 +734,34 @@ def merge_bundle_with_stats(
 ) -> tuple[TensorBundle, list[LayerStats]]:
     """Merge whole checkpoints: matrices via the configured method, biases
     via weighted averaging. Output dtypes follow the base bundle per tensor
-    and the metadata records the configuration. Layers are independent, so
-    other methods merge them in a pool of one worker per core, while
-    drm-h/drm-v merge one layer at a time and leave the cores to BLAS. An
-    explicit ``DRM_THREADS`` caps the layer pool for every method (unset,
-    empty or 0 chooses as above); merged bytes do not depend on it.
+    and the metadata records the configuration.
 
-    Names and shapes are checked up front. Each layer worker then reads
-    that layer's input tensors (from disk, for a :class:`BundleFile`), and
-    takes them from float64 deltas to the output dtype, so input tensors and
-    float64 copies exist only for the layers in flight.
+    Names and shapes are checked up front; :func:`map_layers` then walks
+    the layers. Other methods merge them in a pool of one worker per core,
+    while drm-h/drm-v merge one layer at a time and leave the cores to BLAS.
+    An explicit ``DRM_THREADS`` caps the layer pool for every method (unset,
+    empty or 0 chooses as above); merged bytes do not depend on it. Each
+    layer goes from float64 deltas to the output dtype in its own call, and
+    its stack is freed before the cast.
     """
     task_names = check_aligned(base, tasks, task_names)
-    n_tasks = len(tasks)
-    bias_lams = cfg.task_lambdas(n_tasks)
+    bias_lams = cfg.task_lambdas(len(tasks))
 
-    def one_layer(name: str) -> tuple[np.ndarray, dict]:
-        arr = base.read(name)
-        if arr.ndim != 2:
-            merged = merge_biases(arr, [task.read(name) for task in tasks], bias_lams)
-            with np.errstate(over="ignore"):
-                return merged.astype(arr.dtype, copy=False), {}
-        order = _stack_order(cfg.method, arr.shape, n_tasks)
-        ds = layer_delta_set(name, arr, tasks, task_names, order)
-        ds._owned = True  # built here for this merge alone, which consumes it
-        try:
-            delta, info = _merge_delta_set_with_stats(ds, cfg)
-        except (DrmError, ValueError) as exc:
-            raise type(exc)(f"layer {name!r}: {exc}") from exc
-        del ds
-        cast = np.empty(arr.shape, dtype=arr.dtype)
+    def merge_matrix(value: np.ndarray, ds: DeltaSet) -> tuple[np.ndarray, dict]:
+        delta, info = _merge_delta_set_with_stats(ds, cfg)
+        ds.deltas = None  # spent; map_layers still holds ds during the cast
+        cast = np.empty(value.shape, dtype=value.dtype)
         # The sum in float64, rounded once to the output dtype.
         with np.errstate(over="ignore"):
-            np.add(arr, delta, out=cast, dtype=np.float64, casting="unsafe")
+            np.add(value, delta, out=cast, dtype=np.float64, casting="unsafe")
         return cast, info
 
-    layer_names = base.names()
-    workers = _thread_count(
-        sum(len(base.shape(name)) == 2 for name in layer_names), cfg.method
-    )
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_layer, layer_names))
-    else:
-        results = [one_layer(name) for name in layer_names]
+    def merge_vector(value: np.ndarray, task_values: list[np.ndarray]) -> tuple[np.ndarray, dict]:
+        merged = merge_biases(value, task_values, bias_lams)
+        with np.errstate(over="ignore"):
+            return merged.astype(value.dtype, copy=False), {}
+
+    results = map_layers(base, tasks, task_names, cfg.method, merge_matrix, merge_vector)
 
     meta = dict(base.metadata)
     meta["merge.method"] = cfg.method
@@ -750,7 +770,7 @@ def merge_bundle_with_stats(
     meta["merge.tasks"] = canonical_json(task_names)
     out = TensorBundle(metadata=meta)
     stats: list[LayerStats] = []
-    for name, (cast, info) in zip(layer_names, results):
+    for name, (cast, info) in results.items():
         stats.append(LayerStats(name, cast.shape, **info))
         try:
             out.add(name, cast)

@@ -108,11 +108,13 @@ def evaluate(model, tasks: list[SynthTask]) -> tuple[list[float], float]:
 
     Returns (per-task negative mean squared errors, their mean).
     """
+    if not tasks:
+        raise ValueError("need at least one task to score")
     W = np.asarray(model, dtype=np.float64)
     for task in tasks:
         if task.X.shape[1] != W.shape[1] or task.Y.shape[1] != W.shape[0]:
             raise ShapeMismatch(f"task {task.name!r} does not match model shape {W.shape}")
-    scores = _scorer([(task.X, task.Y) for task in tasks])(W) if tasks else []
+    scores = _scorer([(task.X, task.Y) for task in tasks])(W)
     return scores, float(np.mean(scores))
 
 

@@ -15,7 +15,6 @@ from drm.bundle import (
     TensorBundle,
     check_aligned,
     extract_deltas,
-    layer_delta_set,
     materialize_low_rank,
     open_bundle,
     read_bundle,
@@ -448,6 +447,9 @@ def test_round_trip_property(tmp_path_factory, bundle):
 
 
 class TestExtractDeltas:
+    """``check_aligned`` on the bundles, then ``extract_deltas`` per rank-2
+    layer, as ``drm.engine.map_layers`` runs them."""
+
     def base_and_tasks(self):
         base = TensorBundle()
         base.add("L0.w", np.ones((2, 2)))
@@ -459,10 +461,9 @@ class TestExtractDeltas:
 
     def test_direct_subtraction(self):
         base, task = self.base_and_tasks()
-        delta_sets = list(extract_deltas(base, [task]))
-        assert len(delta_sets) == 1
-        ds = delta_sets[0]
-        assert ds.layer_name == "L0.w"
+        names = check_aligned(base, [task])
+        ds = extract_deltas("L0.w", base["L0.w"], [task], names)
+        assert ds.layer_name == "L0.w" and ds.task_names == ["task0"]
         assert isinstance(ds.deltas, np.ndarray) and ds.deltas.shape == (1, 2, 2)
         np.testing.assert_array_equal(ds.deltas[0], [[1.0, 0.0], [0.0, -1.0]])
 
@@ -471,13 +472,13 @@ class TestExtractDeltas:
         task = TensorBundle()
         task.add("L0.b", np.zeros(2))
         with pytest.raises(MissingTensor, match="L0.w"):
-            extract_deltas(base, [task])
+            check_aligned(base, [task])
 
     def test_extra_tensor(self):
         base, task = self.base_and_tasks()
         task.add("L1.w", np.zeros((2, 2)))
         with pytest.raises(ExtraTensor, match="L1.w"):
-            extract_deltas(base, [task])
+            check_aligned(base, [task])
 
     def test_shape_mismatch(self):
         base, _ = self.base_and_tasks()
@@ -485,7 +486,7 @@ class TestExtractDeltas:
         task.add("L0.w", np.ones((2, 3)))
         task.add("L0.b", np.zeros(2))
         with pytest.raises(ShapeMismatch, match="L0.w"):
-            extract_deltas(base, [task])
+            check_aligned(base, [task])
 
     def test_no_tasks(self):
         base, _ = self.base_and_tasks()
@@ -494,14 +495,15 @@ class TestExtractDeltas:
 
     def test_identical_tasks_give_zero_deltas(self):
         base, _ = self.base_and_tasks()
-        delta_sets = extract_deltas(base, [base, base])
-        for ds in delta_sets:
-            for d in ds.deltas:
-                np.testing.assert_array_equal(d, np.zeros_like(d))
+        names = check_aligned(base, [base, base])
+        ds = extract_deltas("L0.w", base["L0.w"], [base, base], names)
+        assert ds.deltas.shape == (2, 2, 2)
+        for d in ds.deltas:
+            np.testing.assert_array_equal(d, np.zeros_like(d))
 
     def test_add_back_reproduces_tasks_exactly(self):
         # Values quantized to float32 so the float64 subtract/add round
-        # trip is exact.
+        # trip is exact, in every buffer order.
         rng = np.random.default_rng(7)
         base = TensorBundle()
         tasks = [TensorBundle(), TensorBundle()]
@@ -509,13 +511,12 @@ class TestExtractDeltas:
             base.add(name, rng.uniform(-4, 4, shape).astype(np.float32).astype(np.float64))
             for task in tasks:
                 task.add(name, rng.uniform(-4, 4, shape).astype(np.float32).astype(np.float64))
-        delta_sets = list(extract_deltas(base, tasks))
-        assert [ds.layer_name for ds in delta_sets] == ["w1", "w2"]
-        for ds in delta_sets:
-            for t, delta in enumerate(ds.deltas):
-                np.testing.assert_array_equal(
-                    base[ds.layer_name].astype(np.float64) + delta, tasks[t][ds.layer_name]
-                )
+        names = check_aligned(base, tasks)
+        for name in ["w1", "w2"]:
+            for order in ["tij", "itj", "jti"]:
+                ds = extract_deltas(name, base[name], tasks, names, order)
+                for t, delta in enumerate(ds.deltas):
+                    np.testing.assert_array_equal(base[name] + delta, tasks[t][name])
 
 
 class TestMaterializeLowRank:
@@ -593,8 +594,8 @@ def test_layer_delta_set_order_lays_out_the_same_values(order, monkeypatch):
     rng = np.random.default_rng(11)
     base = rng.standard_normal((5, 7)).astype(np.float32)
     tasks = [TensorBundle({"w": rng.standard_normal((5, 7)).astype(np.float32)}) for _ in range(3)]
-    want = layer_delta_set("w", base, tasks, ["a", "b", "c"])
-    got = layer_delta_set("w", base, tasks, ["a", "b", "c"], order)
+    want = extract_deltas("w", base, tasks, ["a", "b", "c"])
+    got = extract_deltas("w", base, tasks, ["a", "b", "c"], order)
     assert got.deltas.shape == (3, 5, 7) and got.deltas.dtype == np.float64
     assert got.deltas.tobytes() == want.deltas.tobytes()
     buffer = got.deltas.base
@@ -612,4 +613,4 @@ def test_layer_delta_set_order_lays_out_the_same_values(order, monkeypatch):
 def test_layer_delta_set_rejects_an_unknown_order():
     base = TensorBundle({"w": np.zeros((2, 2))})
     with pytest.raises(ValueError, match="permutation"):
-        layer_delta_set("w", base["w"], [base], ["a"], "tii")
+        extract_deltas("w", base["w"], [base], ["a"], "tii")

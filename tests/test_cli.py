@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import json
@@ -193,6 +194,12 @@ class TestMerge:
             capsys.readouterr().err
         )
         assert not out.exists()
+        # drm analyze walks its layers through the same pool.
+        report = tmp / "r.json"
+        argv = ["analyze", "spectrum", "--base", base, "--out", str(report)]
+        assert main(argv + [arg for t in tasks for arg in ("--task", t)]) == 2
+        assert f"got {threads!r}" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_zero_drm_threads_merges_on_every_core(self, family, monkeypatch):
         base, tasks, tmp = family
@@ -346,7 +353,60 @@ class TestAnalyze:
             "--out", str(tmp / "r.json"),
         ])
         assert code == 2
-        assert "two tasks" in capsys.readouterr().err
+        # Raised inside the first matrix layer's analysis, which it names.
+        assert "layer 'enc.w': sign agreement needs at least two tasks" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("space", ["original", "decomposed-v"])
+    @pytest.mark.parametrize("kind", ["prune-density", "sign-agreement", "svd-bound", "spectrum"])
+    def test_bytes_do_not_depend_on_threads(self, family, capsys, monkeypatch, kind, space):
+        # DRM_THREADS=2 analyzes the family's two matrix layers in a pool
+        # of two workers; the report and the tables keep their bytes.
+        base, tasks, tmp = family
+        argv = ["analyze", kind, "--base", base, "--space", space]
+        for t in tasks:
+            argv += ["--task", t]
+        started = []
+        real_start = threading.Thread.start
+        monkeypatch.setattr(
+            threading.Thread, "start", lambda self: started.append(self.name) or real_start(self)
+        )
+        outputs = {}
+        for threads in ["1", "2"]:
+            monkeypatch.setenv("DRM_THREADS", threads)
+            assert main(argv + ["--out", str(tmp / f"r{threads}.json")]) == 0
+            outputs[threads] = (tmp / f"r{threads}.json").read_bytes(), capsys.readouterr().out
+            assert bool(started) == (threads == "2")
+        assert outputs["1"][0] == outputs["2"][0]
+        assert outputs["1"][1].replace("r1.json", "r2.json") == outputs["2"][1]
+
+    @pytest.mark.parametrize("kind,bound", [
+        ("prune-density", 2.75), ("spectrum", 2.75), ("svd-bound", 2.75), ("sign-agreement", 3.0),
+    ])
+    def test_layer_peak_in_stacks(self, tmp_path, capsys, kind, bound):
+        # One 512 x 512 float32 layer, N=4, in units of its float64 stack.
+        # The stack is owned and laid out for its SVD, so the SVD input is
+        # a view of it, and the stack is dropped once that is factored.
+        n_tasks, shape = 4, (512, 512)
+        rng = np.random.default_rng(37)
+        base = TensorBundle({"w": rng.standard_normal(shape).astype(np.float32)})
+        write_bundle(base, tmp_path / "base.drmb")
+        argv = ["analyze", kind, "--base", str(tmp_path / "base.drmb"),
+                "--space", "decomposed-h", "--out", str(tmp_path / "report.json")]
+        for t in range(n_tasks):
+            delta = 0.01 * rng.standard_normal(shape).astype(np.float32)
+            write_bundle(TensorBundle({"w": base["w"] + delta}), tmp_path / f"task{t}.drmb")
+            argv += ["--task", str(tmp_path / f"task{t}.drmb")]
+        del base, delta
+
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        capsys.readouterr()
+        assert peak <= bound * n_tasks * shape[0] * shape[1] * 8
 
     def test_only_rank_1_tensors_exit_2(self, tmp_path, capsys):
         bias = TensorBundle({"b": np.ones(3)})
@@ -637,6 +697,29 @@ def test_traced_names_resolve():
         if getattr(importlib.import_module(module), attr, None) is None
     ]
     assert missing == []
+
+
+def test_every_import_is_used_or_traced():
+    # An import that its module never uses may stay only while the
+    # benchmark's tracer wraps it there by name; once the tracer no longer
+    # does, this names the import to delete.
+    tracing = load_tracing()
+    unused = []
+    for path in sorted(Path(drm.cli.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        module = f"drm.{path.stem}"
+        traced = {attr for name, attr, _ in tracing.TARGETS if name == module}
+        unused += [f"{module}.{name}" for name in sorted(imported - used - traced)]
+    assert unused == []
 
 
 def test_traced_gesdd_merge_reports_its_input(tmp_path, monkeypatch, gesdd_calls):

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 import drm
 import drm.engine
+import drm.errors
 import drm.linalg
 from drm.baselines import dare_ties_merge, ties_merge
-from drm.bundle import DeltaSet, TensorBundle, extract_deltas, layer_delta_set
+from drm.bundle import DeltaSet, TensorBundle, check_aligned, extract_deltas
 from drm.engine import (
     METHODS,
     MergeConfig,
@@ -648,11 +649,11 @@ class TestMergeBundle:
         cfg = MergeConfig(method="drm_h", retain=0.4, lambdas=1.0)
         merged = merge_bundle(base, tasks, cfg)
 
-        delta_sets = extract_deltas(base, tasks)
-        by_layer = {ds.layer_name: ds for ds in delta_sets}
+        names = check_aligned(base, tasks)
         for name, arr in base.items():
             if arr.ndim == 2:
-                expected = arr.astype(np.float64) + merge_drm(by_layer[name], cfg)
+                ds = extract_deltas(name, arr, tasks, names)
+                expected = arr.astype(np.float64) + merge_drm(ds, cfg)
             else:
                 task_values = [task[name] for task in tasks]
                 expected = merge_biases(arr, task_values, cfg.task_lambdas(3))
@@ -699,7 +700,7 @@ class TestMergeBundle:
         with pytest.raises(ValueError, match="task names must be unique"):
             merge_bundle(base, tasks, MergeConfig(), task_names=["x", "x"])
         with pytest.raises(ValueError, match="task names must be unique"):
-            extract_deltas(base, tasks, ["x", "x"])
+            check_aligned(base, tasks, ["x", "x"])
 
     def test_lambda_count_checked_upfront(self):
         base, tasks = build_family(71)
@@ -720,6 +721,47 @@ class TestMergeBundle:
         monkeypatch.setenv("DRM_THREADS", "1")
         with pytest.raises(ConvergenceFailure, match="layer 'enc.w'"):
             merge_bundle(base, tasks, MergeConfig(method="drm_h"))
+
+
+@pytest.mark.parametrize("method", ["drm_h", "drm_v", "ties"])
+def test_map_layers_builds_owned_stacks_in_base_order_and_reads_no_bias(method, monkeypatch):
+    # Without on_vector the rank-1 tensors are neither read nor listed;
+    # each matrix arrives as an owned stack in _stack_order's layout.
+    base, tasks = build_family(79)
+    read = []
+    real_read = TensorBundle.read
+    monkeypatch.setattr(
+        TensorBundle, "read", lambda self, name: read.append(name) or real_read(self, name)
+    )
+    names = check_aligned(base, tasks)
+
+    def look(value, ds):
+        np.testing.assert_array_equal(value, base[ds.layer_name])
+        return ds.layer_name, ds._owned, ds.deltas.base.shape
+
+    seen = drm.engine.map_layers(base, tasks, names, method, look)
+    assert list(seen) == ["enc.w", "dec.w"]
+    assert "enc.b" not in read
+    for name, (layer, owned, buffer_shape) in seen.items():
+        order = drm.engine._stack_order(method, base.shape(name), len(tasks))
+        extent = dict(zip("tij", (len(tasks), *base.shape(name))))
+        assert (layer, owned) == (name, True)
+        assert buffer_shape == tuple(extent[axis] for axis in order)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("error", [ValueError, drm.errors.NeedTwoTasks])
+def test_map_layers_names_the_layer_of_an_error(error, threads, monkeypatch):
+    monkeypatch.setenv("DRM_THREADS", threads)
+    base, tasks = build_family(83)
+
+    def fail_on_dec(value, ds):
+        if ds.layer_name == "dec.w":
+            raise error("no good")
+        return ds.layer_name
+
+    with pytest.raises(error, match=r"^layer 'dec.w': no good$"):
+        drm.engine.map_layers(base, tasks, check_aligned(base, tasks), "drm_h", fail_on_dec)
 
 
 def deep_family(n_layers, n_tasks, shape, seed=83, dtype=np.float32):
@@ -953,7 +995,7 @@ def test_stack_order_makes_the_gesdd_matrix_a_fortran_view(method, shape, order,
     assert drm.engine._stack_order(method, shape, 4) == order
     if method in ("drm_h", "drm_v"):
         base = TensorBundle({"w": np.zeros(shape)})
-        ds = layer_delta_set("w", base["w"], [base] * 4, list("abcd"), order)
+        ds = extract_deltas("w", base["w"], [base] * 4, list("abcd"), order)
         A = (ds if method == "drm_h" else ds.transposed()).side_by_side()
         gesdd_input = A.T if A.shape[0] < A.shape[1] else A
         is_view = gesdd_input.flags.f_contiguous and np.shares_memory(gesdd_input, ds.deltas)
@@ -980,7 +1022,7 @@ def test_bundle_merge_equals_borrowed_merge(method, threads, monkeypatch):
         names = [f"task{t}" for t in range(len(tasks))]
         merged = merge_bundle(base, tasks, cfg)
         for name, arr in base.items():
-            ds = layer_delta_set(name, arr, tasks, names)
+            ds = extract_deltas(name, arr, tasks, names)
             want = (arr.astype(np.float64) + merge_delta_set(ds, cfg)).astype(arr.dtype)
             assert merged[name].tobytes() == want.tobytes()
 
@@ -1012,7 +1054,7 @@ def test_stacked_svd_input(orientation, monkeypatch):
 
 def adapter_delta_set(order="tij", shape=(256, 64)):
     """Eight rank-2 adapters on a layer of ``shape``, stacked in a buffer
-    of ``order`` (see layer_delta_set). On the default 256 x 64 layer their
+    of ``order`` (see extract_deltas). On the default 256 x 64 layer their
     drm-v stack, and on a 64 x 256 one their drm-h stack, is a
     rank-deficient 64 x 2048 matrix, which takes gesdd as adapter stacks
     do."""
@@ -1023,7 +1065,7 @@ def adapter_delta_set(order="tij", shape=(256, 64)):
             rng.standard_normal((2, n)), rng.standard_normal((m, 2)), 1.0)})
         for _ in range(n_tasks)
     ]
-    return layer_delta_set("l", np.zeros((m, n)), tasks, [f"t{i}" for i in range(n_tasks)], order)
+    return extract_deltas("l", np.zeros((m, n)), tasks, [f"t{i}" for i in range(n_tasks)], order)
 
 
 def svd_peak(ds, monkeypatch, orientation="vertical"):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,13 @@ class TestEvaluate:
                          np.zeros((10, 3)))
         scores, mean = evaluate(np.zeros((3, 2)), [task])
         assert scores == [0.0] and mean == 0.0
+
+    def test_no_tasks_rejected_without_a_warning(self):
+        # The mean of no scores is nan, with two numpy RuntimeWarnings.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="at least one task"):
+                evaluate(np.zeros((3, 2)), [])
 
     def test_against_loop_mse(self):
         rng = np.random.default_rng(7)
