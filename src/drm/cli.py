@@ -174,7 +174,7 @@ def cmd_tune(args) -> int:
     m, n = _parse_dim(args.dim)
     retain_grid = _parse_grid(args.grid_retain) if args.grid_retain else None
     lambda_grid = _parse_grid(args.grid_lambda) if args.grid_lambda else None
-    base, tasks = harness.synth_suite(
+    base, tasks = harness.synth_stream(
         args.seed, args.tasks, m, n, args.samples, ridge=args.ridge, noise=args.noise
     )
     method = _CLI_METHODS[args.method]

@@ -8,6 +8,7 @@ the whole comparison stays deterministic in its seeds.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,7 +177,7 @@ def _finetune_split(
 
 def grid_tune(
     base: np.ndarray,
-    tasks: list[SynthTask],
+    tasks: Iterable[SynthTask],
     method: str,
     retain_grid=None,
     lambda_grid=None,
@@ -185,7 +186,10 @@ def grid_tune(
     """Finetune on 90% splits, merge at every grid point, pick the best
     mean validation score.
 
-    The merges come from :func:`merge_delta_set_grid`, so drm-h and drm-v
+    ``tasks`` may be any iterable and is read once, task by task; only each
+    task's name, finetuned delta and validation split are kept, so with a
+    lazy source such as :func:`synth_stream` the tune holds the samples of
+    the task in hand and, while it is drawn, the next one. The merges come from :func:`merge_delta_set_grid`, so drm-h and drm-v
     decompose once per tune and prune once per retain value.
     """
     if retain_grid is None or lambda_grid is None:
@@ -199,11 +203,15 @@ def grid_tune(
 
     base = np.asarray(base, dtype=np.float64)
     rng = np.random.default_rng(val_split_seed)
-    fits = [_finetune_split(base, task, rng) for task in tasks]
-    ds = DeltaSet("layer0", base.shape, [delta for delta, _ in fits], [t.name for t in tasks])
-    score_val = _scorer([pair for _, pair in fits])
+    fits = [(task.name, *_finetune_split(base, task, rng)) for task in tasks]
+    if not fits:
+        raise ValueError("grid_tune needs at least one task; no tasks were given")
+    names = [name for name, _, _ in fits]
+    ds = DeltaSet("layer0", base.shape, [delta for _, delta, _ in fits], names)
+    score_val = _scorer([pair for _, _, pair in fits])
+    del fits
 
-    result = TuneResult(method=method, task_names=[t.name for t in tasks])
+    result = TuneResult(method=method, task_names=names)
     best_per_task: list[float] = []
     merged = np.empty_like(base)
     merges = merge_delta_set_grid(
@@ -226,6 +234,53 @@ def grid_tune(
     return result
 
 
+def synth_stream(
+    seed: int,
+    n_tasks: int,
+    m: int,
+    n: int,
+    samples: int,
+    identical: bool = False,
+    ridge: float = 0.0,
+    noise: float = 0.0,
+) -> tuple[np.ndarray, Iterator[SynthTask]]:
+    """Draw a base matrix now and return it with a lazy iterator over
+    the tasks of :func:`synth_suite`.
+
+    The arguments are checked and the base drawn on the call; each task's
+    planted solution, samples and noise are drawn when the iterator
+    reaches it, in the order ``synth_suite`` draws them, so a consumer
+    that keeps no task it has finished with holds one task's samples at a
+    time beside the next task's draw. ``identical=True`` draws once and yields the same arrays
+    for every task.
+    """
+    if n_tasks < 1:
+        raise ValueError(f"n_tasks must be at least 1, got {n_tasks}")
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
+    if not (np.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be finite and non-negative, got {noise}")
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((m, n)) / np.sqrt(n)
+
+    def draw() -> Iterator[SynthTask]:
+        shared = None
+        for t in range(n_tasks):
+            if identical and shared is not None:
+                X, Y = shared
+            else:
+                w_true = base + PLANTED_DELTA_SCALE * rng.standard_normal((m, n)) / np.sqrt(n)
+                X = rng.standard_normal((samples, n))
+                Y = X @ w_true.T
+                if noise > 0:
+                    Y = Y + noise * rng.standard_normal(Y.shape)
+                if identical:
+                    shared = (X, Y)
+            yield SynthTask(f"task{t}", X, Y, ridge)
+
+    return base, draw()
+
+
 def synth_suite(
     seed: int,
     n_tasks: int,
@@ -236,31 +291,15 @@ def synth_suite(
     ridge: float = 0.0,
     noise: float = 0.0,
 ) -> tuple[np.ndarray, list[SynthTask]]:
-    """Build a base matrix and task family with planted linear solutions.
+    """Build a base matrix and task family with planted linear solutions:
+    every task of :func:`synth_stream`, drawn at once.
 
     ``identical=True`` reuses one planted solution and one sample set for
     every task, the degenerate case in which exact merging should recover
     the finetuned model.
     """
-    if not (np.isfinite(noise) and noise >= 0):
-        raise ValueError(f"noise must be finite and non-negative, got {noise}")
-    rng = np.random.default_rng(seed)
-    base = rng.standard_normal((m, n)) / np.sqrt(n)
-    tasks = []
-    shared = None
-    for t in range(n_tasks):
-        if identical and shared is not None:
-            X, Y = shared
-        else:
-            w_true = base + PLANTED_DELTA_SCALE * rng.standard_normal((m, n)) / np.sqrt(n)
-            X = rng.standard_normal((samples, n))
-            Y = X @ w_true.T
-            if noise > 0:
-                Y = Y + noise * rng.standard_normal(Y.shape)
-            if identical:
-                shared = (X, Y)
-        tasks.append(SynthTask(f"task{t}", X, Y, ridge))
-    return base, tasks
+    base, tasks = synth_stream(seed, n_tasks, m, n, samples, identical, ridge, noise)
+    return base, list(tasks)
 
 
 @dataclass

@@ -15,6 +15,7 @@ from drm.harness import (
     evaluate,
     grid_tune,
     run_bench,
+    synth_stream,
     synth_suite,
 )
 from oracles import neg_mse_oracle
@@ -278,6 +279,24 @@ class TestGridTune:
             tracemalloc.stop()
         assert held and held[0] < train_bytes / 4, (held, train_bytes)
 
+    @pytest.mark.parametrize("method", ["drm_h", "drm_v", "ties", "dare_ties", "simple_avg"])
+    @pytest.mark.parametrize("n_tasks,identical", [(3, False), (3, True), (1, False)])
+    def test_lazy_draws_tune_like_the_list(self, method, n_tasks, identical):
+        args = (21, n_tasks, 6, 5, 50)
+        base, tasks = synth_suite(*args, identical=identical, noise=0.01)
+        lazy_base, lazy = synth_stream(*args, identical=identical, noise=0.01)
+        assert lazy_base.tobytes() == base.tobytes()
+        a = grid_tune(base, tasks, method, val_split_seed=4)
+        b = grid_tune(lazy_base, lazy, method, val_split_seed=4)
+        assert len(a.grid) == len(default_grids(method)[0]) * len(default_grids(method)[1])
+        assert a == b
+
+    @pytest.mark.parametrize("tasks", [[], iter(())], ids=["list", "iterator"])
+    def test_no_tasks_rejected(self, tasks):
+        base, _ = synth_suite(22, 1, 5, 4, samples=40)
+        with pytest.raises(ValueError, match="no tasks were given"):
+            grid_tune(base, tasks, "ties")
+
     def test_empty_grid_rejected(self):
         base, tasks = synth_suite(14, 2, 5, 4, samples=40)
         with pytest.raises(ValueError):
@@ -309,6 +328,32 @@ class TestBench:
     def test_noise_must_be_finite_and_non_negative(self, noise):
         with pytest.raises(ValueError, match="noise must be finite and non-negative"):
             synth_suite(19, 2, 5, 4, samples=40, noise=noise)
+
+    @pytest.mark.parametrize("identical", [False, True])
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_list_holds_the_lazy_draws(self, identical, noise):
+        args = (23, 3, 5, 4, 40)
+        base, tasks = synth_suite(*args, identical=identical, ridge=0.5, noise=noise)
+        lazy_base, lazy = synth_stream(*args, identical=identical, ridge=0.5, noise=noise)
+        lazy = list(lazy)
+        assert lazy_base.tobytes() == base.tobytes()
+        assert [t.name for t in lazy] == [t.name for t in tasks] == ["task0", "task1", "task2"]
+        for a, b in zip(tasks, lazy):
+            assert (a.X.tobytes(), a.Y.tobytes(), a.ridge) == (b.X.tobytes(), b.Y.tobytes(), b.ridge)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"n_tasks": 0}, "n_tasks must be at least 1, got 0"),
+        ({"n_tasks": -1}, "n_tasks must be at least 1, got -1"),
+        ({"samples": -5}, "samples must be non-negative, got -5"),
+        ({"noise": -1.0}, "noise must be finite and non-negative"),
+    ])
+    def test_bad_arguments_rejected_before_the_first_draw(self, kwargs, message):
+        args = {"seed": 24, "n_tasks": 2, "m": 5, "n": 4, "samples": 40, **kwargs}
+        # The call itself raises; the task iterator is never advanced.
+        with pytest.raises(ValueError, match=message):
+            synth_stream(**args)
+        with pytest.raises(ValueError, match=message):
+            synth_suite(**args)
 
     def test_identical_with_noise_still_recovers(self):
         base, tasks = synth_suite(18, 3, 8, 6, samples=60, identical=True, noise=0.05)
