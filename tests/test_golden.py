@@ -6,8 +6,8 @@ layers so the layer pool runs) is merged with every method, with TIES
 and drm-h with pruning switched off, with drm-h and drm-v dropping half
 the rank, with DARE-TIES at drop rates 0.5 and 0 and without the
 disjoint average, with TIES without the sign election, with simple
-averaging given a coefficient it records but ignores, and with drm-h
-given one coefficient per task. A second family, one 96x160 float32
+averaging given a coefficient it records but ignores, and with drm-h,
+task arithmetic, TIES and DARE-TIES given one coefficient per task. A second family, one 96x160 float32
 layer and one bias with four tasks, is merged with every method at a size that reaches
 numpy's blocked loops. The SHA-256 of each output bundle is compared
 with a recorded value; refactors and speed-ups must leave these hashes
@@ -63,6 +63,9 @@ CASES = {
     "ties-no-sign-elect": ["--method", "ties", "--no-sign-elect"],
     "avg-lambda": ["--method", "avg", "--lambda", "0.5"],
     "drm-h-lambda-list": ["--method", "drm-h", "--lambda", "0.5,1,1.5"],
+    "ta-lambda-list": ["--method", "ta", "--lambda", "0.5,1,1.5"],
+    "ties-lambda-list": ["--method", "ties", "--lambda", "0.5,1,1.5"],
+    "dare-ties-lambda-list": ["--method", "dare-ties", "--lambda", "0.5,1,1.5"],
 }
 
 GOLDEN = {
@@ -82,6 +85,9 @@ GOLDEN = {
     "ties-no-sign-elect": "c997e5ab1b80d6bf40a37fe6707c5d3f039666933f664eaa19f8ae958869b532",
     "avg-lambda": "ab14b323210a000f1b8a5a1d32f410dfd02b1618299a456a4793328dc4111e65",
     "drm-h-lambda-list": "3c6a160b3dcc36b189ed2cc96ad83874d3ddff6c9c76eebc4f7cee3ddbfcde71",
+    "ta-lambda-list": "2aa269c0833f9266eae6b85ecaeb7a234336fbb665705e70191b85e682fbfe00",
+    "ties-lambda-list": "1275f395879112e74ebd579ef6d376c79d3210f0c4e460298ab8db7fd5af915d",
+    "dare-ties-lambda-list": "a87c7df0c93f2007c5d9e694963674e2c986fabaa938bf3cf2ddfa8b15d0d3b0",
 }
 
 WIDE_SHAPES = {
