@@ -120,13 +120,19 @@ def evaluate(model, tasks: list[SynthTask]) -> tuple[list[float], float]:
 
 
 def default_grids(method: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(retain grid, coefficient grid) searched when none is given."""
+    """(retain grid, coefficient grid) searched when none is given.
+
+    Methods that never read ``retain`` search it at 1.0 alone: task
+    arithmetic, simple averaging and DARE-TIES, whose random drops take
+    the place of the magnitude prune.
+    """
     tenths = tuple(round(0.1 * i, 1) for i in range(1, 11))
     if method == "task_arithmetic":
         return (1.0,), tenths
     if method == "simple_avg":
         return (1.0,), (1.0,)
-    return tenths, tuple(round(0.8 + 0.1 * i, 1) for i in range(8))
+    lambdas = tuple(round(0.8 + 0.1 * i, 1) for i in range(8))
+    return ((1.0,) if method == "dare_ties" else tenths), lambdas
 
 
 @dataclass

@@ -130,7 +130,7 @@ TUNE_GOLDEN = {
     "drm-h": "f1934087abc586679acebb2ddbff73992bc97e6bcfdad4e0e2cda127e9439130",
     "drm-v": "8e125d6a11c734671ffd28cbfb38e6ce9e565dc1e7c6975a1c719a6babf963b5",
     "ties": "78d08d8cadb7bb74563b595a6760b85e7ebb13e0c73030d74672cebdc7cb7fdd",
-    "dare-ties": "ba7ef9c36df84a7ecf43bb83c34aff81d33dc398128af19a817ae024dfd72994",
+    "dare-ties": "9cb207759ea1f95c24260cd72c40912faac5a2764e757aee5e631897072bd7cd",
     "ta": "092cc935257874ea6aec560ee6fdd0514eec26c825e2009b127c93406b6face3",
     "avg": "60a585d7cbcafd864e22be2f6218639dce25e73b5ac7cd2ee8de77f08fca2da7",
     "drm-h-bench-seed0": "e6a76d9f7ac8b24610e2e8fb85914ffa80fce1a6cdbf99c102f4f696034cf985",

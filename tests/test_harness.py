@@ -207,6 +207,17 @@ class TestDefaultGrids:
         assert retain == (1.0,)
         assert len(lam) == 10 and lam[0] == 0.1 and lam[-1] == 1.0
 
+    def test_dare_ties_searches_no_retain(self):
+        # DARE-TIES drops at random instead of pruning by magnitude, so a
+        # retain axis would only repeat each coefficient's merge.
+        retain, lam = default_grids("dare_ties")
+        assert retain == (1.0,)
+        assert lam == default_grids("ties")[1]
+        base, tasks = synth_suite(14, 3, 6, 5, samples=50)
+        res = grid_tune(base, tasks, "dare_ties", [0.1, 0.5, 1.0], lam)
+        scores = [score for _, _, score in res.grid]
+        assert scores[: len(lam)] == scores[len(lam) : 2 * len(lam)] == scores[2 * len(lam) :]
+
 
 class TestGridTune:
     def test_single_point_grid(self):
