@@ -36,8 +36,7 @@ _GRID_SLACK = 1e-9  # an endpoint this close past b still counts
 def _parse_lambdas(text: str | None):
     if text is None:
         return None
-    parts = text.split(",")
-    values = tuple(float(p) for p in parts)
+    values = tuple(float(p) for p in text.split(","))
     return values[0] if len(values) == 1 else values
 
 
@@ -85,15 +84,11 @@ def _task_names(paths: list[str]) -> list[str]:
     return [f"task{i}" for i in range(len(paths))]
 
 
-def _config_from_args(args, n_tasks: int) -> MergeConfig:
-    method = _CLI_METHODS[args.method]
-    lambdas = _parse_lambdas(args.lam)
-    if isinstance(lambdas, tuple) and len(lambdas) != n_tasks:
-        raise ValueError(f"--lambda lists {len(lambdas)} values for {n_tasks} tasks")
+def _config_from_args(args) -> MergeConfig:
     return MergeConfig(
-        method=method,
+        method=_CLI_METHODS[args.method],
         retain=args.retain,
-        lambdas=lambdas,
+        lambdas=_parse_lambdas(args.lam),
         dare_drop=args.dare_drop,
         rank_drop=args.rank_drop,
         prune_mode=args.prune_mode,
@@ -121,7 +116,7 @@ def _open_inputs(args):
 
 def cmd_merge(args) -> int:
     with _open_inputs(args) as (base, tasks):
-        cfg = _config_from_args(args, len(tasks))
+        cfg = _config_from_args(args)
         merged, stats = merge_bundle_with_stats(base, tasks, cfg, _task_names(args.task))
     write_bundle(merged, args.out)
     for st in stats:

@@ -49,7 +49,8 @@ class MergeConfig:
     ``retain`` is the fraction of largest-magnitude entries kept by
     pruning; ``dare_drop`` the random drop rate; ``rank_drop`` the fraction
     of nonzero spectrum discarded before merging. Simple averaging ignores
-    the coefficients: :meth:`task_lambdas` resolves them to ones.
+    the coefficients: :meth:`task_lambdas` resolves them to ones. Fields are
+    checked on their own, a list's length in :meth:`task_lambdas`.
     """
 
     method: str = "drm_h"
@@ -75,24 +76,28 @@ class MergeConfig:
         if self.prune_mode not in PRUNE_MODES:
             raise ValueError(f"prune_mode must be one of {PRUNE_MODES}")
         if self.lambdas is not None:
-            lams = (self.lambdas,) if np.isscalar(self.lambdas) else tuple(self.lambdas)
-            if not all(np.isfinite(l) for l in lams):
+            lams = float(self.lambdas) if np.ndim(self.lambdas) == 0 else tuple(map(float, self.lambdas))
+            if not np.all(np.isfinite(lams)):
                 raise ValueError("lambdas must be finite")
-            object.__setattr__(
-                self, "lambdas", float(lams[0]) if np.isscalar(self.lambdas) else tuple(map(float, lams))
-            )
+            object.__setattr__(self, "lambdas", lams)
 
     def task_lambdas(self, n_tasks: int) -> np.ndarray:
-        """Resolve the coefficient setting to one float per task."""
+        """The setting, or the method's default, per task (see :func:`_per_task`)."""
         if self.lambdas is None or self.method == "simple_avg":
-            shared = 0.4 if self.method == "task_arithmetic" else 1.0
-            return np.full(n_tasks, shared)
-        if np.isscalar(self.lambdas):
-            return np.full(n_tasks, float(self.lambdas))
-        lams = np.asarray(self.lambdas, dtype=np.float64)
-        if lams.shape != (n_tasks,):
-            raise ValueError(f"got {lams.size} lambdas for {n_tasks} tasks")
-        return lams
+            return _per_task(0.4 if self.method == "task_arithmetic" else 1.0, n_tasks)
+        return _per_task(self.lambdas, n_tasks)
+
+
+def _per_task(lambdas, n_tasks: int) -> np.ndarray:
+    """One float64 coefficient per task, the only resolver of a setting: a
+    scalar is shared, a sequence must hold exactly one value per task, and
+    anything else raises ``ValueError``."""
+    if np.ndim(lambdas) == 0:
+        return np.full(n_tasks, float(lambdas))
+    lams = np.asarray(lambdas, dtype=np.float64)
+    if lams.shape != (n_tasks,):
+        raise ValueError(f"got {lams.size} lambdas for {n_tasks} tasks")
+    return lams
 
 
 @dataclass
@@ -421,16 +426,6 @@ def _reciprocal_counts(counts: np.ndarray, out: np.ndarray | None = None) -> np.
     return np.divide(counts != 0, np.maximum(counts, 1), out=out)
 
 
-def _per_task(lambdas, n_tasks: int) -> np.ndarray:
-    """One float64 coefficient per task from one shared value or a list."""
-    lams = np.asarray(lambdas, dtype=np.float64).reshape(-1)
-    if lams.size == 1:
-        return np.full(n_tasks, lams[0])
-    if lams.size != n_tasks:
-        raise ShapeMismatch(f"got {lams.size} lambdas for {n_tasks} tasks")
-    return lams
-
-
 def disjoint_average(
     stack: np.ndarray,
     survivors: np.ndarray,
@@ -598,9 +593,18 @@ def _merge_delta_set_with_stats(ds: DeltaSet, cfg: MergeConfig) -> tuple[np.ndar
         return baselines.task_arithmetic(ds, cfg.task_lambdas(ds.n_tasks)), {}
     if cfg.method == "ties":
         return baselines.ties_merge_with_stats(ds, cfg)
-    if cfg.method == "dare_ties":
-        return baselines.dare_ties_merge(ds, cfg), {}
-    raise ValueError(f"unknown method {cfg.method!r}")
+    return baselines.dare_ties_merge(ds, cfg), {}
+
+
+def _grid_configs(cfg: MergeConfig, retain_grid, lambda_grid) -> tuple[list, list]:
+    """``cfg`` with each ``retain`` of ``retain_grid``, and with each
+    ``lambdas`` of ``lambda_grid``, swapped in. A config checks each field
+    on its own, so these R + L configs raise where one of the R x L point
+    configs would: building them checks the grid."""
+    return (
+        [dataclasses.replace(cfg, retain=retain) for retain in retain_grid],
+        [dataclasses.replace(cfg, lambdas=lam) for lam in lambda_grid],
+    )
 
 
 def merge_delta_set_grid(ds: DeltaSet, cfg: MergeConfig, retain_grid, lambda_grid):
@@ -611,20 +615,18 @@ def merge_delta_set_grid(ds: DeltaSet, cfg: MergeConfig, retain_grid, lambda_gri
     ``_merge_delta_set_with_stats(ds, cfg)`` with that ``retain`` and
     ``lambdas`` swapped in, byte for byte. drm-h and drm-v share their
     grid-independent stages across the grid (see :func:`_drm_grid`); every
-    other method merges each point from scratch. Every point config is
-    validated before the first merge.
+    other method merges each point from scratch. Every point is checked
+    (see :func:`_grid_configs`), and every ``lambdas`` resolved, before the
+    first merge.
     """
-    points = [
-        [dataclasses.replace(cfg, retain=retain, lambdas=lam) for lam in lambda_grid]
-        for retain in retain_grid
-    ]
+    retain_configs, lambda_configs = _grid_configs(cfg, retain_grid, lambda_grid)
+    lambdas = [point.task_lambdas(ds.n_tasks) for point in lambda_configs]
     if cfg.method in DRM_ORIENTATIONS:
-        lambdas = [point.task_lambdas(ds.n_tasks) for point in points[0]] if points else []
         yield from _drm_grid(ds, cfg, retain_grid, lambdas)
         return
-    for row in points:
-        for point in row:
-            yield _merge_delta_set_with_stats(ds, point)
+    for row in retain_configs:
+        for lam in lambda_grid:
+            yield _merge_delta_set_with_stats(ds, dataclasses.replace(row, lambdas=lam))
 
 
 @dataclass

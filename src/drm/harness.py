@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bundle import DeltaSet
-from .engine import MergeConfig, merge_delta_set, merge_delta_set_grid
+from .engine import MergeConfig, _grid_configs, merge_delta_set, merge_delta_set_grid
 from .errors import ShapeMismatch, SingularSystem
 
 BENCH_METHODS = ("simple_avg", "task_arithmetic", "ties", "dare_ties", "drm_h", "drm_v")
@@ -120,12 +120,9 @@ def evaluate(model, tasks: list[SynthTask]) -> tuple[list[float], float]:
 
 
 def default_grids(method: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(retain grid, coefficient grid) searched when none is given.
-
-    Methods that never read ``retain`` search it at 1.0 alone: task
-    arithmetic, simple averaging and DARE-TIES, whose random drops take
-    the place of the magnitude prune.
-    """
+    """(retain grid, coefficient grid) searched when none is given. Methods
+    that never read ``retain`` (task arithmetic, simple averaging, DARE-TIES,
+    which drops at random instead of pruning) search it at 1.0 alone."""
     tenths = tuple(round(0.1 * i, 1) for i in range(1, 11))
     if method == "task_arithmetic":
         return (1.0,), tenths
@@ -195,17 +192,18 @@ def grid_tune(
     ``tasks`` may be any iterable and is read once, task by task; only each
     task's name, finetuned delta and validation split are kept, so with a
     lazy source such as :func:`synth_stream` the tune holds the samples of
-    the task in hand and, while it is drawn, the next one. The merges come from :func:`merge_delta_set_grid`, so drm-h and drm-v
-    decompose once per tune and prune once per retain value.
+    the task in hand and, while it is drawn, the next one. The method and
+    the grid are checked before the first task is taken. The merges come
+    from :func:`merge_delta_set_grid`, so drm-h and drm-v decompose once
+    per tune and prune once per retain value.
     """
-    if retain_grid is None or lambda_grid is None:
-        default_retain, default_lambda = default_grids(method)
-        retain_grid = default_retain if retain_grid is None else retain_grid
-        lambda_grid = default_lambda if lambda_grid is None else lambda_grid
-    retain_grid = [float(r) for r in retain_grid]
-    lambda_grid = [float(l) for l in lambda_grid]
+    default_retain, default_lambda = default_grids(method)
+    retain_grid = [float(r) for r in (default_retain if retain_grid is None else retain_grid)]
+    lambda_grid = [float(l) for l in (default_lambda if lambda_grid is None else lambda_grid)]
     if not retain_grid or not lambda_grid:
         raise ValueError("grids must be non-empty")
+    cfg = MergeConfig(method=method, seed=val_split_seed)
+    _grid_configs(cfg, retain_grid, lambda_grid)  # raises on a bad grid value
 
     base = np.asarray(base, dtype=np.float64)
     rng = np.random.default_rng(val_split_seed)
@@ -220,9 +218,7 @@ def grid_tune(
     result = TuneResult(method=method, task_names=names)
     best_per_task: list[float] = []
     merged = np.empty_like(base)
-    merges = merge_delta_set_grid(
-        ds, MergeConfig(method=method, seed=val_split_seed), retain_grid, lambda_grid
-    )
+    merges = merge_delta_set_grid(ds, cfg, retain_grid, lambda_grid)
     points = itertools.product(retain_grid, lambda_grid)
     for (retain, lam), (delta, _) in zip(points, merges, strict=True):
         np.add(base, delta, out=merged)

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import struct
@@ -247,6 +248,15 @@ class TestOpenBundle:
             with pytest.raises(NonFiniteValue, match="nan.drmb.*'layer0.weight'"):
                 source.read("layer0.weight")
 
+    def test_read_after_close_is_io_failure(self, tmp_path):
+        path = tmp_path / "golden.drmb"
+        path.write_bytes(assemble(GOLDEN_HEADER, GOLDEN_DATA))
+        source = open_bundle(path)
+        source.close()
+        with pytest.raises(IoFailure, match="cannot read bundle") as caught:
+            source.read("layer0.weight")
+        assert caught.value.__cause__.errno == errno.EBADF
+
     def test_each_read_is_a_fresh_array(self, tmp_path):
         path = tmp_path / "golden.drmb"
         path.write_bytes(assemble(GOLDEN_HEADER, GOLDEN_DATA))
@@ -412,6 +422,15 @@ class TestBundleValidation:
         with pytest.raises(NonFiniteValue):
             TensorBundle().add("w", np.array([1.0, np.nan]))
 
+    def test_equality_needs_a_bundle_with_the_same_metadata(self):
+        a, b = TensorBundle(metadata={"k": "1"}), TensorBundle(metadata={"k": "2"})
+        for bundle in (a, b):
+            bundle.add("w", np.zeros(2))
+        assert not a == b
+        assert a.__eq__({"w": np.zeros(2)}) is NotImplemented
+        assert not a == {"w": np.zeros(2)}
+        assert a == TensorBundle({"w": np.zeros(2)}, metadata={"k": "1"})
+
 
 @st.composite
 def bundle_strategy(draw):
@@ -492,6 +511,11 @@ class TestExtractDeltas:
         base, _ = self.base_and_tasks()
         with pytest.raises(ValueError, match="at least one task"):
             check_aligned(base, [])
+
+    def test_more_names_than_tasks(self):
+        base, task = self.base_and_tasks()
+        with pytest.raises(ValueError, match="equal length"):
+            check_aligned(base, [task], ["a", "b"])
 
     def test_identical_tasks_give_zero_deltas(self):
         base, _ = self.base_and_tasks()

@@ -70,7 +70,7 @@ class TestMerge:
             ["merge", "--method", name, "--base", "b", "--task", "t", "--out", "o"]
         )
         method = drm.cli._CLI_METHODS[name]
-        assert drm.cli._config_from_args(args, 1) == MergeConfig(method=method)
+        assert drm.cli._config_from_args(args) == MergeConfig(method=method)
 
     def test_ta_default_lambda(self, family):
         base, tasks, tmp = family
@@ -183,6 +183,18 @@ class TestMerge:
         base, tasks, tmp = family
         assert run_merge(base, tasks, tmp / "x.drmb", "--method", "ta",
                          "--lambda", "0.1,0.2") == 2
+
+    @pytest.mark.parametrize("method", ["drm-h", "ta", "ties", "dare-ties"])
+    def test_lambda_count_rejected_before_any_read(self, family, capsys, monkeypatch, method):
+        def no_read(self, name):
+            raise AssertionError(f"read {name!r} before the coefficients were checked")
+
+        monkeypatch.setattr(drm.bundle.BundleFile, "read", no_read)
+        base, tasks, tmp = family
+        out = tmp / "x.drmb"
+        assert run_merge(base, tasks, out, "--method", method, "--lambda", "0.1,0.2") == 2
+        assert "got 2 lambdas for 3 tasks" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["abc", "-1", "1.5"])
     def test_malformed_drm_threads_is_argument_error(self, family, capsys, monkeypatch,
@@ -617,6 +629,16 @@ class TestBenchTune:
         assert main(["tune", "--method", "ties", flag, "abc"]) == 2
         assert "bad grid spec 'abc'" in capsys.readouterr().err
         assert built == []
+
+    @pytest.mark.parametrize("spec", ["0", "1.5"])
+    def test_bad_retain_grid_reported_before_any_task_is_finetuned(self, monkeypatch,
+                                                                   capsys, spec):
+        def no_finetune(*args, **kwargs):
+            raise AssertionError("finetuned a task before checking the grid")
+
+        monkeypatch.setattr(drm.harness, "closed_form_finetune", no_finetune)
+        assert main(["tune", "--method", "drm-h", "--grid-retain", spec]) == 2
+        assert f"retain must lie in (0, 1], got {float(spec)}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--tasks", "0", "n_tasks must be at least 1, got 0"),

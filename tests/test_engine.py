@@ -16,7 +16,7 @@ import drm
 import drm.engine
 import drm.errors
 import drm.linalg
-from drm.baselines import dare_ties_merge, ties_merge
+from drm.baselines import dare_ties_merge, task_arithmetic, ties_merge
 from drm.bundle import DeltaSet, TensorBundle, check_aligned, extract_deltas
 from drm.engine import (
     METHODS,
@@ -262,6 +262,10 @@ class TestPruneTopk:
         for m in masks:
             assert m.all()
 
+    def test_one_dimensional_stack_ranks_one_entry_per_task(self):
+        np.testing.assert_array_equal(prune_topk(np.array([1.0, -2.0, 3.0]), 0.5),
+                                      [False, True, True])
+
     def test_single_block_top_half(self):
         masks = prune_topk([np.array([[1.0, -2.0], [3.0, -4.0]])], 0.5)
         np.testing.assert_array_equal(masks[0], [[False, False], [True, True]])
@@ -462,7 +466,7 @@ class TestDisjointAverage:
                 assert got.tobytes() == want.tobytes()
 
     def test_lambda_count_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match="2 lambdas for 1 tasks"):
             filtered_average([np.ones((1, 1))], [np.ones((1, 1), dtype=bool)], None, [1.0, 2.0])
 
     def test_survivor_mask_shape_mismatch(self):
@@ -587,6 +591,19 @@ class TestMergeGrid:
         monkeypatch.setattr(drm.engine, "thin_svd", no_svd)
         merges = merge_delta_set_grid(random_delta_set(38), MergeConfig(), [0.5, 1.5], [1.0])
         with pytest.raises(ValueError, match="retain"):
+            next(merges)
+
+    # Simple averaging resolves any coefficients to ones.
+    @pytest.mark.parametrize("method", [m for m in METHODS if m != "simple_avg"])
+    def test_wrong_lambda_count_rejected_before_any_merge(self, method, monkeypatch):
+        def no_merge(*args, **kwargs):
+            raise AssertionError("merged before checking the coefficients")
+
+        monkeypatch.setattr(drm.engine, "decompose_joint", no_merge)
+        monkeypatch.setattr(drm.engine, "_merge_delta_set_with_stats", no_merge)
+        cfg = MergeConfig(method=method)
+        merges = merge_delta_set_grid(random_delta_set(39), cfg, [0.5], [1.0, (1.0, 2.0)])
+        with pytest.raises(ValueError, match="got 2 lambdas for 3 tasks"):
             next(merges)
 
 
@@ -818,6 +835,24 @@ class TestMergeConfig:
         cfg = MergeConfig(method="simple_avg", lambdas=(0.5, 2.0))
         np.testing.assert_array_equal(cfg.task_lambdas(3), [1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("method", ["drm_h", "ties", "task_arithmetic", "simple_avg"])
+    def test_fields_are_checked_on_their_own(self, method):
+        # A grid is checked by its R retain and L lambdas configs alone
+        # (engine._grid_configs), not by its R x L point configs.
+        cfg = MergeConfig(method=method)
+
+        def raises(**fields) -> bool:
+            try:
+                dataclasses.replace(cfg, **fields)
+            except ValueError:
+                return True
+            return False
+
+        for retain in (0.0, -0.1, 1e-9, 0.5, 1.0, 1.5, math.nan, math.inf):
+            for lam in (None, 0.0, -2.0, 1.0, math.nan, -math.inf, (0.5, 1.0), (1.0, math.nan)):
+                both = raises(retain=retain, lambdas=lam)
+                assert both == (raises(retain=retain) or raises(lambdas=lam)), (retain, lam)
+
     @pytest.mark.parametrize("name,value", [
         ("dare_drop", 1.0),
         ("rank_drop", 1.0),
@@ -834,6 +869,53 @@ class TestMergeConfig:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             MergeConfig(method="fisher")
+
+
+def lambda_entry_points(n_tasks=3) -> dict:
+    """Each public function that takes a coefficient setting, on ``n_tasks``
+    tasks, as a function of that setting alone."""
+    ds = random_delta_set(29, n_tasks=n_tasks)
+    base = np.arange(4.0)
+    values = [base + 0.5 * (t + 1) for t in range(n_tasks)]
+    survivors = np.ones(ds.deltas.shape, dtype=bool)
+    return {
+        "task_lambdas": lambda lams: MergeConfig(method="ties", lambdas=lams).task_lambdas(n_tasks),
+        "task_arithmetic": lambda lams: task_arithmetic(ds, lams),
+        "merge_biases": lambda lams: merge_biases(base, values, lams),
+        "disjoint_average": lambda lams: disjoint_average(ds.deltas, survivors, 0.5, lams),
+    }
+
+
+class TestOneLambdaResolver:
+    """``MergeConfig.task_lambdas``, ``task_arithmetic``, ``merge_biases``
+    and ``disjoint_average`` read a coefficient setting one way: a scalar is
+    shared, and a sequence holds exactly one value per task."""
+
+    @pytest.mark.parametrize("entry", sorted(lambda_entry_points()))
+    @pytest.mark.parametrize("setting,per_task", [
+        (0.5, [0.5, 0.5, 0.5]),
+        (np.float64(-1.25), [-1.25, -1.25, -1.25]),
+        ([0.5, 1.0, 1.5], [0.5, 1.0, 1.5]),
+        ((2.0, 0.0, -1.0), [2.0, 0.0, -1.0]),
+    ], ids=["scalar", "numpy-scalar", "list", "tuple"])
+    def test_a_setting_means_the_same_everywhere(self, entry, setting, per_task):
+        run = lambda_entry_points()[entry]
+        assert run(setting).tobytes() == run(np.array(per_task)).tobytes()
+        if entry == "task_lambdas":
+            assert run(setting).tolist() == per_task
+
+    @pytest.mark.parametrize("entry", sorted(lambda_entry_points()))
+    @pytest.mark.parametrize("setting,count", [
+        ([0.5], 1), ((2.0,), 1), ([1.0, 2.0], 2), ([1.0, 2.0, 3.0, 4.0], 4),
+    ], ids=["one-element-list", "one-element-tuple", "too-few", "too-many"])
+    def test_a_wrong_count_is_a_value_error_everywhere(self, entry, setting, count):
+        # A value error (exit 2 from the command line), never ShapeMismatch.
+        with pytest.raises(ValueError, match=f"got {count} lambdas for 3 tasks"):
+            lambda_entry_points()[entry](setting)
+
+    def test_one_task_takes_a_one_element_list(self):
+        for run in lambda_entry_points(n_tasks=1).values():
+            assert run([0.75]).tobytes() == run(0.75).tobytes()
 
 
 @pytest.mark.parametrize("method,shape", [("drm_h", (128, 512)), ("drm_v", (512, 128))])

@@ -105,6 +105,11 @@ class TestEvaluate:
         scores, mean = evaluate(np.zeros((3, 2)), [task])
         assert scores == [0.0] and mean == 0.0
 
+    def test_model_of_the_wrong_shape_rejected(self):
+        task, w_true = simple_task(seed=5)
+        with pytest.raises(ShapeMismatch, match="does not match model shape"):
+            evaluate(w_true.T, [task])
+
     def test_no_tasks_rejected_without_a_warning(self):
         # The mean of no scores is nan, with two numpy RuntimeWarnings.
         with warnings.catch_warnings():
@@ -301,6 +306,24 @@ class TestGridTune:
         b = grid_tune(lazy_base, lazy, method, val_split_seed=4)
         assert len(a.grid) == len(default_grids(method)[0]) * len(default_grids(method)[1])
         assert a == b
+
+    @pytest.mark.parametrize("method,grids,match", [
+        ("bogus", {}, "unknown method 'bogus'"),
+        ("drm_h", {"retain_grid": [0.5, 1.5]}, "retain must lie in"),
+        ("ties", {"lambda_grid": [1.0, float("nan")]}, "lambdas must be finite"),
+    ])
+    def test_bad_setting_rejected_before_any_task_is_taken(self, method, grids, match):
+        base, tasks = synth_suite(23, 2, 5, 4, samples=40)
+        taken = []
+
+        def lazy():
+            for task in tasks:
+                taken.append(task.name)
+                yield task
+
+        with pytest.raises(ValueError, match=match):
+            grid_tune(base, lazy(), method, **grids)
+        assert taken == []
 
     @pytest.mark.parametrize("tasks", [[], iter(())], ids=["list", "iterator"])
     def test_no_tasks_rejected(self, tasks):
