@@ -7,18 +7,16 @@ and disjoint averaging inside that joint space before projecting back.
 Classic parameter-space baselines (simple averaging, task arithmetic,
 TIES, DARE-TIES) share the same vocabulary, and an analysis suite audits
 the mechanism-level behavior.
+
+``import drm`` loads everything a merge runs: bundle I/O, the engine, the
+baselines and the linear algebra. The names of :mod:`drm.analysis` and
+:mod:`drm.harness` (the analyses; the synthetic benchmark and tune) load
+their module on first use, as do ``drm.analysis`` and ``drm.harness``
+themselves, so a merge never compiles them.
 """
 
-from .analysis import (
-    AgreementHistogram,
-    BoundReport,
-    DensityReport,
-    SpectrumReport,
-    check_perturbation_bounds,
-    pruning_density,
-    sign_agreement,
-    spectrum_report,
-)
+import importlib
+
 from .baselines import dare_ties_merge, task_arithmetic, ties_merge
 from .bundle import (
     BundleFile,
@@ -46,18 +44,33 @@ from .engine import (
     survivor_filter,
 )
 from .errors import ArgumentError, DrmError, InputOutputError, NumericError
-from .harness import (
-    SynthTask,
-    TuneResult,
-    closed_form_finetune,
-    evaluate,
-    grid_tune,
-    run_bench,
-    synth_suite,
-)
 from .linalg import ThinSVD, thin_svd
 
 __version__ = "0.1.0"
+
+# Exported names whose module loads when one of them is first read.
+_LAZY = {
+    "analysis": (
+        "AgreementHistogram",
+        "BoundReport",
+        "DensityReport",
+        "SpectrumReport",
+        "check_perturbation_bounds",
+        "pruning_density",
+        "sign_agreement",
+        "spectrum_report",
+    ),
+    "harness": (
+        "SynthTask",
+        "TuneResult",
+        "closed_form_finetune",
+        "evaluate",
+        "grid_tune",
+        "run_bench",
+        "synth_suite",
+    ),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
 
 __all__ = [
     "AgreementHistogram",
@@ -106,3 +119,18 @@ __all__ = [
     "ties_merge",
     "write_bundle",
 ]
+
+
+def __getattr__(name):
+    """Load a lazy name's module on first use (PEP 562)."""
+    if name in _LAZY:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _LAZY_MODULE:
+        value = getattr(importlib.import_module(f"{__name__}.{_LAZY_MODULE[name]}"), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_LAZY})

@@ -15,17 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bundle import DeltaSet
-from .engine import DRM_ORIENTATIONS, MergeConfig, decompose_joint, prune_topk
+from .engine import DRM_ORIENTATIONS, SPACES, MergeConfig, decompose_joint, prune_topk
 from .errors import NeedTwoTasks
 from .linalg import singular_values, spectral_norm, thin_svd
-
-SPACES = (
-    "original",
-    "decomposed-h",
-    "decomposed-v",
-    "backprojected-h",
-    "backprojected-v",
-)
 
 AGREEMENT_BINS = np.linspace(0.5, 1.0, 11)
 

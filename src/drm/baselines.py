@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import math
 
 import numpy as np
@@ -50,8 +49,12 @@ def ties_merge_with_stats(ds: DeltaSet, cfg: MergeConfig) -> tuple[np.ndarray, d
 
 
 def _dare_generator(seed: int, layer_name: str, task_index: int) -> np.random.Generator:
-    # Counter-based stream keyed on (seed, layer, task): layer-parallel and
-    # serial runs draw identical masks.
+    """Task ``task_index``'s drop stream in layer ``layer_name``: Philox
+    keyed on the SHA-256 of (seed, layer, task), so layer-parallel and
+    serial runs draw identical masks. ``hashlib`` loads here, on the first
+    DARE-TIES layer, not with the package."""
+    import hashlib
+
     digest = hashlib.sha256(
         f"{seed}\x00{layer_name}\x00{task_index}".encode("utf-8")
     ).digest()

@@ -3,6 +3,9 @@ tune on synthetic suites.
 
 Exit codes: 0 success, 2 argument errors, 3 I/O or bundle-content errors,
 4 numerical failures.
+
+``drm.analysis`` and ``drm.harness`` are imported by the commands that run
+them (analyze; bench and tune), so ``drm merge`` loads neither.
 """
 
 from __future__ import annotations
@@ -13,10 +16,9 @@ import math
 import sys
 from pathlib import Path
 
-from . import analysis, harness
 from .bundle import atomic_output, canonical_json, check_aligned, open_bundle, write_bundle
 from .bundle import read_bundle  # noqa: F401 -- drmbench wraps drm.cli.read_bundle
-from .engine import PRUNE_MODES, MergeConfig, map_layers, merge_bundle_with_stats
+from .engine import PRUNE_MODES, SPACES, MergeConfig, map_layers, merge_bundle_with_stats
 from .errors import ArgumentError, InputOutputError, NumericError
 
 _CLI_METHODS = {
@@ -129,6 +131,8 @@ def cmd_merge(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import analysis
+
     # svd-bound factors the horizontal stack whatever the space.
     vertical = args.space.endswith("-v") and args.kind != "svd-bound"
     orientation = "vertical" if vertical else "horizontal"
@@ -155,6 +159,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import harness
+
     m, n = _parse_dim(args.dim)
     base, tasks = harness.synth_suite(
         args.seed, args.tasks, m, n, args.samples, identical=args.identical,
@@ -166,6 +172,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    from . import harness
+
     m, n = _parse_dim(args.dim)
     retain_grid = _parse_grid(args.grid_retain) if args.grid_retain else None
     lambda_grid = _parse_grid(args.grid_lambda) if args.grid_lambda else None
@@ -246,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--base", required=True)
     p_an.add_argument("--task", action="append", required=True)
     p_an.add_argument("--out", required=True)
-    p_an.add_argument("--space", choices=list(analysis.SPACES), default="original",
+    p_an.add_argument("--space", choices=list(SPACES), default="original",
                       help="tally space for sign-agreement; -h/-v suffix also "
                            "selects the orientation for spectrum")
     _add_prune_knobs(p_an)

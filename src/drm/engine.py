@@ -10,7 +10,6 @@ deltas and transposes the result.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import math
 import os
@@ -32,6 +31,9 @@ from .linalg import in_place_order, nonzero_sigma_mask, thin_svd
 ORIENTATIONS = ("horizontal", "vertical")
 # The orientation in which each drm method decomposes its stack.
 DRM_ORIENTATIONS = {"drm_h": "horizontal", "drm_v": "vertical"}
+# The spaces in which drm.analysis tallies sign agreement; a -h/-v suffix
+# names the orientation.
+SPACES = ("original", "decomposed-h", "decomposed-v", "backprojected-h", "backprojected-v")
 METHODS = (*DRM_ORIENTATIONS, "simple_avg", "task_arithmetic", "ties", "dare_ties")
 PRUNE_MODES = ("joint", "individual")
 
@@ -712,6 +714,8 @@ def map_layers(base, tasks, task_names: list[str], method: str, on_matrix, on_ve
     names = [name for name in base.names() if on_vector is not None or len(base.shape(name)) == 2]
     workers = _thread_count(sum(len(base.shape(name)) == 2 for name in names), method)
     if workers > 1:
+        import concurrent.futures  # only a pooled run loads it (and its logging)
+
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             return dict(zip(names, pool.map(one_layer, names)))
     return {name: one_layer(name) for name in names}

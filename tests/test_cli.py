@@ -625,7 +625,7 @@ class TestBenchTune:
             built.append(args)
             raise AssertionError("synth_suite called")
 
-        monkeypatch.setattr(drm.cli.harness, "synth_stream", no_suite)
+        monkeypatch.setattr(drm.harness, "synth_stream", no_suite)
         assert main(["tune", "--method", "ties", flag, "abc"]) == 2
         assert "bad grid spec 'abc'" in capsys.readouterr().err
         assert built == []
