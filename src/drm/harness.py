@@ -193,15 +193,24 @@ def grid_tune(
     task's name, finetuned delta and validation split are kept, so with a
     lazy source such as :func:`synth_stream` the tune holds the samples of
     the task in hand and, while it is drawn, the next one. The method and
-    the grid are checked before the first task is taken. The merges come
-    from :func:`merge_delta_set_grid`, so drm-h and drm-v decompose once
-    per tune and prune once per retain value.
+    the grid are checked before the first task is taken. An axis that
+    :func:`default_grids` gives one point (``retain`` for task arithmetic,
+    simple averaging and DARE-TIES; the coefficient for simple averaging)
+    is one the method never reads, so a given grid for it must be exactly
+    that point. The merges come from :func:`merge_delta_set_grid`, so
+    drm-h and drm-v decompose once per tune and prune once per retain
+    value.
     """
     default_retain, default_lambda = default_grids(method)
     retain_grid = [float(r) for r in (default_retain if retain_grid is None else retain_grid)]
     lambda_grid = [float(l) for l in (default_lambda if lambda_grid is None else lambda_grid)]
     if not retain_grid or not lambda_grid:
         raise ValueError("grids must be non-empty")
+    for axis, grid, default in (("retain", retain_grid, default_retain),
+                                ("lambda", lambda_grid, default_lambda)):
+        if len(default) == 1 and grid != list(default):
+            raise ValueError(f"method {method!r} does not read {axis}; "
+                             f"its {axis} grid must be {default[0]} alone")
     cfg = MergeConfig(method=method, seed=val_split_seed)
     _grid_configs(cfg, retain_grid, lambda_grid)  # raises on a bad grid value
 

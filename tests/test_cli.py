@@ -640,6 +640,27 @@ class TestBenchTune:
         assert main(["tune", "--method", "drm-h", "--grid-retain", spec]) == 2
         assert f"retain must lie in (0, 1], got {float(spec)}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--method", "ta", "--grid-retain", "0.1:1:0.1"],
+         "'task_arithmetic' does not read retain"),
+        (["--method", "avg", "--grid-lambda", "0.5:1.5:0.1"],
+         "'simple_avg' does not read lambda"),
+        (["--method", "dare-ties", "--grid-retain", "0.1:1:0.1"],
+         "'dare_ties' does not read retain"),
+    ], ids=["ta-retain", "avg-lambda", "dare-ties-retain"])
+    def test_unread_grid_axis_exit_2_before_any_task_is_finetuned(self, monkeypatch, capsys,
+                                                                   tmp_path, argv, message):
+        def no_finetune(*args, **kwargs):
+            raise AssertionError("finetuned a task before checking the grid")
+
+        monkeypatch.setattr(drm.harness, "closed_form_finetune", no_finetune)
+        out = tmp_path / "t.json"
+        assert main(["tune", *argv, "--tasks", "3", "--dim", "12,8", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,value,message", [
         ("--tasks", "0", "n_tasks must be at least 1, got 0"),
         ("--tasks", "-1", "n_tasks must be at least 1, got -1"),

@@ -214,14 +214,14 @@ class TestDefaultGrids:
 
     def test_dare_ties_searches_no_retain(self):
         # DARE-TIES drops at random instead of pruning by magnitude, so a
-        # retain axis would only repeat each coefficient's merge.
+        # retain axis would only repeat each coefficient's merge; a given
+        # one is rejected.
         retain, lam = default_grids("dare_ties")
         assert retain == (1.0,)
         assert lam == default_grids("ties")[1]
         base, tasks = synth_suite(14, 3, 6, 5, samples=50)
-        res = grid_tune(base, tasks, "dare_ties", [0.1, 0.5, 1.0], lam)
-        scores = [score for _, _, score in res.grid]
-        assert scores[: len(lam)] == scores[len(lam) : 2 * len(lam)] == scores[2 * len(lam) :]
+        with pytest.raises(ValueError, match="'dare_ties' does not read retain"):
+            grid_tune(base, tasks, "dare_ties", [0.1, 0.5, 1.0], lam)
 
 
 class TestGridTune:
@@ -252,10 +252,8 @@ class TestGridTune:
 
     def test_deterministic_in_seed(self):
         base, tasks = synth_suite(13, 2, 5, 4, samples=40)
-        a = grid_tune(base, tasks, "dare_ties", retain_grid=[0.5], lambda_grid=[1.0],
-                      val_split_seed=3)
-        b = grid_tune(base, tasks, "dare_ties", retain_grid=[0.5], lambda_grid=[1.0],
-                      val_split_seed=3)
+        a = grid_tune(base, tasks, "dare_ties", lambda_grid=[1.0], val_split_seed=3)
+        b = grid_tune(base, tasks, "dare_ties", lambda_grid=[1.0], val_split_seed=3)
         assert a.grid == b.grid
 
     @pytest.mark.parametrize("method", ["drm_h", "drm_v"])
@@ -324,6 +322,33 @@ class TestGridTune:
         with pytest.raises(ValueError, match=match):
             grid_tune(base, lazy(), method, **grids)
         assert taken == []
+
+    @pytest.mark.parametrize("method,grids,axis", [
+        ("task_arithmetic", {"retain_grid": [0.5]}, "retain"),
+        ("simple_avg", {"retain_grid": [1.0, 1.0]}, "retain"),
+        ("simple_avg", {"lambda_grid": [0.5, 1.0]}, "lambda"),
+        ("dare_ties", {"retain_grid": [0.1, 1.0]}, "retain"),
+    ])
+    def test_unread_axis_rejected_before_any_task_is_taken(self, method, grids, axis):
+        base, tasks = synth_suite(23, 2, 5, 4, samples=40)
+        taken = []
+
+        def lazy():
+            for task in tasks:
+                taken.append(task.name)
+                yield task
+
+        with pytest.raises(ValueError, match=f"'{method}' does not read {axis}"):
+            grid_tune(base, lazy(), method, **grids)
+        assert taken == []
+
+    @pytest.mark.parametrize("method", ["task_arithmetic", "simple_avg", "dare_ties"])
+    def test_unread_axis_given_as_its_one_point_is_accepted(self, method):
+        base, tasks = synth_suite(23, 2, 5, 4, samples=40)
+        retain, lam = default_grids(method)
+        res = grid_tune(base, tasks, method, retain_grid=[1], lambda_grid=lam)
+        assert res == grid_tune(base, tasks, method)
+        assert len(res.grid) == len(lam)
 
     @pytest.mark.parametrize("tasks", [[], iter(())], ids=["list", "iterator"])
     def test_no_tasks_rejected(self, tasks):
