@@ -48,9 +48,10 @@ from .linalg import ThinSVD, thin_svd
 
 __version__ = "0.1.0"
 
-# Exported names whose module loads when one of them is first read.
+# Exported names whose module (drm.analysis or drm.harness) loads when one
+# of them is first read.
 _LAZY = {
-    "analysis": (
+    **dict.fromkeys((
         "AgreementHistogram",
         "BoundReport",
         "DensityReport",
@@ -59,8 +60,8 @@ _LAZY = {
         "pruning_density",
         "sign_agreement",
         "spectrum_report",
-    ),
-    "harness": (
+    ), "analysis"),
+    **dict.fromkeys((
         "SynthTask",
         "TuneResult",
         "closed_form_finetune",
@@ -68,9 +69,8 @@ _LAZY = {
         "grid_tune",
         "run_bench",
         "synth_suite",
-    ),
+    ), "harness"),
 }
-_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
 
 __all__ = [
     "AgreementHistogram",
@@ -122,15 +122,15 @@ __all__ = [
 
 
 def __getattr__(name):
-    """Load a lazy name's module on first use (PEP 562)."""
-    if name in _LAZY:
+    """Load a lazy name's module, or the module itself, on first use (PEP 562)."""
+    if name in _LAZY.values():
         return importlib.import_module(f"{__name__}.{name}")
-    if name in _LAZY_MODULE:
-        value = getattr(importlib.import_module(f"{__name__}.{_LAZY_MODULE[name]}"), name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
 
 
 def __dir__():
-    return sorted({*globals(), *__all__, *_LAZY})
+    return sorted({*globals(), *__all__, *_LAZY.values()})

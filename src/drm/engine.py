@@ -696,7 +696,9 @@ def map_layers(base, tasks, task_names: list[str], method: str, on_matrix, on_ve
     Each call reads its layer's tensors (from disk, for a
     :class:`BundleFile`), so input tensors and float64 stacks exist only for
     the layers in flight. Layers run in a pool of :func:`_thread_count`
-    workers; results do not depend on the pool's size.
+    workers; results do not depend on the pool's size. With one worker the
+    layers run in this thread, and ``concurrent.futures`` (which loads
+    ``logging``) is not imported.
     """
 
     def one_layer(name: str):
@@ -714,7 +716,7 @@ def map_layers(base, tasks, task_names: list[str], method: str, on_matrix, on_ve
     names = [name for name in base.names() if on_vector is not None or len(base.shape(name)) == 2]
     workers = _thread_count(sum(len(base.shape(name)) == 2 for name in names), method)
     if workers > 1:
-        import concurrent.futures  # only a pooled run loads it (and its logging)
+        import concurrent.futures
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             return dict(zip(names, pool.map(one_layer, names)))
