@@ -7,7 +7,6 @@ the whole comparison stays deterministic in its seeds.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -81,27 +80,52 @@ def closed_form_finetune(base: np.ndarray, task: SynthTask) -> np.ndarray:
     return wt.T
 
 
-def _scorer(pairs: list[tuple[np.ndarray, np.ndarray]]):
-    """Return a function that scores a weight matrix W on every (X, Y)
-    pair: the negative mean squared error of ``X @ W.T`` against ``Y``.
+class _Scorer:
+    """Scores ``base + lam * step`` on every (X, Y) pair: the negative mean
+    squared error of its outputs against Y, one score per pair.
 
-    Each pair's GEMM writes its own rows of one residual buffer, which is
-    then reduced slot by slot with the sum and division ``np.mean`` runs,
-    so every score has the bytes of ``-np.mean((X @ W.T - Y) ** 2)``.
+    The base's residual ``R0 = X @ base.T - Y`` is taken once, each pair's
+    GEMM writing its own rows of one buffer; :meth:`along` takes a step's
+    outputs ``S = X @ step.T`` into a second one. A score forms ``R0 + lam *
+    S`` in a third buffer, squares it, and reduces each pair's rows with the
+    sum and division ``np.mean`` runs. With no step the score has the bytes
+    of ``-np.mean((X @ base.T - Y) ** 2)``. With one, the residual is that
+    of ``base + lam * step`` up to rounding: the square is never expanded,
+    so no digits are lost where the step cancels the base's residual.
     """
-    Xs = [X for X, _ in pairs]
-    Y = np.concatenate([Y for _, Y in pairs])
-    resid = np.empty_like(Y)
-    slots = np.split(resid, np.cumsum([len(X) for X in Xs])[:-1])
 
-    def score(W: np.ndarray) -> list[float]:
-        for X, slot in zip(Xs, slots):
+    def __init__(self, pairs: list[tuple[np.ndarray, np.ndarray]], base: np.ndarray):
+        self._Xs = [X for X, _ in pairs]
+        self._bounds = np.cumsum([len(X) for X in self._Xs])[:-1]
+        self._base_resid = self._outputs(base)
+        for slot, (_, Y) in zip(np.split(self._base_resid, self._bounds), pairs):
+            np.subtract(slot, Y, out=slot)
+        self._step_out = None
+        self._resid = np.empty_like(self._base_resid)
+        self._resid_slots = np.split(self._resid, self._bounds)
+
+    def _outputs(self, W: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty((sum(len(X) for X in self._Xs), W.shape[0]))
+        for X, slot in zip(self._Xs, np.split(out, self._bounds)):
             np.matmul(X, W.T, out=slot)
-        np.subtract(resid, Y, out=resid)
-        np.multiply(resid, resid, out=resid)
-        return [-float(np.add.reduce(slot, axis=None) / slot.size) for slot in slots]
+        return out
 
-    return score
+    def along(self, step: np.ndarray) -> None:
+        """Score points on the line ``base + lam * step`` from now on."""
+        self._step_out = self._outputs(step, self._step_out)
+
+    def score(self, lam: float = 0.0) -> list[float]:
+        """Per-pair scores at ``lam`` on the line, or of the base alone
+        before the first :meth:`along`."""
+        resid = self._resid
+        if self._step_out is None:
+            np.multiply(self._base_resid, self._base_resid, out=resid)
+        else:
+            np.multiply(self._step_out, lam, out=resid)
+            np.add(self._base_resid, resid, out=resid)
+            np.multiply(resid, resid, out=resid)
+        return [-float(np.add.reduce(slot, axis=None) / slot.size) for slot in self._resid_slots]
 
 
 def evaluate(model, tasks: list[SynthTask]) -> tuple[list[float], float]:
@@ -115,7 +139,7 @@ def evaluate(model, tasks: list[SynthTask]) -> tuple[list[float], float]:
     for task in tasks:
         if task.X.shape[1] != W.shape[1] or task.Y.shape[1] != W.shape[0]:
             raise ShapeMismatch(f"task {task.name!r} does not match model shape {W.shape}")
-    scores = _scorer([(task.X, task.Y) for task in tasks])(W)
+    scores = _Scorer([(task.X, task.Y) for task in tasks], W).score()
     return scores, float(np.mean(scores))
 
 
@@ -186,8 +210,8 @@ def grid_tune(
     lambda_grid=None,
     val_split_seed: int = 0,
 ) -> TuneResult:
-    """Finetune on 90% splits, merge at every grid point, pick the best
-    mean validation score.
+    """Finetune on 90% splits, score every grid point on the validation
+    splits, pick the best mean validation score.
 
     ``tasks`` may be any iterable and is read once, task by task; only each
     task's name, finetuned delta and validation split are kept, so with a
@@ -197,9 +221,19 @@ def grid_tune(
     :func:`default_grids` gives one point (``retain`` for task arithmetic,
     simple averaging and DARE-TIES; the coefficient for simple averaging)
     is one the method never reads, so a given grid for it must be exactly
-    that point. The merges come from :func:`merge_delta_set_grid`, so
-    drm-h and drm-v decompose once per tune and prune once per retain
-    value.
+    that point.
+
+    Every method's merged delta is linear in the shared coefficient: the
+    prune, the sign election, the survivor counts and the DARE drops never
+    read it. So each ``retain`` row merges once, at coefficient 1.0,
+    through :func:`merge_delta_set_grid` (drm-h and drm-v decompose once
+    per tune), and point ``(retain, lam)`` is scored as ``base + lam *
+    M_r`` by :class:`_Scorer`: the validation residual of the base is taken
+    once per tune, the outputs of ``M_r`` once per row, and each point adds
+    them in residual space. ``M_r`` has the bytes of a single merge at
+    ``(retain, 1.0)``. A score is not bit-identical to merging at the point
+    and calling :func:`evaluate` on ``base + delta``, but lies within
+    ``1e-12 * max(1, |score|)`` of it, as do the held-out scores.
     """
     default_retain, default_lambda = default_grids(method)
     retain_grid = [float(r) for r in (default_retain if retain_grid is None else retain_grid)]
@@ -221,27 +255,28 @@ def grid_tune(
         raise ValueError("grid_tune needs at least one task; no tasks were given")
     names = [name for name, _, _ in fits]
     ds = DeltaSet("layer0", base.shape, [delta for _, delta, _ in fits], names)
-    score_val = _scorer([pair for _, _, pair in fits])
+    score_val = _Scorer([pair for _, _, pair in fits], base)
     del fits
 
     result = TuneResult(method=method, task_names=names)
-    best_per_task: list[float] = []
-    merged = np.empty_like(base)
-    merges = merge_delta_set_grid(ds, cfg, retain_grid, lambda_grid)
-    points = itertools.product(retain_grid, lambda_grid)
-    for (retain, lam), (delta, _) in zip(points, merges, strict=True):
-        np.add(base, delta, out=merged)
-        per_task = score_val(merged)
-        score = float(np.mean(per_task))
-        result.grid.append((retain, lam, score))
-        first = not np.isfinite(result.best_score)
-        tie_band = 0.0 if first else 1e-12 * max(1.0, abs(result.best_score))
-        if first or score > result.best_score + tie_band:
+    points = []
+    merges = merge_delta_set_grid(ds, cfg, retain_grid, [1.0])
+    for retain, (step, _) in zip(retain_grid, merges, strict=True):
+        score_val.along(step)
+        for lam in lambda_grid:
+            per_task = score_val.score(lam)
+            score = float(np.mean(per_task))
+            result.grid.append((retain, lam, score))
+            points.append((retain, lam, score, per_task))
+    # Scanned in (retain, lam) order whatever the order of the grids, so a
+    # tie goes to the smaller retain, then the smaller lam.
+    for retain, lam, score, per_task in sorted(points, key=lambda p: p[:2]):
+        best = result.best_score
+        if not np.isfinite(best) or score > best + 1e-12 * max(1.0, abs(best)):
             result.best_score = score
             result.best_retain = retain
             result.best_lambda = lam
-            best_per_task = per_task
-    result.per_task_scores = best_per_task
+            result.per_task_scores = per_task
     return result
 
 

@@ -5,7 +5,9 @@ smaller Gram matrix, with no library eigensolver, so it is an independent
 check of the SVD backend. ``synth_hetero_deltas`` generates delta sets
 whose task norms span a chosen ratio, the input on which renormalization
 visibly changes what pruning keeps. ``neg_mse_oracle`` is the per-task
-score the synthetic harness must reproduce exactly.
+score the synthetic harness must reproduce exactly. ``tune_oracle`` tunes
+point by point: a single merge at each grid point, materialized as
+``base + delta`` and scored with ``neg_mse_oracle``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import math
 import numpy as np
 
 from drm.bundle import DeltaSet
+from drm.engine import MergeConfig, merge_delta_set
 from drm.errors import ConvergenceFailure, NumericError, ShapeMismatch
+from drm.harness import SynthTask, closed_form_finetune
 
 # Largest Gram dimension svd_oracle accepts.
 ORACLE_MAX_SIDE = 32
@@ -109,3 +113,48 @@ def synth_hetero_deltas(
 def neg_mse_oracle(W: np.ndarray, X: np.ndarray, Y: np.ndarray) -> float:
     """Negative mean squared error of ``X @ W.T`` against ``Y``."""
     return -float(np.mean((X @ W.T - Y) ** 2))
+
+
+def tune_split_oracle(base: np.ndarray, tasks, seed: int):
+    """The tune's split rule, restated: the first max(1, s // 10) entries
+    of a permutation drawn per task from one generator seeded with
+    ``seed`` are validation rows, the rest train the task's finetune.
+    Returns (the "layer0" DeltaSet of finetuned deltas, [(X_val, Y_val)])."""
+    rng = np.random.default_rng(seed)
+    deltas, val = [], []
+    for task in tasks:
+        perm = rng.permutation(task.n_samples)
+        n_val = max(1, task.n_samples // 10)
+        train = perm[n_val:]
+        train_task = SynthTask(task.name, task.X[train], task.Y[train], task.ridge)
+        fit = closed_form_finetune(base, train_task)
+        deltas.append(fit - base)
+        val.append((task.X[perm[:n_val]], task.Y[perm[:n_val]]))
+    return DeltaSet("layer0", base.shape, deltas, [t.name for t in tasks]), val
+
+
+def tune_score_close(got: float, want: float) -> bool:
+    """Whether a tune score lies within 1e-12 * max(1, |want|) of the
+    oracle's: residual-space scoring rounds differently, by far less."""
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def tune_oracle(base, tasks, method: str, retain_grid, lambda_grid, seed: int):
+    """Tune point by point: merge once at every (retain, lam), score
+    ``base + delta`` on each validation split, and take the best mean with
+    ties (1e-12 relative) going to the smaller retain, then the smaller lam.
+    Returns (grid rows (retain, lam, score) in search order,
+    (best retain, best lam, best score), the best point's per-task scores)."""
+    ds, val = tune_split_oracle(base, tasks, seed)
+    grid, per_task = [], {}
+    for retain in retain_grid:
+        for lam in lambda_grid:
+            cfg = MergeConfig(method=method, retain=retain, lambdas=lam, seed=seed)
+            W = base + merge_delta_set(ds, cfg)
+            per_task[retain, lam] = [neg_mse_oracle(W, X, Y) for X, Y in val]
+            grid.append((retain, lam, float(np.mean(per_task[retain, lam]))))
+    best = None
+    for retain, lam, score in sorted(grid, key=lambda row: row[:2]):
+        if best is None or score > best[2] + 1e-12 * max(1.0, abs(best[2])):
+            best = (retain, lam, score)
+    return grid, best, per_task[best[:2]]

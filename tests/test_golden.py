@@ -20,7 +20,9 @@ family is analyzed with every report kind, and its sign agreement in
 every tally space, and a small synthetic suite is tuned over the default
 grids with six methods, as are, with drm-h, the benchmark's ``tune-grid``
 suite at seeds 0 and 1 and a nine-task suite; their JSON outputs are
-pinned the same way. The
+pinned the same way, and each is checked against the point-by-point tune
+oracle of ``tests/oracles.py`` (scores to 1e-12 relative, the same best
+point). The
 drm-h and drm-v hashes depend on the LAPACK/BLAS build; after an
 intended output change, or on a platform whose BLAS rounds differently,
 print the current values with
@@ -29,13 +31,16 @@ that differs from its recorded value.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from drm.bundle import TensorBundle, materialize_low_rank, read_bundle, write_bundle
-from drm.cli import main
+from drm.cli import _CLI_METHODS, build_parser, main
+from drm.harness import default_grids, synth_suite
+from oracles import tune_oracle, tune_score_close
 
 SHAPES = {
     "l0.w": ((12, 8), np.float32),
@@ -127,15 +132,15 @@ TUNE_CASES = {
     "drm-h-9-tasks": ["--method", "drm-h", "--tasks", "9", "--dim", "12,8"],
 }
 TUNE_GOLDEN = {
-    "drm-h": "f1934087abc586679acebb2ddbff73992bc97e6bcfdad4e0e2cda127e9439130",
-    "drm-v": "8e125d6a11c734671ffd28cbfb38e6ce9e565dc1e7c6975a1c719a6babf963b5",
-    "ties": "78d08d8cadb7bb74563b595a6760b85e7ebb13e0c73030d74672cebdc7cb7fdd",
-    "dare-ties": "9cb207759ea1f95c24260cd72c40912faac5a2764e757aee5e631897072bd7cd",
-    "ta": "092cc935257874ea6aec560ee6fdd0514eec26c825e2009b127c93406b6face3",
-    "avg": "60a585d7cbcafd864e22be2f6218639dce25e73b5ac7cd2ee8de77f08fca2da7",
-    "drm-h-bench-seed0": "e6a76d9f7ac8b24610e2e8fb85914ffa80fce1a6cdbf99c102f4f696034cf985",
-    "drm-h-bench-seed1": "4e87a3fb0ea915b7298f49c7a3be53214e996de51ba4e81b6249a11553d368f2",
-    "drm-h-9-tasks": "27af41388dbb401d9d2c94c68faca05ff3b85edd698dc1f5f63d954e20c53f4a",
+    "drm-h": "dd04e312b0b8280ee4da7e61ad19d94b4489740f0e1b7df53060fe8bd218b2ec",
+    "drm-v": "88525785c1270144d4d07be843030f3a89cdc794acc4ac585d483232fc5d3c9b",
+    "ties": "e8a8ab9e23e6eea44c33e744cbf56c01c3abb87959153526af21c5be6c976053",
+    "dare-ties": "cf2c6e22d15b6f08551060c7bbab069c4c25aa834e02a04e6ce544ebfd46a6d5",
+    "ta": "22965d005fb1a2b1b1ea96f70b0749d94ead4be3ea0e6d167d5d522f18da2da0",
+    "avg": "632668465638a767ae7f81650cba251492ea1c400a5e30ffc23d0a1dcf6b0998",
+    "drm-h-bench-seed0": "0cd9368628d9404a8f8fc3baeaafa20fb3f34dec266ac7989100f40fbf6ccd12",
+    "drm-h-bench-seed1": "3884d78880dbd0c382598eefbf510a3a37fcad0636f2ba9e3be565de1bd8b750",
+    "drm-h-9-tasks": "3576daa9c941661fb59fc7c86ea12ef5bef2d2fa6b715a5dc74cc983c1eda382",
 }
 
 ANALYSIS_KINDS = ("prune-density", "sign-agreement", "svd-bound", "spectrum")
@@ -285,6 +290,28 @@ def test_low_rank_output_hash_unchanged(method, tmp_path, monkeypatch, gesdd_cal
 @pytest.mark.parametrize("case", TUNE_CASES)
 def test_tune_hash_unchanged(case, tmp_path):
     assert tune_sha256(tmp_path, case) == TUNE_GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", TUNE_CASES)
+def test_tune_case_matches_point_by_point_oracle(case, tmp_path):
+    # What a tune hash pins: every score within 1e-12 relative of merging
+    # at the point and scoring base + delta, and the oracle's best point.
+    args = build_parser().parse_args(["tune", *TUNE_CASES[case]])
+    m, n = (int(v) for v in args.dim.split(","))
+    base, tasks = synth_suite(args.seed, args.tasks, m, n, args.samples,
+                              ridge=args.ridge, noise=args.noise)
+    method = _CLI_METHODS[args.method]
+    grid, best, per_task = tune_oracle(base, tasks, method, *default_grids(method), args.seed)
+    out = tmp_path / "tune.json"
+    assert main(["tune", *TUNE_CASES[case], "--out", str(out)]) == 0
+    data = json.loads(out.read_text(encoding="utf-8"))
+
+    assert [(row["retain"], row["lambda"]) for row in data["grid"]] == [row[:2] for row in grid]
+    assert all(tune_score_close(row["score"], want[2]) for row, want in zip(data["grid"], grid))
+    assert (data["best"]["retain"], data["best"]["lambda"]) == best[:2]
+    assert tune_score_close(data["best"]["score"], best[2])
+    assert len(data["per_task_scores"]) == len(per_task)
+    assert all(map(tune_score_close, data["per_task_scores"], per_task))
 
 
 @pytest.mark.parametrize("kind", ANALYSIS_KINDS)

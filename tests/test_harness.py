@@ -6,6 +6,7 @@ import pytest
 
 import drm.engine
 import drm.harness
+from drm.engine import MergeConfig, merge_delta_set
 from drm.errors import ShapeMismatch, SingularSystem
 from drm.harness import (
     BENCH_METHODS,
@@ -18,7 +19,7 @@ from drm.harness import (
     synth_stream,
     synth_suite,
 )
-from oracles import neg_mse_oracle
+from oracles import neg_mse_oracle, tune_oracle, tune_score_close, tune_split_oracle
 
 
 def simple_task(seed=0, s=30, n=3, m=4, ridge=0.0):
@@ -163,41 +164,49 @@ class TestScorer:
         assert scores == [neg_mse_oracle(W, t.X, t.Y) for t in tasks]
         assert mean == float(np.mean(scores))
 
-    @pytest.mark.parametrize("method", ["drm_h", "ties"])
+    @pytest.mark.parametrize("method", BENCH_METHODS)
     @pytest.mark.parametrize("suite", SCORER_SUITES)
     def test_grid_tune_matches_oracle_exactly(self, suite, method, monkeypatch):
+        # Exact: each row's merge M_r (the bytes of a single merge at
+        # coefficient 1.0) and the best point. Scores are taken in residual
+        # space, base + lam * M_r, so they match the oracle's materialized
+        # base + delta to 1e-12 relative, not to the byte.
         samples, m, n = SCORER_SUITES[suite]
         base, tasks = planted_tasks(3, samples, m, n)
-        deltas = []
+        ds, _ = tune_split_oracle(base, tasks, seed=4)
+        steps = []
         real_grid = drm.harness.merge_delta_set_grid
 
         def recording_grid(*args, **kwargs):
             for delta, stats in real_grid(*args, **kwargs):
-                deltas.append(delta.copy())
+                steps.append(delta.copy())
                 yield delta, stats
 
         monkeypatch.setattr(drm.harness, "merge_delta_set_grid", recording_grid)
-        res = grid_tune(base, tasks, method, val_split_seed=4)
+        retain_grid, lambda_grid = default_grids(method)
+        grids = [(retain_grid, lambda_grid)]
+        if method != "simple_avg":  # the one method that reads no coefficient
+            signed = [-0.5, 0.0, 0.6, 1.0, 1.3]
+            grids.append(([0.1, 0.5, 1.0] if len(retain_grid) > 1 else retain_grid, signed))
+        for retain_grid, lambda_grid in grids:
+            steps.clear()
+            res = grid_tune(base, tasks, method, retain_grid, lambda_grid, val_split_seed=4)
+            grid, best, best_per_task = tune_oracle(
+                base, tasks, method, retain_grid, lambda_grid, seed=4
+            )
 
-        # The split rule, restated: the first max(1, s // 10) entries of a
-        # permutation drawn per task from one generator are validation rows.
-        rng = np.random.default_rng(4)
-        val = []
-        for task in tasks:
-            idx = rng.permutation(task.n_samples)[: max(1, task.n_samples // 10)]
-            val.append((task.X[idx], task.Y[idx]))
+            assert len(steps) == len(retain_grid)
+            for retain, step in zip(retain_grid, steps):
+                cfg = MergeConfig(method=method, retain=retain, lambdas=1.0, seed=4)
+                assert step.tobytes() == merge_delta_set(ds, cfg).tobytes(), retain
 
-        assert len(deltas) == len(res.grid) == 80
-        best, best_per_task = None, None
-        for (retain, lam, score), delta in zip(res.grid, deltas):
-            W = base + delta
-            per_task = [neg_mse_oracle(W, x, y) for x, y in val]
-            expected = float(np.mean(per_task))
-            assert score == expected, (retain, lam)
-            if best is None or expected > best[2] + 1e-12 * max(1.0, abs(best[2])):
-                best, best_per_task = (retain, lam, expected), per_task
-        assert (res.best_retain, res.best_lambda, res.best_score) == best
-        assert res.per_task_scores == best_per_task
+            assert [row[:2] for row in res.grid] == [row[:2] for row in grid]
+            for got, want in zip(res.grid, grid):
+                assert tune_score_close(got[2], want[2]), (got, want)
+            assert (res.best_retain, res.best_lambda) == best[:2]
+            assert tune_score_close(res.best_score, best[2])
+            assert len(res.per_task_scores) == len(best_per_task)
+            assert all(map(tune_score_close, res.per_task_scores, best_per_task))
 
 
 class TestDefaultGrids:
@@ -249,6 +258,22 @@ class TestGridTune:
         scores = [s for _, _, s in res.grid]
         assert max(scores) - min(scores) <= 1e-8
         assert (res.best_retain, res.best_lambda) == (0.1, 0.8)
+        retain, lam = default_grids("drm_h")
+        res = grid_tune(base, tasks, "drm_h", retain[::-1], lam[::-1], val_split_seed=1)
+        assert (res.best_retain, res.best_lambda) == (0.1, 0.8)
+
+    def test_tie_break_does_not_depend_on_grid_order(self):
+        # Retain 1.0 and 0.99 keep every entry of this 3-task 2x2 stack, so
+        # their rows tie exactly; the tie goes to the smaller retain however
+        # the grids are ordered.
+        base, tasks = synth_suite(0, 3, 2, 2, 20)
+        results = [grid_tune(base, tasks, "drm_h", retain_grid=r, lambda_grid=l)
+                   for r, l in (([1.0, 0.99], [1.2, 1.0]), ([0.99, 1.0], [1.0, 1.2]))]
+        for res in results:
+            scores = {(r, l): s for r, l, s in res.grid}
+            assert scores[1.0, 1.0] == scores[0.99, 1.0] and scores[1.0, 1.2] == scores[0.99, 1.2]
+            assert (res.best_retain, res.best_lambda) == (0.99, 1.0)
+        assert results[0].per_task_scores == results[1].per_task_scores
 
     def test_deterministic_in_seed(self):
         base, tasks = synth_suite(13, 2, 5, 4, samples=40)
@@ -258,6 +283,9 @@ class TestGridTune:
 
     @pytest.mark.parametrize("method", ["drm_h", "drm_v"])
     def test_drm_decomposes_once_and_prunes_once_per_retain(self, method, monkeypatch):
+        # The default grid's work table: one SVD per tune; one prune, one
+        # one-plane tail pass and one projection U @ plane per retain value,
+        # not per grid point.
         calls = {"thin_svd": 0, "prune_topk": 0}
         for name in calls:
             real = getattr(drm.engine, name)
@@ -267,11 +295,51 @@ class TestGridTune:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(drm.engine, name, counting)
+        planes, projections = [], []
+        real_tail = drm.engine._elect_and_average
+
+        def counting_tail(*args, **kwargs):
+            out = real_tail(*args, **kwargs)
+            planes.append(len(out))
+            return out
+
+        class CountingU(np.ndarray):
+            def __matmul__(self, other):
+                projections.append(np.shape(other))
+                return np.asarray(self) @ other
+
+        real_decompose = drm.engine.decompose_joint
+
+        def decompose(*args, **kwargs):
+            jd = real_decompose(*args, **kwargs)
+            jd.U = jd.U.view(CountingU)
+            return jd
+
+        monkeypatch.setattr(drm.engine, "_elect_and_average", counting_tail)
+        monkeypatch.setattr(drm.engine, "decompose_joint", decompose)
         base, tasks = synth_suite(19, 3, 6, 5, samples=50)
-        retain_grid, lambda_grid = [0.2, 0.5, 0.9], [0.8, 1.0, 1.2, 1.4]
-        res = grid_tune(base, tasks, method, retain_grid, lambda_grid)
-        assert len(res.grid) == 12
-        assert calls == {"thin_svd": 1, "prune_topk": len(retain_grid)}
+        res = grid_tune(base, tasks, method)
+        assert len(res.grid) == 80
+        assert calls == {"thin_svd": 1, "prune_topk": 10}
+        assert planes == [1] * 10
+        assert len(projections) == 10
+
+    @pytest.mark.parametrize("method,merges", [
+        ("ties", 10), ("dare_ties", 1), ("task_arithmetic", 1), ("simple_avg", 1),
+    ])
+    def test_baseline_tune_merges_once_per_retain(self, method, merges, monkeypatch):
+        count = []
+        real = drm.engine._merge_delta_set_with_stats
+
+        def counting(*args, **kwargs):
+            count.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(drm.engine, "_merge_delta_set_with_stats", counting)
+        base, tasks = synth_suite(19, 3, 6, 5, samples=50)
+        res = grid_tune(base, tasks, method)
+        assert len(res.grid) == len(default_grids(method)[0]) * len(default_grids(method)[1])
+        assert len(count) == merges
 
     def test_training_splits_freed_before_the_grid(self, monkeypatch):
         # Training rows dominate this suite: 4 x 1800 x (64 + 4) float64
