@@ -43,8 +43,7 @@ def ties_merge_with_stats(ds: DeltaSet, cfg: MergeConfig) -> tuple[np.ndarray, d
         block *= masks[t, rows]
 
     prepare = prune if masks is not None else None
-    lams = [cfg.task_lambdas(ds.n_tasks)]
-    (merged,) = _elect_and_average(stack, cfg, lams, prepare, in_place=True)
+    merged = _elect_and_average(stack, cfg, cfg.task_lambdas(ds.n_tasks), prepare, in_place=True)
     return merged, kept_counts(masks, stack)
 
 
@@ -94,6 +93,4 @@ def dare_ties_merge(ds: DeltaSet, cfg: MergeConfig) -> np.ndarray:
 
     # Scaled and dropped in place.
     stack = ds.deltas if ds._owned else ds.deltas.copy()
-    lams = [cfg.task_lambdas(ds.n_tasks)]
-    (merged,) = _elect_and_average(stack, cfg, lams, drop, in_place=True)
-    return merged
+    return _elect_and_average(stack, cfg, cfg.task_lambdas(ds.n_tasks), drop, in_place=True)

@@ -453,48 +453,47 @@ def disjoint_average(
 def _elect_and_average(
     stack: np.ndarray,
     cfg: MergeConfig,
-    lambdas: list[np.ndarray],
+    lambdas: np.ndarray,
     prepare=None,
     mask: np.ndarray | None = None,
     in_place: bool = False,
-) -> list[np.ndarray]:
-    """The disjoint-merge tail of drm-h, drm-v, TIES and DARE-TIES: one
-    merged plane per per-task coefficient vector in ``lambdas``.
+) -> np.ndarray:
+    """The disjoint-merge tail of drm-h, drm-v, TIES and DARE-TIES: the
+    merged plane at the per-task coefficients ``lambdas``.
 
-    Plane p has the bytes of ``disjoint_average(stack,
+    The plane has the bytes of ``disjoint_average(stack,
     *survivor_filter(agreeing_entries(stack, elect_signs(stack)), mask,
-    disjoint), lambdas[p])`` (see :func:`disjoint_average`, the
-    reference), run over row chunks of the N x m x n ``stack`` (see
-    :func:`_chunks`) so that each chunk's preparation, election, filter and
-    sums happen while it is in cache. ``prepare(t, rows, block, spare)``,
-    where given, first prunes or drops task t's ``block`` of those ``rows``
-    in place (``spare`` is a bool buffer of its shape); the stack then must
-    be the merge's own. ``mask`` joins the survivor test after the election.
+    disjoint), lambdas)`` (see :func:`disjoint_average`, the reference),
+    run over row chunks of the N x m x n ``stack`` (see :func:`_chunks`) so
+    that each chunk's preparation, election, filter and sums happen while
+    it is in cache. ``prepare(t, rows, block, spare)``, where given, first
+    prunes or drops task t's ``block`` of those ``rows`` in place
+    (``spare`` is a bool buffer of its shape); the stack then must be the
+    merge's own. ``mask`` joins the survivor test after the election.
     ``in_place``, for the stack's last use, overwrites each chunk with its
     survivors instead of writing them to a chunk-sized buffer.
     """
     n_tasks, n_rows, n_cols = stack.shape
-    planes = [np.zeros((n_rows, n_cols)) for _ in lambdas]
+    plane = np.zeros((n_rows, n_cols))
     parts = _chunks(n_rows, n_cols)
     counts = _scratch(parts, n_cols, np.min_scalar_type(n_tasks))
     keep, below, negative = (_scratch(parts, n_cols, bool) for _ in range(3))
     terms = None if in_place else _scratch(parts, n_cols)
-    spare = _scratch(parts, n_cols) if len(planes) > 1 else None
     for part in parts:
         size = part.stop - part.start
-        blocks, totals = stack[:, part], [plane[part] for plane in planes]
+        blocks, total = stack[:, part], plane[part]
         count, kept, under = counts[:size], keep[:size], below[:size]
         if prepare is not None:
             for t in range(n_tasks):
                 prepare(t, part, blocks[t], kept)
         neg = None
         if cfg.enable_sign_elect:
-            # elect_signs' sum, held in this chunk of the first plane; -1 is
+            # elect_signs' sum, held in this chunk of the plane; -1 is
             # elected where it is negative. Calling elect_signs per chunk
             # would add its +-1 array and the passes that write it, and its
             # per-call work, to every chunk.
-            neg = np.less(_task_sum(blocks, totals[0]), 0.0, out=negative[:size])
-            totals[0].fill(0.0)
+            neg = np.less(_task_sum(blocks, total), 0.0, out=negative[:size])
+            total.fill(0.0)
         count.fill(0)
         for t, block in enumerate(blocks):
             np.not_equal(block, 0.0, out=kept)
@@ -506,17 +505,15 @@ def _elect_and_average(
             count += kept
             # block * kept is the block or a signed zero; a zero term leaves
             # the sum's bytes as they are. Multiplying by a coefficient of 1
-            # changes no byte, so that multiply is skipped, and one plane
-            # scales its term where it lies.
+            # changes no byte, so that multiply is skipped, and any other
+            # scales the term where it lies.
             term = np.multiply(block, kept, out=block if in_place else terms[:size])
-            scaled = term if spare is None else spare[:size]
-            for total, lams in zip(totals, lambdas):
-                total += term if lams[t] == 1.0 else np.multiply(term, lams[t], out=scaled)
+            if lambdas[t] != 1.0:
+                term *= lambdas[t]
+            total += term
         # The chunk's terms are spent: the last one's buffer holds gamma.
-        gamma = _reciprocal_counts(count, out=term) if cfg.enable_disjoint else 1.0 / n_tasks
-        for total in totals:
-            total *= gamma
-    return planes
+        total *= _reciprocal_counts(count, out=term) if cfg.enable_disjoint else 1.0 / n_tasks
+    return plane
 
 
 def merge_drm(ds: DeltaSet, cfg: MergeConfig) -> np.ndarray:
@@ -526,27 +523,29 @@ def merge_drm(ds: DeltaSet, cfg: MergeConfig) -> np.ndarray:
 
 
 def merge_drm_with_stats(ds: DeltaSet, cfg: MergeConfig) -> tuple[np.ndarray, dict]:
-    """The merged delta and its ``rank``/``kept``/``total`` stats: the 1x1
-    case of :func:`_drm_grid`."""
+    """The merged delta and its ``rank``/``kept``/``total`` stats: the
+    one-``retain`` case of :func:`_drm_grid`."""
     if cfg.method not in DRM_ORIENTATIONS:
         raise ValueError(f"merge_drm handles drm_h/drm_v, not {cfg.method!r}")
-    return next(_drm_grid(ds, cfg, [cfg.retain], [cfg.task_lambdas(ds.n_tasks)]))
+    return next(_drm_grid(ds, cfg, [cfg.retain]))
 
 
-def _drm_grid(ds: DeltaSet, cfg: MergeConfig, retains: list[float], lambdas: list[np.ndarray]):
-    """Yield ``(merged delta, stats)`` for each ``retain`` in ``retains``
-    (outer loop) and each per-task coefficient vector in ``lambdas`` (inner
-    loop), the rest of the settings taken from ``cfg``.
+def _drm_grid(ds: DeltaSet, cfg: MergeConfig, retains: list[float]):
+    """Yield ``(merged delta, stats)`` for each ``retain`` in ``retains``,
+    the rest of the settings, the coefficients among them, taken from
+    ``cfg``.
 
     The layer lives in one N x r x dim float64 stack, rewritten in place:
     the renormalized blocks are pruned once per ``retain``, then scaled by
     ``task_sigmas`` into the blocks that elect signs and are averaged, by
     one :func:`_elect_and_average` pass per ``retain`` that takes its prune
-    mask at the survivor test and writes every point's plane. The
-    decomposition runs once, and only the projection once per point. The
-    vertical variant is the horizontal pipeline on transposed deltas,
-    transposed back (exact duality).
+    mask at the survivor test and writes that ``retain``'s one plane. The
+    coefficients are resolved before, and the decomposition runs once for
+    the whole grid; each plane is projected once. The vertical variant is
+    the horizontal pipeline on transposed deltas, transposed back (exact
+    duality).
     """
+    lambdas = cfg.task_lambdas(ds.n_tasks)
     orientation = DRM_ORIENTATIONS[cfg.method]
     jd = decompose_joint(ds, orientation, cfg.rank_drop)
     stack = jd.renorm_blocks
@@ -559,9 +558,8 @@ def _drm_grid(ds: DeltaSet, cfg: MergeConfig, retains: list[float], lambdas: lis
     for i, mask in enumerate(masks):
         stats = {"rank": jd.rank, **kept_counts(mask, stack)}
         last = i == len(masks) - 1
-        for plane in _elect_and_average(stack, cfg, lambdas, mask=mask, in_place=last):
-            merged = jd.U @ plane
-            yield (merged.T if orientation == "vertical" else merged), dict(stats)
+        merged = jd.U @ _elect_and_average(stack, cfg, lambdas, mask=mask, in_place=last)
+        yield (merged.T if orientation == "vertical" else merged), stats
 
 
 def merge_biases(base: np.ndarray, task_values: list[np.ndarray], lambdas) -> np.ndarray:
@@ -598,37 +596,24 @@ def _merge_delta_set_with_stats(ds: DeltaSet, cfg: MergeConfig) -> tuple[np.ndar
     return baselines.dare_ties_merge(ds, cfg), {}
 
 
-def _grid_configs(cfg: MergeConfig, retain_grid, lambda_grid) -> tuple[list, list]:
-    """``cfg`` with each ``retain`` of ``retain_grid``, and with each
-    ``lambdas`` of ``lambda_grid``, swapped in. A config checks each field
-    on its own, so these R + L configs raise where one of the R x L point
-    configs would: building them checks the grid."""
-    return (
-        [dataclasses.replace(cfg, retain=retain) for retain in retain_grid],
-        [dataclasses.replace(cfg, lambdas=lam) for lam in lambda_grid],
-    )
+def merge_delta_set_grid(ds: DeltaSet, cfg: MergeConfig, retain_grid):
+    """Merge one layer at every ``retain`` of ``retain_grid``.
 
-
-def merge_delta_set_grid(ds: DeltaSet, cfg: MergeConfig, retain_grid, lambda_grid):
-    """Merge one layer at every (retain, lambdas) point of a grid.
-
-    Yields ``(merged delta, stats)`` with ``retain`` in the outer loop and
-    ``lambdas`` in the inner one. Each point equals
-    ``_merge_delta_set_with_stats(ds, cfg)`` with that ``retain`` and
-    ``lambdas`` swapped in, byte for byte. drm-h and drm-v share their
-    grid-independent stages across the grid (see :func:`_drm_grid`); every
-    other method merges each point from scratch. Every point is checked
-    (see :func:`_grid_configs`), and every ``lambdas`` resolved, before the
-    first merge.
+    Yields ``(merged delta, stats)`` in grid order. Each equals
+    ``_merge_delta_set_with_stats(ds, cfg)`` with that ``retain`` swapped
+    in, byte for byte, at ``cfg``'s own coefficients. drm-h and drm-v share
+    their retain-independent stages across the grid (see
+    :func:`_drm_grid`); every other method merges each ``retain`` from
+    scratch. Every ``retain`` is checked, by a config of its own, and the
+    coefficients resolved, before the first merge.
     """
-    retain_configs, lambda_configs = _grid_configs(cfg, retain_grid, lambda_grid)
-    lambdas = [point.task_lambdas(ds.n_tasks) for point in lambda_configs]
+    configs = [dataclasses.replace(cfg, retain=retain) for retain in retain_grid]
     if cfg.method in DRM_ORIENTATIONS:
-        yield from _drm_grid(ds, cfg, retain_grid, lambdas)
+        yield from _drm_grid(ds, cfg, retain_grid)
         return
-    for row in retain_configs:
-        for lam in lambda_grid:
-            yield _merge_delta_set_with_stats(ds, dataclasses.replace(row, lambdas=lam))
+    cfg.task_lambdas(ds.n_tasks)  # raises on a wrong count before any merge
+    for point in configs:
+        yield _merge_delta_set_with_stats(ds, point)
 
 
 @dataclass

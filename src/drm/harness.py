@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bundle import DeltaSet
-from .engine import MergeConfig, _grid_configs, merge_delta_set, merge_delta_set_grid
+from .engine import MergeConfig, merge_delta_set, merge_delta_set_grid
 from .errors import ShapeMismatch, SingularSystem
 
 BENCH_METHODS = ("simple_avg", "task_arithmetic", "ties", "dare_ties", "drm_h", "drm_v")
@@ -217,23 +217,24 @@ def grid_tune(
     task's name, finetuned delta and validation split are kept, so with a
     lazy source such as :func:`synth_stream` the tune holds the samples of
     the task in hand and, while it is drawn, the next one. The method and
-    the grid are checked before the first task is taken. An axis that
-    :func:`default_grids` gives one point (``retain`` for task arithmetic,
-    simple averaging and DARE-TIES; the coefficient for simple averaging)
-    is one the method never reads, so a given grid for it must be exactly
-    that point.
+    the grid are checked, by one config per grid value, before the first
+    task is taken. An axis that :func:`default_grids` gives one point
+    (``retain`` for task arithmetic, simple averaging and DARE-TIES; the
+    coefficient for simple averaging) is one the method never reads, so a
+    given grid for it must be exactly that point.
 
     Every method's merged delta is linear in the shared coefficient: the
     prune, the sign election, the survivor counts and the DARE drops never
     read it. So each ``retain`` row merges once, at coefficient 1.0,
     through :func:`merge_delta_set_grid` (drm-h and drm-v decompose once
-    per tune), and point ``(retain, lam)`` is scored as ``base + lam *
-    M_r`` by :class:`_Scorer`: the validation residual of the base is taken
-    once per tune, the outputs of ``M_r`` once per row, and each point adds
-    them in residual space. ``M_r`` has the bytes of a single merge at
-    ``(retain, 1.0)``. A score is not bit-identical to merging at the point
-    and calling :func:`evaluate` on ``base + delta``, but lies within
-    ``1e-12 * max(1, |score|)`` of it, as do the held-out scores.
+    per tune and write one plane per ``retain``), and point ``(retain,
+    lam)`` is scored as ``base + lam * M_r`` by :class:`_Scorer`: the
+    validation residual of the base is taken once per tune, the outputs of
+    ``M_r`` once per row, and each point adds them in residual space.
+    ``M_r`` has the bytes of a single merge at ``(retain, 1.0)``. A score
+    is not bit-identical to merging at the point and calling
+    :func:`evaluate` on ``base + delta``, but lies within ``1e-12 * max(1,
+    |score|)`` of it, as do the held-out scores.
     """
     default_retain, default_lambda = default_grids(method)
     retain_grid = [float(r) for r in (default_retain if retain_grid is None else retain_grid)]
@@ -245,8 +246,10 @@ def grid_tune(
         if len(default) == 1 and grid != list(default):
             raise ValueError(f"method {method!r} does not read {axis}; "
                              f"its {axis} grid must be {default[0]} alone")
-    cfg = MergeConfig(method=method, seed=val_split_seed)
-    _grid_configs(cfg, retain_grid, lambda_grid)  # raises on a bad grid value
+    for retain in retain_grid:  # a config checks each field on its own
+        MergeConfig(method=method, retain=retain)
+    for lam in lambda_grid:
+        MergeConfig(method=method, lambdas=lam)
 
     base = np.asarray(base, dtype=np.float64)
     rng = np.random.default_rng(val_split_seed)
@@ -260,7 +263,8 @@ def grid_tune(
 
     result = TuneResult(method=method, task_names=names)
     points = []
-    merges = merge_delta_set_grid(ds, cfg, retain_grid, [1.0])
+    cfg = MergeConfig(method=method, lambdas=1.0, seed=val_split_seed)
+    merges = merge_delta_set_grid(ds, cfg, retain_grid)
     for retain, (step, _) in zip(retain_grid, merges, strict=True):
         score_val.along(step)
         for lam in lambda_grid:

@@ -223,18 +223,21 @@ def chunk_cases():
 def grid_merges(case, method):
     deltas, rank_drop = chunk_cases()[case]
     ds = DeltaSet("l", deltas[0].shape, deltas, [f"t{i}" for i in range(len(deltas))])
-    cfg = MergeConfig(method=method, rank_drop=rank_drop)
     return [
         (merged.tobytes(), stats)
-        for merged, stats in merge_delta_set_grid(ds, cfg, [0.1, 0.6, 1.0], [0.5, 1.0])
+        for lam in (0.5, 1.0)
+        for merged, stats in merge_delta_set_grid(
+            ds, MergeConfig(method=method, lambdas=lam, rank_drop=rank_drop), [0.1, 0.6, 1.0]
+        )
     ]
 
 
 @pytest.mark.parametrize("method", ["drm_h", "drm_v"])
 @pytest.mark.parametrize("case", list(chunk_cases()))
 def test_merge_bytes_do_not_depend_on_the_band_count(case, method, monkeypatch):
-    # A drm tune grid: three prunes, six averages, one decomposition, at
-    # the default chunk size and at chunks of one row to a few dozen.
+    # A drm retain grid at a scaled and at a unit coefficient: three prunes
+    # and three averages per decomposition, at the default chunk size and
+    # at chunks of one row to a few dozen.
     want = grid_merges(case, method)
     for chunk in CHUNKS:
         monkeypatch.setattr(drm.engine, "_CHUNK", chunk)

@@ -219,10 +219,9 @@ class TestElectAndAverage:
     def test_matches_the_stage_functions_bytewise(self, n_tasks, sign_elect, disjoint, monkeypatch):
         # The chunked tail against the public stages it replaces, including
         # -0.0 inputs, zero sums and zero or negative coefficients: with and
-        # without a prune mask at the survivor test (drm's), with several
-        # coefficient vectors in one call (each plane its own stage chain's)
-        # and with one, written in place (a stack's last use) or through
-        # scratch, in one chunk and in four.
+        # without a prune mask at the survivor test (drm's), for each of
+        # several coefficient vectors and a vector of ones, written in place
+        # (a stack's last use) or through scratch, in one chunk and in four.
         stack = tail_stack(n_tasks, n_tasks)
         if n_tasks > 1:
             assert (stack.sum(axis=0) == 0.0).any()
@@ -235,18 +234,14 @@ class TestElectAndAverage:
             monkeypatch.setattr(drm.engine, "_CHUNK", chunk)
             for keep in (None, mask):
                 survivors, gamma = survivor_filter(agree, keep, disjoint)
-                want = [disjoint_average(stack, survivors, gamma, lams).tobytes() for lams in lambdas]
-                for in_place in (True, False):
-                    copy = stack.copy()
-                    planes = _elect_and_average(copy, cfg, lambdas, mask=keep, in_place=in_place)
-                    assert [plane.tobytes() for plane in planes] == want
-                    if not in_place:
-                        assert copy.tobytes() == stack.tobytes()
-                    for lams, plane in zip(lambdas, want):
-                        (got,) = _elect_and_average(
-                            stack.copy(), cfg, [lams], mask=keep, in_place=in_place
-                        )
-                        assert got.tobytes() == plane
+                for lams in lambdas:
+                    want = disjoint_average(stack, survivors, gamma, lams).tobytes()
+                    for in_place in (True, False):
+                        copy = stack.copy()
+                        got = _elect_and_average(copy, cfg, lams, mask=keep, in_place=in_place)
+                        assert got.tobytes() == want
+                        if not in_place:
+                            assert copy.tobytes() == stack.tobytes()
 
 
 class TestBorrowedStacks:

@@ -555,7 +555,6 @@ class TestMergeDrm:
 
 class TestMergeGrid:
     RETAINS = [0.3, 0.7, 1.0]
-    LAMBDAS = [0.5, 1.0, 1.3]
 
     @pytest.mark.parametrize("cfg", [
         MergeConfig(method="drm_h"),
@@ -569,27 +568,33 @@ class TestMergeGrid:
         MergeConfig(method="simple_avg"),
     ], ids=repr)
     def test_every_point_matches_a_single_merge(self, cfg):
-        # drm's last row merges its stack in place, with one point (a
-        # one-value lambda grid) or several; a per-task tuple weighs each
-        # task.
+        # drm's last retain merges its stack in place. Every point is merged
+        # at cfg's own coefficients: the method's default (None; 0.4 for
+        # task arithmetic), a shared scalar, or a per-task tuple with a
+        # zero and a negative value.
+        # A single drm merge runs the grid's own code, so each setting must
+        # also give other bytes than the rest, unless the method reads none.
         ds = random_delta_set(37, n_tasks=3, m=7, n=5)
-        for lambda_grid in (self.LAMBDAS, [1.3], [(0.5, 1.0, -0.3), 0.7]):
-            grid = list(merge_delta_set_grid(ds, cfg, self.RETAINS, lambda_grid))
-            assert len(grid) == len(self.RETAINS) * len(lambda_grid)
-            points = [(r, l) for r in self.RETAINS for l in lambda_grid]
-            for (retain, lam), (merged, stats) in zip(points, grid):
-                point = dataclasses.replace(cfg, retain=retain, lambdas=lam)
+        grids = set()
+        for lambdas in (None, 1.3, (0.5, 0.0, -0.3)):
+            at = dataclasses.replace(cfg, lambdas=lambdas)
+            grid = list(merge_delta_set_grid(ds, at, self.RETAINS))
+            assert len(grid) == len(self.RETAINS)
+            for retain, (merged, stats) in zip(self.RETAINS, grid):
+                point = dataclasses.replace(at, retain=retain)
                 want, want_stats = drm.engine._merge_delta_set_with_stats(ds, point)
                 assert merged.shape == want.shape
                 assert merged.tobytes() == want.tobytes()
                 assert stats == want_stats
+            grids.add(tuple(merged.tobytes() for merged, _ in grid))
+        assert len(grids) == (1 if cfg.method == "simple_avg" else 3)
 
     def test_bad_point_rejected_before_any_decomposition(self, monkeypatch):
         def no_svd(*args, **kwargs):
             raise AssertionError("decomposed before validating the grid")
 
         monkeypatch.setattr(drm.engine, "thin_svd", no_svd)
-        merges = merge_delta_set_grid(random_delta_set(38), MergeConfig(), [0.5, 1.5], [1.0])
+        merges = merge_delta_set_grid(random_delta_set(38), MergeConfig(), [0.5, 1.5])
         with pytest.raises(ValueError, match="retain"):
             next(merges)
 
@@ -601,8 +606,8 @@ class TestMergeGrid:
 
         monkeypatch.setattr(drm.engine, "decompose_joint", no_merge)
         monkeypatch.setattr(drm.engine, "_merge_delta_set_with_stats", no_merge)
-        cfg = MergeConfig(method=method)
-        merges = merge_delta_set_grid(random_delta_set(39), cfg, [0.5], [1.0, (1.0, 2.0)])
+        cfg = MergeConfig(method=method, lambdas=(1.0, 2.0))
+        merges = merge_delta_set_grid(random_delta_set(39), cfg, [0.5])
         with pytest.raises(ValueError, match="got 2 lambdas for 3 tasks"):
             next(merges)
 
@@ -837,8 +842,8 @@ class TestMergeConfig:
 
     @pytest.mark.parametrize("method", ["drm_h", "ties", "task_arithmetic", "simple_avg"])
     def test_fields_are_checked_on_their_own(self, method):
-        # A grid is checked by its R retain and L lambdas configs alone
-        # (engine._grid_configs), not by its R x L point configs.
+        # A tune grid is checked by one config per retain and one per
+        # lambdas value (harness.grid_tune), not by its R x L point configs.
         cfg = MergeConfig(method=method)
 
         def raises(**fields) -> bool:
@@ -990,7 +995,7 @@ BORROWING_CALLS = {
     **{
         f"merge_delta_set_grid-{method}": (
             lambda ds, method=method: list(
-                merge_delta_set_grid(ds, MergeConfig(method=method), [0.2, 0.5], [0.5, 1.0])
+                merge_delta_set_grid(ds, MergeConfig(method=method, lambdas=0.5), [0.2, 0.5])
             )
         )
         for method in ("ties", "dare_ties")

@@ -284,8 +284,8 @@ class TestGridTune:
     @pytest.mark.parametrize("method", ["drm_h", "drm_v"])
     def test_drm_decomposes_once_and_prunes_once_per_retain(self, method, monkeypatch):
         # The default grid's work table: one SVD per tune; one prune, one
-        # one-plane tail pass and one projection U @ plane per retain value,
-        # not per grid point.
+        # tail pass and one projection U @ plane per retain value, not per
+        # grid point.
         calls = {"thin_svd": 0, "prune_topk": 0}
         for name in calls:
             real = getattr(drm.engine, name)
@@ -295,13 +295,12 @@ class TestGridTune:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(drm.engine, name, counting)
-        planes, projections = [], []
+        tails, projections = [], []
         real_tail = drm.engine._elect_and_average
 
         def counting_tail(*args, **kwargs):
-            out = real_tail(*args, **kwargs)
-            planes.append(len(out))
-            return out
+            tails.append(1)
+            return real_tail(*args, **kwargs)
 
         class CountingU(np.ndarray):
             def __matmul__(self, other):
@@ -321,7 +320,7 @@ class TestGridTune:
         res = grid_tune(base, tasks, method)
         assert len(res.grid) == 80
         assert calls == {"thin_svd": 1, "prune_topk": 10}
-        assert planes == [1] * 10
+        assert len(tails) == 10
         assert len(projections) == 10
 
     @pytest.mark.parametrize("method,merges", [
@@ -377,6 +376,7 @@ class TestGridTune:
         ("bogus", {}, "unknown method 'bogus'"),
         ("drm_h", {"retain_grid": [0.5, 1.5]}, "retain must lie in"),
         ("ties", {"lambda_grid": [1.0, float("nan")]}, "lambdas must be finite"),
+        ("drm_h", {"lambda_grid": [float("nan"), 1.0]}, "lambdas must be finite"),
     ])
     def test_bad_setting_rejected_before_any_task_is_taken(self, method, grids, match):
         base, tasks = synth_suite(23, 2, 5, 4, samples=40)
