@@ -37,14 +37,13 @@ def ties_merge(ds: DeltaSet, cfg: MergeConfig) -> np.ndarray:
 
 def ties_merge_with_stats(ds: DeltaSet, cfg: MergeConfig) -> tuple[np.ndarray, dict]:
     stack = ds.deltas if ds._owned else ds.deltas.copy()  # pruned in place
-    masks = prune_topk(stack, cfg.retain, "individual") if cfg.enable_prune else None
+    masks = prune_topk(stack, cfg.retain, "individual")
 
     def prune(t, rows, block, spare):
         block *= masks[t, rows]
 
-    prepare = prune if masks is not None else None
-    merged = _elect_and_average(stack, cfg, cfg.task_lambdas(ds.n_tasks), prepare, in_place=True)
-    return merged, kept_counts(masks, stack)
+    merged = _elect_and_average(stack, cfg, cfg.task_lambdas(ds.n_tasks), prune, in_place=True)
+    return merged, kept_counts(masks)
 
 
 def _dare_generator(seed: int, layer_name: str, task_index: int) -> np.random.Generator:

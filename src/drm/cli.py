@@ -94,7 +94,6 @@ def _config_from_args(args) -> MergeConfig:
         dare_drop=args.dare_drop,
         rank_drop=args.rank_drop,
         prune_mode=args.prune_mode,
-        enable_prune=not args.no_prune,
         enable_sign_elect=not args.no_sign_elect,
         enable_disjoint=not args.no_disjoint,
         seed=args.seed,
@@ -212,7 +211,8 @@ _DEFAULTS = MergeConfig()  # the knobs' defaults, written down once
 
 def _add_prune_knobs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--retain", type=float, default=_DEFAULTS.retain,
-                   help="fraction of largest-magnitude entries kept (default %(default)s)")
+                   help="fraction of largest-magnitude entries kept; 1.0 keeps every "
+                        "entry (default %(default)s)")
     p.add_argument("--prune-mode", choices=PRUNE_MODES, default=_DEFAULTS.prune_mode,
                    help="rank entries across all tasks or within each (default %(default)s)")
 
@@ -226,7 +226,6 @@ def _add_merge_knobs(p: argparse.ArgumentParser) -> None:
                    help="random drop rate for dare-ties (default %(default)s)")
     p.add_argument("--rank-drop", type=float, default=_DEFAULTS.rank_drop,
                    help="fraction of the nonzero spectrum to discard (default %(default)s)")
-    p.add_argument("--no-prune", action="store_true", help="skip magnitude pruning")
     p.add_argument("--no-sign-elect", action="store_true", help="skip sign election")
     p.add_argument("--no-disjoint", action="store_true",
                    help="average over all tasks instead of survivors only")

@@ -49,10 +49,11 @@ class MergeConfig:
     ``lambdas`` may be a single shared coefficient, one per task, or None
     for the per-method default (0.4 for task arithmetic, 1.0 otherwise).
     ``retain`` is the fraction of largest-magnitude entries kept by
-    pruning; ``dare_drop`` the random drop rate; ``rank_drop`` the fraction
-    of nonzero spectrum discarded before merging. Simple averaging ignores
-    the coefficients: :meth:`task_lambdas` resolves them to ones. Fields are
-    checked on their own, a list's length in :meth:`task_lambdas`.
+    pruning (1.0 keeps every entry); ``dare_drop`` the random drop rate;
+    ``rank_drop`` the fraction of nonzero spectrum discarded before
+    merging. Simple averaging ignores the coefficients: :meth:`task_lambdas`
+    resolves them to ones. Fields are checked on their own, a list's length
+    in :meth:`task_lambdas`.
     """
 
     method: str = "drm_h"
@@ -61,7 +62,6 @@ class MergeConfig:
     dare_drop: float = 0.8
     rank_drop: float = 0.0
     prune_mode: str = "joint"
-    enable_prune: bool = True
     enable_sign_elect: bool = True
     enable_disjoint: bool = True
     seed: int = 0
@@ -373,11 +373,9 @@ def prune_topk(stack: np.ndarray, retain: float, mode: str = "joint") -> np.ndar
     return mask.reshape(np.shape(stack))
 
 
-def kept_counts(mask: np.ndarray | None, stack: np.ndarray) -> dict:
-    """``kept``/``total`` entry counts of a prune; ``mask=None`` keeps all."""
-    total = int(np.size(stack))
-    kept = total if mask is None else int(np.count_nonzero(mask))
-    return {"kept": kept, "total": total}
+def kept_counts(mask: np.ndarray) -> dict:
+    """``kept``/``total`` entry counts of a prune's keep-mask."""
+    return {"kept": int(np.count_nonzero(mask)), "total": int(mask.size)}
 
 
 def elect_signs(stack: np.ndarray) -> np.ndarray:
@@ -549,14 +547,11 @@ def _drm_grid(ds: DeltaSet, cfg: MergeConfig, retains: list[float]):
     orientation = DRM_ORIENTATIONS[cfg.method]
     jd = decompose_joint(ds, orientation, cfg.rank_drop)
     stack = jd.renorm_blocks
-    masks = [
-        prune_topk(stack, retain, cfg.prune_mode) if cfg.enable_prune else None
-        for retain in retains
-    ]
+    masks = [prune_topk(stack, retain, cfg.prune_mode) for retain in retains]
     # Scaled in place: jd.renorm_blocks is not used again.
     np.multiply(stack, jd.task_sigmas[:, :, None], out=stack)
     for i, mask in enumerate(masks):
-        stats = {"rank": jd.rank, **kept_counts(mask, stack)}
+        stats = {"rank": jd.rank, **kept_counts(mask)}
         last = i == len(masks) - 1
         merged = jd.U @ _elect_and_average(stack, cfg, lambdas, mask=mask, in_place=last)
         yield (merged.T if orientation == "vertical" else merged), stats

@@ -15,14 +15,17 @@ from drm.baselines import (
 )
 from drm.bundle import DeltaSet, TensorBundle
 from drm.engine import (
+    DRM_ORIENTATIONS,
     MergeConfig,
     _elect_and_average,
     agreeing_entries,
+    decompose_joint,
     disjoint_average,
     elect_signs,
     kept_counts,
     merge_bundle,
     merge_delta_set,
+    merge_drm_with_stats,
     prune_topk,
     survivor_filter,
 )
@@ -155,7 +158,7 @@ class TestDareTies:
         deltas = [rng.standard_normal((4, 3)) for _ in range(3)]
         cfg = MergeConfig(method="dare_ties", dare_drop=0.0, lambdas=1.0)
         got = dare_ties_merge(make_ds(deltas), cfg)
-        ties_cfg = MergeConfig(method="ties", retain=1.0, lambdas=1.0, enable_prune=False)
+        ties_cfg = MergeConfig(method="ties", retain=1.0, lambdas=1.0)
         want = ties_merge(make_ds(deltas), ties_cfg)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -305,9 +308,8 @@ def stage_tail(stack, cfg):
 
 
 def stage_ties(stack, cfg):
-    masks = prune_topk(stack, cfg.retain, "individual") if cfg.enable_prune else None
-    pruned = stack if masks is None else stack * masks
-    return stage_tail(pruned, cfg), kept_counts(masks, stack)
+    masks = prune_topk(stack, cfg.retain, "individual")
+    return stage_tail(stack * masks, cfg), kept_counts(masks)
 
 
 def stage_dare(stack, cfg, layer_name):
@@ -342,10 +344,10 @@ class TestChunkedMerge:
         before = stack.tobytes()
         per_task = tuple(np.roll([1.3, -0.4, 0.0, 1.0], n_tasks)[:n_tasks])
         for lambdas in (None, 0.0, -0.7, per_task):
-            for prune, elect, disjoint in itertools.product([True, False], repeat=3):
+            for retain, elect, disjoint in itertools.product([0.3, 1.0], *[[True, False]] * 2):
                 cfg = MergeConfig(
-                    method=method, retain=0.3, dare_drop=0.5, seed=7, lambdas=lambdas,
-                    enable_prune=prune, enable_sign_elect=elect, enable_disjoint=disjoint,
+                    method=method, retain=retain, dare_drop=0.5, seed=7, lambdas=lambdas,
+                    enable_sign_elect=elect, enable_disjoint=disjoint,
                 )
                 if method == "ties":
                     want, want_stats = stage_ties(stack, cfg)
@@ -361,6 +363,49 @@ class TestChunkedMerge:
                 assert got.tobytes() == want.tobytes()
                 assert stats == want_stats
         assert stack.tobytes() == before
+
+
+def float32_layer_with_zeros(n_tasks=3, shape=(9, 7), seed=41):
+    """Float32 task deltas with structural zeros: a row and a column no task
+    changes, one task that leaves another row alone, and scattered entries
+    that equal the base."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal(shape).astype(np.float32)
+    tasks = (base + 0.1 * rng.standard_normal((n_tasks, *shape))).astype(np.float32)
+    unchanged = rng.random(tasks.shape) < 0.2
+    unchanged[:, 2] = unchanged[:, :, 4] = unchanged[0, 6] = True
+    tasks[unchanged] = np.broadcast_to(base, tasks.shape)[unchanged]
+    deltas = tasks.astype(np.float64) - base
+    return DeltaSet("blk.w", shape, deltas, [f"t{t}" for t in range(n_tasks)])
+
+
+@pytest.mark.parametrize("method,mode", [
+    ("drm_h", "joint"), ("drm_h", "individual"),
+    ("drm_v", "joint"), ("drm_v", "individual"),
+    ("ties", "joint"),
+])
+def test_retain_one_keeps_every_entry(method, mode, monkeypatch):
+    # retain=1.0 is the no-prune ablation: it keeps every entry and gives
+    # the bytes of the stage functions with no mask at all, over several
+    # row chunks, with and without each of the other two ablations.
+    monkeypatch.setattr(drm.engine, "_CHUNK", 16)
+    ds = float32_layer_with_zeros()
+    assert np.count_nonzero(ds.deltas == 0.0) > 0
+    for elect, disjoint in itertools.product([True, False], repeat=2):
+        cfg = MergeConfig(method=method, retain=1.0, lambdas=(1.3, -0.4, 1.0),
+                          prune_mode=mode, enable_sign_elect=elect, enable_disjoint=disjoint)
+        if method == "ties":
+            got, stats = ties_merge_with_stats(ds, cfg)
+            want, total = stage_tail(ds.deltas, cfg), ds.deltas.size
+        else:
+            got, stats = merge_drm_with_stats(ds, cfg)
+            orientation = DRM_ORIENTATIONS[method]
+            jd = decompose_joint(ds, orientation)
+            want = jd.U @ stage_tail(jd.renorm_blocks * jd.task_sigmas[:, :, None], cfg)
+            want, total = (want.T if orientation == "vertical" else want), jd.renorm_blocks.size
+            assert stats.pop("rank") == jd.rank
+        assert stats == {"kept": total, "total": total}
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSingleTaskNeutrality:

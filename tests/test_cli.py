@@ -1,8 +1,10 @@
+import argparse
 import ast
 import importlib
 import importlib.util
 import json
 import os
+import re
 import resource
 import struct
 import subprocess
@@ -51,6 +53,24 @@ def run_merge(base, tasks, out, *extra):
     return main(argv + list(extra))
 
 
+def test_readme_names_exactly_the_parser_options():
+    # Every long option of every command is documented, and the README
+    # names none that the parser lacks; --help and pip's own flags aside.
+    parser = drm.cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    defined = {
+        option
+        for command in commands.choices.values()
+        for action in command._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    text = "\n".join(line for line in lines if "pip install" not in line)
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text)) == defined
+
+
 class TestMerge:
     def test_drm_h_defaults_recorded(self, family, capsys):
         base, tasks, tmp = family
@@ -85,7 +105,7 @@ class TestMerge:
         out = tmp / "solo.drmb"
         code = run_merge(
             base, tasks[:1], out, "--method", "drm-h",
-            "--no-prune", "--no-sign-elect", "--retain", "1.0", "--lambda", "1.0",
+            "--no-sign-elect", "--retain", "1.0", "--lambda", "1.0",
         )
         assert code == 0
         merged = read_bundle(out)

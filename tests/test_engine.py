@@ -522,14 +522,12 @@ class TestMergeDrm:
         ds = random_delta_set(31)
         base_cfg = MergeConfig(method="drm_h", retain=0.5)
         merged = merge_drm(ds, base_cfg)
-        no_prune = merge_drm(ds, dataclasses.replace(base_cfg, enable_prune=False))
-        assert not np.allclose(merged, no_prune)
-        # prune disabled + sign election disabled + plain averaging on a
-        # single task leaves the delta untouched
+        keep_all = merge_drm(ds, dataclasses.replace(base_cfg, retain=1.0))
+        assert not np.allclose(merged, keep_all)
+        # every entry kept + sign election disabled on a single task leaves
+        # the delta untouched
         solo = random_delta_set(32, n_tasks=1)
-        cfg = MergeConfig(
-            method="drm_h", retain=0.3, enable_prune=False, enable_sign_elect=False
-        )
+        cfg = MergeConfig(method="drm_h", retain=1.0, enable_sign_elect=False)
         merged_solo = merge_drm(solo, cfg)
         err = np.linalg.norm(merged_solo - solo.deltas[0]) / np.linalg.norm(solo.deltas[0])
         assert err <= 1e-8
@@ -556,22 +554,27 @@ class TestMergeDrm:
 class TestMergeGrid:
     RETAINS = [0.3, 0.7, 1.0]
 
+    # Named, not repr'd: an ID that spelled out MergeConfig's fields would
+    # change with each of them.
     @pytest.mark.parametrize("cfg", [
-        MergeConfig(method="drm_h"),
-        MergeConfig(method="drm_v", seed=4),
-        MergeConfig(method="drm_h", rank_drop=0.4, prune_mode="individual"),
-        MergeConfig(method="drm_v", enable_prune=False, enable_disjoint=False),
-        MergeConfig(method="drm_h", enable_sign_elect=False),
-        MergeConfig(method="ties"),
-        MergeConfig(method="dare_ties", seed=3),
-        MergeConfig(method="task_arithmetic"),
-        MergeConfig(method="simple_avg"),
-    ], ids=repr)
+        pytest.param(MergeConfig(method="drm_h"), id="drm_h"),
+        pytest.param(MergeConfig(method="drm_v", seed=4), id="drm_v-seed4"),
+        pytest.param(MergeConfig(method="drm_h", rank_drop=0.4, prune_mode="individual"),
+                     id="drm_h-rank-drop-individual"),
+        pytest.param(MergeConfig(method="drm_v", enable_disjoint=False),
+                     id="drm_v-no-disjoint"),
+        pytest.param(MergeConfig(method="drm_h", enable_sign_elect=False),
+                     id="drm_h-no-sign-elect"),
+        pytest.param(MergeConfig(method="ties"), id="ties"),
+        pytest.param(MergeConfig(method="dare_ties", seed=3), id="dare_ties-seed3"),
+        pytest.param(MergeConfig(method="task_arithmetic"), id="task_arithmetic"),
+        pytest.param(MergeConfig(method="simple_avg"), id="simple_avg"),
+    ])
     def test_every_point_matches_a_single_merge(self, cfg):
-        # drm's last retain merges its stack in place. Every point is merged
-        # at cfg's own coefficients: the method's default (None; 0.4 for
-        # task arithmetic), a shared scalar, or a per-task tuple with a
-        # zero and a negative value.
+        # drm's last retain, 1.0, keeps every entry and merges its stack in
+        # place. Every point is merged at cfg's own coefficients: the
+        # method's default (None; 0.4 for task arithmetic), a shared
+        # scalar, or a per-task tuple with a zero and a negative value.
         # A single drm merge runs the grid's own code, so each setting must
         # also give other bytes than the rest, unless the method reads none.
         ds = random_delta_set(37, n_tasks=3, m=7, n=5)

@@ -3,7 +3,7 @@ writing the same bytes.
 
 A small fixed family (float32 and float64 tensors, biases, four matrix
 layers so the layer pool runs) is merged with every method, with TIES
-and drm-h with pruning switched off, with drm-h and drm-v dropping half
+and drm-h keeping every entry (``--retain 1.0``), with drm-h and drm-v dropping half
 the rank, with DARE-TIES at drop rates 0.5 and 0 and without the
 disjoint average, with TIES without the sign election, with simple
 averaging given a coefficient it records but ignores, and with drm-h,
@@ -27,16 +27,22 @@ drm-h and drm-v hashes depend on the LAPACK/BLAS build; after an
 intended output change, or on a platform whose BLAS rounds differently,
 print the current values with
 ``PYTHONPATH=src python tests/test_golden.py``, which marks every hash
-that differs from its recorded value.
+that differs from its recorded value. Each method's merge of the small
+family also pins its calls per matrix layer of the stacked SVD, the
+prune and the disjoint-merge tail.
 """
 
+import collections
 import hashlib
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import drm.baselines
+import drm.engine
 from drm.bundle import TensorBundle, materialize_low_rank, read_bundle, write_bundle
 from drm.cli import _CLI_METHODS, build_parser, main
 from drm.harness import default_grids, synth_suite
@@ -58,8 +64,8 @@ CASES = {
     "ta": ["--method", "ta"],
     "ties": ["--method", "ties"],
     "dare-ties": ["--method", "dare-ties"],
-    "ties-no-prune": ["--method", "ties", "--no-prune"],
-    "drm-h-no-prune": ["--method", "drm-h", "--no-prune"],
+    "ties-no-prune": ["--method", "ties", "--retain", "1.0"],
+    "drm-h-no-prune": ["--method", "drm-h", "--retain", "1.0"],
     "drm-h-rank-drop": ["--method", "drm-h", "--rank-drop", "0.5"],
     "drm-v-rank-drop": ["--method", "drm-v", "--rank-drop", "0.5"],
     "dare-ties-drop-half": ["--method", "dare-ties", "--dare-drop", "0.5"],
@@ -74,25 +80,25 @@ CASES = {
 }
 
 GOLDEN = {
-    "drm-h": "0ac5253b8b826d29405b885036cc1e370106e38f457ee4a0596f00817e1c34e4",
-    "drm-v": "8e8fb6f6790828542de1052ef69ad97ad79d90ec23f59fa307ccc9d43bc7dbcd",
-    "avg": "6658fe4ad26f501c9aab09ac9bdbf8658d6fd30deb92b4ddabcfad567c836f04",
-    "ta": "11a487a215ec008efc6374064e6d0cf5a160e04d7577f7d2ecc898b023131d6e",
-    "ties": "d62c5f19bdfa5e575f8ce0902c4102dca4dc5c5fa090763fe386d316eff0d666",
-    "dare-ties": "996139f189da8a6ac14bbdc42f9360e38af5b295956b661c19ba94ab3fc322a8",
-    "ties-no-prune": "b94eb03406a5154b8cbc329b10d5792386b2e43eee2d2108bfd1fe29378587c7",
-    "drm-h-no-prune": "419111cfe7fe73ea17208d82bca655abd3ff597ba29f20dc3ce430208ce965d4",
-    "drm-h-rank-drop": "ec8811cd2ab77ceeebc3feeb996d11ac832304f2b5a6ff4b53459ebfe441de80",
-    "drm-v-rank-drop": "5f124e938fe954a901e628792678e3f25581a1e3e993ded36edabcbaae931ba2",
-    "dare-ties-drop-half": "ecaea122624af77883b4aaa806dfbe739aa45c15ed72475ac3a8e4a643940142",
-    "dare-ties-no-drop": "0c2d781a12ecba54e6416fc3996e7585bb7f8595509d6f04594faaca62c71d2a",
-    "dare-ties-no-disjoint": "62c73c669e9d8d4a59575c10beb6caafa3a46ea2122ea58034be94d1fa41f9b7",
-    "ties-no-sign-elect": "c997e5ab1b80d6bf40a37fe6707c5d3f039666933f664eaa19f8ae958869b532",
-    "avg-lambda": "ab14b323210a000f1b8a5a1d32f410dfd02b1618299a456a4793328dc4111e65",
-    "drm-h-lambda-list": "3c6a160b3dcc36b189ed2cc96ad83874d3ddff6c9c76eebc4f7cee3ddbfcde71",
-    "ta-lambda-list": "2aa269c0833f9266eae6b85ecaeb7a234336fbb665705e70191b85e682fbfe00",
-    "ties-lambda-list": "1275f395879112e74ebd579ef6d376c79d3210f0c4e460298ab8db7fd5af915d",
-    "dare-ties-lambda-list": "a87c7df0c93f2007c5d9e694963674e2c986fabaa938bf3cf2ddfa8b15d0d3b0",
+    "drm-h": "47dcb5d62d5b88cc7bf71fed144d7b4e44681824094df980ba98f5ad123a4336",
+    "drm-v": "2a8cba853056b9a61fa168d9a497e5a104369fd18565bd7e47778de190a10ec0",
+    "avg": "89da0149c15aa7549dc6be4252775370ca72397300825e34ddba539142225fd1",
+    "ta": "a5f800e2e6f3413c3704a8fc63d73daef2143d90d2eb923b65aace8aab1fa7a6",
+    "ties": "e50cda2d331c32934dd64c38cc6728afeca56d0c9d2e385f1d78d420e080a732",
+    "dare-ties": "239a50814f207d139ce8a624e8471a265beb607afae650f5d5cb61238baa1b01",
+    "ties-no-prune": "73b00d19c226df0d4e16998ac4eb55a616a682f7ac29c1dd8625efe2d34c211e",
+    "drm-h-no-prune": "44bcbeddf3de7bf8bbd50d2fbb2ec26c91a87e99a0b9be870d9fb3c3d12426bc",
+    "drm-h-rank-drop": "622b2eb01f22fa613d8914a02ce966ce58d08a682413382bad0cf2909ae98e74",
+    "drm-v-rank-drop": "43200f66f7ae1258446cea696b0c258fda96ad16ff308f10fdfe31ba0a08961a",
+    "dare-ties-drop-half": "d4f3691ce80c8b14e0752ff5a79513519b76f9fe6b6e0731d4ae1c824f6dcbd7",
+    "dare-ties-no-drop": "3c74ae48730deabccaab9c168a83f51aa583dd68e87b32967d354b82d563bad5",
+    "dare-ties-no-disjoint": "0905564cf554ceec3acda824bd054e7ade793b19064bb40357d6773ec461641b",
+    "ties-no-sign-elect": "cfcfdf2664b94cec987ef110b409862a22d512347cc5e885b69d61f481320cd4",
+    "avg-lambda": "c57444aaebb8ec96cc090420b7b21d23fca2ee331b5fef5b142534d1d7f2e5d9",
+    "drm-h-lambda-list": "629dac36a328625466a6c9e094c6f415cf872832ff721fd39568d9760999b7c4",
+    "ta-lambda-list": "50c7f8d50a1989b6cef337d764996cb4ea921a7c37f9ca81cd704d5f165c1038",
+    "ties-lambda-list": "b197d3a18eaf81faf723b84d45d94ab0a4f4fb560dcb087ec5af82bdad7aca5c",
+    "dare-ties-lambda-list": "235957d4efae8736b5b272d1b66e7ce575deb4c3c24802ba48deedc0734ce9f7",
 }
 
 WIDE_SHAPES = {
@@ -102,12 +108,12 @@ WIDE_SHAPES = {
 WIDE_TASKS = 4
 WIDE_METHODS = ("drm-h", "drm-v", "avg", "ta", "ties", "dare-ties")
 WIDE_GOLDEN = {
-    "drm-h": "4dc7b26aa99e4f8914c541a1c0afaa486a878ebad53ad765b40077b956fc1b29",
-    "drm-v": "aebb7fd5228048402920f4597f3386179a07b8910fb5f9edec9e86ea12e6f2b2",
-    "avg": "8cbda1693a238b3767f2c6f892877dcce65715d9768268366cdb67b6170fd970",
-    "ta": "4b6793733289964acda09a8d8c0dc902deb898df21d4288d0dfd52f44b08c3d9",
-    "ties": "a64a5a8fba29352f5577daa79b281193d15c1e46110a073974fa3d529e0ffcf8",
-    "dare-ties": "8b9f6ea7b4d5b8b045f537392db4c9840b64506b905db49495f5b5e3e45a4b60",
+    "drm-h": "b8ce274edb9ffa109d2863f87a90909ec025a15e333c1acd2d26000558fac917",
+    "drm-v": "d32a64fc473e1237e468ce38b8fadd7d3e9e98350dbe05d8241d5b97273faf2d",
+    "avg": "2539e9e62fdd43caf21ff0896a333c45c4fad59f68204ee4fd1e3475d80d1b9e",
+    "ta": "ccf9f7fa96325b8cd8bf4816be4e5018436e7efbae70e781e4c6f0a2bc5d843f",
+    "ties": "19c169a30dcf00630f1858373f3c599bce363db7b5fb14cf07fcc845efaddc30",
+    "dare-ties": "6044da5c6fb6e27fde29f97e0330a13b02caf97c06654d48b44b9d762f626b09",
 }
 
 LOW_RANK_SHAPE = (48, 32)
@@ -115,10 +121,10 @@ LOW_RANK_TASKS = 4
 LOW_RANK = 2
 LOW_RANK_METHODS = ("drm-h", "drm-v", "drm-h-rank-drop", "drm-v-rank-drop")
 LOW_RANK_GOLDEN = {
-    "drm-h": "7b3f55a80653d295744f8b613963779824e667a5c31613f84622982ad3a2c69c",
-    "drm-v": "ef10ae9be0ca52b952f0646cbb2e14079b5c04f58007aa4bcaed3401b18673b9",
-    "drm-h-rank-drop": "afd6c7ba6e2b9122020dff5513e324f051d2319caa42b75276a88a16a383f211",
-    "drm-v-rank-drop": "7c50c3b57ce73e78f39a0c3a284157c51bde7b9c0dc7e46f1a04c0d97a60f7d3",
+    "drm-h": "7495610e744dc2c068755b431699449b4c8104e8c348ed7c9dff68f2bd77108d",
+    "drm-v": "e92d31fefdf9d7256dd3274bd94d019618a9002a666d23bb4433d005cb53c57b",
+    "drm-h-rank-drop": "1000d210c83e13dcefef5206fa364a7bd6def61aaf0dd08f886d01100107f36c",
+    "drm-v-rank-drop": "cd535968de957d5da1dc1575cd148c8d7c6172254091b50592a5ce61eca3a220",
 }
 
 TUNE_METHODS = ("drm-h", "drm-v", "ties", "dare-ties", "ta", "avg")
@@ -261,6 +267,65 @@ def test_serial_matches_pooled(case, tmp_path, monkeypatch):
     pooled = merged_sha256(tmp_path, case)
     monkeypatch.setenv("DRM_THREADS", "1")
     assert merged_sha256(tmp_path, case) == pooled
+
+
+# Calls per matrix layer of a bundle merge: thin_svd, prune_topk and
+# _elect_and_average (the disjoint-merge tail).
+WORK_PER_LAYER = {
+    "drm-h": (1, 1, 1),
+    "drm-v": (1, 1, 1),
+    "ties": (0, 1, 1),
+    "dare-ties": (0, 0, 1),
+    "ta": (0, 0, 0),
+    "avg": (0, 0, 0),
+}
+# The prune's selection passes: _partition_cutoff once per pool of the
+# family's small layers, _bracket_mask only on a pool of more than
+# 4 * drm.engine._SAMPLE entries.
+SELECTION = ("_partition_cutoff", "_bracket_mask")
+
+
+@pytest.fixture()
+def work_counts(monkeypatch):
+    """Calls of each counted function, from any layer worker."""
+    counts, lock = collections.Counter(), threading.Lock()
+    for name in ("thin_svd", "prune_topk", "_elect_and_average", *SELECTION):
+        real = getattr(drm.engine, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            with lock:
+                counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        # The baselines call the engine's prune and tail by their own names.
+        for module in (drm.engine, drm.baselines):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("method", WORK_PER_LAYER)
+def test_merge_work_counts_per_layer(method, tmp_path, monkeypatch, work_counts):
+    # Left unset, DRM_THREADS runs the baselines' layers on a pool.
+    monkeypatch.delenv("DRM_THREADS", raising=False)
+    base, tasks = write_family(tmp_path)
+    layers = sum(len(shape) == 2 for shape, _ in SHAPES.values())
+    svds, prunes, tails = WORK_PER_LAYER[method]
+    # TIES prunes each task on its own, the drm methods all tasks at once.
+    pools = prunes * (N_TASKS if method == "ties" else 1)
+    # At --retain 1.0 the prune takes its keep-all fill and selects nothing.
+    for retain, partitions in (("0.2", pools * layers), ("1.0", 0)):
+        work_counts.clear()
+        argv = ["merge", "--method", method, "--retain", retain, "--base", base,
+                "--out", str(tmp_path / "merged.drmb")]
+        assert main(argv + [arg for task in tasks for arg in ("--task", task)]) == 0
+        # A name the table leaves out, _bracket_mask here, ran no time.
+        assert work_counts == collections.Counter({
+            "thin_svd": svds * layers,
+            "prune_topk": prunes * layers,
+            "_elect_and_average": tails * layers,
+            "_partition_cutoff": partitions,
+        }), retain
 
 
 @pytest.mark.parametrize("method", WIDE_METHODS)
