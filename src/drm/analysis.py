@@ -10,7 +10,7 @@ key-sorted dialect of ``bundle.canonical_json``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -20,10 +20,31 @@ from .errors import NeedTwoTasks
 from .linalg import singular_values, spectral_norm, thin_svd
 
 AGREEMENT_BINS = np.linspace(0.5, 1.0, 11)
+# Report fields whose JSON key is not the field's name.
+_JSON_KEYS = {"layer_name": "layer", "task_name": "task", "index": "i", "sigma_task": "sigma"}
+
+
+def _json_value(value):
+    """``value`` as JSON: a dataclass as a dict of its fields (keyed as
+    ``_JSON_KEYS`` renames them), a list item by item, an array by
+    ``tolist()``."""
+    if is_dataclass(value):
+        return {_JSON_KEYS.get(f.name, f.name): _json_value(getattr(value, f.name))
+                for f in fields(value)}
+    if isinstance(value, list):
+        return [_json_value(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
+class _Report:
+    def to_json_obj(self) -> dict:
+        return _json_value(self)
 
 
 @dataclass
-class DensityReport:
+class DensityReport(_Report):
     """Per-row drop fractions after pruning one layer's blocks.
 
     JSON schema: {"layer": str, "retain": float, "renormalized": bool,
@@ -40,17 +61,6 @@ class DensityReport:
     task_names: list[str]
     drop_fractions: np.ndarray  # n_tasks x r
 
-    def to_json_obj(self) -> dict:
-        return {
-            "layer": self.layer_name,
-            "retain": self.retain,
-            "renormalized": self.renormalized,
-            "prune_mode": self.prune_mode,
-            "orientation": self.orientation,
-            "task_names": list(self.task_names),
-            "drop_fractions": [[float(x) for x in row] for row in self.drop_fractions],
-        }
-
     def to_table(self) -> str:
         lines = [
             f"# drop fractions  layer={self.layer_name}  retain={self.retain:g}  "
@@ -64,7 +74,7 @@ class DensityReport:
 
 
 @dataclass
-class AgreementHistogram:
+class AgreementHistogram(_Report):
     """Sign-agreement distribution over matrix positions.
 
     Agreement at a position is max(#positive, #negative) over their total,
@@ -89,16 +99,6 @@ class AgreementHistogram:
         mean = float(values.mean()) if values.size else 0.0
         return cls(layer_name, space, edges, counts, mean, int(values.size))
 
-    def to_json_obj(self) -> dict:
-        return {
-            "layer": self.layer_name,
-            "space": self.space,
-            "bin_edges": [float(x) for x in self.bin_edges],
-            "counts": [int(c) for c in self.counts],
-            "mean": self.mean,
-            "positions": self.positions,
-        }
-
     def to_table(self) -> str:
         lines = [
             f"# sign agreement  layer={self.layer_name}  space={self.space}  "
@@ -120,7 +120,7 @@ class BoundEntry:
 
 
 @dataclass
-class BoundReport:
+class BoundReport(_Report):
     """Audit of the concatenation perturbation bound for one task.
 
     For each component i with a nonzero task singular value: lhs is the
@@ -141,18 +141,6 @@ class BoundReport:
     def all_hold(self) -> bool:
         return all(e.holds for e in self.entries)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "layer": self.layer_name,
-            "task": self.task_name,
-            "k": self.k,
-            "entries": [
-                {"i": e.index, "sigma": e.sigma_task, "lhs": e.lhs, "rhs": e.rhs,
-                 "holds": e.holds}
-                for e in self.entries
-            ],
-        }
-
     def to_table(self) -> str:
         lines = [
             f"# spectrum perturbation bound  layer={self.layer_name}  "
@@ -167,7 +155,7 @@ class BoundReport:
 
 
 @dataclass
-class SpectrumReport:
+class SpectrumReport(_Report):
     """Shared singular values with each task's share of the row-norm budget.
 
     JSON schema: {"layer": str, "orientation": str, "task_names": [str],
@@ -185,15 +173,6 @@ class SpectrumReport:
             (i, float(s), [float(x) for x in self.row_norms[:, i]])
             for i, s in enumerate(self.sigma)
         ]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "layer": self.layer_name,
-            "orientation": self.orientation,
-            "task_names": list(self.task_names),
-            "sigma": [float(s) for s in self.sigma],
-            "row_norms": [[float(x) for x in row] for row in self.row_norms],
-        }
 
     def to_table(self) -> str:
         header = "i\tsigma\t" + "\t".join(f"norm[{n}]" for n in self.task_names)

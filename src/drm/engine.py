@@ -212,19 +212,13 @@ _CHUNK = 1 << 16
 _SAMPLE = 1 << 14
 
 
-def _stack_shape(shape: tuple[int, ...]) -> tuple[int, int, int]:
-    """A stack's ``shape`` as N x rows x cols: a 2-D stack's positions form
-    one row, a 1-D stack's one entry."""
-    if len(shape) < 2:
-        return (*shape, 1, 1)
-    return shape[0], math.prod(shape[1:-1]), shape[-1]
-
-
-def _as_stack(stack) -> np.ndarray:
-    """``stack`` as a float64 array of :func:`_stack_shape` (a view where
-    it can be)."""
-    stack = np.asarray(stack, dtype=np.float64)
-    return stack.reshape(_stack_shape(stack.shape))
+def _as_stack(stack, dtype=np.float64) -> np.ndarray:
+    """The N x rows x cols ``stack`` (or list of equal-shape blocks) as an
+    array of ``dtype`` (a view where it can be)."""
+    stack = np.asarray(stack, dtype=dtype)
+    if stack.ndim != 3:
+        raise ShapeMismatch(f"expected an N x rows x cols stack, got shape {stack.shape}")
+    return stack
 
 
 def _chunks(n_rows: int, n_cols: int) -> list[slice]:
@@ -370,7 +364,7 @@ def prune_topk(stack: np.ndarray, retain: float, mode: str = "joint") -> np.ndar
     for tasks in pools:
         keep = _keep_count(retain, x[tasks].size)
         _pool_mask(x[tasks], keep, mask[tasks])
-    return mask.reshape(np.shape(stack))
+    return mask
 
 
 def kept_counts(mask: np.ndarray) -> dict:
@@ -383,7 +377,7 @@ def elect_signs(stack: np.ndarray) -> np.ndarray:
     zero sums elect +1."""
     x = _as_stack(stack)
     total = _task_sum(x, np.empty(x.shape[1:]))
-    return np.where(total < 0.0, -1.0, 1.0).reshape(np.shape(stack)[1:])
+    return np.where(total < 0.0, -1.0, 1.0)
 
 
 def agreeing_entries(stack: np.ndarray, signs: np.ndarray | None) -> np.ndarray:
@@ -392,9 +386,8 @@ def agreeing_entries(stack: np.ndarray, signs: np.ndarray | None) -> np.ndarray:
     x = _as_stack(stack)
     agree = x != 0.0
     if signs is not None:
-        negative = np.broadcast_to(signs, np.shape(stack)[1:]).reshape(x.shape[1:]) < 0.0
-        agree &= (x < 0.0) == negative
-    return agree.reshape(np.shape(stack))
+        agree &= (x < 0.0) == (np.asarray(signs) < 0.0)
+    return agree
 
 
 def survivor_filter(
@@ -409,13 +402,12 @@ def survivor_filter(
     survivor count per position (zero where nobody survives), or the
     constant 1/N with ``disjoint=False``.
     """
-    shape = np.shape(agree)
-    agree = np.asarray(agree).reshape(_stack_shape(shape))
-    survivors = agree if mask is None else agree & np.asarray(mask).reshape(agree.shape)
+    agree = _as_stack(agree, dtype=None)
+    survivors = agree if mask is None else agree & np.asarray(mask)
     if not disjoint:
-        return survivors.reshape(shape), 1.0 / agree.shape[0]
+        return survivors, 1.0 / agree.shape[0]
     counts = survivors.sum(axis=0, dtype=np.min_scalar_type(agree.shape[0]))
-    return survivors.reshape(shape), _reciprocal_counts(counts).reshape(shape[1:])
+    return survivors, _reciprocal_counts(counts)
 
 
 def _reciprocal_counts(counts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -438,14 +430,13 @@ def disjoint_average(
     lams = _per_task(lambdas, x.shape[0])
     if np.shape(survivors) != np.shape(stack):
         raise ShapeMismatch("the stack and its survivor mask must share one shape")
-    survivors = np.asarray(survivors).reshape(x.shape)
     weighted = np.zeros(x.shape[1:])
     for block, keep, lam in zip(x, survivors, lams):
         # block * keep is the block or a signed zero; a zero term leaves the
         # sum's bytes as they are.
         weighted += block * keep * lam
-    weighted *= np.broadcast_to(gamma, np.shape(stack)[1:]).reshape(weighted.shape)
-    return weighted.reshape(np.shape(stack)[1:])
+    weighted *= gamma
+    return weighted
 
 
 def _elect_and_average(
@@ -636,10 +627,13 @@ def _thread_count(n_items: int, method: str) -> int:
     caps every method. Unset, empty or 0 means one layer at a time for
     drm-h/drm-v, whose stacked SVD BLAS already spreads over every core (a
     layer pool on top only oversubscribes the cores), and one worker per
-    core for the other methods, whose single-threaded kernels and reads the
-    pool overlaps."""
-    cap = _threads_setting() or (1 if method in DRM_ORIENTATIONS else os.cpu_count() or 1)
-    return max(1, min(cap, n_items))
+    usable core (by the process's CPU affinity, where the platform has one)
+    for the other methods, whose single-threaded kernels and reads the pool
+    overlaps."""
+    cap = _threads_setting()
+    if not cap and method not in DRM_ORIENTATIONS:
+        cap = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cap or 1, n_items))
 
 
 def _stack_order(method: str, shape: tuple[int, int], n_tasks: int) -> str:

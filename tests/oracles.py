@@ -2,7 +2,9 @@
 
 ``svd_oracle`` computes singular values by cyclic Jacobi rotations of the
 smaller Gram matrix, with no library eigensolver, so it is an independent
-check of the SVD backend. ``synth_hetero_deltas`` generates delta sets
+check of the SVD backend. ``prune_reference`` is the top-k keep-mask by a
+stable sort, not by the partition that ``drm.engine.prune_topk`` runs.
+``synth_hetero_deltas`` generates delta sets
 whose task norms span a chosen ratio, the input on which renormalization
 visibly changes what pruning keeps. ``neg_mse_oracle`` is the per-task
 score the synthetic harness must reproduce exactly. ``tune_oracle`` tunes
@@ -89,6 +91,20 @@ def svd_oracle(A: np.ndarray) -> np.ndarray:
     evals = jacobi_eigenvalues(gram)
     evals = np.clip(evals, 0.0, None)
     return np.sort(np.sqrt(evals))[::-1]
+
+
+def prune_reference(stack, retain: float, mode: str = "joint") -> np.ndarray:
+    """The keep-mask of an N x rows x cols stack: in each pool (the whole
+    stack in joint mode, each block in individual mode) the top
+    ceil(retain * size) magnitudes by a stable argsort, so that ties at the
+    cutoff go to the smaller flattened (task, row, col) index."""
+    stack = np.asarray(stack, dtype=np.float64)
+    mask = np.zeros(stack.shape, dtype=bool)
+    for pool, kept in [(stack, mask)] if mode == "joint" else zip(stack, mask):
+        mags = np.abs(pool).ravel()
+        keep = min(mags.size, max(0, math.ceil(retain * mags.size - 1e-9)))
+        kept.reshape(-1)[np.argsort(-mags, kind="stable")[:keep]] = True
+    return mask
 
 
 def synth_hetero_deltas(

@@ -21,26 +21,7 @@ from drm.engine import (
     merge_delta_set_grid,
     prune_topk,
 )
-
-
-def partition_prune(stack, retain, mode):
-    """The keep-mask from a partition of a copy of each pool's magnitudes,
-    ties at the cutoff filled in flattened order."""
-    stack = np.asarray(stack, dtype=np.float64)
-    pools = [stack] if mode == "joint" else list(stack)
-    masks = []
-    for pool in pools:
-        mags = np.abs(pool).ravel()
-        keep = min(mags.size, max(0, math.ceil(retain * mags.size - 1e-9)))
-        mask = np.zeros(mags.size, dtype=bool)
-        if keep:
-            cut = mags.size - keep
-            cutoff = np.partition(mags, cut)[cut]
-            mask = mags > cutoff
-            ties = np.flatnonzero(mags == cutoff)
-            mask[ties[: keep - np.count_nonzero(mask)]] = True
-        masks.append(mask.reshape(pool.shape))
-    return masks[0] if mode == "joint" else np.stack(masks)
+from oracles import prune_reference
 
 
 # ---------------------------------------------------------------- prune
@@ -59,7 +40,7 @@ def test_prune_keeps_the_ties_of_a_strided_stack(mode, kept):
     assert mask.flags.c_contiguous
     assert np.count_nonzero(mask) == kept
     assert mask.tobytes() == prune_topk(np.ascontiguousarray(stack), 0.7, mode).tobytes()
-    assert mask.tobytes() == partition_prune(stack, 0.7, mode).tobytes()
+    assert mask.tobytes() == prune_reference(stack, 0.7, mode).tobytes()
 
 
 def cutoff_inputs():
@@ -97,7 +78,7 @@ def test_bracket_pass_keeps_the_partition_cutoff(name, small_sample, monkeypatch
     for keep in (1, 2, 17, total // 5, total // 2, total - 1, total):
         for mode in ("joint", "individual"):
             got = prune_topk(x, keep / total, mode)
-            assert got.tobytes() == partition_prune(x, keep / total, mode).tobytes(), (keep, mode)
+            assert got.tobytes() == prune_reference(x, keep / total, mode).tobytes(), (keep, mode)
     # On continuous magnitudes, with or without a run of zeros under the
     # cutoff, the sample never misleads the pass unless the cutoff lies
     # below the smallest sampled magnitude.
@@ -138,7 +119,7 @@ def test_a_cutoff_in_a_tie_run_takes_no_partition(name, small_sample, monkeypatc
     for retain in np.linspace(0.02, 0.98, 49):
         for mode in ("joint", "individual"):
             got = prune_topk(x, retain, mode)
-            assert got.tobytes() == partition_prune(x, retain, mode).tobytes(), (retain, mode)
+            assert got.tobytes() == prune_reference(x, retain, mode).tobytes(), (retain, mode)
     assert partitions == []
 
 
@@ -160,7 +141,7 @@ def test_a_misleading_sample_falls_back_to_a_partition(small_sample, monkeypatch
     )
     got = prune_topk(x, 0.2)
     assert len(partitions) == 1
-    assert got.tobytes() == partition_prune(x, 0.2, "joint").tobytes()
+    assert got.tobytes() == prune_reference(x, 0.2, "joint").tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -177,7 +158,7 @@ def test_tie_heavy_prune_matches_the_partition(values, seed, retain, mode):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(drm.engine, "_SAMPLE", 32)
         got = prune_topk(x, retain, mode)
-    assert got.tobytes() == partition_prune(x, retain, mode).tobytes()
+    assert got.tobytes() == prune_reference(x, retain, mode).tobytes()
 
 
 # ------------------------------------------------- chunk independence

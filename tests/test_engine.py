@@ -37,6 +37,7 @@ from drm.engine import (
 )
 from drm.errors import ShapeMismatch
 from drm.linalg import thin_svd
+from oracles import prune_reference
 
 
 def random_delta_set(seed, n_tasks=3, m=6, n=4, name="layer"):
@@ -262,10 +263,6 @@ class TestPruneTopk:
         for m in masks:
             assert m.all()
 
-    def test_one_dimensional_stack_ranks_one_entry_per_task(self):
-        np.testing.assert_array_equal(prune_topk(np.array([1.0, -2.0, 3.0]), 0.5),
-                                      [False, True, True])
-
     def test_single_block_top_half(self):
         masks = prune_topk([np.array([[1.0, -2.0], [3.0, -4.0]])], 0.5)
         np.testing.assert_array_equal(masks[0], [[False, False], [True, True]])
@@ -316,29 +313,6 @@ class TestPruneTopk:
                     np.testing.assert_array_equal(g, e)
 
 
-def prune_topk_full_sort(blocks, retain, mode="joint"):
-    """The full stable-argsort prune that selection replaced; the reference
-    that the selection-based masks must match bit for bit."""
-    blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
-
-    def pool_mask(flat_abs):
-        keep = min(flat_abs.size, max(0, math.ceil(retain * flat_abs.size - 1e-9)))
-        mask = np.zeros(flat_abs.size, dtype=bool)
-        if keep:
-            order = np.argsort(-flat_abs, kind="stable")
-            mask[order[:keep]] = True
-        return mask
-
-    if mode == "individual":
-        return [pool_mask(np.abs(b).ravel()).reshape(b.shape) for b in blocks]
-    pooled = pool_mask(np.concatenate([np.abs(b).ravel() for b in blocks]))
-    out, start = [], 0
-    for b in blocks:
-        out.append(pooled[start : start + b.size].reshape(b.shape))
-        start += b.size
-    return out
-
-
 @st.composite
 def tie_heavy_prune_case(draw):
     """A stack of blocks drawn from a few magnitudes, mostly zeros, with
@@ -367,12 +341,38 @@ def tie_heavy_prune_case(draw):
 @given(tie_heavy_prune_case(), st.sampled_from(["joint", "individual"]))
 def test_prune_selection_matches_full_sort(case, mode):
     blocks, retain = case
-    expected = prune_topk_full_sort(blocks, retain, mode)
+    expected = prune_reference(blocks, retain, mode)
     got = prune_topk(blocks, retain, mode)
     assert len(got) == len(expected)
     for g, e in zip(got, expected):
         assert g.dtype == bool and g.shape == e.shape
         np.testing.assert_array_equal(g, e)
+
+
+# The five stage kernels, each on one N x rows x cols stack or list of blocks.
+STAGE_KERNELS = {
+    "prune_topk": lambda stack: prune_topk(stack, 0.5),
+    "elect_signs": elect_signs,
+    "agreeing_entries": lambda stack: agreeing_entries(stack, None),
+    "survivor_filter": lambda stack: survivor_filter([np.asarray(b) > 0.0 for b in stack], None)[1],
+    "disjoint_average": lambda stack: disjoint_average(
+        stack, [np.asarray(b) > 0.0 for b in stack], 0.5, 1.0
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 4), (2, 3, 4, 5)], ids=["1d", "2d", "4d"])
+@pytest.mark.parametrize("kernel", list(STAGE_KERNELS))
+def test_stage_kernels_reject_a_stack_that_is_not_three_dimensional(kernel, shape):
+    with pytest.raises(ShapeMismatch, match="N x rows x cols"):
+        STAGE_KERNELS[kernel](np.ones(shape))
+
+
+@pytest.mark.parametrize("kernel", list(STAGE_KERNELS))
+def test_stage_kernels_take_a_list_of_equal_shape_blocks(kernel):
+    stack = np.random.default_rng(7).standard_normal((3, 4, 5))
+    want = STAGE_KERNELS[kernel](stack)
+    assert STAGE_KERNELS[kernel](list(stack)).tobytes() == want.tobytes()
 
 
 class TestElectSigns:
@@ -1244,27 +1244,6 @@ def reference_thin_svd(A, tall_gesdd=True):
     return U, sigma, Vt, route
 
 
-def reference_prune(blocks, retain, mode):
-    """Per-pool concatenate, partition a copy, mark ties in flat order."""
-
-    def pool_mask(flat_abs):
-        keep = min(flat_abs.size, max(0, math.ceil(retain * flat_abs.size - 1e-9)))
-        if keep == 0:
-            return np.zeros(flat_abs.size, dtype=bool)
-        cut = flat_abs.size - keep
-        cutoff = np.partition(flat_abs, cut)[cut]
-        mask = flat_abs > cutoff
-        ties = np.flatnonzero(flat_abs == cutoff)
-        mask[ties[: keep - np.count_nonzero(mask)]] = True
-        return mask
-
-    if mode == "individual":
-        return [pool_mask(np.abs(b).ravel()).reshape(b.shape) for b in blocks]
-    pooled = pool_mask(np.concatenate([np.abs(b).ravel() for b in blocks]))
-    size = blocks[0].size
-    return [pooled[t * size : (t + 1) * size].reshape(b.shape) for t, b in enumerate(blocks)]
-
-
 def reference_merge_drm(ds, cfg, tall_gesdd=True):
     """(merged delta, stats, SVD route) with one array per task and stage."""
     if cfg.method == "drm_v":
@@ -1294,7 +1273,7 @@ def reference_merge_drm(ds, cfg, tall_gesdd=True):
         rank = keep
     task_sigmas = sigma[None, :] * row_norms
     scaled = [task_sigmas[t][:, None] * renorm_blocks[t] for t in range(n_tasks)]
-    masks = reference_prune(renorm_blocks, cfg.retain, cfg.prune_mode)
+    masks = prune_reference(renorm_blocks, cfg.retain, cfg.prune_mode)
     total = np.zeros_like(scaled[0])
     for b in scaled:
         total = total + b
@@ -1376,7 +1355,14 @@ def test_prune_stack_matches_list_and_reference(mode, case):
     got = prune_topk(stack, retain, mode)
     assert got.dtype == bool and got.shape == stack.shape
     assert got.tobytes() == prune_topk(list(stack), retain, mode).tobytes()
-    assert got.tobytes() == np.array(reference_prune(list(stack), retain, mode)).tobytes()
+    assert got.tobytes() == prune_reference(stack, retain, mode).tobytes()
+
+
+def usable_cores():
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @pytest.mark.parametrize("raw", [None, "", "0"])
@@ -1386,10 +1372,20 @@ def test_thread_count_auto(monkeypatch, raw):
     else:
         monkeypatch.setenv("DRM_THREADS", raw)
     for method in METHODS:
-        # drm-h/drm-v leave the cores to BLAS; the rest pool one per core.
-        auto = 1 if method in ("drm_h", "drm_v") else min(1000, os.cpu_count() or 1)
+        # drm-h/drm-v leave the cores to BLAS; the rest pool one per usable core.
+        auto = 1 if method in ("drm_h", "drm_v") else min(1000, usable_cores())
         assert drm.engine._thread_count(1000, method) == auto
         assert drm.engine._thread_count(1, method) == 1
+
+
+def test_thread_count_follows_the_cpu_affinity(monkeypatch):
+    # Under taskset or a cpuset the process may run on fewer cores than the
+    # host has; the default pool starts no more workers than it may run.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.delenv("DRM_THREADS", raising=False)
+    assert drm.engine._thread_count(8, "ties") == 1
+    monkeypatch.setenv("DRM_THREADS", "3")
+    assert drm.engine._thread_count(8, "ties") == 3
 
 
 @pytest.mark.parametrize(
@@ -1400,7 +1396,7 @@ def test_layers_in_flight(monkeypatch, method, threads, peak):
     # The most layer merges running at once in a three-layer merge_bundle
     # with DRM_THREADS set to ``threads`` (None unsets it).
     if threads is None:
-        if (os.cpu_count() or 1) < peak:
+        if usable_cores() < peak:
             pytest.skip(f"needs {peak} cores for {peak} default workers")
         monkeypatch.delenv("DRM_THREADS", raising=False)
     else:
