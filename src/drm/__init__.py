@@ -22,7 +22,6 @@ from .bundle import (
     BundleFile,
     DeltaSet,
     TensorBundle,
-    extract_deltas,
     materialize_low_rank,
     open_bundle,
     read_bundle,
@@ -35,6 +34,7 @@ from .engine import (
     decompose_joint,
     disjoint_average,
     elect_signs,
+    extract_deltas,
     merge_biases,
     merge_bundle,
     merge_delta_set,

@@ -1,4 +1,4 @@
-"""Tensor-bundle checkpoint format, delta extraction, and adapter materialization.
+"""Tensor-bundle checkpoint format, task delta sets, and adapter materialization.
 
 File layout (little-endian throughout)::
 
@@ -392,8 +392,8 @@ class DeltaSet:
     ``deltas`` may be given as a list of m x n matrices, which is stacked
     once, or as an N x m x n float64 array, which is taken as it is: a
     task-major array, or a view of a buffer in another axis order (see
-    :func:`extract_deltas`). All merging arithmetic happens in float64,
-    whatever the stored checkpoint dtype.
+    :func:`drm.engine.extract_deltas`). All merging arithmetic happens in
+    float64, whatever the stored checkpoint dtype.
 
     Neither a merge nor an analysis changes a caller's stack. The one
     exception is a stack marked ``_owned`` by :func:`drm.engine.map_layers`,
@@ -481,59 +481,6 @@ def check_aligned(
                     f"!= base shape {base.shape(name)}"
                 )
     return list(task_names)
-
-
-# Rows of a task delta are subtracted into a float64 tile of about this many
-# bytes before a transposing buffer takes them, so that the tile stays in
-# cache while it is written out column by column.
-_TILE_BYTES = 1 << 19
-
-
-def extract_deltas(
-    name: str,
-    base: np.ndarray,
-    tasks: list[TensorBundle | BundleFile],
-    task_names: list[str],
-    order: str = "tij",
-) -> DeltaSet:
-    """One rank-2 tensor's task - base deltas as one float64 stack, given the
-    base bundle's tensor ``name``, for bundles that passed
-    :func:`check_aligned`. Each task tensor is read here and dropped once
-    its slice of the stack is filled, so a caller going layer by layer
-    holds one layer's float64 data at a time.
-
-    ``order`` lays out the buffer the stack is a view of: its axes in
-    memory order, named t (task), i (row) and j (column) of the N x m x n
-    stack. ``"tij"`` is task-major; ``"itj"`` makes
-    :meth:`DeltaSet.side_by_side` a C-ordered view, and ``"jti"`` makes it
-    one for the :meth:`DeltaSet.transposed` set. Where a delta's rows are
-    not contiguous in the buffer (an order not ending in j), each delta is
-    written through a cache-sized row tile. The values never depend on
-    ``order``.
-    """
-    if sorted(order) != ["i", "j", "t"]:
-        raise ValueError(f"order must be a permutation of 'tij', got {order!r}")
-    extent = dict(zip("tij", (len(tasks), *base.shape)))
-    buffer = np.empty([extent[axis] for axis in order])
-    stack = buffer.transpose([order.index(axis) for axis in "tij"])
-    for task, out in zip(tasks, stack):
-        _subtract_into(task.read(name), base, out)
-    return DeltaSet(name, base.shape, stack, list(task_names))
-
-
-def _subtract_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """``out[...] = a - b`` in float64 for m x n matrices, through a
-    cache-sized row tile where ``out``'s rows are not contiguous."""
-    if out.strides[1] == out.itemsize:
-        np.subtract(a, b, out=out, dtype=np.float64)
-        return
-    rows = max(1, _TILE_BYTES // (out.itemsize * out.shape[1]))
-    tile = np.empty((rows, out.shape[1]))
-    for start in range(0, out.shape[0], rows):
-        stop = min(start + rows, out.shape[0])
-        part = tile[: stop - start]
-        np.subtract(a[start:stop], b[start:stop], out=part, dtype=np.float64)
-        out[start:stop] = part
 
 
 def materialize_low_rank(down: np.ndarray, up: np.ndarray, scale: float) -> np.ndarray:

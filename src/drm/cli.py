@@ -32,7 +32,7 @@ _CLI_METHODS = {
 
 # Most points one --grid-* axis may have; the default grids have 10 and 8.
 MAX_GRID_POINTS = 1000
-_GRID_SLACK = 1e-9  # an endpoint this close past b still counts
+_GRID_SLACK = 1e-9  # a point this fraction of a step past b still counts
 
 
 def _parse_lambdas(text: str | None):
@@ -44,7 +44,9 @@ def _parse_lambdas(text: str | None):
 
 def _parse_grid(text: str) -> list[float]:
     """Parse "a:b:step" (inclusive endpoints) or a single float; every
-    number must be finite and the grid at most MAX_GRID_POINTS long."""
+    number must be finite and the grid at most MAX_GRID_POINTS long. Points
+    are rounded to 10 decimals, or to the step's 10th significant digit
+    where that is finer."""
     try:
         parts = [float(p) for p in text.split(":")]
     except ValueError as exc:
@@ -58,13 +60,15 @@ def _parse_grid(text: str) -> list[float]:
     lo, hi, step = parts
     if step <= 0 or hi < lo:
         raise ValueError(f"bad grid spec {text!r}; need step > 0 and b >= a")
-    # floor(span / step) + 1 points; the quotient may overflow to inf.
-    if (hi + _GRID_SLACK - lo) / step >= MAX_GRID_POINTS:
+    # floor(steps) + 1 points; the quotient may overflow to inf.
+    steps = (hi - lo) / step + _GRID_SLACK
+    if steps >= MAX_GRID_POINTS:
         raise ValueError(f"bad grid spec {text!r}; more than {MAX_GRID_POINTS} points")
+    digits = max(10, 9 - math.floor(math.log10(step)))
     values = []
     x = lo
-    while x <= hi + _GRID_SLACK:
-        values.append(round(x, 10))
+    for _ in range(math.floor(steps) + 1):
+        values.append(round(x, digits))
         x += step
     return values
 
@@ -217,6 +221,16 @@ def _add_prune_knobs(p: argparse.ArgumentParser) -> None:
                    help="rank entries across all tasks or within each (default %(default)s)")
 
 
+def _add_suite_knobs(p: argparse.ArgumentParser) -> None:
+    """The synthetic suite's options, shared by bench and tune."""
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tasks", type=int, default=3)
+    p.add_argument("--dim", default="12,8", help="matrix shape M,N (default %(default)s)")
+    p.add_argument("--samples", type=int, default=80)
+    p.add_argument("--ridge", type=float, default=0.0)
+    p.add_argument("--noise", type=float, default=0.0)
+
+
 def _add_merge_knobs(p: argparse.ArgumentParser) -> None:
     _add_prune_knobs(p)
     p.add_argument("--lambda", dest="lam", default=None,
@@ -264,12 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="compare methods on a synthetic suite")
     p_bench.add_argument("scenario", choices=["synthetic"])
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--tasks", type=int, default=3)
-    p_bench.add_argument("--dim", default="12,8", help="matrix shape M,N (default 12,8)")
-    p_bench.add_argument("--samples", type=int, default=80)
-    p_bench.add_argument("--ridge", type=float, default=0.0)
-    p_bench.add_argument("--noise", type=float, default=0.0)
+    _add_suite_knobs(p_bench)
     p_bench.add_argument("--identical", action="store_true",
                          help="make every task the same problem and merge at "
                               "identity-preserving settings")
@@ -279,12 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--method", required=True, choices=sorted(_CLI_METHODS))
     p_tune.add_argument("--grid-retain", default=None, help="a:b:step or single value")
     p_tune.add_argument("--grid-lambda", default=None, help="a:b:step or single value")
-    p_tune.add_argument("--seed", type=int, default=0)
-    p_tune.add_argument("--tasks", type=int, default=3)
-    p_tune.add_argument("--dim", default="12,8")
-    p_tune.add_argument("--samples", type=int, default=80)
-    p_tune.add_argument("--ridge", type=float, default=0.0)
-    p_tune.add_argument("--noise", type=float, default=0.0)
+    _add_suite_knobs(p_tune)
     p_tune.add_argument("--out", default=None, help="optional JSON output path")
     p_tune.set_defaults(func=cmd_tune)
     return parser

@@ -17,14 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import (
-    BundleFile,
-    DeltaSet,
-    TensorBundle,
-    canonical_json,
-    check_aligned,
-    extract_deltas,
-)
+from .bundle import BundleFile, DeltaSet, TensorBundle, canonical_json, check_aligned
 from .errors import ArgumentError, CastOverflow, DrmError, NonFiniteValue, ShapeMismatch
 from .linalg import in_place_order, nonzero_sigma_mask, thin_svd
 
@@ -204,8 +197,9 @@ def _keep_count(retain: float, total: int) -> int:
     return min(total, max(0, math.ceil(retain * total - 1e-9)))
 
 
-# Entries a stage kernel takes at a time (512 KiB of float64), so that its
-# temporaries and the partial results it revisits stay in cache.
+# Entries a chunked pass (extraction into a strided stack, the prune sweep,
+# the tail) takes at a time (512 KiB of float64), so that its temporaries
+# and the partial results it revisits stay in cache.
 _CHUNK = 1 << 16
 # Magnitudes sampled to bracket a prune pool's cutoff. A pool of at most
 # 4 * _SAMPLE entries is partitioned outright.
@@ -637,7 +631,7 @@ def _thread_count(n_items: int, method: str) -> int:
 
 
 def _stack_order(method: str, shape: tuple[int, int], n_tasks: int) -> str:
-    """The :func:`~drm.bundle.extract_deltas` buffer order in which
+    """The :func:`extract_deltas` buffer order in which
     :func:`map_layers` builds a layer of ``shape`` for ``method`` (for an
     analysis, the drm method of its orientation). drm-h's and drm-v's SVD
     input is a rows x N*cols matrix (m x N*n, or n x N*m for the transposed
@@ -655,6 +649,51 @@ def _stack_order(method: str, shape: tuple[int, int], n_tasks: int) -> str:
     if in_place_order((height, n_tasks * width)) == "C":
         return rows + "t" + cols
     return "tij"
+
+
+def extract_deltas(
+    name: str,
+    base: np.ndarray,
+    tasks: list[TensorBundle | BundleFile],
+    task_names: list[str],
+    order: str = "tij",
+) -> DeltaSet:
+    """One rank-2 tensor's task - base deltas as one float64 stack, given the
+    base bundle's tensor ``name``, for bundles that passed
+    :func:`check_aligned`. Each task tensor is read here and dropped once
+    its slice of the stack is filled, so a caller going layer by layer
+    holds one layer's float64 data at a time.
+
+    ``order`` lays out the buffer the stack is a view of: its axes in
+    memory order, named t (task), i (row) and j (column) of the N x m x n
+    stack. ``"tij"`` is task-major; ``"itj"`` makes
+    :meth:`DeltaSet.side_by_side` a C-ordered view, and ``"jti"`` makes it
+    one for the :meth:`DeltaSet.transposed` set (see :func:`_stack_order`).
+    The values never depend on ``order``.
+    """
+    if sorted(order) != ["i", "j", "t"]:
+        raise ValueError(f"order must be a permutation of 'tij', got {order!r}")
+    extent = dict(zip("tij", (len(tasks), *base.shape)))
+    buffer = np.empty([extent[axis] for axis in order])
+    stack = buffer.transpose([order.index(axis) for axis in "tij"])
+    for task, out in zip(tasks, stack):
+        _subtract_into(task.read(name), base, out)
+    return DeltaSet(name, base.shape, stack, list(task_names))
+
+
+def _subtract_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """``out[...] = a - b`` in float64 for m x n matrices. Where ``out``'s
+    rows are not contiguous (an order not ending in j), each row chunk (see
+    :func:`_chunks`) is subtracted into a scratch buffer that stays in cache
+    while it is written out column by column."""
+    if out.strides[1] == out.itemsize:
+        np.subtract(a, b, out=out, dtype=np.float64)
+        return
+    parts = _chunks(*out.shape)
+    tile = _scratch(parts, out.shape[1])
+    for part in parts:
+        out[part] = np.subtract(a[part], b[part], out=tile[: part.stop - part.start],
+                                dtype=np.float64)
 
 
 def map_layers(base, tasks, task_names: list[str], method: str, on_matrix, on_vector=None):

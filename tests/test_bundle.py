@@ -10,17 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import drm.bundle
+import drm.engine
 from drm.bundle import (
     DeltaSet,
     TensorBundle,
     check_aligned,
-    extract_deltas,
     materialize_low_rank,
     open_bundle,
     read_bundle,
     write_bundle,
 )
+from drm.engine import extract_deltas
 from drm.errors import (
     BadMagic,
     CorruptHeader,
@@ -612,9 +612,10 @@ def test_delta_set_rejects_a_ragged_list_of_deltas():
 
 @pytest.mark.parametrize("order", ["tij", "itj", "jti", "tji", "ijt", "jit"])
 def test_layer_delta_set_order_lays_out_the_same_values(order, monkeypatch):
-    # Two-row tiles: a buffer whose rows are strided is filled tile by
-    # tile, the last one short.
-    monkeypatch.setattr(drm.bundle, "_TILE_BYTES", 2 * 7 * 8)
+    # Row chunks of two or three rows: a buffer whose rows are strided is
+    # filled through a scratch buffer, one row range at a time.
+    monkeypatch.setattr(drm.engine, "_CHUNK", 2 * 7)
+    assert len(drm.engine._chunks(5, 7)) == 2
     rng = np.random.default_rng(11)
     base = rng.standard_normal((5, 7)).astype(np.float32)
     tasks = [TensorBundle({"w": rng.standard_normal((5, 7)).astype(np.float32)}) for _ in range(3)]

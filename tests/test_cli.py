@@ -3,6 +3,7 @@ import ast
 import importlib
 import importlib.util
 import json
+import math
 import os
 import re
 import resource
@@ -83,6 +84,35 @@ class TestMerge:
         assert merged.metadata["merge.method"] == "drm_h"
         stdout = capsys.readouterr().out
         assert "enc.w" in stdout and "rank=" in stdout
+
+    @pytest.mark.parametrize("method", ["drm-h", "drm-v", "ties", "dare-ties"])
+    def test_summary_lines_have_four_fields(self, family, capsys, method):
+        # The benchmark's parse_summary keeps only lines of exactly these
+        # four tab-separated fields, and reads kept= of the drm methods as
+        # ceil(retain * total) of one joint pool.
+        base, tasks, tmp = family
+        assert run_merge(base, tasks, tmp / "m.drmb", "--method", method,
+                         "--retain", "0.25") == 0
+        lines = capsys.readouterr().out.splitlines()
+        shapes = {name: arr.shape for name, arr in read_bundle(base).items()}
+        rows = {}
+        for line in lines[:-1]:
+            name, shape, rank, kept = line.split("\t")
+            assert shape == "shape=" + "x".join(map(str, shapes[name]))
+            assert rank.startswith("rank=") and kept.startswith("kept=")
+            rows[name] = (rank[5:], kept[5:])
+        assert lines[-1].startswith("wrote ") and "\t" not in lines[-1]
+        assert list(rows) == list(shapes)
+        assert rows["enc.b"] == ("-", "-")
+        for name in ("enc.w", "dec.w"):
+            rank, kept = rows[name]
+            if method.startswith("drm"):
+                k, total = map(int, kept.split("/"))
+                assert rank.isdigit() and k == math.ceil(0.25 * total)
+            elif method == "ties":
+                assert rank == "-" and re.fullmatch(r"\d+/\d+", kept)
+            else:
+                assert (rank, kept) == ("-", "-")
 
     @pytest.mark.parametrize("name", sorted(drm.cli._CLI_METHODS))
     def test_bare_merge_parses_to_the_default_config(self, name):
@@ -586,6 +616,8 @@ class TestBenchTune:
         out = capsys.readouterr().out
         grid_rows = [l for l in out.splitlines() if l.startswith("0.50")]
         assert len(grid_rows) == 1
+        # The benchmark's check_tune reads this line.
+        assert "\nbest: retain=0.50 lambda=1.00 score=" in out
 
     def test_tune_default_grid_size_for_drm(self, tmp_path, capsys):
         out = tmp_path / "tune.json"
@@ -747,6 +779,35 @@ class TestBenchTune:
         assert proc.returncode == 2, proc.stderr
         assert f"more than {MAX_GRID_POINTS} points" in proc.stderr
 
+    def test_grid_points(self):
+        # The endpoint slack is a fraction of a step, and a point keeps the
+        # step's significant digits, so a tiny step neither runs past b nor
+        # rounds to zero; the grids of the tests and the README keep their
+        # points.
+        grids = {
+            "1e-10:3e-10:1e-10": [1e-10, 2e-10, 3e-10],
+            "1e-12:3e-12:1e-12": [1e-12, 2e-12, 3e-12],
+            "0.1:1:0.1": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0],
+            "0.8:1.5:0.1": [0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5],
+            "-0.5:0.5:0.25": [-0.5, -0.25, 0.0, 0.25, 0.5],
+            "1:2:0.3333333333": [1.0, 1.3333333333, 1.6666666666, 1.9999999999],
+            "0.2:0.8:0.2": [0.2, 0.4, 0.6, 0.8],
+            "0.9:1.2:0.1": [0.9, 1.0, 1.1, 1.2],
+            "0.5:1.5:0.1": [0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5],
+            "0.5": [0.5], "1.0": [1.0], "0": [0.0], "1.5": [1.5],
+        }
+        assert {spec: _parse_grid(spec) for spec in grids} == grids
+
+    def test_tiny_step_tune_stays_inside_its_grid(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        assert main(["tune", "--method", "ta", "--grid-lambda", "1e-10:3e-10:1e-10",
+                     "--tasks", "2", "--dim", "6,4", "--samples", "40",
+                     "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert [row["lambda"] for row in payload["grid"]] == [1e-10, 2e-10, 3e-10]
+        assert payload["best"]["lambda"] <= 3e-10
+        capsys.readouterr()
+
     def test_grid_point_cap_is_inclusive(self):
         assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
         with pytest.raises(ValueError, match="points"):
@@ -765,6 +826,24 @@ def run_capped_tune(flag, spec):
         capture_output=True, text=True, timeout=10, preexec_fn=cap_address_space,
         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
     )
+
+
+def test_bench_and_tune_share_the_suite_options():
+    parser = drm.cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+    def suite_options(command):
+        return {
+            action.dest: (action.option_strings, action.type, action.default)
+            for action in commands.choices[command]._actions
+            if action.dest in ("seed", "tasks", "dim", "samples", "ridge", "noise")
+        }
+
+    assert suite_options("bench") == suite_options("tune") == {
+        "seed": (["--seed"], int, 0), "tasks": (["--tasks"], int, 3),
+        "dim": (["--dim"], None, "12,8"), "samples": (["--samples"], int, 80),
+        "ridge": (["--ridge"], float, 0.0), "noise": (["--noise"], float, 0.0),
+    }
 
 
 def test_module_entrypoint_smoke(tmp_path):

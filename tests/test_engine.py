@@ -17,7 +17,7 @@ import drm.engine
 import drm.errors
 import drm.linalg
 from drm.baselines import dare_ties_merge, task_arithmetic, ties_merge
-from drm.bundle import DeltaSet, TensorBundle, check_aligned, extract_deltas
+from drm.bundle import DeltaSet, TensorBundle, check_aligned
 from drm.engine import (
     METHODS,
     MergeConfig,
@@ -25,6 +25,7 @@ from drm.engine import (
     decompose_joint,
     disjoint_average,
     elect_signs,
+    extract_deltas,
     merge_biases,
     merge_bundle,
     merge_bundle_with_stats,
