@@ -435,10 +435,10 @@ class DeltaSet:
     def side_by_side(self) -> np.ndarray:
         """The m x N*n matrix ``[delta_0 ... delta_{N-1}]`` that the joint
         SVD factors. It is a view where the stack's buffer allows one: a
-        C-ordered view of an m x N x n buffer (``extract_deltas`` order
-        ``"itj"``), an F-ordered one of an N x n x m buffer (``"tji"``, or
-        the :meth:`transposed` view of a task-major stack); otherwise, as
-        for a task-major stack, a C-ordered copy."""
+        C-ordered view of an m x N x n buffer (a wide drm-h stack of
+        ``extract_deltas``), an F-ordered one of an N x n x m buffer (the
+        :meth:`transposed` view of a task-major stack); otherwise, as for a
+        task-major stack, a C-ordered copy."""
         m, n = self.base_shape
         return self.deltas.transpose(1, 0, 2).reshape(m, self.n_tasks * n)
 

@@ -271,9 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="tally space for sign-agreement; -h/-v suffix also "
                            "selects the orientation for spectrum")
     _add_prune_knobs(p_an)
-    renorm = p_an.add_mutually_exclusive_group()
-    renorm.add_argument("--renorm", dest="renorm", action="store_true", default=True)
-    renorm.add_argument("--no-renorm", dest="renorm", action="store_false")
+    p_an.add_argument("--no-renorm", dest="renorm", action="store_false")
     p_an.set_defaults(func=cmd_analyze)
 
     p_bench = sub.add_parser("bench", help="compare methods on a synthetic suite")

@@ -143,11 +143,12 @@ def decompose_joint(
     """Decompose the stacked deltas and renormalize the per-task blocks.
 
     The vertical orientation decomposes the transposed deltas. The SVD
-    reads :meth:`DeltaSet.side_by_side`, a view of a stack laid out for it
-    (see :func:`_stack_order`) and a copy otherwise. An owned stack is
-    released once that matrix exists. The SVD may overwrite that matrix
-    unless it is a view of a caller's stack, so an owned stack laid out for
-    its SVD, and the copy of any other stack, are factored where they lie.
+    reads :meth:`DeltaSet.side_by_side`, a view of a stack that
+    :func:`extract_deltas` laid out for the orientation's drm method, and a
+    copy otherwise. An owned stack is released once that matrix exists. The
+    SVD may overwrite that matrix unless it is a view of a caller's stack,
+    so an owned stack laid out for its SVD, and the copy of any other
+    stack, are factored where they lie.
 
     ``rank_drop`` keeps the top ceil((1 - rank_drop) * rank) components,
     ranked by the shared singular values, before renormalization could
@@ -630,33 +631,12 @@ def _thread_count(n_items: int, method: str) -> int:
     return max(1, min(cap or 1, n_items))
 
 
-def _stack_order(method: str, shape: tuple[int, int], n_tasks: int) -> str:
-    """The :func:`extract_deltas` buffer order in which
-    :func:`map_layers` builds a layer of ``shape`` for ``method`` (for an
-    analysis, the drm method of its orientation). drm-h's and drm-v's SVD
-    input is a rows x N*cols matrix (m x N*n, or n x N*m for the transposed
-    deltas). Where ``thin_svd`` factors that input in place only when it is
-    C-ordered (see :func:`~drm.linalg.in_place_order`), the stack is laid
-    out rows x N x cols, whose side-by-side matrix is a C-ordered view, so
-    an owned stack is factored where it lies. Every other stack is
-    task-major: drm-v's input is then a Fortran-ordered view, factored in
-    place too, and a tall or square drm-h input is copied."""
-    orientation = DRM_ORIENTATIONS.get(method)
-    if orientation is None:
-        return "tij"
-    rows, cols = "ij" if orientation == "horizontal" else "ji"
-    height, width = shape if orientation == "horizontal" else shape[::-1]
-    if in_place_order((height, n_tasks * width)) == "C":
-        return rows + "t" + cols
-    return "tij"
-
-
 def extract_deltas(
     name: str,
     base: np.ndarray,
     tasks: list[TensorBundle | BundleFile],
     task_names: list[str],
-    order: str = "tij",
+    method: str | None = None,
 ) -> DeltaSet:
     """One rank-2 tensor's task - base deltas as one float64 stack, given the
     base bundle's tensor ``name``, for bundles that passed
@@ -664,18 +644,25 @@ def extract_deltas(
     its slice of the stack is filled, so a caller going layer by layer
     holds one layer's float64 data at a time.
 
-    ``order`` lays out the buffer the stack is a view of: its axes in
-    memory order, named t (task), i (row) and j (column) of the N x m x n
-    stack. ``"tij"`` is task-major; ``"itj"`` makes
-    :meth:`DeltaSet.side_by_side` a C-ordered view, and ``"jti"`` makes it
-    one for the :meth:`DeltaSet.transposed` set (see :func:`_stack_order`).
-    The values never depend on ``order``.
+    The stack is laid out for ``method``'s SVD input, the rows x N*cols
+    matrix :meth:`DeltaSet.side_by_side` (m x N*n for drm-h, n x N*m for
+    drm-v's transposed deltas). Where ``thin_svd`` factors that input in
+    place only when it is C-ordered (a wide one; see
+    :func:`~drm.linalg.in_place_order`), the stack is a view of a rows x N
+    x cols buffer, whose side-by-side matrix is a C-ordered view, so an
+    owned stack is factored where it lies. Every other stack, ``method=None``
+    included, is task-major: drm-v's input is then a Fortran-ordered view,
+    factored in place too, and a tall or square drm-h input is copied. The
+    values never depend on ``method``.
     """
-    if sorted(order) != ["i", "j", "t"]:
-        raise ValueError(f"order must be a permutation of 'tij', got {order!r}")
-    extent = dict(zip("tij", (len(tasks), *base.shape)))
-    buffer = np.empty([extent[axis] for axis in order])
-    stack = buffer.transpose([order.index(axis) for axis in "tij"])
+    (m, n), n_tasks = base.shape, len(tasks)
+    orientation = DRM_ORIENTATIONS.get(method)
+    rows, cols = (m, n) if orientation == "horizontal" else (n, m)
+    if orientation is not None and in_place_order((rows, n_tasks * cols)) == "C":
+        axes = (1, 0, 2) if orientation == "horizontal" else (1, 2, 0)
+        stack = np.empty((rows, n_tasks, cols)).transpose(axes)
+    else:
+        stack = np.empty((n_tasks, m, n))
     for task, out in zip(tasks, stack):
         _subtract_into(task.read(name), base, out)
     return DeltaSet(name, base.shape, stack, list(task_names))
@@ -683,7 +670,7 @@ def extract_deltas(
 
 def _subtract_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     """``out[...] = a - b`` in float64 for m x n matrices. Where ``out``'s
-    rows are not contiguous (an order not ending in j), each row chunk (see
+    rows are not contiguous (a wide drm-v stack's), each row chunk (see
     :func:`_chunks`) is subtracted into a scratch buffer that stays in cache
     while it is written out column by column."""
     if out.strides[1] == out.itemsize:
@@ -700,7 +687,7 @@ def map_layers(base, tasks, task_names: list[str], method: str, on_matrix, on_ve
     """``{name: result}`` over the tensors of bundles that passed
     :func:`check_aligned`, in base order. A rank-2 tensor's result is
     ``on_matrix(base value, ds)``, where ``ds`` is its task deltas in an
-    owned stack laid out for ``method`` (see :func:`_stack_order`), which
+    owned stack laid out for ``method`` (see :func:`extract_deltas`), which
     that call may consume; a :class:`DrmError` or ``ValueError`` it raises
     is raised again with the layer named. A rank-1 tensor's result is
     ``on_vector(base value, task values)``; without ``on_vector`` rank-1
@@ -718,8 +705,7 @@ def map_layers(base, tasks, task_names: list[str], method: str, on_matrix, on_ve
         value = base.read(name)
         if value.ndim != 2:
             return on_vector(value, [task.read(name) for task in tasks])
-        order = _stack_order(method, value.shape, len(tasks))
-        ds = extract_deltas(name, value, tasks, task_names, order)
+        ds = extract_deltas(name, value, tasks, task_names, method)
         ds._owned = True
         try:
             return on_matrix(value, ds)

@@ -179,14 +179,21 @@ class TuneResult:
         lines = [f"# tuning grid  method={self.method}", "retain\tlambda\tval_score"]
         for retain, lam, score in self.grid:
             marker = "\t<= best" if (retain, lam) == (self.best_retain, self.best_lambda) else ""
-            lines.append(f"{retain:.2f}\t{lam:.2f}\t{score:.8f}{marker}")
+            lines.append(f"{_point_text(retain)}\t{_point_text(lam)}\t{score:.8f}{marker}")
         lines.append(
-            f"best: retain={self.best_retain:.2f} lambda={self.best_lambda:.2f} "
-            f"score={self.best_score:.8f}"
+            f"best: retain={_point_text(self.best_retain)} "
+            f"lambda={_point_text(self.best_lambda)} score={self.best_score:.8f}"
         )
         for name, score in zip(self.task_names, self.per_task_scores):
             lines.append(f"heldout[{name}] = {score:.8f}")
         return "\n".join(lines) + "\n"
+
+
+def _point_text(x: float) -> str:
+    """A grid value with two decimals where they are exact, and otherwise
+    in the fewest digits that read back as ``x``."""
+    text = f"{x:.2f}"
+    return text if float(text) == x else repr(float(x))
 
 
 def _finetune_split(

@@ -9,7 +9,8 @@ whose task norms span a chosen ratio, the input on which renormalization
 visibly changes what pruning keeps. ``neg_mse_oracle`` is the per-task
 score the synthetic harness must reproduce exactly. ``tune_oracle`` tunes
 point by point: a single merge at each grid point, materialized as
-``base + delta`` and scored with ``neg_mse_oracle``.
+``base + delta`` and scored with ``neg_mse_oracle``. ``stack_strides``
+names a stack's memory layout by the order of its buffer's axes.
 """
 
 from __future__ import annotations
@@ -174,3 +175,14 @@ def tune_oracle(base, tasks, method: str, retain_grid, lambda_grid, seed: int):
         if best is None or score > best[2] + 1e-12 * max(1.0, abs(best[2])):
             best = (retain, lam, score)
     return grid, best, per_task[best[:2]]
+
+
+def stack_strides(order: str, n_tasks: int, shape: tuple[int, int]) -> tuple[int, ...]:
+    """The strides of an N x m x n float64 stack that views a C-ordered
+    buffer whose axes, in memory order, are ``order``'s t (task), i (row)
+    and j (column)."""
+    extent, strides, step = dict(zip("tij", (n_tasks, *shape))), {}, 8
+    for axis in reversed(order):
+        strides[axis] = step
+        step *= extent[axis]
+    return tuple(strides[axis] for axis in "tij")

@@ -32,6 +32,7 @@ from drm.errors import (
     ShapeMismatch,
     UnsupportedVersion,
 )
+from oracles import stack_strides
 
 MAGIC = b"DRMB"
 
@@ -537,8 +538,8 @@ class TestExtractDeltas:
                 task.add(name, rng.uniform(-4, 4, shape).astype(np.float32).astype(np.float64))
         names = check_aligned(base, tasks)
         for name in ["w1", "w2"]:
-            for order in ["tij", "itj", "jti"]:
-                ds = extract_deltas(name, base[name], tasks, names, order)
+            for method in [None, "drm_h", "drm_v"]:
+                ds = extract_deltas(name, base[name], tasks, names, method)
                 for t, delta in enumerate(ds.deltas):
                     np.testing.assert_array_equal(base[name] + delta, tasks[t][name])
 
@@ -610,32 +611,37 @@ def test_delta_set_rejects_a_ragged_list_of_deltas():
         DeltaSet("l", (2, 2), [np.zeros((2, 2)), np.zeros((2, 3))], ["a", "b"])
 
 
-@pytest.mark.parametrize("order", ["tij", "itj", "jti", "tji", "ijt", "jit"])
-def test_layer_delta_set_order_lays_out_the_same_values(order, monkeypatch):
+@pytest.mark.parametrize("method,order", [
+    pytest.param(None, "tij", id="tij"),
+    pytest.param("drm_h", "itj", id="itj"),  # 5 x 21 side by side: wide
+    pytest.param("drm_v", "jti", id="jti"),  # 7 x 15: wide
+])
+def test_layer_delta_set_order_lays_out_the_same_values(method, order, monkeypatch):
     # Row chunks of two or three rows: a buffer whose rows are strided is
-    # filled through a scratch buffer, one row range at a time.
+    # filled through a scratch buffer, one row range at a time. The buffer
+    # starts as NaN, so a row range left unwritten fails in every layout.
     monkeypatch.setattr(drm.engine, "_CHUNK", 2 * 7)
     assert len(drm.engine._chunks(5, 7)) == 2
     rng = np.random.default_rng(11)
     base = rng.standard_normal((5, 7)).astype(np.float32)
     tasks = [TensorBundle({"w": rng.standard_normal((5, 7)).astype(np.float32)}) for _ in range(3)]
-    want = extract_deltas("w", base, tasks, ["a", "b", "c"])
-    got = extract_deltas("w", base, tasks, ["a", "b", "c"], order)
+    want = np.stack([task["w"].astype(np.float64) - base for task in tasks])
+    empty = np.empty
+
+    def nan_empty(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        out.fill(np.nan)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(drm.engine.np, "empty", nan_empty)
+        got = extract_deltas("w", base, tasks, ["a", "b", "c"], method)
     assert got.deltas.shape == (3, 5, 7) and got.deltas.dtype == np.float64
-    assert got.deltas.tobytes() == want.deltas.tobytes()
-    buffer = got.deltas.base
-    assert buffer.flags.c_contiguous
-    assert buffer.shape == tuple({"t": 3, "i": 5, "j": 7}[axis] for axis in order)
-    # The orders the drm merges use make the SVD input a view of the stack.
-    views = {"itj": got.side_by_side(), "tji": got.side_by_side(),
-             "jti": got.transposed().side_by_side(), "tij": got.transposed().side_by_side()}
-    if order in views:
-        assert np.shares_memory(views[order], buffer)
-        assert views[order].flags.c_contiguous == (order in ("itj", "jti"))
-        assert views[order].flags.f_contiguous == (order in ("tji", "tij"))
-
-
-def test_layer_delta_set_rejects_an_unknown_order():
-    base = TensorBundle({"w": np.zeros((2, 2))})
-    with pytest.raises(ValueError, match="permutation"):
-        extract_deltas("w", base["w"], [base], ["a"], "tii")
+    assert got.deltas.tobytes() == want.tobytes()
+    assert got.deltas.strides == stack_strides(order, 3, (5, 7))
+    # Each layout makes a drm SVD input a view of the stack: drm-h's for
+    # itj, drm-v's for jti and for the task-major tij.
+    view = got.side_by_side() if order == "itj" else got.transposed().side_by_side()
+    assert np.shares_memory(view, got.deltas)
+    assert view.flags.c_contiguous == (order != "tij")
+    assert view.flags.f_contiguous == (order == "tij")

@@ -808,6 +808,21 @@ class TestBenchTune:
         assert payload["best"]["lambda"] <= 3e-10
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv,retains,lambdas", [
+        (["--method", "ta", "--grid-lambda", "1e-10:3e-10:1e-10"],
+         ["1.00"], ["1e-10", "2e-10", "3e-10"]),
+        (["--method", "drm-h", "--grid-retain", "0.125:0.375:0.125", "--grid-lambda", "1.0"],
+         ["0.125", "0.25", "0.375"], ["1.00"]),
+    ])
+    def test_tune_table_prints_each_point_as_searched(self, capsys, argv, retains, lambdas):
+        # Two decimals would print 1e-10 as 0.00 and 0.125 as 0.12.
+        assert main(["tune", *argv, "--tasks", "2", "--dim", "6,4", "--samples", "40"]) == 0
+        out = capsys.readouterr().out
+        rows = [line.split("\t")[:2] for line in out.splitlines()[2:] if "\t" in line]
+        assert rows == [[r, l] for r in retains for l in lambdas]
+        best = re.search(r"^best: retain=(\S+) lambda=(\S+) score=", out, re.M)
+        assert best[1] in retains and best[2] in lambdas
+
     def test_grid_point_cap_is_inclusive(self):
         assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
         with pytest.raises(ValueError, match="points"):

@@ -38,7 +38,7 @@ from drm.engine import (
 )
 from drm.errors import ShapeMismatch
 from drm.linalg import thin_svd
-from oracles import prune_reference
+from oracles import prune_reference, stack_strides
 
 
 def random_delta_set(seed, n_tasks=3, m=6, n=4, name="layer"):
@@ -752,7 +752,8 @@ class TestMergeBundle:
 @pytest.mark.parametrize("method", ["drm_h", "drm_v", "ties"])
 def test_map_layers_builds_owned_stacks_in_base_order_and_reads_no_bias(method, monkeypatch):
     # Without on_vector the rank-1 tensors are neither read nor listed;
-    # each matrix arrives as an owned stack in _stack_order's layout.
+    # each matrix arrives as an owned stack laid out for the method: enc.w
+    # (4 x 3) and dec.w (3 x 5) give drm-h and drm-v wide SVD inputs.
     base, tasks = build_family(79)
     read = []
     real_read = TensorBundle.read
@@ -763,16 +764,15 @@ def test_map_layers_builds_owned_stacks_in_base_order_and_reads_no_bias(method, 
 
     def look(value, ds):
         np.testing.assert_array_equal(value, base[ds.layer_name])
-        return ds.layer_name, ds._owned, ds.deltas.base.shape
+        return ds.layer_name, ds._owned, ds.deltas.strides
 
     seen = drm.engine.map_layers(base, tasks, names, method, look)
     assert list(seen) == ["enc.w", "dec.w"]
     assert "enc.b" not in read
-    for name, (layer, owned, buffer_shape) in seen.items():
-        order = drm.engine._stack_order(method, base.shape(name), len(tasks))
-        extent = dict(zip("tij", (len(tasks), *base.shape(name))))
+    order = {"drm_h": "itj", "drm_v": "jti", "ties": "tij"}[method]
+    for name, (layer, owned, strides) in seen.items():
         assert (layer, owned) == (name, True)
-        assert buffer_shape == tuple(extent[axis] for axis in order)
+        assert strides == stack_strides(order, len(tasks), base.shape(name))
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -1083,10 +1083,11 @@ def test_bundle_layer_peak_below_two_and_a_half_stacks(
     ("task_arithmetic", (128, 512), "tij", False),
 ])
 def test_stack_order_makes_the_gesdd_matrix_a_fortran_view(method, shape, order, in_place):
-    assert drm.engine._stack_order(method, shape, 4) == order
+    # extract_deltas lays the stack out in the buffer ``order`` names.
+    base = TensorBundle({"w": np.zeros(shape)})
+    ds = extract_deltas("w", base["w"], [base] * 4, list("abcd"), method)
+    assert ds.deltas.strides == stack_strides(order, 4, shape)
     if method in ("drm_h", "drm_v"):
-        base = TensorBundle({"w": np.zeros(shape)})
-        ds = extract_deltas("w", base["w"], [base] * 4, list("abcd"), order)
         A = (ds if method == "drm_h" else ds.transposed()).side_by_side()
         gesdd_input = A.T if A.shape[0] < A.shape[1] else A
         is_view = gesdd_input.flags.f_contiguous and np.shares_memory(gesdd_input, ds.deltas)
@@ -1100,7 +1101,7 @@ def test_bundle_merge_equals_borrowed_merge(method, threads, monkeypatch):
     # borrowed, task-major DeltaSet of the same layer gives. Dense deltas
     # take the Gram route; rank-2 adapters take gesdd, and with N=3 their
     # shapes give drm-h and drm-v both a wide and a tall SVD input, so
-    # every buffer order _stack_order picks is run. The float64 120 x 12
+    # every buffer order extract_deltas picks is run. The float64 120 x 12
     # layer gives drm-h a tall Gram-route input, whose A @ W OpenBLAS's
     # small-matrix GEMM rounds differently for a Fortran-ordered A: an
     # N x n x m drm-h stack would fail here (float32 rounding hides it).
@@ -1143,12 +1144,12 @@ def test_stacked_svd_input(orientation, monkeypatch):
     np.testing.assert_array_equal(A, want)
 
 
-def adapter_delta_set(order="tij", shape=(256, 64)):
-    """Eight rank-2 adapters on a layer of ``shape``, stacked in a buffer
-    of ``order`` (see extract_deltas). On the default 256 x 64 layer their
-    drm-v stack, and on a 64 x 256 one their drm-h stack, is a
-    rank-deficient 64 x 2048 matrix, which takes gesdd as adapter stacks
-    do."""
+def adapter_delta_set(method=None, shape=(256, 64)):
+    """Eight rank-2 adapters on a layer of ``shape``, stacked as
+    ``extract_deltas`` lays them out for ``method``. On the default
+    256 x 64 layer their drm-v stack, and on a 64 x 256 one their drm-h
+    stack, is a rank-deficient 64 x 2048 matrix, which takes gesdd as
+    adapter stacks do."""
     n_tasks, (m, n) = 8, shape
     rng = np.random.default_rng(3)
     tasks = [
@@ -1156,7 +1157,7 @@ def adapter_delta_set(order="tij", shape=(256, 64)):
             rng.standard_normal((2, n)), rng.standard_normal((m, 2)), 1.0)})
         for _ in range(n_tasks)
     ]
-    return extract_deltas("l", np.zeros((m, n)), tasks, [f"t{i}" for i in range(n_tasks)], order)
+    return extract_deltas("l", np.zeros((m, n)), tasks, [f"t{i}" for i in range(n_tasks)], method)
 
 
 def svd_peak(ds, monkeypatch, orientation="vertical"):
@@ -1187,9 +1188,8 @@ def test_vertical_svd_holds_one_stack(monkeypatch, gesdd_calls):
     # where it lies and then holds the right factor, so the SVD adds one
     # stack: gesdd's own Fortran left factor of the tall transpose, copied
     # into the stack's memory once gesdd returns.
-    order = drm.engine._stack_order("drm_v", (256, 64), 8)
-    assert order == "jti"
-    ds = adapter_delta_set(order)
+    ds = adapter_delta_set("drm_v")
+    assert ds.deltas.strides == stack_strides("jti", 8, (256, 64))
     ds._owned = True
     assert svd_peak(ds, monkeypatch) < 1.5
     assert gesdd_calls == [(2048, 64)]
