@@ -30,7 +30,6 @@ from .bundle import (
 from .engine import (
     JointDecomposition,
     MergeConfig,
-    agreeing_entries,
     decompose_joint,
     disjoint_average,
     elect_signs,
@@ -41,7 +40,6 @@ from .engine import (
     merge_delta_set_grid,
     merge_drm,
     prune_topk,
-    survivor_filter,
 )
 from .errors import ArgumentError, DrmError, InputOutputError, NumericError
 from .linalg import ThinSVD, thin_svd
@@ -89,7 +87,6 @@ __all__ = [
     "TensorBundle",
     "ThinSVD",
     "TuneResult",
-    "agreeing_entries",
     "check_perturbation_bounds",
     "closed_form_finetune",
     "dare_ties_merge",
@@ -112,7 +109,6 @@ __all__ = [
     "run_bench",
     "sign_agreement",
     "spectrum_report",
-    "survivor_filter",
     "synth_suite",
     "task_arithmetic",
     "thin_svd",

@@ -7,17 +7,9 @@ import math
 import numpy as np
 
 from .bundle import DeltaSet
-# disjoint_average and elect_signs are not called here: the benchmark's
-# tracer wraps them, like prune_topk, under this module's name.
-from .engine import (
-    MergeConfig,
-    _elect_and_average,
-    _per_task,
-    disjoint_average,
-    elect_signs,
-    kept_counts,
-    prune_topk,
-)
+# elect_signs is not called here: the benchmark's tracer wraps it, like
+# prune_topk and disjoint_average, under this module's name.
+from .engine import MergeConfig, _per_task, disjoint_average, elect_signs, kept_counts, prune_topk
 
 
 def task_arithmetic(ds: DeltaSet, lambdas) -> np.ndarray:
@@ -42,7 +34,7 @@ def ties_merge_with_stats(ds: DeltaSet, cfg: MergeConfig) -> tuple[np.ndarray, d
     def prune(t, rows, block, spare):
         block *= masks[t, rows]
 
-    merged = _elect_and_average(stack, cfg, cfg.task_lambdas(ds.n_tasks), prune, in_place=True)
+    merged = disjoint_average(stack, cfg, prune, in_place=True)
     return merged, kept_counts(masks)
 
 
@@ -92,4 +84,4 @@ def dare_ties_merge(ds: DeltaSet, cfg: MergeConfig) -> np.ndarray:
 
     # Scaled and dropped in place.
     stack = ds.deltas if ds._owned else ds.deltas.copy()
-    return _elect_and_average(stack, cfg, cfg.task_lambdas(ds.n_tasks), drop, in_place=True)
+    return disjoint_average(stack, cfg, drop, in_place=True)

@@ -218,7 +218,10 @@ def _add_prune_knobs(p: argparse.ArgumentParser) -> None:
                    help="fraction of largest-magnitude entries kept; 1.0 keeps every "
                         "entry (default %(default)s)")
     p.add_argument("--prune-mode", choices=PRUNE_MODES, default=_DEFAULTS.prune_mode,
-                   help="rank entries across all tasks or within each (default %(default)s)")
+                   help="rank entries across all tasks or within each, for drm-h/drm-v "
+                        "merges, prune-density, and sign-agreement outside --space "
+                        "original; ties and original-space sign-agreement always rank "
+                        "within each task (default %(default)s)")
 
 
 def _add_suite_knobs(p: argparse.ArgumentParser) -> None:
@@ -268,8 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--task", action="append", required=True)
     p_an.add_argument("--out", required=True)
     p_an.add_argument("--space", choices=list(SPACES), default="original",
-                      help="tally space for sign-agreement; -h/-v suffix also "
-                           "selects the orientation for spectrum")
+                      help="tally space for sign-agreement; a -v space also makes "
+                           "prune-density and spectrum decompose vertically "
+                           "(svd-bound ignores it)")
     _add_prune_knobs(p_an)
     p_an.add_argument("--no-renorm", dest="renorm", action="store_false")
     p_an.set_defaults(func=cmd_analyze)

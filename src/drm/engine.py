@@ -207,10 +207,10 @@ _CHUNK = 1 << 16
 _SAMPLE = 1 << 14
 
 
-def _as_stack(stack, dtype=np.float64) -> np.ndarray:
-    """The N x rows x cols ``stack`` (or list of equal-shape blocks) as an
-    array of ``dtype`` (a view where it can be)."""
-    stack = np.asarray(stack, dtype=dtype)
+def _as_stack(stack) -> np.ndarray:
+    """The N x rows x cols ``stack`` (or list of equal-shape blocks) as a
+    float64 array (a view where it can be)."""
+    stack = np.asarray(stack, dtype=np.float64)
     if stack.ndim != 3:
         raise ShapeMismatch(f"expected an N x rows x cols stack, got shape {stack.shape}")
     return stack
@@ -375,37 +375,7 @@ def elect_signs(stack: np.ndarray) -> np.ndarray:
     return np.where(total < 0.0, -1.0, 1.0)
 
 
-def agreeing_entries(stack: np.ndarray, signs: np.ndarray | None) -> np.ndarray:
-    """Bool mask of the stack's nonzero entries whose sign is the elected
-    one; ``signs=None`` skips the sign test."""
-    x = _as_stack(stack)
-    agree = x != 0.0
-    if signs is not None:
-        agree &= (x < 0.0) == (np.asarray(signs) < 0.0)
-    return agree
-
-
-def survivor_filter(
-    agree: np.ndarray,
-    mask: np.ndarray | None,
-    disjoint: bool = True,
-) -> tuple[np.ndarray, np.ndarray | float]:
-    """The entries that enter the average and the per-position scale gamma.
-
-    Survivors are the ``agree`` entries (see :func:`agreeing_entries`) that
-    also pass ``mask`` (``None`` passes all). gamma is the reciprocal
-    survivor count per position (zero where nobody survives), or the
-    constant 1/N with ``disjoint=False``.
-    """
-    agree = _as_stack(agree, dtype=None)
-    survivors = agree if mask is None else agree & np.asarray(mask)
-    if not disjoint:
-        return survivors, 1.0 / agree.shape[0]
-    counts = survivors.sum(axis=0, dtype=np.min_scalar_type(agree.shape[0]))
-    return survivors, _reciprocal_counts(counts)
-
-
-def _reciprocal_counts(counts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _reciprocal_counts(counts: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Per-position survivor counts to the disjoint scale gamma: 1/count,
     or 0 where nobody survives."""
     # (count != 0) / max(count, 1) is 1.0 / count, or 0 / 1: no division by
@@ -415,49 +385,37 @@ def _reciprocal_counts(counts: np.ndarray, out: np.ndarray | None = None) -> np.
 
 def disjoint_average(
     stack: np.ndarray,
-    survivors: np.ndarray,
-    gamma: np.ndarray | float,
-    lambdas,
-) -> np.ndarray:
-    """gamma times the coefficient-weighted sum over tasks of the surviving
-    entries; see :func:`survivor_filter`."""
-    x = _as_stack(stack)
-    lams = _per_task(lambdas, x.shape[0])
-    if np.shape(survivors) != np.shape(stack):
-        raise ShapeMismatch("the stack and its survivor mask must share one shape")
-    weighted = np.zeros(x.shape[1:])
-    for block, keep, lam in zip(x, survivors, lams):
-        # block * keep is the block or a signed zero; a zero term leaves the
-        # sum's bytes as they are.
-        weighted += block * keep * lam
-    weighted *= gamma
-    return weighted
-
-
-def _elect_and_average(
-    stack: np.ndarray,
     cfg: MergeConfig,
-    lambdas: np.ndarray,
     prepare=None,
     mask: np.ndarray | None = None,
     in_place: bool = False,
 ) -> np.ndarray:
     """The disjoint-merge tail of drm-h, drm-v, TIES and DARE-TIES: the
-    merged plane at the per-task coefficients ``lambdas``.
+    merged plane of the N x m x n ``stack`` at ``cfg``'s coefficients.
 
-    The plane has the bytes of ``disjoint_average(stack,
-    *survivor_filter(agreeing_entries(stack, elect_signs(stack)), mask,
-    disjoint), lambdas)`` (see :func:`disjoint_average`, the reference),
-    run over row chunks of the N x m x n ``stack`` (see :func:`_chunks`) so
-    that each chunk's preparation, election, filter and sums happen while
-    it is in cache. ``prepare(t, rows, block, spare)``, where given, first
-    prunes or drops task t's ``block`` of those ``rows`` in place
+    Where ``cfg.enable_sign_elect``, the sign of the task sum is elected
+    (see :func:`elect_signs`) and only entries of that sign survive;
+    survivors are the nonzero entries that also pass ``mask`` where given.
+    The plane is gamma times the coefficient-weighted sum of the survivors,
+    gamma being 1/count per position (0 where nobody survives), or 1/N
+    without ``cfg.enable_disjoint``.
+
+    The pass runs over row chunks of the stack (see :func:`_chunks`), so
+    that each chunk's preparation, election, survivor test and sums happen
+    while it is in cache. ``prepare(t, rows, block, spare)``, where given,
+    first prunes or drops task t's ``block`` of those ``rows`` in place
     (``spare`` is a bool buffer of its shape); the stack then must be the
     merge's own. ``mask`` joins the survivor test after the election.
     ``in_place``, for the stack's last use, overwrites each chunk with its
     survivors instead of writing them to a chunk-sized buffer.
     """
+    stack = _as_stack(stack)
     n_tasks, n_rows, n_cols = stack.shape
+    lambdas = cfg.task_lambdas(n_tasks)
+    if mask is not None:
+        mask = np.asarray(mask)
+        if mask.shape != stack.shape:
+            raise ShapeMismatch("the stack and its survivor mask must share one shape")
     plane = np.zeros((n_rows, n_cols))
     parts = _chunks(n_rows, n_cols)
     counts = _scratch(parts, n_cols, np.min_scalar_type(n_tasks))
@@ -522,14 +480,14 @@ def _drm_grid(ds: DeltaSet, cfg: MergeConfig, retains: list[float]):
     The layer lives in one N x r x dim float64 stack, rewritten in place:
     the renormalized blocks are pruned once per ``retain``, then scaled by
     ``task_sigmas`` into the blocks that elect signs and are averaged, by
-    one :func:`_elect_and_average` pass per ``retain`` that takes its prune
-    mask at the survivor test and writes that ``retain``'s one plane. The
-    coefficients are resolved before, and the decomposition runs once for
-    the whole grid; each plane is projected once. The vertical variant is
-    the horizontal pipeline on transposed deltas, transposed back (exact
-    duality).
+    one :func:`disjoint_average` pass per ``retain`` that takes its prune
+    mask at the survivor test and writes that ``retain``'s one plane. A
+    wrong coefficient count raises before the decomposition, which runs
+    once for the whole grid; each plane is projected once. The vertical
+    variant is the horizontal pipeline on transposed deltas, transposed
+    back (exact duality).
     """
-    lambdas = cfg.task_lambdas(ds.n_tasks)
+    cfg.task_lambdas(ds.n_tasks)  # raises on a wrong count before the SVD
     orientation = DRM_ORIENTATIONS[cfg.method]
     jd = decompose_joint(ds, orientation, cfg.rank_drop)
     stack = jd.renorm_blocks
@@ -539,7 +497,7 @@ def _drm_grid(ds: DeltaSet, cfg: MergeConfig, retains: list[float]):
     for i, mask in enumerate(masks):
         stats = {"rank": jd.rank, **kept_counts(mask)}
         last = i == len(masks) - 1
-        merged = jd.U @ _elect_and_average(stack, cfg, lambdas, mask=mask, in_place=last)
+        merged = jd.U @ disjoint_average(stack, cfg, mask=mask, in_place=last)
         yield (merged.T if orientation == "vertical" else merged), stats
 
 
@@ -586,7 +544,7 @@ def merge_delta_set_grid(ds: DeltaSet, cfg: MergeConfig, retain_grid):
     their retain-independent stages across the grid (see
     :func:`_drm_grid`); every other method merges each ``retain`` from
     scratch. Every ``retain`` is checked, by a config of its own, and the
-    coefficients resolved, before the first merge.
+    coefficient count, before the first merge.
     """
     configs = [dataclasses.replace(cfg, retain=retain) for retain in retain_grid]
     if cfg.method in DRM_ORIENTATIONS:

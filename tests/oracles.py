@@ -4,6 +4,8 @@
 smaller Gram matrix, with no library eigensolver, so it is an independent
 check of the SVD backend. ``prune_reference`` is the top-k keep-mask by a
 stable sort, not by the partition that ``drm.engine.prune_topk`` runs.
+``tail_reference`` is the disjoint-merge tail over a whole stack at
+once, the byte reference for the chunked ``drm.engine.disjoint_average``.
 ``synth_hetero_deltas`` generates delta sets
 whose task norms span a chosen ratio, the input on which renormalization
 visibly changes what pruning keeps. ``neg_mse_oracle`` is the per-task
@@ -20,7 +22,7 @@ import math
 import numpy as np
 
 from drm.bundle import DeltaSet
-from drm.engine import MergeConfig, merge_delta_set
+from drm.engine import MergeConfig, elect_signs, merge_delta_set
 from drm.errors import ConvergenceFailure, NumericError, ShapeMismatch
 from drm.harness import SynthTask, closed_form_finetune
 
@@ -106,6 +108,34 @@ def prune_reference(stack, retain: float, mode: str = "joint") -> np.ndarray:
         keep = min(mags.size, max(0, math.ceil(retain * mags.size - 1e-9)))
         kept.reshape(-1)[np.argsort(-mags, kind="stable")[:keep]] = True
     return mask
+
+
+def tail_reference(stack, cfg: MergeConfig, mask=None) -> np.ndarray:
+    """The disjoint-merge tail of an N x rows x cols stack, one whole-array
+    stage at a time. Survivors are the nonzero entries, of the sign that
+    ``elect_signs`` elects where ``cfg.enable_sign_elect``, that also pass
+    ``mask``; gamma is 1/count per position (0 where nobody survives), or
+    1/N without ``cfg.enable_disjoint``; the result is gamma times the
+    sum over tasks of the survivors at ``cfg``'s coefficients.
+
+    TIES elects on its pruned entries: pass the pruned stack. drm elects
+    on the unpruned blocks and prunes at the survivor test: pass the
+    unpruned stack and its keep-mask as ``mask``."""
+    stack = np.asarray(stack, dtype=np.float64)
+    survivors = stack != 0.0
+    if cfg.enable_sign_elect:
+        survivors &= (stack < 0.0) == (elect_signs(stack) < 0.0)
+    if mask is not None:
+        survivors &= np.asarray(mask)
+    gamma = 1.0 / len(stack)
+    if cfg.enable_disjoint:
+        counts = survivors.sum(axis=0)
+        gamma = np.divide(1.0, counts, out=np.zeros(counts.shape), where=counts > 0)
+    weighted = np.zeros(stack.shape[1:])
+    for block, keep, lam in zip(stack, survivors, cfg.task_lambdas(len(stack))):
+        weighted += block * keep * lam
+    weighted *= gamma
+    return weighted
 
 
 def synth_hetero_deltas(

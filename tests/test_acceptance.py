@@ -17,12 +17,10 @@ from drm.baselines import dare_ties_merge, task_arithmetic, ties_merge
 from drm.bundle import DeltaSet, TensorBundle, read_bundle, write_bundle
 from drm.engine import (
     MergeConfig,
-    agreeing_entries,
     decompose_joint,
     disjoint_average,
     elect_signs,
     merge_drm,
-    survivor_filter,
 )
 from drm.harness import BENCH_METHODS, grid_tune, run_bench, synth_suite
 from drm.linalg import thin_svd
@@ -212,10 +210,9 @@ def test_criterion_11_positionwise_oracles():
         assert np.abs(got - want).max() <= 1e-12
 
         masks = [rng.random((4, 4)) < 0.7 for _ in range(n_tasks)]
-        signs = elect_signs([np.where(m, d, 0.0) for m, d in zip(masks, deltas)])
-        survivors, gamma = survivor_filter(agreeing_entries(np.array(deltas), signs), masks)
-        got = disjoint_average(np.array(deltas), survivors, gamma, lams)
-        want = disjoint_oracle(deltas, masks, signs, lams)
+        pruned = np.array([np.where(m, d, 0.0) for m, d in zip(masks, deltas)])
+        got = disjoint_average(pruned, MergeConfig(method="ties", lambdas=tuple(lams)))
+        want = disjoint_oracle(deltas, masks, elect_signs(pruned), lams)
         assert np.abs(got - want).max() <= 1e-12
 
 

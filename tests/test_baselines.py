@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -17,19 +18,16 @@ from drm.bundle import DeltaSet, TensorBundle
 from drm.engine import (
     DRM_ORIENTATIONS,
     MergeConfig,
-    _elect_and_average,
-    agreeing_entries,
     decompose_joint,
     disjoint_average,
-    elect_signs,
     kept_counts,
     merge_bundle,
     merge_delta_set,
     merge_drm_with_stats,
     prune_topk,
-    survivor_filter,
 )
 from drm.errors import ShapeMismatch
+from oracles import tail_reference
 
 
 def make_ds(deltas, name="layer"):
@@ -220,7 +218,7 @@ class TestElectAndAverage:
     @pytest.mark.parametrize("sign_elect", [True, False])
     @pytest.mark.parametrize("disjoint", [True, False])
     def test_matches_the_stage_functions_bytewise(self, n_tasks, sign_elect, disjoint, monkeypatch):
-        # The chunked tail against the public stages it replaces, including
+        # The chunked tail against the whole-array reference, including
         # -0.0 inputs, zero sums and zero or negative coefficients: with and
         # without a prune mask at the survivor test (drm's), for each of
         # several coefficient vectors and a vector of ones, written in place
@@ -232,16 +230,15 @@ class TestElectAndAverage:
         lambdas = [np.roll(TAIL_LAMBDAS, offset)[:n_tasks] for offset in range(len(TAIL_LAMBDAS))]
         lambdas.append(np.ones(n_tasks))
         cfg = MergeConfig(method="ties", enable_sign_elect=sign_elect, enable_disjoint=disjoint)
-        agree = agreeing_entries(stack, elect_signs(stack) if sign_elect else None)
         for chunk in (drm.engine._CHUNK, 16):
             monkeypatch.setattr(drm.engine, "_CHUNK", chunk)
             for keep in (None, mask):
-                survivors, gamma = survivor_filter(agree, keep, disjoint)
                 for lams in lambdas:
-                    want = disjoint_average(stack, survivors, gamma, lams).tobytes()
+                    at = dataclasses.replace(cfg, lambdas=lams)
+                    want = tail_reference(stack, at, keep).tobytes()
                     for in_place in (True, False):
                         copy = stack.copy()
-                        got = _elect_and_average(copy, cfg, lams, mask=keep, in_place=in_place)
+                        got = disjoint_average(copy, at, mask=keep, in_place=in_place)
                         assert got.tobytes() == want
                         if not in_place:
                             assert copy.tobytes() == stack.tobytes()
@@ -300,23 +297,17 @@ class TestBorrowedStacks:
             np.testing.assert_array_equal(merged != 0.0, ~dropped)
 
 
-def stage_tail(stack, cfg):
-    """The TIES tail through the public stage functions, whole stack at once."""
-    signs = elect_signs(stack) if cfg.enable_sign_elect else None
-    survivors, gamma = survivor_filter(agreeing_entries(stack, signs), None, cfg.enable_disjoint)
-    return disjoint_average(stack, survivors, gamma, cfg.task_lambdas(len(stack)))
-
-
 def stage_ties(stack, cfg):
+    """TIES whole-array: each task pruned on its own, then the reference tail."""
     masks = prune_topk(stack, cfg.retain, "individual")
-    return stage_tail(stack * masks, cfg), kept_counts(masks)
+    return tail_reference(stack * masks, cfg), kept_counts(masks)
 
 
 def stage_dare(stack, cfg, layer_name):
     dropped = stack * (1.0 / (1.0 - cfg.dare_drop))
     for t, block in enumerate(dropped):
         block *= _dare_generator(cfg.seed, layer_name, t).random(block.shape) >= cfg.dare_drop
-    return stage_tail(dropped, cfg), {}
+    return tail_reference(dropped, cfg), {}
 
 
 def layer_stack(n_tasks, shape, layout, seed=29):
@@ -386,7 +377,7 @@ def float32_layer_with_zeros(n_tasks=3, shape=(9, 7), seed=41):
 ])
 def test_retain_one_keeps_every_entry(method, mode, monkeypatch):
     # retain=1.0 is the no-prune ablation: it keeps every entry and gives
-    # the bytes of the stage functions with no mask at all, over several
+    # the bytes of the whole-array tail with no mask at all, over several
     # row chunks, with and without each of the other two ablations.
     monkeypatch.setattr(drm.engine, "_CHUNK", 16)
     ds = float32_layer_with_zeros()
@@ -396,12 +387,12 @@ def test_retain_one_keeps_every_entry(method, mode, monkeypatch):
                           prune_mode=mode, enable_sign_elect=elect, enable_disjoint=disjoint)
         if method == "ties":
             got, stats = ties_merge_with_stats(ds, cfg)
-            want, total = stage_tail(ds.deltas, cfg), ds.deltas.size
+            want, total = tail_reference(ds.deltas, cfg), ds.deltas.size
         else:
             got, stats = merge_drm_with_stats(ds, cfg)
             orientation = DRM_ORIENTATIONS[method]
             jd = decompose_joint(ds, orientation)
-            want = jd.U @ stage_tail(jd.renorm_blocks * jd.task_sigmas[:, :, None], cfg)
+            want = jd.U @ tail_reference(jd.renorm_blocks * jd.task_sigmas[:, :, None], cfg)
             want, total = (want.T if orientation == "vertical" else want), jd.renorm_blocks.size
             assert stats.pop("rank") == jd.rank
         assert stats == {"kept": total, "total": total}

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import collections
 import importlib
 import importlib.util
 import json
@@ -520,14 +521,17 @@ class TestAnalyze:
         assert all(not rep["renormalized"] for rep in json.loads(out.read_text()))
 
     def test_spectrum_vertical(self, family):
+        # A -v space makes prune-density decompose vertically too.
         base, tasks, tmp = family
-        out = tmp / "spec.json"
-        argv = ["analyze", "spectrum", "--base", base, "--space", "decomposed-v",
-                "--out", str(out)]
-        for t in tasks:
-            argv += ["--task", t]
-        assert main(argv) == 0
-        assert all(rep["orientation"] == "vertical" for rep in json.loads(out.read_text()))
+        for kind in ("spectrum", "prune-density"):
+            out = tmp / f"{kind}.json"
+            argv = ["analyze", kind, "--base", base, "--space", "decomposed-v",
+                    "--out", str(out)]
+            for t in tasks:
+                argv += ["--task", t]
+            assert main(argv) == 0
+            reports = json.loads(out.read_text())
+            assert reports and all(rep["orientation"] == "vertical" for rep in reports), kind
 
     @pytest.mark.parametrize("kind,bound", [
         ("prune-density", 60), ("sign-agreement", 60), ("spectrum", 60), ("svd-bound", 125),
@@ -925,6 +929,27 @@ def test_every_import_is_used_or_traced():
     assert unused == []
 
 
+def test_every_top_level_definition_runs_or_is_exported():
+    # src/ holds only what runs: a module-level function or class is used
+    # by another statement of the package, exported by drm.__all__ (lazy
+    # names included), wrapped by the benchmark's tracer, or an entry point.
+    tracing = load_tracing()
+    kept = {*drm.__all__, *(attr for _, attr, _ in tracing.TARGETS), "main", "entrypoint"}
+    defined, used = [], collections.Counter()
+    for path in sorted(Path(drm.cli.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((f"drm.{path.stem}", node.name))
+            names = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+            names |= {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+            used.update(names - {getattr(node, "name", None)})
+    unused = [
+        f"{module}.{name}" for module, name in defined
+        if not used[name] and name not in kept and not name.startswith("__")
+    ]
+    assert unused == []
+
+
 def test_traced_gesdd_merge_reports_its_input(tmp_path, monkeypatch, gesdd_calls):
     # drm-v factors a merge's own rank-deficient stack in place, as its
     # tall transpose. The tracer reads the SVD input's shape once the call
@@ -964,6 +989,45 @@ def test_traced_gesdd_merge_reports_its_input(tmp_path, monkeypatch, gesdd_calls
     assert (svd["m"], svd["n"], svd["rank"]) == (n, n_tasks * m, n_tasks * rank)
     assert gesdd_calls == [(n_tasks * m, n)] * 2
     assert (tmp_path / "traced.drmb").read_bytes() == (tmp_path / "untraced.drmb").read_bytes()
+
+
+@pytest.mark.parametrize("method", ["drm-h", "drm-v", "ties", "dare-ties"])
+def test_tracer_sees_one_tail_per_layer(family, method, monkeypatch):
+    # Every sign-electing merge runs its tail through disjoint_average,
+    # which the benchmark's tracer times as engine.average: once in each
+    # matrix layer's span, with the merged bytes left alone. The baselines'
+    # layers run on the default pool.
+    tracing = load_tracing()
+    monkeypatch.delenv("DRM_THREADS", raising=False)
+    base, tasks, tmp = family
+    assert run_merge(base, tasks, tmp / "untraced.drmb", "--method", method) == 0
+
+    for module_name, attr, _ in tracing.TARGETS:  # undo the tracer's wrappers afterwards
+        module = importlib.import_module(module_name)
+        if hasattr(module, attr):
+            monkeypatch.setattr(module, attr, getattr(module, attr))
+    tracer = tracing.Tracer()
+    tracer.install()
+    start = time.perf_counter()
+    try:
+        code = run_merge(base, tasks, tmp / "traced.drmb", "--method", method)
+    finally:
+        tracer.finish(start, time.perf_counter(), tmp / "spans.jsonl")
+    assert code == 0
+    spans, missing = tracing.read_spans(tmp / "spans.jsonl")
+    assert missing == []
+    by_id = {span["id"]: span for span in spans}
+    layers = [span["id"] for span in spans if span["name"] == tracing.LAYER]
+    assert len(layers) == 2  # enc.w and dec.w; the bias is no layer span
+    owners = collections.Counter()
+    for span in spans:
+        if span["name"] == "engine.average":
+            layer = span
+            while layer is not None and layer["name"] != tracing.LAYER:
+                layer = by_id.get(layer["parent"])
+            owners[None if layer is None else layer["id"]] += 1
+    assert owners == collections.Counter(layers)
+    assert (tmp / "traced.drmb").read_bytes() == (tmp / "untraced.drmb").read_bytes()
 
 
 def test_traced_layer_pool_keeps_every_span_on_its_layer_thread(tmp_path, monkeypatch):

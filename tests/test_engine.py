@@ -21,7 +21,6 @@ from drm.bundle import DeltaSet, TensorBundle, check_aligned
 from drm.engine import (
     METHODS,
     MergeConfig,
-    agreeing_entries,
     decompose_joint,
     disjoint_average,
     elect_signs,
@@ -34,11 +33,10 @@ from drm.engine import (
     merge_drm,
     merge_drm_with_stats,
     prune_topk,
-    survivor_filter,
 )
 from drm.errors import ShapeMismatch
 from drm.linalg import thin_svd
-from oracles import prune_reference, stack_strides
+from oracles import prune_reference, stack_strides, tail_reference
 
 
 def random_delta_set(seed, n_tasks=3, m=6, n=4, name="layer"):
@@ -350,15 +348,11 @@ def test_prune_selection_matches_full_sort(case, mode):
         np.testing.assert_array_equal(g, e)
 
 
-# The five stage kernels, each on one N x rows x cols stack or list of blocks.
+# The three stage kernels, each on one N x rows x cols stack or list of blocks.
 STAGE_KERNELS = {
     "prune_topk": lambda stack: prune_topk(stack, 0.5),
     "elect_signs": elect_signs,
-    "agreeing_entries": lambda stack: agreeing_entries(stack, None),
-    "survivor_filter": lambda stack: survivor_filter([np.asarray(b) > 0.0 for b in stack], None)[1],
-    "disjoint_average": lambda stack: disjoint_average(
-        stack, [np.asarray(b) > 0.0 for b in stack], 0.5, 1.0
-    ),
+    "disjoint_average": lambda stack: disjoint_average(stack, MergeConfig(method="ties")),
 }
 
 
@@ -413,28 +407,26 @@ def disjoint_oracle(blocks, masks, signs, lambdas, disjoint=True):
     return out
 
 
-def filtered_average(blocks, masks, signs, lambdas, disjoint=True):
-    """Survivor filter, then the weighted sum, as the merge paths run them."""
-    stack = np.array(blocks, dtype=np.float64)
-    survivors, gamma = survivor_filter(
-        agreeing_entries(stack, signs), None if masks is None else np.array(masks), disjoint
-    )
-    return disjoint_average(stack, survivors, gamma, lambdas)
+def filtered_average(blocks, masks, lambdas, sign_elect=True, disjoint=True):
+    """The tail at ``lambdas`` with ``masks`` at the survivor test, the
+    order drm runs them in: the signs are elected on the unmasked blocks."""
+    cfg = MergeConfig(method="ties", lambdas=lambdas, enable_sign_elect=sign_elect,
+                      enable_disjoint=disjoint)
+    return disjoint_average(blocks, cfg, mask=masks)
 
 
 class TestDisjointAverage:
     def test_counts_only_nonzero(self):
         blocks = [np.array([[1.0]]), np.array([[0.0]]), np.array([[2.0]])]
         masks = [np.ones((1, 1), dtype=bool)] * 3
-        signs = np.ones((1, 1))
-        out = filtered_average(blocks, masks, signs, [1.0, 1.0, 1.0])
+        out = filtered_average(blocks, masks, [1.0, 1.0, 1.0])
         assert out[0, 0] == pytest.approx(1.5)
 
     def test_identical_values_pass_through(self):
         v = 0.37
         blocks = [np.full((2, 3), v) for _ in range(4)]
         masks = [np.ones((2, 3), dtype=bool)] * 4
-        out = filtered_average(blocks, masks, elect_signs(blocks), np.ones(4))
+        out = filtered_average(blocks, masks, np.ones(4))
         np.testing.assert_allclose(out, v, atol=1e-15)
 
     def test_matches_positionwise_oracle(self):
@@ -442,17 +434,22 @@ class TestDisjointAverage:
         for _ in range(5):
             blocks = [rng.standard_normal((4, 4)) for _ in range(3)]
             masks = [rng.random((4, 4)) < 0.6 for _ in range(3)]
-            signs = elect_signs([np.where(m, b, 0.0) for m, b in zip(masks, blocks)])
+            pruned = [np.where(m, b, 0.0) for m, b in zip(masks, blocks)]
             lams = rng.uniform(0.5, 1.5, 3)
             for disjoint in (True, False):
-                got = filtered_average(blocks, masks, signs, lams, disjoint)
-                want = disjoint_oracle(blocks, masks, signs, lams, disjoint)
-                np.testing.assert_allclose(got, want, atol=1e-12)
+                # drm's order, and TIES's: the signs elected on the
+                # unpruned or on the pruned blocks.
+                for stack, signs in ((blocks, elect_signs(blocks)), (pruned, elect_signs(pruned))):
+                    got = filtered_average(stack, masks, lams, disjoint=disjoint)
+                    want = disjoint_oracle(blocks, masks, signs, lams, disjoint)
+                    np.testing.assert_allclose(got, want, atol=1e-12)
+                    cfg = MergeConfig(method="ties", lambdas=lams, enable_disjoint=disjoint)
+                    assert got.tobytes() == tail_reference(stack, cfg, masks).tobytes()
 
     def test_sign_filter_skipped_when_none(self):
         blocks = [np.array([[1.0, -1.0]]), np.array([[-3.0, 2.0]])]
         masks = [np.ones((1, 2), dtype=bool)] * 2
-        out = filtered_average(blocks, masks, None, [1.0, 1.0])
+        out = filtered_average(blocks, masks, [1.0, 1.0], sign_elect=False)
         np.testing.assert_allclose(out, [[-1.0, 0.5]])
 
     def test_mask_filter_skipped_when_none(self):
@@ -460,19 +457,20 @@ class TestDisjointAverage:
         blocks = [rng.standard_normal((3, 5)) for _ in range(3)]
         blocks[1][0, 0] = -0.0
         all_true = [np.ones((3, 5), dtype=bool)] * 3
-        for signs in (None, elect_signs(blocks)):
+        for sign_elect in (False, True):
             for disjoint in (True, False):
-                got = filtered_average(blocks, None, signs, [0.5, 1.0, 2.0], disjoint)
-                want = filtered_average(blocks, all_true, signs, [0.5, 1.0, 2.0], disjoint)
+                got = filtered_average(blocks, None, [0.5, 1.0, 2.0], sign_elect, disjoint)
+                want = filtered_average(blocks, all_true, [0.5, 1.0, 2.0], sign_elect, disjoint)
                 assert got.tobytes() == want.tobytes()
 
     def test_lambda_count_mismatch(self):
         with pytest.raises(ValueError, match="2 lambdas for 1 tasks"):
-            filtered_average([np.ones((1, 1))], [np.ones((1, 1), dtype=bool)], None, [1.0, 2.0])
+            filtered_average([np.ones((1, 1))], [np.ones((1, 1), dtype=bool)], [1.0, 2.0])
 
     def test_survivor_mask_shape_mismatch(self):
         with pytest.raises(ShapeMismatch, match="survivor mask"):
-            disjoint_average(np.ones((2, 3, 4)), np.ones((2, 4, 3), dtype=bool), 1.0, 1.0)
+            disjoint_average(np.ones((2, 3, 4)), MergeConfig(method="ties"),
+                             mask=np.ones((2, 4, 3), dtype=bool))
 
 
 class TestMergeDrm:
@@ -886,12 +884,13 @@ def lambda_entry_points(n_tasks=3) -> dict:
     ds = random_delta_set(29, n_tasks=n_tasks)
     base = np.arange(4.0)
     values = [base + 0.5 * (t + 1) for t in range(n_tasks)]
-    survivors = np.ones(ds.deltas.shape, dtype=bool)
     return {
         "task_lambdas": lambda lams: MergeConfig(method="ties", lambdas=lams).task_lambdas(n_tasks),
         "task_arithmetic": lambda lams: task_arithmetic(ds, lams),
         "merge_biases": lambda lams: merge_biases(base, values, lams),
-        "disjoint_average": lambda lams: disjoint_average(ds.deltas, survivors, 0.5, lams),
+        "disjoint_average": lambda lams: disjoint_average(
+            ds.deltas, MergeConfig(method="ties", lambdas=lams)
+        ),
     }
 
 
@@ -1275,19 +1274,7 @@ def reference_merge_drm(ds, cfg, tall_gesdd=True):
     task_sigmas = sigma[None, :] * row_norms
     scaled = [task_sigmas[t][:, None] * renorm_blocks[t] for t in range(n_tasks)]
     masks = prune_reference(renorm_blocks, cfg.retain, cfg.prune_mode)
-    total = np.zeros_like(scaled[0])
-    for b in scaled:
-        total = total + b
-    signs = np.where(total < 0.0, -1.0, 1.0)
-    weighted = np.zeros(scaled[0].shape)
-    counts = np.zeros(scaled[0].shape)
-    for mask, block, lam in zip(masks, scaled, cfg.task_lambdas(n_tasks)):
-        kept = np.where(mask, block, 0.0)
-        kept = np.where(kept * signs > 0.0, kept, 0.0)
-        weighted += lam * kept
-        counts += kept != 0.0
-    gamma = np.divide(1.0, counts, out=np.zeros(counts.shape), where=counts > 0)
-    merged = U @ (gamma * weighted)
+    merged = U @ tail_reference(scaled, cfg, mask=masks)
     stats = {"rank": rank, "kept": int(sum(m.sum() for m in masks)), "total": sum(b.size for b in renorm_blocks)}
     return (merged.T if cfg.method == "drm_v" else merged), stats, route
 

@@ -270,7 +270,7 @@ def test_serial_matches_pooled(case, tmp_path, monkeypatch):
 
 
 # Calls per matrix layer of a bundle merge: thin_svd, prune_topk and
-# _elect_and_average (the disjoint-merge tail).
+# disjoint_average (the disjoint-merge tail).
 WORK_PER_LAYER = {
     "drm-h": (1, 1, 1),
     "drm-v": (1, 1, 1),
@@ -289,7 +289,7 @@ SELECTION = ("_partition_cutoff", "_bracket_mask")
 def work_counts(monkeypatch):
     """Calls of each counted function, from any layer worker."""
     counts, lock = collections.Counter(), threading.Lock()
-    for name in ("thin_svd", "prune_topk", "_elect_and_average", *SELECTION):
+    for name in ("thin_svd", "prune_topk", "disjoint_average", *SELECTION):
         real = getattr(drm.engine, name)
 
         def counting(*args, _real=real, _name=name, **kwargs):
@@ -323,7 +323,7 @@ def test_merge_work_counts_per_layer(method, tmp_path, monkeypatch, work_counts)
         assert work_counts == collections.Counter({
             "thin_svd": svds * layers,
             "prune_topk": prunes * layers,
-            "_elect_and_average": tails * layers,
+            "disjoint_average": tails * layers,
             "_partition_cutoff": partitions,
         }), retain
 

@@ -296,7 +296,7 @@ class TestGridTune:
 
             monkeypatch.setattr(drm.engine, name, counting)
         tails, projections = [], []
-        real_tail = drm.engine._elect_and_average
+        real_tail = drm.engine.disjoint_average
 
         def counting_tail(*args, **kwargs):
             tails.append(1)
@@ -314,7 +314,7 @@ class TestGridTune:
             jd.U = jd.U.view(CountingU)
             return jd
 
-        monkeypatch.setattr(drm.engine, "_elect_and_average", counting_tail)
+        monkeypatch.setattr(drm.engine, "disjoint_average", counting_tail)
         monkeypatch.setattr(drm.engine, "decompose_joint", decompose)
         base, tasks = synth_suite(19, 3, 6, 5, samples=50)
         res = grid_tune(base, tasks, method)
