@@ -1,7 +1,50 @@
+import collections
+import os
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import drm.baselines
+import drm.engine
 from drm import linalg
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env(**env):
+    """The environment of a child interpreter that imports drm from this
+    checkout's ``src``: the parent's, without ``DRM_THREADS``, on one BLAS
+    thread, with ``env`` on top."""
+    child = {k: v for k, v in os.environ.items() if k != "DRM_THREADS"}
+    child.update(PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1", **env)
+    return child
+
+
+@pytest.fixture()
+def call_counts(monkeypatch):
+    """``call_counts(*names)`` counts, from then on and from any layer
+    worker, the calls of each named function of drm.engine, and returns the
+    Counter. A name that drm.baselines holds too is counted there, since
+    the baselines call the engine's prune and tail by their own names."""
+    counts, lock = collections.Counter(), threading.Lock()
+
+    def count(*names):
+        for name in names:
+            real = getattr(drm.engine, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                with lock:
+                    counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            for module in (drm.engine, drm.baselines):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting)
+        return counts
+
+    return count
 
 
 @pytest.fixture()

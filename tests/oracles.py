@@ -1,18 +1,29 @@
-"""Test-scale oracles the suite checks the package against.
+"""One copy of each oracle and reference the suite checks the package
+against. A literal script restates a stage entry by entry in plain loops
+and is compared within a tolerance; a byte reference runs whole-array
+numpy stages, as the package did before a faster path replaced them, and
+is compared byte for byte.
 
-``svd_oracle`` computes singular values by cyclic Jacobi rotations of the
-smaller Gram matrix, with no library eigensolver, so it is an independent
-check of the SVD backend. ``prune_reference`` is the top-k keep-mask by a
-stable sort, not by the partition that ``drm.engine.prune_topk`` runs.
-``tail_reference`` is the disjoint-merge tail over a whole stack at
-once, the byte reference for the chunked ``drm.engine.disjoint_average``.
-``synth_hetero_deltas`` generates delta sets
-whose task norms span a chosen ratio, the input on which renormalization
-visibly changes what pruning keeps. ``neg_mse_oracle`` is the per-task
-score the synthetic harness must reproduce exactly. ``tune_oracle`` tunes
-point by point: a single merge at each grid point, materialized as
-``base + delta`` and scored with ``neg_mse_oracle``. ``stack_strides``
-names a stack's memory layout by the order of its buffer's axes.
+Literal: ``svd_oracle`` (singular values by cyclic Jacobi rotations of the
+smaller Gram matrix, no library eigensolver), ``topk_oracle`` (top-k masks
+by a full sort of (-|v|, task, row, col)), ``disjoint_oracle`` (the
+filtered reciprocal-count average), ``ties_oracle`` (per-task top-k, sign
+election with +1 on ties, survivor-count averaging), ``neg_mse_oracle``
+(the per-task score the harness must reproduce exactly) and
+``tune_oracle`` (one merge and score per grid point, on
+``tune_split_oracle``'s splits).
+
+Byte: ``prune_reference`` (the top-k mask by a stable argsort, not the
+partition of ``drm.engine.prune_topk``), ``tail_reference`` (the
+disjoint-merge tail on a whole stack), ``ties_reference`` and
+``dare_reference`` (the two baselines ending in that tail), and
+``reference_thin_svd`` with ``reference_merge_drm`` (the drm pipeline with
+one array per task and stage).
+
+Inputs: ``make_ds`` wraps a list of deltas, ``synth_hetero_deltas`` spans
+a chosen ratio of task norms (where renormalization visibly changes what
+pruning keeps); ``tune_score_close`` is a tune score's tolerance and
+``stack_strides`` names a stack's layout by its buffer's axis order.
 """
 
 from __future__ import annotations
@@ -21,8 +32,11 @@ import math
 
 import numpy as np
 
+import drm.engine
+import drm.linalg
+from drm.baselines import _dare_generator
 from drm.bundle import DeltaSet
-from drm.engine import MergeConfig, elect_signs, merge_delta_set
+from drm.engine import MergeConfig, elect_signs, kept_counts, merge_delta_set, prune_topk
 from drm.errors import ConvergenceFailure, NumericError, ShapeMismatch
 from drm.harness import SynthTask, closed_form_finetune
 
@@ -110,6 +124,28 @@ def prune_reference(stack, retain: float, mode: str = "joint") -> np.ndarray:
     return mask
 
 
+def topk_oracle(blocks, retain, mode):
+    """Enumerate, sort by (-|v|, task, row, col), keep the exact count."""
+    entries = []
+    for t, b in enumerate(blocks):
+        for i in range(b.shape[0]):
+            for j in range(b.shape[1]):
+                entries.append((-abs(b[i, j]), t, i, j))
+    masks = [np.zeros(b.shape, dtype=bool) for b in blocks]
+    if mode == "joint":
+        entries.sort()
+        keep = math.ceil(retain * len(entries) - 1e-9)
+        for _, t, i, j in entries[:keep]:
+            masks[t][i, j] = True
+    else:
+        for t, b in enumerate(blocks):
+            sub = sorted(e for e in entries if e[1] == t)
+            keep = math.ceil(retain * b.size - 1e-9)
+            for _, _, i, j in sub[:keep]:
+                masks[t][i, j] = True
+    return masks
+
+
 def tail_reference(stack, cfg: MergeConfig, mask=None) -> np.ndarray:
     """The disjoint-merge tail of an N x rows x cols stack, one whole-array
     stage at a time. Survivors are the nonzero entries, of the sign that
@@ -136,6 +172,145 @@ def tail_reference(stack, cfg: MergeConfig, mask=None) -> np.ndarray:
         weighted += block * keep * lam
     weighted *= gamma
     return weighted
+
+
+def disjoint_oracle(blocks, masks, signs, lambdas, disjoint=True):
+    """Literal per-position transcription of the filtered reciprocal-count
+    average."""
+    n_tasks = len(blocks)
+    out = np.zeros_like(blocks[0])
+    rows, cols = out.shape
+    for i in range(rows):
+        for j in range(cols):
+            kept = []
+            for t in range(n_tasks):
+                v = blocks[t][i, j] if masks[t][i, j] else 0.0
+                if signs is not None and v * signs[i, j] <= 0.0:
+                    v = 0.0
+                kept.append(v)
+            count = sum(1 for v in kept if v != 0.0)
+            total = sum(lam * v for lam, v in zip(lambdas, kept))
+            if disjoint:
+                out[i, j] = total / count if count else 0.0
+            else:
+                out[i, j] = total / n_tasks
+    return out
+
+
+def ties_oracle(deltas, retain, lambdas):
+    """Literal position-wise script: per-task top-k pruning, dominant-sign
+    election with +1 on ties, survivor-count averaging."""
+    n_tasks = len(deltas)
+    rows, cols = deltas[0].shape
+    pruned = []
+    for d in deltas:
+        order = sorted(
+            ((i, j) for i in range(rows) for j in range(cols)),
+            key=lambda ij: (-abs(d[ij]), ij),
+        )
+        keep = set(order[: math.ceil(retain * d.size - 1e-9)])
+        pruned.append(
+            np.array([[d[i, j] if (i, j) in keep else 0.0 for j in range(cols)]
+                      for i in range(rows)])
+        )
+    out = np.zeros((rows, cols))
+    for i in range(rows):
+        for j in range(cols):
+            total = sum(p[i, j] for p in pruned)
+            sign = -1.0 if total < 0 else 1.0
+            kept = [
+                (lambdas[t], pruned[t][i, j])
+                for t in range(n_tasks)
+                if pruned[t][i, j] * sign > 0
+            ]
+            if kept:
+                out[i, j] = sum(lam * v for lam, v in kept) / len(kept)
+    return out
+
+
+def ties_reference(stack, cfg):
+    """TIES whole-array: each task pruned on its own, then the reference tail."""
+    masks = prune_topk(stack, cfg.retain, "individual")
+    return tail_reference(stack * masks, cfg), kept_counts(masks)
+
+
+def dare_reference(stack, cfg, layer_name):
+    """DARE-TIES whole-array: each task's drops from its own stream, then
+    the reference tail."""
+    dropped = stack * (1.0 / (1.0 - cfg.dare_drop))
+    for t, block in enumerate(dropped):
+        block *= _dare_generator(cfg.seed, layer_name, t).random(block.shape) >= cfg.dare_drop
+    return tail_reference(dropped, cfg), {}
+
+
+def reference_thin_svd(A, tall_gesdd=True):
+    """thin_svd as written with copies: (U, sigma, Vt, route). gesdd
+    factors a wide A through its tall transpose; ``tall_gesdd=False``
+    factors it as it is, the route thin_svd took before, whose LAPACK path
+    picks another basis for a rank-deficient A's null space."""
+    wide = A.shape[0] <= A.shape[1]
+    lam, W = np.linalg.eigh(A @ A.T if wide else A.T @ A)
+    lam, W = lam[::-1], W[:, ::-1]
+    if lam[0] > 0.0 and lam[-1] >= drm.linalg.GRAM_MIN_EIG_RATIO * lam[0]:
+        sigma = np.sqrt(lam)
+        if wide:
+            U, Vt = W, (W.T @ A) / sigma[:, None]
+        else:
+            U, Vt = (A @ W) / sigma[None, :], W.T
+        route = "gram"
+    elif tall_gesdd and A.shape[0] < A.shape[1]:
+        V, sigma, Ut = np.linalg.svd(A.T, full_matrices=False)
+        # Row-major factors: the block norms below sum each row's squares
+        # in the order numpy uses for contiguous rows.
+        U, Vt = np.ascontiguousarray(Ut.T), np.ascontiguousarray(V.T)
+        route = "gesdd"
+    else:
+        U, sigma, Vt = np.linalg.svd(A, full_matrices=False)
+        route = "gesdd"
+    flip = U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])] < 0
+    U = np.where(flip[None, :], -U, U)
+    Vt = np.where(flip[:, None], -Vt, Vt)
+    return U, sigma, Vt, route
+
+
+def reference_merge_drm(ds, cfg, tall_gesdd=True):
+    """(merged delta, stats, SVD route) with one array per task and stage."""
+    if cfg.method == "drm_v":
+        ds = ds.transposed()
+    n_tasks, n = ds.n_tasks, ds.base_shape[1]
+    U, sigma, Vt, route = reference_thin_svd(np.concatenate(ds.deltas, axis=1), tall_gesdd)
+    blocks = [Vt[:, t * n : (t + 1) * n] for t in range(n_tasks)]
+    row_norms = np.empty((n_tasks, sigma.size))
+    renorm_blocks = []
+    for t, block in enumerate(blocks):
+        norms = np.linalg.norm(block, axis=1)
+        row_norms[t] = norms
+        safe = np.where(norms > drm.engine.ZERO_ROW_NORM, norms, 1.0)
+        renorm = block / safe[:, None]
+        renorm[norms <= drm.engine.ZERO_ROW_NORM] = 0.0
+        renorm_blocks.append(renorm)
+    row_norms[row_norms <= drm.engine.ZERO_ROW_NORM] = 0.0
+    rank = int(np.count_nonzero(drm.linalg.nonzero_sigma_mask(sigma)))
+    if cfg.rank_drop > 0.0:  # keep the top ceil((1 - rank_drop) * rank) components
+        keep = min(rank, math.ceil((1.0 - cfg.rank_drop) * rank - 1e-9))
+        U, sigma = U.copy(), sigma.copy()
+        U[:, keep:] = 0.0
+        sigma[keep:] = 0.0
+        row_norms[:, keep:] = 0.0
+        for renorm in renorm_blocks:
+            renorm[keep:] = 0.0
+        rank = keep
+    task_sigmas = sigma[None, :] * row_norms
+    scaled = [task_sigmas[t][:, None] * renorm_blocks[t] for t in range(n_tasks)]
+    masks = prune_reference(renorm_blocks, cfg.retain, cfg.prune_mode)
+    merged = U @ tail_reference(scaled, cfg, mask=masks)
+    stats = {"rank": rank, "kept": int(sum(m.sum() for m in masks)), "total": sum(b.size for b in renorm_blocks)}
+    return (merged.T if cfg.method == "drm_v" else merged), stats, route
+
+
+def make_ds(deltas, name="layer"):
+    deltas = [np.asarray(d, dtype=np.float64) for d in deltas]
+    return DeltaSet(name, deltas[0].shape, deltas, [f"t{i}" for i in range(len(deltas))])
 
 
 def synth_hetero_deltas(

@@ -24,7 +24,7 @@ from drm.engine import (
 )
 from drm.harness import BENCH_METHODS, grid_tune, run_bench, synth_suite
 from drm.linalg import thin_svd
-from oracles import synth_hetero_deltas
+from oracles import disjoint_oracle, synth_hetero_deltas, ties_oracle
 
 
 def announce(criterion: str, description: str):
@@ -214,49 +214,6 @@ def test_criterion_11_positionwise_oracles():
         got = disjoint_average(pruned, MergeConfig(method="ties", lambdas=tuple(lams)))
         want = disjoint_oracle(deltas, masks, elect_signs(pruned), lams)
         assert np.abs(got - want).max() <= 1e-12
-
-
-def ties_oracle(deltas, retain, lambdas):
-    rows, cols = deltas[0].shape
-    pruned = []
-    for d in deltas:
-        order = sorted(
-            ((i, j) for i in range(rows) for j in range(cols)),
-            key=lambda ij: (-abs(d[ij]), ij),
-        )
-        keep = set(order[: math.ceil(retain * d.size - 1e-9)])
-        pruned.append(
-            np.array([[d[i, j] if (i, j) in keep else 0.0 for j in range(cols)]
-                      for i in range(rows)])
-        )
-    out = np.zeros((rows, cols))
-    for i in range(rows):
-        for j in range(cols):
-            total = sum(p[i, j] for p in pruned)
-            sign = -1.0 if total < 0 else 1.0
-            kept = [
-                (lam, p[i, j]) for lam, p in zip(lambdas, pruned) if p[i, j] * sign > 0
-            ]
-            if kept:
-                out[i, j] = sum(lam * v for lam, v in kept) / len(kept)
-    return out
-
-
-def disjoint_oracle(blocks, masks, signs, lambdas):
-    out = np.zeros_like(blocks[0])
-    rows, cols = out.shape
-    for i in range(rows):
-        for j in range(cols):
-            kept = []
-            for t in range(len(blocks)):
-                v = blocks[t][i, j] if masks[t][i, j] else 0.0
-                if v * signs[i, j] <= 0.0:
-                    v = 0.0
-                kept.append(v)
-            count = sum(1 for v in kept if v != 0.0)
-            if count:
-                out[i, j] = sum(lam * v for lam, v in zip(lambdas, kept)) / count
-    return out
 
 
 @announce("criterion 12", "harness sanity and grid argmax")

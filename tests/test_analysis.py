@@ -13,16 +13,11 @@ from drm.analysis import (
     sign_agreement,
     spectrum_report,
 )
-from drm.bundle import DeltaSet, canonical_json
+from drm.bundle import canonical_json
 from drm.engine import MergeConfig, decompose_joint
 from drm.errors import NeedTwoTasks
 from drm.linalg import thin_svd
-from oracles import svd_oracle, synth_hetero_deltas
-
-
-def make_ds(deltas, name="layer"):
-    deltas = [np.asarray(d, dtype=np.float64) for d in deltas]
-    return DeltaSet(name, deltas[0].shape, deltas, [f"t{i}" for i in range(len(deltas))])
+from oracles import make_ds, svd_oracle, synth_hetero_deltas
 
 
 class TestRowDropFractions:

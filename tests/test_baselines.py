@@ -20,19 +20,12 @@ from drm.engine import (
     MergeConfig,
     decompose_joint,
     disjoint_average,
-    kept_counts,
     merge_bundle,
     merge_delta_set,
     merge_drm_with_stats,
-    prune_topk,
 )
 from drm.errors import ShapeMismatch
-from oracles import tail_reference
-
-
-def make_ds(deltas, name="layer"):
-    deltas = [np.asarray(d, dtype=np.float64) for d in deltas]
-    return DeltaSet(name, deltas[0].shape, deltas, [f"t{i}" for i in range(len(deltas))])
+from oracles import dare_reference, make_ds, tail_reference, ties_oracle, ties_reference
 
 
 def simple_average(deltas):
@@ -85,37 +78,6 @@ class TestTaskArithmetic:
                 for j in range(3):
                     expected[i, j] += lams[t] * deltas[t][i, j]
         np.testing.assert_allclose(task_arithmetic(make_ds(deltas), lams), expected, atol=1e-12)
-
-
-def ties_oracle(deltas, retain, lambdas):
-    """Literal position-wise script: per-task top-k pruning, dominant-sign
-    election with +1 on ties, survivor-count averaging."""
-    n_tasks = len(deltas)
-    rows, cols = deltas[0].shape
-    pruned = []
-    for d in deltas:
-        order = sorted(
-            ((i, j) for i in range(rows) for j in range(cols)),
-            key=lambda ij: (-abs(d[ij]), ij),
-        )
-        keep = set(order[: math.ceil(retain * d.size - 1e-9)])
-        pruned.append(
-            np.array([[d[i, j] if (i, j) in keep else 0.0 for j in range(cols)]
-                      for i in range(rows)])
-        )
-    out = np.zeros((rows, cols))
-    for i in range(rows):
-        for j in range(cols):
-            total = sum(p[i, j] for p in pruned)
-            sign = -1.0 if total < 0 else 1.0
-            kept = [
-                (lambdas[t], pruned[t][i, j])
-                for t in range(n_tasks)
-                if pruned[t][i, j] * sign > 0
-            ]
-            if kept:
-                out[i, j] = sum(lam * v for lam, v in kept) / len(kept)
-    return out
 
 
 class TestTiesMerge:
@@ -297,19 +259,6 @@ class TestBorrowedStacks:
             np.testing.assert_array_equal(merged != 0.0, ~dropped)
 
 
-def stage_ties(stack, cfg):
-    """TIES whole-array: each task pruned on its own, then the reference tail."""
-    masks = prune_topk(stack, cfg.retain, "individual")
-    return tail_reference(stack * masks, cfg), kept_counts(masks)
-
-
-def stage_dare(stack, cfg, layer_name):
-    dropped = stack * (1.0 / (1.0 - cfg.dare_drop))
-    for t, block in enumerate(dropped):
-        block *= _dare_generator(cfg.seed, layer_name, t).random(block.shape) >= cfg.dare_drop
-    return tail_reference(dropped, cfg), {}
-
-
 def layer_stack(n_tasks, shape, layout, seed=29):
     """A tail_stack of ``shape``, C-ordered, or Fortran-ordered for the
     ``strided`` layout."""
@@ -341,9 +290,9 @@ class TestChunkedMerge:
                     enable_sign_elect=elect, enable_disjoint=disjoint,
                 )
                 if method == "ties":
-                    want, want_stats = stage_ties(stack, cfg)
+                    want, want_stats = ties_reference(stack, cfg)
                 else:
-                    want, want_stats = stage_dare(stack, cfg, "blk.w")
+                    want, want_stats = dare_reference(stack, cfg, "blk.w")
                 ds = DeltaSet("blk.w", shape, stack.copy() if layout == "owned" else stack,
                               [f"t{t}" for t in range(n_tasks)])
                 ds._owned = layout == "owned"

@@ -23,6 +23,7 @@ import pytest
 import drm.bundle
 import drm.cli
 import drm.harness
+from conftest import child_env
 from drm.bundle import TensorBundle, read_bundle, write_bundle
 from drm.cli import MAX_GRID_POINTS, _parse_grid, main
 from drm.engine import MergeConfig
@@ -843,7 +844,7 @@ def run_capped_tune(flag, spec):
     return subprocess.run(
         [sys.executable, "-m", "drm", "tune", "--method", "ties", f"{flag}={spec}"],
         capture_output=True, text=True, timeout=10, preexec_fn=cap_address_space,
-        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        env=child_env(),
     )
 
 
@@ -873,7 +874,7 @@ def test_module_entrypoint_smoke(tmp_path):
         [sys.executable, "-m", "drm", "merge", "--method", "avg",
          "--base", str(tmp_path / "base.drmb"), "--task", str(tmp_path / "task.drmb"),
          "--out", str(tmp_path / "out.drmb")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out.drmb").exists()
@@ -948,6 +949,30 @@ def test_every_top_level_definition_runs_or_is_exported():
         if not used[name] and name not in kept and not name.startswith("__")
     ]
     assert unused == []
+
+
+def test_every_oracle_and_reference_has_one_copy_in_oracles():
+    # tests/oracles.py holds the one copy of each literal script and byte
+    # reference: no other test module defines a top-level function of the
+    # same name, or any helper named like an oracle or a reference.
+    def functions(path, top_level):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        nodes = tree.body if top_level else ast.walk(tree)
+        return {node.name for node in nodes if isinstance(node, ast.FunctionDef)}
+
+    here = Path(__file__).resolve().parent
+    shared = functions(here / "oracles.py", top_level=True)
+    copies = []
+    for path in sorted(here.glob("*.py")):
+        if path.name == "oracles.py":
+            continue
+        copies += [f"{path.name}::{name}" for name in sorted(functions(path, True) & shared)]
+        copies += [
+            f"{path.name}::{name}" for name in sorted(functions(path, False) - shared)
+            if not name.startswith("test_")
+            and (name.endswith(("_oracle", "_reference")) or name.startswith("reference_"))
+        ]
+    assert copies == []
 
 
 def test_traced_gesdd_merge_reports_its_input(tmp_path, monkeypatch, gesdd_calls):

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import drm
 import drm.engine
 import drm.errors
-import drm.linalg
 from drm.baselines import dare_ties_merge, task_arithmetic, ties_merge
 from drm.bundle import DeltaSet, TensorBundle, check_aligned
 from drm.engine import (
@@ -36,7 +35,14 @@ from drm.engine import (
 )
 from drm.errors import ShapeMismatch
 from drm.linalg import thin_svd
-from oracles import prune_reference, stack_strides, tail_reference
+from oracles import (
+    disjoint_oracle,
+    prune_reference,
+    reference_merge_drm,
+    stack_strides,
+    tail_reference,
+    topk_oracle,
+)
 
 
 def random_delta_set(seed, n_tasks=3, m=6, n=4, name="layer"):
@@ -228,28 +234,6 @@ class TestTruncateRank:
             decompose_joint(random_delta_set(3), rank_drop=rank_drop)
 
 
-def topk_oracle(blocks, retain, mode):
-    """Enumerate, sort by (-|v|, task, row, col), keep the exact count."""
-    entries = []
-    for t, b in enumerate(blocks):
-        for i in range(b.shape[0]):
-            for j in range(b.shape[1]):
-                entries.append((-abs(b[i, j]), t, i, j))
-    masks = [np.zeros(b.shape, dtype=bool) for b in blocks]
-    if mode == "joint":
-        entries.sort()
-        keep = math.ceil(retain * len(entries) - 1e-9)
-        for _, t, i, j in entries[:keep]:
-            masks[t][i, j] = True
-    else:
-        for t, b in enumerate(blocks):
-            sub = sorted(e for e in entries if e[1] == t)
-            keep = math.ceil(retain * b.size - 1e-9)
-            for _, _, i, j in sub[:keep]:
-                masks[t][i, j] = True
-    return masks
-
-
 class TestPruneTopk:
     @pytest.mark.parametrize("retain,mode,match", [(0.0, "joint", "retain"), (0.5, "x", "mode")])
     def test_bad_setting_rejected(self, retain, mode, match):
@@ -382,29 +366,6 @@ class TestElectSigns:
     def test_zero_sum_elects_positive(self):
         blocks = [np.array([[1.0]]), np.array([[-1.0]])]
         np.testing.assert_array_equal(elect_signs(blocks), [[1.0]])
-
-
-def disjoint_oracle(blocks, masks, signs, lambdas, disjoint=True):
-    """Literal per-position transcription of the filtered reciprocal-count
-    average."""
-    n_tasks = len(blocks)
-    out = np.zeros_like(blocks[0])
-    rows, cols = out.shape
-    for i in range(rows):
-        for j in range(cols):
-            kept = []
-            for t in range(n_tasks):
-                v = blocks[t][i, j] if masks[t][i, j] else 0.0
-                if signs is not None and v * signs[i, j] <= 0.0:
-                    v = 0.0
-                kept.append(v)
-            count = sum(1 for v in kept if v != 0.0)
-            total = sum(lam * v for lam, v in zip(lambdas, kept))
-            if disjoint:
-                out[i, j] = total / count if count else 0.0
-            else:
-                out[i, j] = total / n_tasks
-    return out
 
 
 def filtered_average(blocks, masks, lambdas, sign_elect=True, disjoint=True):
@@ -1209,74 +1170,6 @@ def test_svd_of_a_borrowed_stack_holds_two(orientation, shape, monkeypatch, gesd
     assert svd_peak(ds, monkeypatch, orientation) < 2.5
     assert gesdd_calls == [(2048, 64)]
     assert ds.deltas.tobytes() == before
-
-
-# --- byte reference: the list-of-blocks pipeline the stack replaced ---
-
-
-def reference_thin_svd(A, tall_gesdd=True):
-    """thin_svd as written with copies: (U, sigma, Vt, route). gesdd
-    factors a wide A through its tall transpose; ``tall_gesdd=False``
-    factors it as it is, the route thin_svd took before, whose LAPACK path
-    picks another basis for a rank-deficient A's null space."""
-    wide = A.shape[0] <= A.shape[1]
-    lam, W = np.linalg.eigh(A @ A.T if wide else A.T @ A)
-    lam, W = lam[::-1], W[:, ::-1]
-    if lam[0] > 0.0 and lam[-1] >= drm.linalg.GRAM_MIN_EIG_RATIO * lam[0]:
-        sigma = np.sqrt(lam)
-        if wide:
-            U, Vt = W, (W.T @ A) / sigma[:, None]
-        else:
-            U, Vt = (A @ W) / sigma[None, :], W.T
-        route = "gram"
-    elif tall_gesdd and A.shape[0] < A.shape[1]:
-        V, sigma, Ut = np.linalg.svd(A.T, full_matrices=False)
-        # Row-major factors: the block norms below sum each row's squares
-        # in the order numpy uses for contiguous rows.
-        U, Vt = np.ascontiguousarray(Ut.T), np.ascontiguousarray(V.T)
-        route = "gesdd"
-    else:
-        U, sigma, Vt = np.linalg.svd(A, full_matrices=False)
-        route = "gesdd"
-    flip = U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])] < 0
-    U = np.where(flip[None, :], -U, U)
-    Vt = np.where(flip[:, None], -Vt, Vt)
-    return U, sigma, Vt, route
-
-
-def reference_merge_drm(ds, cfg, tall_gesdd=True):
-    """(merged delta, stats, SVD route) with one array per task and stage."""
-    if cfg.method == "drm_v":
-        ds = ds.transposed()
-    n_tasks, n = ds.n_tasks, ds.base_shape[1]
-    U, sigma, Vt, route = reference_thin_svd(np.concatenate(ds.deltas, axis=1), tall_gesdd)
-    blocks = [Vt[:, t * n : (t + 1) * n] for t in range(n_tasks)]
-    row_norms = np.empty((n_tasks, sigma.size))
-    renorm_blocks = []
-    for t, block in enumerate(blocks):
-        norms = np.linalg.norm(block, axis=1)
-        row_norms[t] = norms
-        safe = np.where(norms > drm.engine.ZERO_ROW_NORM, norms, 1.0)
-        renorm = block / safe[:, None]
-        renorm[norms <= drm.engine.ZERO_ROW_NORM] = 0.0
-        renorm_blocks.append(renorm)
-    row_norms[row_norms <= drm.engine.ZERO_ROW_NORM] = 0.0
-    rank = int(np.count_nonzero(drm.linalg.nonzero_sigma_mask(sigma)))
-    if cfg.rank_drop > 0.0:  # keep the top ceil((1 - rank_drop) * rank) components
-        keep = min(rank, math.ceil((1.0 - cfg.rank_drop) * rank - 1e-9))
-        U, sigma = U.copy(), sigma.copy()
-        U[:, keep:] = 0.0
-        sigma[keep:] = 0.0
-        row_norms[:, keep:] = 0.0
-        for renorm in renorm_blocks:
-            renorm[keep:] = 0.0
-        rank = keep
-    task_sigmas = sigma[None, :] * row_norms
-    scaled = [task_sigmas[t][:, None] * renorm_blocks[t] for t in range(n_tasks)]
-    masks = prune_reference(renorm_blocks, cfg.retain, cfg.prune_mode)
-    merged = U @ tail_reference(scaled, cfg, mask=masks)
-    stats = {"rank": rank, "kept": int(sum(m.sum() for m in masks)), "total": sum(b.size for b in renorm_blocks)}
-    return (merged.T if cfg.method == "drm_v" else merged), stats, route
 
 
 def realistic_delta_set(conditioning, seed=0, n_tasks=4, m=96, n=160):

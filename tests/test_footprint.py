@@ -9,17 +9,15 @@ in the command that runs it.
 """
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import child_env
 from drm.bundle import TensorBundle, write_bundle
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 MERGE_MODULES = ("drm.bundle", "drm.engine", "drm.linalg", "drm.errors")
 NOT_IN_A_DRM_MERGE = ("drm.analysis", "drm.harness", "hashlib", "concurrent.futures", "logging")
 
@@ -36,10 +34,8 @@ RUN_COMMAND = (
 def fresh_python(code, *args, **env):
     """The last stdout line of ``code``, run in a fresh interpreter that
     imports drm from this checkout's ``src``, as JSON."""
-    child_env = {k: v for k, v in os.environ.items() if k != "DRM_THREADS"}
-    child_env.update(PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1", **env)
     proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                          text=True, timeout=60, env=child_env)
+                          text=True, timeout=60, env=child_env(**env))
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 

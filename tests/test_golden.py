@@ -35,14 +35,11 @@ prune and the disjoint-merge tail.
 import collections
 import hashlib
 import json
-import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import drm.baselines
-import drm.engine
 from drm.bundle import TensorBundle, materialize_low_rank, read_bundle, write_bundle
 from drm.cli import _CLI_METHODS, build_parser, main
 from drm.harness import default_grids, synth_suite
@@ -285,29 +282,11 @@ WORK_PER_LAYER = {
 SELECTION = ("_partition_cutoff", "_bracket_mask")
 
 
-@pytest.fixture()
-def work_counts(monkeypatch):
-    """Calls of each counted function, from any layer worker."""
-    counts, lock = collections.Counter(), threading.Lock()
-    for name in ("thin_svd", "prune_topk", "disjoint_average", *SELECTION):
-        real = getattr(drm.engine, name)
-
-        def counting(*args, _real=real, _name=name, **kwargs):
-            with lock:
-                counts[_name] += 1
-            return _real(*args, **kwargs)
-
-        # The baselines call the engine's prune and tail by their own names.
-        for module in (drm.engine, drm.baselines):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counting)
-    return counts
-
-
 @pytest.mark.parametrize("method", WORK_PER_LAYER)
-def test_merge_work_counts_per_layer(method, tmp_path, monkeypatch, work_counts):
+def test_merge_work_counts_per_layer(method, tmp_path, monkeypatch, call_counts):
     # Left unset, DRM_THREADS runs the baselines' layers on a pool.
     monkeypatch.delenv("DRM_THREADS", raising=False)
+    work_counts = call_counts("thin_svd", "prune_topk", "disjoint_average", *SELECTION)
     base, tasks = write_family(tmp_path)
     layers = sum(len(shape) == 2 for shape, _ in SHAPES.values())
     svds, prunes, tails = WORK_PER_LAYER[method]

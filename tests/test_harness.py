@@ -282,25 +282,12 @@ class TestGridTune:
         assert a.grid == b.grid
 
     @pytest.mark.parametrize("method", ["drm_h", "drm_v"])
-    def test_drm_decomposes_once_and_prunes_once_per_retain(self, method, monkeypatch):
+    def test_drm_decomposes_once_and_prunes_once_per_retain(self, method, monkeypatch, call_counts):
         # The default grid's work table: one SVD per tune; one prune, one
         # tail pass and one projection U @ plane per retain value, not per
         # grid point.
-        calls = {"thin_svd": 0, "prune_topk": 0}
-        for name in calls:
-            real = getattr(drm.engine, name)
-
-            def counting(*args, _real=real, _name=name, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(drm.engine, name, counting)
-        tails, projections = [], []
-        real_tail = drm.engine.disjoint_average
-
-        def counting_tail(*args, **kwargs):
-            tails.append(1)
-            return real_tail(*args, **kwargs)
+        calls = call_counts("thin_svd", "prune_topk", "disjoint_average")
+        projections = []
 
         class CountingU(np.ndarray):
             def __matmul__(self, other):
@@ -314,31 +301,22 @@ class TestGridTune:
             jd.U = jd.U.view(CountingU)
             return jd
 
-        monkeypatch.setattr(drm.engine, "disjoint_average", counting_tail)
         monkeypatch.setattr(drm.engine, "decompose_joint", decompose)
         base, tasks = synth_suite(19, 3, 6, 5, samples=50)
         res = grid_tune(base, tasks, method)
         assert len(res.grid) == 80
-        assert calls == {"thin_svd": 1, "prune_topk": 10}
-        assert len(tails) == 10
+        assert calls == {"thin_svd": 1, "prune_topk": 10, "disjoint_average": 10}
         assert len(projections) == 10
 
     @pytest.mark.parametrize("method,merges", [
         ("ties", 10), ("dare_ties", 1), ("task_arithmetic", 1), ("simple_avg", 1),
     ])
-    def test_baseline_tune_merges_once_per_retain(self, method, merges, monkeypatch):
-        count = []
-        real = drm.engine._merge_delta_set_with_stats
-
-        def counting(*args, **kwargs):
-            count.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(drm.engine, "_merge_delta_set_with_stats", counting)
+    def test_baseline_tune_merges_once_per_retain(self, method, merges, call_counts):
+        count = call_counts("_merge_delta_set_with_stats")
         base, tasks = synth_suite(19, 3, 6, 5, samples=50)
         res = grid_tune(base, tasks, method)
         assert len(res.grid) == len(default_grids(method)[0]) * len(default_grids(method)[1])
-        assert len(count) == merges
+        assert count["_merge_delta_set_with_stats"] == merges
 
     def test_training_splits_freed_before_the_grid(self, monkeypatch):
         # Training rows dominate this suite: 4 x 1800 x (64 + 4) float64
