@@ -83,14 +83,14 @@ def thin_svd(A: np.ndarray, overwrite_a: bool = False) -> ThinSVD:
     With ``overwrite_a`` the caller gives up ``A``: if the matrix ``gesdd``
     factors (``A``, or ``A.T`` when ``A`` is wide) is a float64,
     Fortran-ordered, writeable matrix, that is ``A`` is in
-    :func:`in_place_order`, the ``gesdd`` route factors it where it lies,
-    its bytes are destroyed and its memory then holds the larger factor
-    (``U`` when m >= n, ``Vt`` otherwise). Without
-    it, or for any other layout, ``A`` is never written. The Gram route
-    never writes ``A``. The factors' memory order is not part of the
-    contract; their values do not depend on A's, except that a BLAS may
-    round a tall A's Gram-route ``A @ W`` otherwise in Fortran order. An
-    empty ``A`` gives m x 0, 0 and 0 x n factors without running either route.
+    :func:`in_place_order`, the ``gesdd`` route uses it as its work matrix
+    and destroys its bytes. Without it, or for any other layout, ``A`` is
+    never written. The Gram route never writes ``A``. On either route no
+    factor shares A's memory, and the factors' memory order is not part of
+    the contract; their values do not depend on A's, except that a BLAS
+    may round a tall A's Gram-route ``A @ W`` otherwise in Fortran order.
+    An empty ``A`` gives m x 0, 0 and 0 x n factors without running either
+    route.
 
     Raises NonFiniteValue on NaN or infinity in ``A``, before any LAPACK
     call, and ConvergenceFailure if the backend does not converge.
@@ -104,7 +104,7 @@ def thin_svd(A: np.ndarray, overwrite_a: bool = False) -> ThinSVD:
     factors = _gram_svd(A)
     if factors is None:
         U, sigma, Vt = _lapack_svd(A, overwrite_a)
-        # Both factors are fresh arrays (or views of one): negate in place.
+        # Both factors are fresh arrays: negate in place.
         flip = _sign_flips(U)
         np.negative(U, out=U, where=flip[None, :])
         np.negative(Vt, out=Vt, where=flip[:, None])
@@ -168,56 +168,49 @@ def _dgesdd():
 
 
 def _lapack_svd(A: np.ndarray, overwrite_a: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(U, sigma, Vt) from LAPACK's ``gesdd``. A wide ``A`` is factored
-    through its tall transpose: ``gesdd`` then takes its QR path, whose
-    Householder steps walk the Fortran-ordered columns, instead of its LQ
-    path, which walks rows with a stride of the whole leading dimension."""
-    if in_place_order(A.shape) == "C":  # wide: A.T is the tall orientation
-        V, sigma, Ut = _tall_lapack_svd(A.T, overwrite_a, A.shape)  # A.T = V diag(sigma) Ut
-        return Ut.T, sigma, V.T
-    return _tall_lapack_svd(A, overwrite_a, A.shape)
-
-
-def _tall_lapack_svd(
-    A: np.ndarray, overwrite_a: bool, shape: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(U, sigma, Vt) of a tall or square ``A`` from ``gesdd``, called as
-    numpy's ``svd_s`` calls it, so the bytes are those of ``np.linalg.svd``;
-    only the buffers differ. ``U`` is written, in ``gesdd``'s own Fortran
-    order, into the work matrix ``a``, which ``gesdd`` has destroyed and
-    which has its shape; ``Vt`` (n x n) is C-ordered. Errors name
-    ``shape``, the matrix the caller was given."""
+    """(U, sigma, Vt) from LAPACK's ``gesdd``, called on the tall
+    orientation (``A``, or ``A.T`` when ``A`` is wide) as numpy's ``svd_s``
+    calls it, so the bytes are those of ``np.linalg.svd``. On a wide ``A``,
+    ``gesdd`` would take its LQ path, whose Householder steps walk rows with
+    a stride of the whole leading dimension; on the tall transpose it takes
+    its QR path, which walks the Fortran-ordered columns. The factors are
+    the buffers ``gesdd`` wrote: the tall orientation's ``U`` in Fortran
+    order and its ``Vt`` C-ordered, swapped and transposed for a wide
+    ``A``. Errors name ``A``'s shape."""
+    wide = in_place_order(A.shape) == "C"
+    T = A.T if wide else A  # T = U diag(sigma) Vt with m >= n
     gesdd = _dgesdd()
     if gesdd is None:
         try:
-            return np.linalg.svd(A, full_matrices=False)
+            U, s, Vt = np.linalg.svd(T, full_matrices=False)
         except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(f"SVD did not converge on a {shape} matrix") from exc
-    m, n = A.shape  # m >= n, so U is m x n and Vt n x n
-    in_place = overwrite_a and A.flags.f_contiguous and A.flags.writeable and A.flags.aligned
-    a = A if in_place else np.array(A, order="F")
-    s = np.empty(n)
-    u = np.empty((n, m))  # u.T is U, m x n in Fortran order (ldu = m)
-    vt = np.empty((n, n))  # vt.T is Vt, n x n in Fortran order (ldvt = n)
-    iwork = np.empty(8 * n, dtype=np.int64)
-    pm, pn = (ctypes.byref(ctypes.c_int64(v)) for v in (m, n))
-    lwork, info = ctypes.c_int64(-1), ctypes.c_int64(0)
-    work = np.empty(1)
-    for query in (True, False):  # a workspace query, then the factorization
-        gesdd(b"S", pm, pn, a.ctypes.data, pm, s.ctypes.data, u.ctypes.data, pm,
-              vt.ctypes.data, pn, work.ctypes.data, ctypes.byref(lwork),
-              iwork.ctypes.data, ctypes.byref(info), 1)
-        if info.value < 0:
-            raise RuntimeError(f"dgesdd rejected argument {-info.value} for a {shape} matrix")
-        if info.value > 0:
-            raise ConvergenceFailure(f"SVD did not converge on a {shape} matrix")
-        if query:
-            lwork.value = max(1, int(work[0]))
-            work = np.empty(lwork.value)
-    del work, iwork
-    np.copyto(a, u.T)  # both Fortran-ordered: a straight copy
-    del u
-    return a, s, np.ascontiguousarray(vt.T)
+            raise ConvergenceFailure(f"SVD did not converge on a {A.shape} matrix") from exc
+    else:
+        m, n = T.shape
+        in_place = overwrite_a and T.flags.f_contiguous and T.flags.writeable and T.flags.aligned
+        a = T if in_place else np.array(T, order="F")  # gesdd's work matrix
+        s = np.empty(n)
+        u = np.empty((n, m))  # u.T is U, m x n in Fortran order (ldu = m)
+        vt = np.empty((n, n))  # vt.T is Vt, n x n in Fortran order (ldvt = n)
+        iwork = np.empty(8 * n, dtype=np.int64)
+        pm, pn = (ctypes.byref(ctypes.c_int64(v)) for v in (m, n))
+        lwork, info = ctypes.c_int64(-1), ctypes.c_int64(0)
+        work = np.empty(1)
+        for query in (True, False):  # a workspace query, then the factorization
+            gesdd(b"S", pm, pn, a.ctypes.data, pm, s.ctypes.data, u.ctypes.data, pm,
+                  vt.ctypes.data, pn, work.ctypes.data, ctypes.byref(lwork),
+                  iwork.ctypes.data, ctypes.byref(info), 1)
+            if info.value < 0:
+                raise RuntimeError(
+                    f"dgesdd rejected argument {-info.value} for a {A.shape} matrix")
+            if info.value > 0:
+                raise ConvergenceFailure(f"SVD did not converge on a {A.shape} matrix")
+            if query:
+                lwork.value = max(1, int(work[0]))
+                work = np.empty(lwork.value)
+        del a, work, iwork
+        U, Vt = u.T, np.ascontiguousarray(vt.T)
+    return (Vt.T, s, U.T) if wide else (U, s, Vt)
 
 
 def _gram_svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:

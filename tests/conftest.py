@@ -1,6 +1,7 @@
 import collections
 import os
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,17 @@ def child_env(**env):
     child = {k: v for k, v in os.environ.items() if k != "DRM_THREADS"}
     child.update(PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1", **env)
     return child
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``(fn(*args, **kwargs), peak)``: the call's result and the peak, in
+    bytes, of the memory tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture()

@@ -23,7 +23,7 @@ import pytest
 import drm.bundle
 import drm.cli
 import drm.harness
-from conftest import child_env
+from conftest import child_env, traced_peak
 from drm.bundle import TensorBundle, read_bundle, write_bundle
 from drm.cli import MAX_GRID_POINTS, _parse_grid, main
 from drm.engine import MergeConfig
@@ -398,12 +398,8 @@ class TestMergeInputs:
         unit = n_tasks * shape[0] * shape[1] * 8  # one layer's float64 deltas
         monkeypatch.setenv("DRM_THREADS", str(workers))
         out = tmp_path / "merged.drmb"
-        tracemalloc.start()
-        try:
-            code = run_merge(str(tmp_path / "base.drmb"), task_paths, out, "--method", method)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(
+            run_merge, str(tmp_path / "base.drmb"), task_paths, out, "--method", method)
         assert code == 0
         capsys.readouterr()
         output = sum(arr.nbytes for _, arr in read_bundle(out).items())
@@ -463,12 +459,7 @@ class TestAnalyze:
             argv += ["--task", str(tmp_path / f"task{t}.drmb")]
         del base, delta
 
-        tracemalloc.start()
-        try:
-            code = main(argv)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(main, argv)
         assert code == 0
         capsys.readouterr()
         assert peak <= bound * n_tasks * shape[0] * shape[1] * 8
@@ -560,12 +551,7 @@ class TestAnalyze:
         del base, task
 
         unit = n_tasks * shape[0] * shape[1] * 8
-        tracemalloc.start()
-        try:
-            code = main(argv)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(main, argv)
         assert code == 0
         capsys.readouterr()
         assert len(json.loads((tmp_path / "report.json").read_text())) >= n_layers

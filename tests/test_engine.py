@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import drm
 import drm.engine
 import drm.errors
+from conftest import traced_peak
 from drm.baselines import dare_ties_merge, task_arithmetic, ties_merge
 from drm.bundle import DeltaSet, TensorBundle, check_aligned
 from drm.engine import (
@@ -772,12 +773,7 @@ def test_merge_memory_bounded_by_layers_in_flight(method, monkeypatch):
     base, tasks = deep_family(n_layers, n_tasks, shape)
     unit = n_tasks * shape[0] * shape[1] * 8
     monkeypatch.setenv("DRM_THREADS", str(workers))
-    tracemalloc.start()
-    try:
-        merged = merge_bundle(base, tasks, MergeConfig(method=method))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    merged, peak = traced_peak(merge_bundle, base, tasks, MergeConfig(method=method))
     output = sum(arr.nbytes for _, arr in merged.items())
     assert peak - output < workers * 8 * unit
 
@@ -898,12 +894,7 @@ def test_layer_merge_memory_bounded_by_its_stack(method, shape):
     n_tasks = 4
     ds = random_delta_set(0, n_tasks, *shape)
     unit = n_tasks * shape[0] * shape[1] * 8
-    tracemalloc.start()
-    try:
-        merge_drm_with_stats(ds, MergeConfig(method=method))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(merge_drm_with_stats, ds, MergeConfig(method=method))
     assert peak / unit < 3.5
 
 
@@ -923,12 +914,7 @@ def test_drm_tail_allocates_no_stack_sized_temporary(method, shape, monkeypatch)
     monkeypatch.setattr(drm.engine, "decompose_joint", lambda *args: jd)
     monkeypatch.setattr(drm.engine, "prune_topk", lambda *args: mask)
     unit = jd.renorm_blocks.nbytes
-    tracemalloc.start()
-    try:
-        merge_drm_with_stats(ds, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(merge_drm_with_stats, ds, cfg)
     assert peak / unit < 0.75
 
 
@@ -1022,12 +1008,7 @@ def test_bundle_layer_peak_below_two_and_a_half_stacks(
     unit = n_tasks * shape[0] * shape[1] * 8
     monkeypatch.setenv("DRM_THREADS", "1")
     monkeypatch.setattr(drm.engine, "_CHUNK", drm.engine._CHUNK // chunk)
-    tracemalloc.start()
-    try:
-        merge_bundle(base, tasks, MergeConfig(method=method))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(merge_bundle, base, tasks, MergeConfig(method=method))
     assert peak / unit < bound
     assert len(gesdd_calls) == (family is adapter_family)
 
@@ -1144,10 +1125,10 @@ def svd_peak(ds, monkeypatch, orientation="vertical"):
 
 
 def test_vertical_svd_holds_one_stack(monkeypatch, gesdd_calls):
-    # An owned stack laid out as merge_bundle lays out drm-v's is factored
-    # where it lies and then holds the right factor, so the SVD adds one
-    # stack: gesdd's own Fortran left factor of the tall transpose, copied
-    # into the stack's memory once gesdd returns.
+    # An owned stack laid out as merge_bundle lays out drm-v's is gesdd's
+    # work matrix, factored where it lies, so the SVD adds one stack:
+    # gesdd's own left factor of the tall transpose, which is the right
+    # factor of the stack.
     ds = adapter_delta_set("drm_v")
     assert ds.deltas.strides == stack_strides("jti", 8, (256, 64))
     ds._owned = True
@@ -1162,9 +1143,9 @@ def test_vertical_svd_holds_one_stack(monkeypatch, gesdd_calls):
 def test_svd_of_a_borrowed_stack_holds_two(orientation, shape, monkeypatch, gesdd_calls):
     # A caller's stack keeps its bytes. drm-v's matrix is a view of it, so
     # gesdd factors a Fortran copy; drm-h's is a private C-ordered copy,
-    # whose transpose gesdd factors in place. Either way one copy of the
-    # stack then receives the factor. Copying drm-h's copy again cost
-    # about 3.2 stacks.
+    # whose transpose gesdd factors in place. Either way the peak holds one
+    # copy of the stack and gesdd's own left factor. Copying drm-h's copy
+    # again cost about 3.2 stacks.
     ds = adapter_delta_set(shape=shape)
     before = ds.deltas.tobytes()
     assert svd_peak(ds, monkeypatch, orientation) < 2.5

@@ -355,32 +355,32 @@ class TestDirectGesdd:
         for name in ("U", "sigma", "Vt"):
             assert getattr(fallback, name).tobytes() == getattr(direct, name).tobytes()
 
-    @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("overwrite_a", [False, True])
+    @pytest.mark.parametrize("overwrite_a,order", [(False, "C"), (False, "F"), (True, "F")])
     def test_input_kept_unless_given_up_in_fortran_order(self, order, overwrite_a):
-        # A is wide, so gesdd factors A.T, which is Fortran-ordered when A
-        # is C-ordered.
+        # A is wide, so gesdd factors A.T, which is Fortran-ordered only when
+        # A is C-ordered.
         A = gesdd_input((24, 96), "rank2_adapters", order)
         before = A.tobytes()
         svd = thin_svd(A, overwrite_a=overwrite_a)
-        if overwrite_a and order == "C" and linalg._dgesdd() is not None:
-            assert np.shares_memory(svd.Vt, A)
-        else:
-            assert A.tobytes() == before
-            assert not np.shares_memory(svd.Vt, A)
+        assert A.tobytes() == before
+        assert not np.shares_memory(svd.Vt, A)
 
-    @needs_direct_gesdd
     @pytest.mark.parametrize("shape", [(24, 96), (96, 24), (40, 40)], ids=["wide", "tall", "square"])
-    def test_owned_fortran_input_holds_the_larger_factor(self, shape):
+    @pytest.mark.parametrize("path", [pytest.param("direct", marks=needs_direct_gesdd), "fallback"])
+    def test_given_up_input_is_factored_where_it_lies(self, monkeypatch, path, shape):
         # The matrix gesdd factors is Fortran-ordered: A itself when tall or
-        # square, A.T (so A is C-ordered) when wide.
+        # square, A.T (so A is C-ordered) when wide. The direct call uses it
+        # as its work matrix; np.linalg.svd factors a copy.
         wide = shape[0] < shape[1]
         A = gesdd_input(shape, "rank2_adapters", "C" if wide else "F")
-        want = thin_svd(A)
+        if path == "fallback":
+            monkeypatch.setattr(linalg, "_dgesdd", lambda: None)
+        before = A.tobytes()
+        want = thin_svd(A.copy(order="K"))
         got = thin_svd(A, overwrite_a=True)
-        larger = got.Vt if wide else got.U
-        assert np.shares_memory(larger, A) and larger.size == A.size
+        assert (A.tobytes() != before) == (path == "direct")
         for name in ("U", "sigma", "Vt"):
+            assert not np.shares_memory(getattr(got, name), A)
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
     @pytest.mark.parametrize("info,error", [(3, ConvergenceFailure), (-5, RuntimeError)])
