@@ -70,51 +70,13 @@ _LAZY = {
     ), "harness"),
 }
 
-__all__ = [
-    "AgreementHistogram",
-    "ArgumentError",
-    "BoundReport",
-    "BundleFile",
-    "DeltaSet",
-    "DensityReport",
-    "DrmError",
-    "InputOutputError",
-    "JointDecomposition",
-    "MergeConfig",
-    "NumericError",
-    "SpectrumReport",
-    "SynthTask",
-    "TensorBundle",
-    "ThinSVD",
-    "TuneResult",
-    "check_perturbation_bounds",
-    "closed_form_finetune",
-    "dare_ties_merge",
-    "decompose_joint",
-    "disjoint_average",
-    "elect_signs",
-    "evaluate",
-    "extract_deltas",
-    "grid_tune",
-    "materialize_low_rank",
-    "merge_biases",
-    "merge_bundle",
-    "merge_delta_set",
-    "merge_delta_set_grid",
-    "merge_drm",
-    "open_bundle",
-    "prune_topk",
-    "pruning_density",
-    "read_bundle",
-    "run_bench",
-    "sign_agreement",
-    "spectrum_report",
-    "synth_suite",
-    "task_arithmetic",
-    "thin_svd",
-    "ties_merge",
-    "write_bundle",
-]
+# Every public name bound above or listed in _LAZY, in sorted order: a new
+# export is written once, at its import or in _LAZY.
+__all__ = sorted({
+    *(name for name, value in globals().items()
+      if not name.startswith("_") and not isinstance(value, type(importlib))),
+    *_LAZY,
+})
 
 
 def __getattr__(name):

@@ -45,7 +45,7 @@ VERSION = 1
 ALIGN = 8
 
 _DTYPE_FROM_NAME = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
-_NAME_FROM_KIND = {("f", 4): "f32", ("f", 8): "f64"}
+_NAME_FROM_KIND = {(dt.kind, dt.itemsize): name for name, dt in _DTYPE_FROM_NAME.items()}
 
 
 def canonical_json(obj) -> str:

@@ -21,9 +21,9 @@ from .bundle import BundleFile, DeltaSet, TensorBundle, canonical_json, check_al
 from .errors import ArgumentError, CastOverflow, DrmError, NonFiniteValue, ShapeMismatch
 from .linalg import in_place_order, nonzero_sigma_mask, thin_svd
 
-ORIENTATIONS = ("horizontal", "vertical")
 # The orientation in which each drm method decomposes its stack.
 DRM_ORIENTATIONS = {"drm_h": "horizontal", "drm_v": "vertical"}
+ORIENTATIONS = tuple(DRM_ORIENTATIONS.values())
 # The spaces in which drm.analysis tallies sign agreement; a -h/-v suffix
 # names the orientation.
 SPACES = ("original", "decomposed-h", "decomposed-v", "backprojected-h", "backprojected-v")

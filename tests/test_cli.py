@@ -405,6 +405,26 @@ class TestMergeInputs:
         output = sum(arr.nbytes for _, arr in read_bundle(out).items())
         assert peak - output < workers * 12 * unit
 
+    @pytest.mark.parametrize("flag", ["--base", "--task", "--out"])
+    def test_directory_in_place_of_a_bundle_is_io_error(self, family, capsys, flag):
+        # A directory opens for reading but fails the first read; as --out
+        # it fails the rename of the finished temporary file over it.
+        base, tasks, tmp = family
+        folder = tmp / "folder"
+        folder.mkdir()
+        out = tmp / "merged.drmb"
+        if flag == "--base":
+            base = str(folder)
+        elif flag == "--task":
+            tasks = [tasks[0], str(folder), *tasks[1:]]
+        else:
+            out = folder
+        before = sorted(p.name for p in tmp.iterdir())
+        assert run_merge(base, tasks, out, "--method", "avg") == 3
+        assert "Is a directory" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp.iterdir()) == before
+        assert list(folder.iterdir()) == []
+
 
 class TestAnalyze:
     def test_sign_agreement_one_task_exit_2(self, family, capsys):

@@ -1,4 +1,5 @@
 import ctypes
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,18 @@ class TestDecompositionRoutes:
         assert gesdd_calls == [A.T.shape]
         check_thin_svd_invariants(A, svd)
         assert svd.rank == gesdd_rank(A) == rank
+
+    def test_gram_overflow_on_finite_input_falls_back(self, gesdd_calls):
+        # Every row's sum of squares overflows, so the Gram diagonal is
+        # infinite although A is finite; gesdd factors A.T instead. A norm
+        # of A itself overflows, so the contract is checked on A / scale.
+        scale = 1e160
+        A = random_matrix(41, 6, 20, scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            svd = thin_svd(A)
+        assert gesdd_calls == [(20, 6)]
+        check_thin_svd_invariants(A / scale, linalg.ThinSVD(svd.U, svd.sigma / scale, svd.Vt))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_input_rejected_before_lapack(self, monkeypatch, bad):
