@@ -20,14 +20,10 @@ def task_arithmetic(ds: DeltaSet, lambdas) -> np.ndarray:
     return out
 
 
-def ties_merge(ds: DeltaSet, cfg: MergeConfig) -> np.ndarray:
+def ties_merge(ds: DeltaSet, cfg: MergeConfig) -> tuple[np.ndarray, dict]:
     """Per-task magnitude pruning, sign election, and disjoint averaging,
-    applied to the raw deltas with no decomposition."""
-    merged, _ = ties_merge_with_stats(ds, cfg)
-    return merged
-
-
-def ties_merge_with_stats(ds: DeltaSet, cfg: MergeConfig) -> tuple[np.ndarray, dict]:
+    applied to the raw deltas with no decomposition: the merged delta and
+    the prune's ``kept``/``total`` counts."""
     stack = ds.deltas if ds._owned else ds.deltas.copy()  # pruned in place
     masks = prune_topk(stack, cfg.retain, "individual")
 

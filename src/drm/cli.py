@@ -18,7 +18,8 @@ from pathlib import Path
 
 from .bundle import atomic_output, canonical_json, check_aligned, open_bundle, write_bundle
 from .bundle import read_bundle  # noqa: F401 -- drmbench wraps drm.cli.read_bundle
-from .engine import PRUNE_MODES, SPACES, MergeConfig, map_layers, merge_bundle_with_stats
+from .engine import PRUNE_MODES, SPACES, MergeConfig, map_layers
+from .engine import merge_bundle as merge_bundle_with_stats  # drmbench's tracer wraps this name
 from .errors import ArgumentError, InputOutputError, NumericError
 
 _CLI_METHODS = {

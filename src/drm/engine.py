@@ -192,10 +192,9 @@ def decompose_joint(
 
 
 def _keep_count(retain: float, total: int) -> int:
-    # ceil with a guard against float dust (0.2 * 15 == 3.0000000000000004).
-    if total == 0:
-        return 0
-    return min(total, max(0, math.ceil(retain * total - 1e-9)))
+    # ceil with a guard against float dust (0.2 * 15 == 3.0000000000000004);
+    # a positive share of a non-empty pool keeps at least one.
+    return min(total, max(1, math.ceil(retain * total - 1e-9)))
 
 
 # Entries a chunked pass (extraction into a strided stack, the prune sweep,
@@ -330,8 +329,8 @@ def _pool_mask(x: np.ndarray, keep: int, mask: np.ndarray) -> None:
     4 * ``_SAMPLE`` entries goes through :func:`_bracket_mask`; a smaller
     one, or one whose sample misleads it, takes its cutoff from a partition
     of a copy of the magnitudes."""
-    if keep in (0, x.size):
-        mask[...] = keep > 0
+    if keep == x.size:  # every entry; _keep_count keeps at least one of a non-empty pool
+        mask[...] = True
     elif not (x.size > 4 * _SAMPLE and _bracket_mask(x, keep, mask)):
         _threshold_mask(x, keep, _partition_cutoff(x, keep), mask)
 
@@ -458,15 +457,10 @@ def disjoint_average(
     return plane
 
 
-def merge_drm(ds: DeltaSet, cfg: MergeConfig) -> np.ndarray:
-    """Run the full joint-space pipeline and return the merged delta."""
-    merged, _ = merge_drm_with_stats(ds, cfg)
-    return merged
-
-
-def merge_drm_with_stats(ds: DeltaSet, cfg: MergeConfig) -> tuple[np.ndarray, dict]:
-    """The merged delta and its ``rank``/``kept``/``total`` stats: the
-    one-``retain`` case of :func:`_drm_grid`."""
+def merge_drm(ds: DeltaSet, cfg: MergeConfig) -> tuple[np.ndarray, dict]:
+    """Run the full joint-space pipeline: the merged delta and its
+    ``rank``/``kept``/``total`` stats, the one-``retain`` case of
+    :func:`_drm_grid`."""
     if cfg.method not in DRM_ORIENTATIONS:
         raise ValueError(f"merge_drm handles drm_h/drm_v, not {cfg.method!r}")
     return next(_drm_grid(ds, cfg, [cfg.retain]))
@@ -514,13 +508,9 @@ def merge_biases(base: np.ndarray, task_values: list[np.ndarray], lambdas) -> np
     return base + acc / len(task_values)
 
 
-def merge_delta_set(ds: DeltaSet, cfg: MergeConfig) -> np.ndarray:
-    """Dispatch one layer's DeltaSet to the configured method; returns the merged delta."""
-    merged, _ = _merge_delta_set_with_stats(ds, cfg)
-    return merged
-
-
-def _merge_delta_set_with_stats(ds: DeltaSet, cfg: MergeConfig) -> tuple[np.ndarray, dict]:
+def merge_delta_set(ds: DeltaSet, cfg: MergeConfig) -> tuple[np.ndarray, dict]:
+    """Dispatch one layer's DeltaSet to the configured method: the merged
+    delta and its stats (empty for averaging, TA and DARE-TIES)."""
     from . import baselines  # local import: baselines builds on this module's ops
 
     if cfg.method in DRM_ORIENTATIONS:
@@ -531,15 +521,20 @@ def _merge_delta_set_with_stats(ds: DeltaSet, cfg: MergeConfig) -> tuple[np.ndar
     if cfg.method == "task_arithmetic":
         return baselines.task_arithmetic(ds, cfg.task_lambdas(ds.n_tasks)), {}
     if cfg.method == "ties":
-        return baselines.ties_merge_with_stats(ds, cfg)
+        return baselines.ties_merge(ds, cfg)
     return baselines.dare_ties_merge(ds, cfg), {}
+
+
+# drmbench's tracer wraps these names, which this module calls; in-package spans retire them.
+merge_drm_with_stats = merge_drm
+_merge_delta_set_with_stats = merge_delta_set
 
 
 def merge_delta_set_grid(ds: DeltaSet, cfg: MergeConfig, retain_grid):
     """Merge one layer at every ``retain`` of ``retain_grid``.
 
     Yields ``(merged delta, stats)`` in grid order. Each equals
-    ``_merge_delta_set_with_stats(ds, cfg)`` with that ``retain`` swapped
+    ``merge_delta_set(ds, cfg)`` with that ``retain`` swapped
     in, byte for byte, at ``cfg``'s own coefficients. drm-h and drm-v share
     their retain-independent stages across the grid (see
     :func:`_drm_grid`); every other method merges each ``retain`` from
@@ -685,21 +680,11 @@ def merge_bundle(
     tasks: list[TensorBundle | BundleFile],
     cfg: MergeConfig,
     task_names: list[str] | None = None,
-) -> TensorBundle:
-    """Merge task checkpoints onto the base; see :func:`merge_bundle_with_stats`."""
-    merged, _ = merge_bundle_with_stats(base, tasks, cfg, task_names)
-    return merged
-
-
-def merge_bundle_with_stats(
-    base: TensorBundle | BundleFile,
-    tasks: list[TensorBundle | BundleFile],
-    cfg: MergeConfig,
-    task_names: list[str] | None = None,
 ) -> tuple[TensorBundle, list[LayerStats]]:
     """Merge whole checkpoints: matrices via the configured method, biases
-    via weighted averaging. Output dtypes follow the base bundle per tensor
-    and the metadata records the configuration.
+    via weighted averaging. Returns the merged bundle and one
+    :class:`LayerStats` per tensor. Output dtypes follow the base bundle
+    per tensor and the metadata records the configuration.
 
     Names and shapes are checked up front; :func:`map_layers` then walks
     the layers. Other methods merge them in a pool of one worker per core,

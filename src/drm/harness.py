@@ -408,7 +408,7 @@ def run_bench(
             cfg = _neutral_config(method, len(tasks), seed)
         else:
             cfg = MergeConfig(method=method, seed=seed)
-        merged = base + merge_delta_set(ds, cfg)
+        merged = base + merge_delta_set(ds, cfg)[0]
         per_task, mean = evaluate(merged, tasks)
         result.method_scores[method] = mean
         result.per_task[method] = per_task

@@ -18,7 +18,8 @@ partition of ``drm.engine.prune_topk``), ``tail_reference`` (the
 disjoint-merge tail on a whole stack), ``ties_reference`` and
 ``dare_reference`` (the two baselines ending in that tail), and
 ``reference_thin_svd`` with ``reference_merge_drm`` (the drm pipeline with
-one array per task and stage).
+one array per task and stage). Each takes its top-k and rank-cut counts
+from ``keep_count``.
 
 Inputs: ``make_ds`` wraps a list of deltas, ``synth_hetero_deltas`` spans
 a chosen ratio of task norms (where renormalization visibly changes what
@@ -110,6 +111,13 @@ def svd_oracle(A: np.ndarray) -> np.ndarray:
     return np.sort(np.sqrt(evals))[::-1]
 
 
+def keep_count(share: float, size: int) -> int:
+    """The entries or components a positive ``share`` of a pool of ``size``
+    keeps: ceil(share * size), less float dust, and at least one of a
+    non-empty pool."""
+    return min(size, max(1, math.ceil(share * size - 1e-9)))
+
+
 def prune_reference(stack, retain: float, mode: str = "joint") -> np.ndarray:
     """The keep-mask of an N x rows x cols stack: in each pool (the whole
     stack in joint mode, each block in individual mode) the top
@@ -119,7 +127,7 @@ def prune_reference(stack, retain: float, mode: str = "joint") -> np.ndarray:
     mask = np.zeros(stack.shape, dtype=bool)
     for pool, kept in [(stack, mask)] if mode == "joint" else zip(stack, mask):
         mags = np.abs(pool).ravel()
-        keep = min(mags.size, max(0, math.ceil(retain * mags.size - 1e-9)))
+        keep = keep_count(retain, mags.size)
         kept.reshape(-1)[np.argsort(-mags, kind="stable")[:keep]] = True
     return mask
 
@@ -134,13 +142,13 @@ def topk_oracle(blocks, retain, mode):
     masks = [np.zeros(b.shape, dtype=bool) for b in blocks]
     if mode == "joint":
         entries.sort()
-        keep = math.ceil(retain * len(entries) - 1e-9)
+        keep = keep_count(retain, len(entries))
         for _, t, i, j in entries[:keep]:
             masks[t][i, j] = True
     else:
         for t, b in enumerate(blocks):
             sub = sorted(e for e in entries if e[1] == t)
-            keep = math.ceil(retain * b.size - 1e-9)
+            keep = keep_count(retain, b.size)
             for _, _, i, j in sub[:keep]:
                 masks[t][i, j] = True
     return masks
@@ -208,7 +216,7 @@ def ties_oracle(deltas, retain, lambdas):
             ((i, j) for i in range(rows) for j in range(cols)),
             key=lambda ij: (-abs(d[ij]), ij),
         )
-        keep = set(order[: math.ceil(retain * d.size - 1e-9)])
+        keep = set(order[: keep_count(retain, d.size)])
         pruned.append(
             np.array([[d[i, j] if (i, j) in keep else 0.0 for j in range(cols)]
                       for i in range(rows)])
@@ -292,7 +300,7 @@ def reference_merge_drm(ds, cfg, tall_gesdd=True):
     row_norms[row_norms <= drm.engine.ZERO_ROW_NORM] = 0.0
     rank = int(np.count_nonzero(drm.linalg.nonzero_sigma_mask(sigma)))
     if cfg.rank_drop > 0.0:  # keep the top ceil((1 - rank_drop) * rank) components
-        keep = min(rank, math.ceil((1.0 - cfg.rank_drop) * rank - 1e-9))
+        keep = keep_count(1.0 - cfg.rank_drop, rank)
         U, sigma = U.copy(), sigma.copy()
         U[:, keep:] = 0.0
         sigma[keep:] = 0.0
@@ -372,7 +380,7 @@ def tune_oracle(base, tasks, method: str, retain_grid, lambda_grid, seed: int):
     for retain in retain_grid:
         for lam in lambda_grid:
             cfg = MergeConfig(method=method, retain=retain, lambdas=lam, seed=seed)
-            W = base + merge_delta_set(ds, cfg)
+            W = base + merge_delta_set(ds, cfg)[0]
             per_task[retain, lam] = [neg_mse_oracle(W, X, Y) for X, Y in val]
             grid.append((retain, lam, float(np.mean(per_task[retain, lam]))))
     best = None

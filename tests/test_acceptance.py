@@ -119,8 +119,8 @@ def test_criterion_04_perturbation_bound():
 def test_criterion_05_duality():
     for seed in range(50):
         ds = planted_instance(seed, n_tasks=2, m=5, n=7)
-        via_v = merge_drm(ds, MergeConfig(method="drm_v"))
-        via_h = merge_drm(ds.transposed(), MergeConfig(method="drm_h")).T
+        via_v, _ = merge_drm(ds, MergeConfig(method="drm_v"))
+        via_h = merge_drm(ds.transposed(), MergeConfig(method="drm_h"))[0].T
         err = np.linalg.norm(via_v - via_h)
         assert err <= 1e-8 * max(1.0, np.linalg.norm(via_h))
 
@@ -134,9 +134,9 @@ def test_criterion_06_identity_merging():
                       [f"t{i}" for i in range(n_tasks)])
         scale = np.linalg.norm(delta)
         for method in ("drm_h", "drm_v"):
-            merged = merge_drm(ds, MergeConfig(method=method, retain=1.0, lambdas=1.0))
+            merged, _ = merge_drm(ds, MergeConfig(method=method, retain=1.0, lambdas=1.0))
             assert np.linalg.norm(merged - delta) <= 1e-8 * scale
-        merged = ties_merge(ds, MergeConfig(method="ties", retain=1.0, lambdas=1.0))
+        merged, _ = ties_merge(ds, MergeConfig(method="ties", retain=1.0, lambdas=1.0))
         assert np.linalg.norm(merged - delta) <= 1e-8 * scale
         merged = task_arithmetic(ds, 1.0 / n_tasks)
         assert np.linalg.norm(merged - delta) <= 1e-8 * scale
@@ -154,8 +154,8 @@ def test_criterion_07_task_order_invariance():
         )
         for method in ("drm_h", "drm_v"):
             cfg = MergeConfig(method=method)
-            ref = merge_drm(ds, cfg)
-            out = merge_drm(permuted, cfg)
+            ref, _ = merge_drm(ds, cfg)
+            out, _ = merge_drm(permuted, cfg)
             assert np.linalg.norm(out - ref) <= 1e-6 * max(1.0, np.linalg.norm(ref))
 
 
@@ -205,7 +205,7 @@ def test_criterion_11_positionwise_oracles():
         retain = float(rng.choice([0.25, 0.5, 1.0]))
         lams = rng.uniform(0.5, 1.5, n_tasks)
 
-        got = ties_merge(ds, MergeConfig(method="ties", retain=retain, lambdas=tuple(lams)))
+        got, _ = ties_merge(ds, MergeConfig(method="ties", retain=retain, lambdas=tuple(lams)))
         want = ties_oracle(deltas, retain, lams)
         assert np.abs(got - want).max() <= 1e-12
 

@@ -17,7 +17,7 @@ import drm.engine
 from drm.bundle import DeltaSet, TensorBundle
 from drm.engine import (
     MergeConfig,
-    merge_bundle_with_stats,
+    merge_bundle,
     merge_delta_set_grid,
     prune_topk,
 )
@@ -255,7 +255,7 @@ def test_bundle_merge_bytes_do_not_depend_on_threads(monkeypatch):
     ]
 
     def merge(method):
-        out, stats = merge_bundle_with_stats(base, tasks, MergeConfig(method=method))
+        out, stats = merge_bundle(base, tasks, MergeConfig(method=method))
         return [(name, value.tobytes()) for name, value in out.items()], stats
 
     for method in ("drm_h", "drm_v"):
@@ -287,5 +287,5 @@ def test_drm_merge_starts_no_thread_by_default(method, monkeypatch):
     started = []
     real = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or real(self))
-    merge_bundle_with_stats(base, tasks, MergeConfig(method=method))
+    merge_bundle(base, tasks, MergeConfig(method=method))
     assert started == []

@@ -12,7 +12,6 @@ from drm.baselines import (
     dare_ties_merge,
     task_arithmetic,
     ties_merge,
-    ties_merge_with_stats,
 )
 from drm.bundle import DeltaSet, TensorBundle
 from drm.engine import (
@@ -22,7 +21,7 @@ from drm.engine import (
     disjoint_average,
     merge_bundle,
     merge_delta_set,
-    merge_drm_with_stats,
+    merge_drm,
 )
 from drm.errors import ShapeMismatch
 from oracles import dare_reference, make_ds, tail_reference, ties_oracle, ties_reference
@@ -30,7 +29,7 @@ from oracles import dare_reference, make_ds, tail_reference, ties_oracle, ties_r
 
 def simple_average(deltas):
     """The ``simple_avg`` method's merged delta."""
-    return merge_delta_set(make_ds(deltas), MergeConfig(method="simple_avg"))
+    return merge_delta_set(make_ds(deltas), MergeConfig(method="simple_avg"))[0]
 
 
 class TestSimpleAverage:
@@ -84,19 +83,19 @@ class TestTiesMerge:
     def test_single_task_neutral(self):
         ds = make_ds([np.random.default_rng(3).standard_normal((3, 3))])
         cfg = MergeConfig(method="ties", retain=1.0, lambdas=1.0)
-        np.testing.assert_allclose(ties_merge(ds, cfg), ds.deltas[0], atol=1e-12)
+        np.testing.assert_allclose(ties_merge(ds, cfg)[0], ds.deltas[0], atol=1e-12)
 
     def test_sign_tie_keeps_positive(self):
         ds = make_ds([np.array([[5.0]]), np.array([[-5.0]])])
         cfg = MergeConfig(method="ties", retain=1.0, lambdas=1.0)
-        np.testing.assert_allclose(ties_merge(ds, cfg), [[5.0]])
+        np.testing.assert_allclose(ties_merge(ds, cfg)[0], [[5.0]])
 
     def test_against_positionwise_oracle(self):
         rng = np.random.default_rng(5)
         for retain in (0.25, 0.5, 1.0):
             deltas = [rng.standard_normal((4, 4)) for _ in range(3)]
             cfg = MergeConfig(method="ties", retain=retain, lambdas=1.0)
-            got = ties_merge(make_ds(deltas), cfg)
+            got, _ = ties_merge(make_ds(deltas), cfg)
             want = ties_oracle(deltas, retain, [1.0] * 3)
             np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -107,7 +106,7 @@ class TestTiesMerge:
         deltas = [signs * rng.uniform(0.5, 2.0, (3, 3)) for _ in range(3)]
         lams = [0.9, 1.0, 1.3]
         cfg = MergeConfig(method="ties", retain=1.0, lambdas=tuple(lams))
-        got = ties_merge(make_ds(deltas), cfg)
+        got, _ = ties_merge(make_ds(deltas), cfg)
         want = sum(l * d for l, d in zip(lams, deltas)) / 3
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -119,7 +118,7 @@ class TestDareTies:
         cfg = MergeConfig(method="dare_ties", dare_drop=0.0, lambdas=1.0)
         got = dare_ties_merge(make_ds(deltas), cfg)
         ties_cfg = MergeConfig(method="ties", retain=1.0, lambdas=1.0)
-        want = ties_merge(make_ds(deltas), ties_cfg)
+        want, _ = ties_merge(make_ds(deltas), ties_cfg)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_same_seed_is_deterministic(self):
@@ -297,7 +296,7 @@ class TestChunkedMerge:
                               [f"t{t}" for t in range(n_tasks)])
                 ds._owned = layout == "owned"
                 if method == "ties":
-                    got, stats = ties_merge_with_stats(ds, cfg)
+                    got, stats = ties_merge(ds, cfg)
                 else:
                     got, stats = dare_ties_merge(ds, cfg), {}
                 assert got.tobytes() == want.tobytes()
@@ -335,10 +334,10 @@ def test_retain_one_keeps_every_entry(method, mode, monkeypatch):
         cfg = MergeConfig(method=method, retain=1.0, lambdas=(1.3, -0.4, 1.0),
                           prune_mode=mode, enable_sign_elect=elect, enable_disjoint=disjoint)
         if method == "ties":
-            got, stats = ties_merge_with_stats(ds, cfg)
+            got, stats = ties_merge(ds, cfg)
             want, total = tail_reference(ds.deltas, cfg), ds.deltas.size
         else:
-            got, stats = merge_drm_with_stats(ds, cfg)
+            got, stats = merge_drm(ds, cfg)
             orientation = DRM_ORIENTATIONS[method]
             jd = decompose_joint(ds, orientation)
             want = jd.U @ tail_reference(jd.renorm_blocks * jd.task_sigmas[:, :, None], cfg)
@@ -354,7 +353,7 @@ class TestSingleTaskNeutrality:
         ds = make_ds([delta])
         assert np.allclose(task_arithmetic(ds, 1.0), delta)
         cfg = MergeConfig(method="ties", retain=1.0, lambdas=1.0)
-        assert np.allclose(ties_merge(ds, cfg), delta)
+        assert np.allclose(ties_merge(ds, cfg)[0], delta)
         dare_cfg = MergeConfig(method="dare_ties", dare_drop=0.0, lambdas=1.0)
         assert np.allclose(dare_ties_merge(ds, dare_cfg), delta)
         assert np.allclose(simple_average([delta]), delta)

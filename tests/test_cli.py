@@ -22,6 +22,7 @@ import pytest
 
 import drm.bundle
 import drm.cli
+import drm.engine
 import drm.harness
 from conftest import child_env, traced_peak
 from drm.bundle import TensorBundle, read_bundle, write_bundle
@@ -911,6 +912,14 @@ def test_traced_names_resolve():
         if getattr(importlib.import_module(module), attr, None) is None
     ]
     assert missing == []
+
+
+def test_tracer_hooks_are_the_public_merges():
+    # The package calls each merge by the name the benchmark's tracer wraps,
+    # so each such name must stay the public function it times.
+    assert drm.engine.merge_drm_with_stats is drm.engine.merge_drm
+    assert drm.engine._merge_delta_set_with_stats is drm.engine.merge_delta_set
+    assert drm.cli.merge_bundle_with_stats is drm.engine.merge_bundle
 
 
 def test_every_import_is_used_or_traced():

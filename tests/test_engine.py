@@ -27,11 +27,9 @@ from drm.engine import (
     extract_deltas,
     merge_biases,
     merge_bundle,
-    merge_bundle_with_stats,
     merge_delta_set,
     merge_delta_set_grid,
     merge_drm,
-    merge_drm_with_stats,
     prune_topk,
 )
 from drm.errors import ShapeMismatch
@@ -165,7 +163,7 @@ class TestDecomposeJoint:
             assert jd.renorm_blocks.shape == (3, 0, cols)
             assert jd.rank == 0
         for method in METHODS:
-            assert merge_delta_set(ds, MergeConfig(method=method)).shape == shape
+            assert merge_delta_set(ds, MergeConfig(method=method))[0].shape == shape
 
 
 @settings(max_examples=30, deadline=None)
@@ -209,6 +207,14 @@ class TestTruncateRank:
         assert cut.rank == 2
         assert np.count_nonzero(cut.sigma) == 2
 
+    def test_positive_share_keeps_one_component(self):
+        # ceil((1 - rank_drop) * rank) is at least one for any rank_drop < 1.
+        ds = random_delta_set(3)
+        jd, cut = decompose_joint(ds), decompose_joint(ds, rank_drop=1 - 1e-11)
+        assert jd.rank == 6
+        assert cut.rank == 1
+        assert cut.sigma[0] == jd.sigma[0]
+
     def test_tail_energy_matches_truncation_error(self):
         ds = random_delta_set(6, n_tasks=2, m=5, n=4)
         jd = decompose_joint(ds)
@@ -246,6 +252,13 @@ class TestPruneTopk:
         masks = prune_topk(blocks, 1.0)
         for m in masks:
             assert m.all()
+
+    def test_positive_retain_keeps_one_entry(self):
+        # ceil(retain * size) is at least one of a non-empty pool for any
+        # retain > 0.
+        for mode in ("joint", "individual"):
+            mask = prune_topk(np.arange(1.0, 11.0).reshape(1, 1, 10), 1e-12, mode)
+            np.testing.assert_array_equal(mask.ravel(), np.arange(10) == 9)
 
     def test_single_block_top_half(self):
         masks = prune_topk([np.array([[1.0, -2.0], [3.0, -4.0]])], 0.5)
@@ -446,21 +459,21 @@ class TestMergeDrm:
             ds = DeltaSet("l", (5, 4), [delta.copy() for _ in range(n_tasks)],
                           [f"t{i}" for i in range(n_tasks)])
             for method in ("drm_h", "drm_v"):
-                merged = merge_drm(ds, self.neutral(method))
+                merged, _ = merge_drm(ds, self.neutral(method))
                 err = np.linalg.norm(merged - delta) / np.linalg.norm(delta)
                 assert err <= 1e-8
 
     def test_single_task_identity(self):
         ds = random_delta_set(19, n_tasks=1)
         for method in ("drm_h", "drm_v"):
-            merged = merge_drm(ds, self.neutral(method))
+            merged, _ = merge_drm(ds, self.neutral(method))
             err = np.linalg.norm(merged - ds.deltas[0]) / np.linalg.norm(ds.deltas[0])
             assert err <= 1e-8
 
     def test_vertical_equals_transposed_horizontal(self):
         ds = planted_delta_set(23, n_tasks=2, m=5, n=7)
-        via_v = merge_drm(ds, MergeConfig(method="drm_v"))
-        via_h = merge_drm(ds.transposed(), MergeConfig(method="drm_h")).T
+        via_v, _ = merge_drm(ds, MergeConfig(method="drm_v"))
+        via_h = merge_drm(ds.transposed(), MergeConfig(method="drm_h"))[0].T
         err = np.linalg.norm(via_v - via_h) / max(1.0, np.linalg.norm(via_h))
         assert err <= 1e-8
 
@@ -475,21 +488,21 @@ class TestMergeDrm:
         )
         for method in ("drm_h", "drm_v"):
             cfg = MergeConfig(method=method)
-            ref = merge_drm(ds, cfg)
-            out = merge_drm(permuted, cfg)
+            ref, _ = merge_drm(ds, cfg)
+            out, _ = merge_drm(permuted, cfg)
             assert np.linalg.norm(out - ref) <= 1e-6 * max(1.0, np.linalg.norm(ref))
 
     def test_ablation_switches(self):
         ds = random_delta_set(31)
         base_cfg = MergeConfig(method="drm_h", retain=0.5)
-        merged = merge_drm(ds, base_cfg)
-        keep_all = merge_drm(ds, dataclasses.replace(base_cfg, retain=1.0))
+        merged, _ = merge_drm(ds, base_cfg)
+        keep_all, _ = merge_drm(ds, dataclasses.replace(base_cfg, retain=1.0))
         assert not np.allclose(merged, keep_all)
         # every entry kept + sign election disabled on a single task leaves
         # the delta untouched
         solo = random_delta_set(32, n_tasks=1)
         cfg = MergeConfig(method="drm_h", retain=1.0, enable_sign_elect=False)
-        merged_solo = merge_drm(solo, cfg)
+        merged_solo, _ = merge_drm(solo, cfg)
         err = np.linalg.norm(merged_solo - solo.deltas[0]) / np.linalg.norm(solo.deltas[0])
         assert err <= 1e-8
 
@@ -498,13 +511,13 @@ class TestMergeDrm:
         delta = rng.standard_normal((4, 4))
         ds = DeltaSet("l", (4, 4), [delta, delta.copy()], ["a", "b"])
         cfg = MergeConfig(method="drm_h", retain=1.0, lambdas=1.0, enable_disjoint=False)
-        merged = merge_drm(ds, cfg)
+        merged, _ = merge_drm(ds, cfg)
         np.testing.assert_allclose(merged, delta, atol=1e-10)
 
     def test_rank_drop_changes_result(self):
         ds = random_delta_set(35, n_tasks=2, m=6, n=5)
-        full = merge_drm(ds, MergeConfig(method="drm_h", retain=1.0))
-        cut = merge_drm(ds, MergeConfig(method="drm_h", retain=1.0, rank_drop=0.5))
+        full, _ = merge_drm(ds, MergeConfig(method="drm_h", retain=1.0))
+        cut, _ = merge_drm(ds, MergeConfig(method="drm_h", retain=1.0, rank_drop=0.5))
         assert not np.allclose(full, cut)
 
     def test_wrong_method_rejected(self):
@@ -546,7 +559,7 @@ class TestMergeGrid:
             assert len(grid) == len(self.RETAINS)
             for retain, (merged, stats) in zip(self.RETAINS, grid):
                 point = dataclasses.replace(at, retain=retain)
-                want, want_stats = drm.engine._merge_delta_set_with_stats(ds, point)
+                want, want_stats = merge_delta_set(ds, point)
                 assert merged.shape == want.shape
                 assert merged.tobytes() == want.tobytes()
                 assert stats == want_stats
@@ -617,14 +630,14 @@ def build_family(seed, n_tasks=3, dtype=np.float64):
 class TestMergeBundle:
     def test_tasks_equal_base(self):
         base, _ = build_family(41)
-        merged = merge_bundle(base, [base, base], MergeConfig(method="drm_h"))
+        merged, _ = merge_bundle(base, [base, base], MergeConfig(method="drm_h"))
         for name, arr in base.items():
             np.testing.assert_allclose(merged[name], arr, atol=1e-12)
 
     def test_single_task_identity(self):
         base, tasks = build_family(43, n_tasks=1)
         cfg = MergeConfig(method="drm_h", retain=1.0, lambdas=1.0)
-        merged = merge_bundle(base, tasks, cfg)
+        merged, _ = merge_bundle(base, tasks, cfg)
         for name in base.names():
             np.testing.assert_allclose(merged[name], tasks[0][name], atol=1e-8)
 
@@ -633,13 +646,13 @@ class TestMergeBundle:
         # individual operations
         base, tasks = build_family(47, n_tasks=3)
         cfg = MergeConfig(method="drm_h", retain=0.4, lambdas=1.0)
-        merged = merge_bundle(base, tasks, cfg)
+        merged, _ = merge_bundle(base, tasks, cfg)
 
         names = check_aligned(base, tasks)
         for name, arr in base.items():
             if arr.ndim == 2:
                 ds = extract_deltas(name, arr, tasks, names)
-                expected = arr.astype(np.float64) + merge_drm(ds, cfg)
+                expected = arr.astype(np.float64) + merge_drm(ds, cfg)[0]
             else:
                 task_values = [task[name] for task in tasks]
                 expected = merge_biases(arr, task_values, cfg.task_lambdas(3))
@@ -647,21 +660,21 @@ class TestMergeBundle:
 
     def test_output_dtype_follows_base(self):
         base, tasks = build_family(53, dtype=np.float32)
-        merged = merge_bundle(base, tasks, MergeConfig(method="ties"))
+        merged, _ = merge_bundle(base, tasks, MergeConfig(method="ties"))
         for name in base.names():
             assert merged[name].dtype == np.float32
 
     def test_metadata_records_config(self):
         base, tasks = build_family(59)
         cfg = MergeConfig(method="drm_h", retain=0.25, seed=9)
-        merged = merge_bundle(base, tasks, cfg, task_names=["x", "y", "z"])
+        merged, _ = merge_bundle(base, tasks, cfg, task_names=["x", "y", "z"])
         assert merged.metadata["merge.method"] == "drm_h"
         assert '"retain":0.25' in merged.metadata["merge.config"]
         assert merged.metadata["merge.tasks"] == '["x","y","z"]'
 
     def test_stats_shapes(self):
         base, tasks = build_family(61)
-        _, stats = merge_bundle_with_stats(base, tasks, MergeConfig(method="drm_h"))
+        _, stats = merge_bundle(base, tasks, MergeConfig(method="drm_h"))
         by_name = {s.name: s for s in stats}
         assert by_name["enc.w"].rank is not None
         assert by_name["enc.w"].kept <= by_name["enc.w"].total
@@ -671,9 +684,9 @@ class TestMergeBundle:
         base, tasks = build_family(67)
         cfg = MergeConfig(method="dare_ties", seed=3)
         monkeypatch.setenv("DRM_THREADS", "1")
-        serial = merge_bundle(base, tasks, cfg)
+        serial, _ = merge_bundle(base, tasks, cfg)
         monkeypatch.setenv("DRM_THREADS", "4")
-        parallel = merge_bundle(base, tasks, cfg)
+        parallel, _ = merge_bundle(base, tasks, cfg)
         assert serial == parallel
 
     def test_duplicate_task_names_rejected_before_any_read(self, monkeypatch):
@@ -773,7 +786,7 @@ def test_merge_memory_bounded_by_layers_in_flight(method, monkeypatch):
     base, tasks = deep_family(n_layers, n_tasks, shape)
     unit = n_tasks * shape[0] * shape[1] * 8
     monkeypatch.setenv("DRM_THREADS", str(workers))
-    merged, peak = traced_peak(merge_bundle, base, tasks, MergeConfig(method=method))
+    (merged, _), peak = traced_peak(merge_bundle, base, tasks, MergeConfig(method=method))
     output = sum(arr.nbytes for _, arr in merged.items())
     assert peak - output < workers * 8 * unit
 
@@ -894,7 +907,7 @@ def test_layer_merge_memory_bounded_by_its_stack(method, shape):
     n_tasks = 4
     ds = random_delta_set(0, n_tasks, *shape)
     unit = n_tasks * shape[0] * shape[1] * 8
-    _, peak = traced_peak(merge_drm_with_stats, ds, MergeConfig(method=method))
+    _, peak = traced_peak(merge_drm, ds, MergeConfig(method=method))
     assert peak / unit < 3.5
 
 
@@ -914,7 +927,7 @@ def test_drm_tail_allocates_no_stack_sized_temporary(method, shape, monkeypatch)
     monkeypatch.setattr(drm.engine, "decompose_joint", lambda *args: jd)
     monkeypatch.setattr(drm.engine, "prune_topk", lambda *args: mask)
     unit = jd.renorm_blocks.nbytes
-    _, peak = traced_peak(merge_drm_with_stats, ds, cfg)
+    _, peak = traced_peak(merge_drm, ds, cfg)
     assert peak / unit < 0.75
 
 
@@ -930,7 +943,7 @@ BORROWING_CALLS = {
     },
     **{
         f"merge_drm_with_stats-{method}": (
-            lambda ds, method=method: merge_drm_with_stats(ds, MergeConfig(method=method))
+            lambda ds, method=method: merge_drm(ds, MergeConfig(method=method))
         )
         for method in ("drm_h", "drm_v")
     },
@@ -1053,10 +1066,10 @@ def test_bundle_merge_equals_borrowed_merge(method, threads, monkeypatch):
                           (adapter_family, (64, 16)), (dense64, (120, 12))]:
         base, tasks = family(2, 3, shape)
         names = [f"task{t}" for t in range(len(tasks))]
-        merged = merge_bundle(base, tasks, cfg)
+        merged, _ = merge_bundle(base, tasks, cfg)
         for name, arr in base.items():
             ds = extract_deltas(name, arr, tasks, names)
-            want = (arr.astype(np.float64) + merge_delta_set(ds, cfg)).astype(arr.dtype)
+            want = (arr.astype(np.float64) + merge_delta_set(ds, cfg)[0]).astype(arr.dtype)
             assert merged[name].tobytes() == want.tobytes()
 
 
@@ -1176,7 +1189,7 @@ def test_stack_pipeline_matches_reference_bytes(method, conditioning, route, kno
     cfg = MergeConfig(method=method, **knobs)
     want, want_stats, want_route = reference_merge_drm(ds, cfg)
     assert want_route == route
-    got, stats = merge_drm_with_stats(ds, cfg)
+    got, stats = merge_drm(ds, cfg)
     assert got.tobytes() == want.tobytes()
     assert stats == want_stats
 
@@ -1192,12 +1205,12 @@ def test_tall_gesdd_route_matches_the_wide_route_off_the_null_space(method):
     cfg = MergeConfig(method=method, rank_drop=1e-9)
     want, want_stats, route = reference_merge_drm(ds, cfg, tall_gesdd=False)
     assert route == "gesdd" and want_stats["rank"] == 32
-    got, stats = merge_drm_with_stats(ds, cfg)
+    got, stats = merge_drm(ds, cfg)
     assert stats == want_stats
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
     with_null = dataclasses.replace(cfg, rank_drop=0.0)
     want, _, _ = reference_merge_drm(ds, with_null, tall_gesdd=False)
-    got = merge_drm(ds, with_null)
+    got, _ = merge_drm(ds, with_null)
     assert np.linalg.norm(got - want) > 1e-3 * np.linalg.norm(want)
 
 
